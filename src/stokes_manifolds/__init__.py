@@ -8,7 +8,7 @@ spectra, with a CLI that emits figure-data tables and rasters.
 
 __version__ = "0.1.0"
 
-from .fock import NoiseModel, synthesize_mode, tensor_product
+from .fock import NoiseModel, synthesize_mode
 from .polar import parse_manifolds
 from .sphere import build_quadrature_grid, husimi_manifold, husimi_total
 from .stokes import manifold_stokes_summary, total_stokes_summary
@@ -16,7 +16,6 @@ from .stokes import manifold_stokes_summary, total_stokes_summary
 __all__ = [
     "NoiseModel",
     "synthesize_mode",
-    "tensor_product",
     "parse_manifolds",
     "build_quadrature_grid",
     "husimi_manifold",

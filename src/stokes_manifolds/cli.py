@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .fock import NoiseModel, loss_channel, synthesize_mode, tensor_product, thermal_state
+from .fock import NoiseModel, loss_channel, synthesize_mode, thermal_state
 from .multipole import clebsch_gordan, multipoles_algebraic, multipoles_integral, spherical_harmonic
 from .polar import ManifoldBlock, parse_manifolds
 from .pipeline import (
@@ -142,7 +142,7 @@ def _cmd_check(_args) -> int:
     model = NoiseModel(3.6, 4.4, 0.85)
     rho_h = synthesize_mode(model, 1.13, 16)
     rho_v = synthesize_mode(model, 0.0, 16)
-    sector = parse_manifolds(tensor_product(rho_h, rho_v))
+    sector = parse_manifolds(rho_h, rho_v)
     q = husimi_total(sector, grid, max_spin=6.0)
     target = sum(b.weight for b in sector.reported(6.0))
     dev = abs(q.integral() - target)

@@ -1,4 +1,4 @@
-"""Gaussian-family states of one and two optical modes in a truncated photon-number basis.
+"""Gaussian-family states of one optical mode in a truncated photon-number basis.
 
 Conventions: quadrature x = (a + a^dag)/sqrt(2), vacuum variance 1/2; dB values
 are 10*log10(Var/Var_vac).  The squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]
@@ -16,7 +16,6 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-10
 
 
 def padded_cutoff(cutoff: int) -> int:
@@ -62,65 +61,9 @@ class ModeState:
         return float(np.real(np.trace(self.entries)))
 
     @property
-    def trace_deficit(self) -> float:
-        """Probability weight lost to truncation; reported, never hidden."""
-        return 1.0 - self.trace
-
-    @property
     def mean_photon_number(self) -> float:
         n = np.arange(self.cutoff + 1)
         return float(np.real(np.sum(n * np.diag(self.entries))))
-
-    def validate(self, trunc_tol: float = 1e-6):
-        """Check positivity and trace window; raises on violation."""
-        lo = float(np.linalg.eigvalsh(self.entries)[0])
-        if lo < -PSD_TOL:
-            raise ValueError(f"state not positive semidefinite (min eig {lo:.3e})")
-        tr = self.trace
-        if tr > 1.0 + HERMITICITY_TOL or tr <= 1.0 - trunc_tol:
-            raise ValueError(f"trace {tr} outside (1 - {trunc_tol}, 1]")
-        return self
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Two-mode density matrix indexed by (n_H, n_V) pairs, n_H-major."""
-
-    cutoff_h: int
-    cutoff_v: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.cutoff_h < 0 or self.cutoff_v < 0:
-            raise ValueError("cutoffs must be non-negative")
-        dim = (self.cutoff_h + 1) * (self.cutoff_v + 1)
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (dim, dim):
-            raise ValueError(f"entries must be {dim}x{dim}, got {entries.shape}")
-        entries = _require_hermitian(entries, "TwoModeState")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    def index(self, n_h: int, n_v: int) -> int:
-        return n_h * (self.cutoff_v + 1) + n_v
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
-
-    @property
-    def trace_deficit(self) -> float:
-        return 1.0 - self.trace
-
-    def validate(self, trunc_tol: float = 1e-6):
-        lo = float(np.linalg.eigvalsh(self.entries)[0])
-        if lo < -PSD_TOL:
-            raise ValueError(f"state not positive semidefinite (min eig {lo:.3e})")
-        if self.trace > 1.0 + HERMITICITY_TOL:
-            raise ValueError(f"trace {self.trace} exceeds 1")
-        if self.trace <= 1.0 - trunc_tol:
-            raise ValueError(f"trace {self.trace} below 1 - {trunc_tol}")
-        return self
 
 
 def fit_noise_parameters(squeezing_db: float, antisqueezing_db: float) -> tuple[float, float]:
@@ -151,19 +94,15 @@ class NoiseModel:
     squeezing_db: float
     antisqueezing_db: float
     efficiency: float = 1.0
+    squeeze_parameter: float = field(init=False, compare=False)
+    thermal_occupation: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        fit_noise_parameters(self.squeezing_db, self.antisqueezing_db)  # validates
-
-    @property
-    def squeeze_parameter(self) -> float:
-        return fit_noise_parameters(self.squeezing_db, self.antisqueezing_db)[0]
-
-    @property
-    def thermal_occupation(self) -> float:
-        return fit_noise_parameters(self.squeezing_db, self.antisqueezing_db)[1]
+        r, nbar = fit_noise_parameters(self.squeezing_db, self.antisqueezing_db)
+        object.__setattr__(self, "squeeze_parameter", r)
+        object.__setattr__(self, "thermal_occupation", nbar)
 
 
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
@@ -273,7 +212,3 @@ def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState
     cropped = lossy.entries[: cutoff + 1, : cutoff + 1]
     return ModeState(cutoff, cropped)
 
-
-def tensor_product(rho_h: ModeState, rho_v: ModeState) -> TwoModeState:
-    """Kronecker composition of the H and V modes, n_H-major index order."""
-    return TwoModeState(rho_h.cutoff, rho_v.cutoff, np.kron(rho_h.entries, rho_v.entries))

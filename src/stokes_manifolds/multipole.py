@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .polar import ManifoldBlock, PolarizationSector
+from .polar import ManifoldBlock
 from .sphere import FOUR_PI, SphereGrid, husimi_manifold
 
 
@@ -200,15 +200,12 @@ def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:
     return MultipoleSpectrum(block.spin, tuple(coeffs))
 
 
-def multipole_weights(sector: PolarizationSector, max_spin: float | None = None) -> np.ndarray:
-    """Aggregated W_K: P_S-weighted sum of per-manifold weights over reported
-    manifolds; K runs from 0 to 2*S_max."""
-    blocks = sector.reported(max_spin)
-    if not blocks:
+def aggregate_weights(terms) -> np.ndarray:
+    """Aggregated W_K: sum of P_S W_K^(S) over (P_S, W^(S)) pairs, in the
+    order given; K runs from 0 to the largest 2S."""
+    if not terms:
         return np.zeros(1)
-    k_max = max(b.photon_number for b in blocks)
-    total = np.zeros(k_max + 1)
-    for b in blocks:
-        w = multipoles_algebraic(b).weights
-        total[: len(w)] += b.weight * w
+    total = np.zeros(max(len(w) for _, w in terms))
+    for weight, w in terms:
+        total[: len(w)] += weight * w
     return total

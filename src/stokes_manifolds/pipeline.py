@@ -1,8 +1,9 @@
 """Configuration, orchestration, and file emission for the analysis sweep.
 
-A sweep synthesizes one two-mode state per coherent amplitude (only the H mode
-is displaced), parses it into polarization manifolds, and writes figure-data
-tables, sector dumps, Q-function grids, and heatmap rasters.  All floating
+A sweep synthesizes the V mode once and one H mode per coherent amplitude (only
+the H mode is displaced), parses each product state into polarization
+manifolds, and writes figure-data tables, sector dumps, Q-function grids, and
+heatmap rasters.  All floating
 point output is printed with 12 significant digits and every run is
 deterministic, so identical configs produce byte-identical files.
 """
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import NoiseModel, synthesize_mode, tensor_product
-from .multipole import multipole_weights, multipoles_algebraic
+from .fock import NoiseModel, synthesize_mode
+from .multipole import aggregate_weights, multipoles_algebraic
 from .polar import (
     PolarizationSector,
     dump_sector,
@@ -195,6 +196,11 @@ def _check_cutoffs(config: RunConfig):
             f"S_report_max={s_max} needs photon numbers up to {needed} in both "
             f"modes; cutoffs are ({config.cutoff_h}, {config.cutoff_v})"
         )
+    if set(config.emit) & {"q_csv", "heatmaps"} and config.resolved_grid_l < 4.0 * s_max:
+        raise NumericalGuardError(
+            f"grid_l={config.resolved_grid_l} is too coarse for the Q functions of "
+            f"S_report_max={s_max}; q_csv and heatmaps need grid_l >= {4.0 * s_max:g}"
+        )
     recommended = 4.0 * max(abs(complex(a)) for a in config.alphas) ** 2 + 10.0
     if min(config.cutoff_h, config.cutoff_v) < recommended:
         warnings.warn(
@@ -221,15 +227,13 @@ def run_sweep(config: RunConfig) -> RunReport:
     alphas = _dedupe(config.alphas)
     efficiency = config.efficiency if config.apply_loss else 1.0
     model = NoiseModel(config.squeezing_db, config.antisqueezing_db, efficiency)
-    vacuum_model = model
     s_max = config.resolved_s_report_max
+    rho_v = synthesize_mode(model, 0.0, config.cutoff_v)
     results = []
     for alpha in alphas:
         ta = time.perf_counter()
         rho_h = synthesize_mode(model, alpha, config.cutoff_h)
-        rho_v = synthesize_mode(vacuum_model, 0.0, config.cutoff_v)
-        state = tensor_product(rho_h, rho_v)
-        sector = parse_manifolds(state)
+        sector = parse_manifolds(rho_h, rho_v)
         try:
             # the total uses every parsed manifold; s_max only limits reports
             total = total_stokes_summary(sector)
@@ -237,12 +241,14 @@ def run_sweep(config: RunConfig) -> RunReport:
             raise NumericalGuardError(str(exc)) from exc
         summaries = []
         multis = []
+        terms = []
         for block in sector.reported(s_max):
+            weights = multipoles_algebraic(block).weights
+            terms.append((block.weight, weights))
             if block.spin == 0:
                 continue
             summaries.append(manifold_stokes_summary(block))
-            multis.append((block.spin, multipoles_algebraic(block).weights))
-        aggregated = multipole_weights(sector, s_max)
+            multis.append((block.spin, weights))
         analytic = quadrature_estimate_xi2(abs(complex(alpha)), model.squeeze_parameter)
         results.append(
             AlphaResult(
@@ -252,9 +258,9 @@ def run_sweep(config: RunConfig) -> RunReport:
                 total=total,
                 photon_distribution=tuple(photon_number_distribution(sector)),
                 manifold_multipoles=tuple(multis),
-                aggregated_weights=aggregated,
+                aggregated_weights=aggregate_weights(terms),
                 analytic_estimate=analytic,
-                trace_deficit=state.trace_deficit,
+                trace_deficit=1.0 - rho_h.trace * rho_v.trace,
                 elapsed=time.perf_counter() - ta,
             )
         )
@@ -375,8 +381,9 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
                     write_ppm(render_heatmap(q, axis, config.raster_shape), path)
                     written.append(path)
                 path = outdir / f"foliation_{tag}_view_z.ppm"
-                write_ppm(render_foliation(res.sector, grid, "z", max_spin=s_max), path)
+                write_ppm(render_foliation(q, "z"), path)
                 written.append(path)
+            del q  # release this alpha's manifold maps before the next are built
 
     if "sector_json" in emit:
         for i, res in enumerate(report.results):

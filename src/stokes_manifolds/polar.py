@@ -1,4 +1,4 @@
-"""Parsing a two-mode state into fixed-photon-number polarization manifolds.
+"""Parsing a two-mode product state into fixed-photon-number polarization manifolds.
 
 A manifold with N = 2S photons carries a spin-S representation on the basis
 |S, m> = |n_H = S + m, n_V = S - m>, ordered m = S, S-1, ..., -S.  Coherences
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeState, _require_hermitian
+from .fock import ModeState, _require_hermitian
 
 WEIGHT_FLOOR = 1e-12
 
@@ -96,15 +96,18 @@ class PolarizationSector:
         )
 
 
-def parse_manifolds(state: TwoModeState, weight_floor: float = WEIGHT_FLOOR) -> PolarizationSector:
-    """Extract the block-diagonal polarization sector of a two-mode state.
+def parse_manifolds(rho_h: ModeState, rho_v: ModeState,
+                    weight_floor: float = WEIGHT_FLOOR) -> PolarizationSector:
+    """Extract the block-diagonal polarization sector of the product state
+    rho_H (x) rho_V.
 
-    Basis states outside either mode cutoff carry exactly zero amplitude in the
-    truncated input, so incomplete manifolds are embedded into the full
-    (2S+1)-dimensional block with zero rows and flagged as truncated.
+    Each block is gathered straight from the two modes,
+    block_N[i, j] = rho_H[n_i, n_j] rho_V[N - n_i, N - n_j] with n_i = N - i,
+    so the two-mode matrix is never formed.  Basis states outside either mode
+    cutoff carry zero amplitude, so incomplete manifolds keep zero rows in the
+    full (2S+1)-dimensional block and are flagged as truncated.
     """
-    ch, cv = state.cutoff_h, state.cutoff_v
-    entries = state.entries
+    ch, cv = rho_h.cutoff, rho_v.cutoff
     blocks = []
     for n_total in range(ch + cv + 1):
         n_h = np.arange(n_total, -1, -1)  # m descending
@@ -113,8 +116,8 @@ def parse_manifolds(state: TwoModeState, weight_floor: float = WEIGHT_FLOOR) -> 
         dim = n_total + 1
         block = np.zeros((dim, dim), dtype=complex)
         pos = np.nonzero(valid)[0]
-        flat = n_h[pos] * (cv + 1) + n_v[pos]
-        block[np.ix_(pos, pos)] = entries[np.ix_(flat, flat)]
+        h, v = n_h[pos], n_v[pos]
+        block[np.ix_(pos, pos)] = rho_h.entries[np.ix_(h, h)] * rho_v.entries[np.ix_(v, v)]
         weight = float(np.real(np.trace(block)))
         truncated = not valid.all()
         if weight > weight_floor:
@@ -133,22 +136,6 @@ def parse_manifolds(state: TwoModeState, weight_floor: float = WEIGHT_FLOOR) -> 
 def photon_number_distribution(sector: PolarizationSector) -> list[tuple[int, float]]:
     """Pairs (N, P_N) over all parsed manifolds."""
     return [(b.photon_number, b.weight) for b in sector.blocks]
-
-
-def embed_sector(sector: PolarizationSector, cutoff_h: int, cutoff_v: int) -> np.ndarray:
-    """Scatter weighted blocks back into a two-mode matrix (diagonal-in-N part)."""
-    dim = (cutoff_h + 1) * (cutoff_v + 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    for b in sector.blocks:
-        n_total = b.photon_number
-        n_h = np.arange(n_total, -1, -1)
-        n_v = n_total - n_h
-        valid = (n_h <= cutoff_h) & (n_v <= cutoff_v)
-        pos = np.nonzero(valid)[0]
-        flat = n_h[pos] * (cutoff_v + 1) + n_v[pos]
-        scale = b.weight if not b.negligible else 1.0
-        out[np.ix_(flat, flat)] += scale * b.block[np.ix_(pos, pos)]
-    return out
 
 
 def sector_to_json_dict(sector: PolarizationSector) -> dict:

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .polar import PolarizationSector
-from .sphere import QFunction, SphereGrid, husimi_manifold
+from .sphere import QFunction
 
 # Anchor colors of the shipped colormap (position in [0,1], RGB in 0..255).
 # Dark violet through teal and green to bright yellow; perceptually ordered.
@@ -131,23 +130,23 @@ def _axis_view_angles(axis: str, u, v):
     return theta, phi, visible
 
 
-def render_foliation(sector: PolarizationSector, grid: SphereGrid, axis: str = "z",
-                     side: int = 256, max_spin: float | None = None) -> np.ndarray:
+def render_foliation(q: QFunction, axis: str = "z", side: int = 256) -> np.ndarray:
     """Concentric-ring composite of the manifold Q functions in an axis view.
 
-    Each reported manifold occupies an annulus at radius proportional to
-    sqrt(S(S+1)); a pixel at planar angle psi samples the manifold Q on the
-    silhouette great circle perpendicular to the view axis.  Each ring is
-    normalized to its own maximum, so faint manifolds remain visible.
+    `q` is a total Q function; each of its manifold parts with S > 0 occupies
+    an annulus at radius proportional to sqrt(S(S+1)); a pixel at planar
+    angle psi samples the manifold Q on the silhouette great circle
+    perpendicular to the view axis.  Each ring is normalized to its own
+    maximum, so faint manifolds remain visible.
     """
     if axis not in ("x", "y", "z"):
         raise ValueError(f"unknown axis {axis!r}")
-    blocks = [b for b in sector.reported(max_spin) if b.spin > 0]
+    parts = [p for p in q.parts if p.spin > 0]
     image = np.empty((side, side, 3), dtype=np.uint8)
     image[:] = BACKGROUND
-    if not blocks:
+    if not parts:
         return image
-    radii = np.array([math.sqrt(b.spin * (b.spin + 1.0)) for b in blocks])
+    radii = np.array([math.sqrt(p.spin * (p.spin + 1.0)) for p in parts])
     radii = radii / radii.max()
     half_width = 0.45 * min(
         np.min(np.diff(np.concatenate(([0.0], radii)))) if len(radii) else 1.0, 1.0
@@ -155,13 +154,12 @@ def render_foliation(sector: PolarizationSector, grid: SphereGrid, axis: str = "
     u, v = _pixel_plane(side)
     rho = np.sqrt(u * u + v * v)
     psi = np.mod(np.arctan2(v, u), 2.0 * math.pi)
-    for b, r in zip(blocks, radii):
+    for part, r in zip(parts, radii):
         ring = np.abs(rho - r) <= half_width
         if not ring.any():
             continue
         theta, phi = _silhouette_angles(axis, psi[ring])
-        q = husimi_manifold(b, grid)
-        vals = _nearest_node_sampler(q)(theta, phi)
+        vals = _nearest_node_sampler(part)(theta, phi)
         image[ring] = apply_colormap(vals, vmax=float(vals.max()) or 1.0)
     return image
 
@@ -176,7 +174,7 @@ def _silhouette_angles(axis: str, psi):
         # circle through y and z: direction (0, cos psi, sin psi)
         theta = np.arccos(np.clip(np.sin(psi), -1.0, 1.0))
         phi = np.mod(np.arctan2(np.cos(psi), 0.0), 2.0 * math.pi)
-    else:  # y: direction (-cos psi? ) use (cos -> -u mapping) circle through z and x
+    else:  # y: circle through z and x: direction (-cos psi, 0, sin psi)
         theta = np.arccos(np.clip(np.sin(psi), -1.0, 1.0))
         phi = np.mod(np.arctan2(0.0, -np.cos(psi)), 2.0 * math.pi)
     return theta, phi

@@ -110,12 +110,17 @@ def su2_overlap_amplitudes(spin: float, theta, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QFunction:
-    """Husimi values over a sphere grid; kind is 'manifold' or 'total'."""
+    """Husimi values over a sphere grid; kind is 'manifold' or 'total'.
+
+    A total Q keeps the manifold Q functions it was summed from in `parts`,
+    in spin order, so consumers of the per-manifold maps reuse them.
+    """
 
     grid: SphereGrid
     values: np.ndarray
     kind: str
     spin: float | None = None
+    parts: tuple = ()
 
     def integral(self) -> float:
         return float(self.grid.integrate(self.values))
@@ -130,7 +135,8 @@ def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
         )
     th, ph = grid.mesh()
     amps = su2_overlap_amplitudes(block.spin, th, ph)
-    values = np.real(np.einsum("imn,ij,jmn->mn", amps.conj(), block.block, amps))
+    # a copy, not a view that would keep the complex einsum result alive
+    values = np.einsum("imn,ij,jmn->mn", amps.conj(), block.block, amps).real.copy()
     return QFunction(grid, values, "manifold", spin=block.spin)
 
 
@@ -139,11 +145,12 @@ def husimi_total(sector: PolarizationSector, grid: SphereGrid,
     """Intensity-free Q of the whole polarization sector.
 
     Q(n) = sum_S P_S (2S+1)/(4 pi) Q^(S)(n) over the reported manifolds, so the
-    integral equals the captured probability of those manifolds.
+    integral equals the captured probability of those manifolds.  The Q^(S)
+    are returned as the result's parts.
     """
     blocks = sector.reported(max_spin)
+    parts = tuple(husimi_manifold(b, grid) for b in blocks)
     values = np.zeros((grid.n_theta, grid.n_phi))
-    for b in blocks:
-        q = husimi_manifold(b, grid)
+    for b, q in zip(blocks, parts):
         values += b.weight * (b.dim / FOUR_PI) * q.values
-    return QFunction(grid, values, "total")
+    return QFunction(grid, values, "total", parts=parts)

@@ -229,7 +229,3 @@ def gaussian_total_xi2(alpha: float, r: float) -> float:
     var_y = a2 * math.exp(2.0 * r)
     return min(var_x, var_y) / denom
 
-
-def large_alpha_xi2_limit(r: float) -> float:
-    """alpha -> infinity limit of the exact Gaussian result: e^{-2r}."""
-    return math.exp(-2.0 * r)

@@ -27,7 +27,6 @@ from stokes_manifolds.fock import (
     loss_channel,
     squeeze_matrix,
     synthesize_mode,
-    tensor_product,
     thermal_state,
 )
 from stokes_manifolds.multipole import (
@@ -144,10 +143,9 @@ def pure_report():
 def test_criterion_01_parity_law():
     start = time.perf_counter()
     model = NoiseModel(PURE_DB, PURE_DB, 1.0)
-    state = tensor_product(
+    sector = parse_manifolds(
         synthesize_mode(model, 0.0, 32), synthesize_mode(model, 0.0, 32)
     )
-    sector = parse_manifolds(state)
     worst = max(
         (b.weight for b in sector.blocks if b.photon_number % 2 == 1), default=0.0
     )
@@ -179,10 +177,10 @@ def test_criterion_02_one_photon_no_squeezing(default_report, pure_report):
 
 def test_criterion_03_ideal_two_photon_squeezing():
     model = NoiseModel(PURE_DB, PURE_DB, 1.0)
-    state = tensor_product(
+    sector = parse_manifolds(
         synthesize_mode(model, 0.0, 24), synthesize_mode(model, 0.0, 24)
     )
-    block = next(b for b in parse_manifolds(state).blocks if b.photon_number == 2)
+    block = next(b for b in sector.blocks if b.photon_number == 2)
     xi2 = manifold_stokes_summary(block).xi2
 
     # independent brute-force covariance with literal spin-1 matrices

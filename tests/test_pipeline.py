@@ -2,10 +2,12 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from stokes_manifolds import multipole, pipeline, render, sphere
 from stokes_manifolds.cli import main
 from stokes_manifolds.pipeline import (
     DEFAULT_ALPHAS,
@@ -116,6 +118,45 @@ class TestSweep:
             assert abs(res_lo.total.xi2 - res_hi.total.xi2) < 1e-3
             for s_lo, s_hi in zip(res_lo.manifold_summaries, res_hi.manifold_summaries):
                 assert abs(s_lo.xi2 - s_hi.xi2) < 1e-3
+
+
+def _record_calls(monkeypatch, name, modules):
+    """First arguments of every call to `name`, through each module binding it."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name, None)
+        if original is None:
+            continue
+
+        def recording(*args, _original=original, **kwargs):
+            calls.append(args[0])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def _reported_block_ids(report):
+    s_max = report.config.resolved_s_report_max
+    return Counter(id(b) for res in report.results for b in res.sector.reported(s_max))
+
+
+class TestComputedOnce:
+    def test_vacuum_mode_synthesized_once_per_sweep(self, monkeypatch):
+        calls = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
+        run_sweep(RunConfig(**FAST))
+        assert len(calls) == len(FAST["alphas"]) + 1
+
+    def test_multipoles_once_per_reported_block(self, monkeypatch):
+        calls = _record_calls(monkeypatch, "multipoles_algebraic", [pipeline, multipole])
+        report = run_sweep(RunConfig(**FAST))
+        assert Counter(map(id, calls)) == _reported_block_ids(report)
+
+    def test_manifold_q_once_per_reported_block(self, monkeypatch, tmp_path):
+        report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
+        calls = _record_calls(monkeypatch, "husimi_manifold", [sphere, render])
+        emit_figure_tables(report, tmp_path)
+        assert Counter(map(id, calls)) == _reported_block_ids(report)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +280,19 @@ class TestCli:
         ])
         assert code == 2
         assert "numerical guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--grid-l", "4", "--emit", "q_csv"], ["--grid-l", "0", "--emit", "heatmaps"],
+                 ["--grid-l", "4"]],
+    )
+    def test_grid_guard_exit(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main(["run", *argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numerical guard" in err and "grid_l" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_alpha_list(self, tmp_path):
         assert main(["run", "--alpha", "0,banana", "--out", str(tmp_path)]) == 1

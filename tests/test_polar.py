@@ -1,19 +1,12 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from stokes_manifolds.fock import (
-    ModeState,
-    NoiseModel,
-    TwoModeState,
-    synthesize_mode,
-    tensor_product,
-)
+from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
+from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import (
     ManifoldBlock,
-    embed_sector,
     parse_manifolds,
     photon_number_distribution,
     sector_to_json_dict,
@@ -30,13 +23,12 @@ def default_sector(alpha=1.13, cutoff=12):
     model = NoiseModel(3.6, 4.4, 0.85)
     rho_h = synthesize_mode(model, alpha, cutoff)
     rho_v = synthesize_mode(model, 0.0, cutoff)
-    return parse_manifolds(tensor_product(rho_h, rho_v))
+    return parse_manifolds(rho_h, rho_v)
 
 
 class TestParsing:
     def test_single_fock_pair_lands_in_one_manifold(self):
-        state = tensor_product(number_state(2, 4), number_state(1, 4))
-        sector = parse_manifolds(state)
+        sector = parse_manifolds(number_state(2, 4), number_state(1, 4))
         weights = {b.photon_number: b.weight for b in sector.blocks}
         assert abs(weights[3] - 1.0) < 1e-14
         assert all(w < 1e-14 for n, w in weights.items() if n != 3)
@@ -45,21 +37,42 @@ class TestParsing:
         assert abs(block.block[1, 1] - 1.0) < 1e-14
 
     def test_m_descending_order(self):
-        # superposition across one manifold keeps coherences, ordered m = S..-S
-        cutoff = 2
-        dim = (cutoff + 1) ** 2
-        psi = np.zeros(dim, dtype=complex)
-        state0 = TwoModeState(cutoff, cutoff, np.zeros((dim, dim), dtype=complex))
-        i20 = state0.index(2, 0)
-        i02 = state0.index(0, 2)
-        psi[i20] = 1.0 / math.sqrt(2.0)
-        psi[i02] = 1.0 / math.sqrt(2.0)
-        state = TwoModeState(cutoff, cutoff, np.outer(psi, psi.conj()))
-        block = next(b for b in parse_manifolds(state).blocks if b.photon_number == 2)
-        # m=+1 (n_H=2) is row 0, m=-1 (n_V=2) is row 2
-        assert abs(block.block[0, 0] - 0.5) < 1e-14
-        assert abs(block.block[0, 2] - 0.5) < 1e-14
-        assert abs(block.block[1, 1]) < 1e-14
+        # a product of unequal pure states keeps its coherences, ordered m = S..-S
+        psi_h = np.array([1.0, 2.0j, 3.0])
+        psi_v = np.array([4.0, 5.0, 6.0])
+        rho_h, rho_v = (
+            ModeState(2, np.outer(p, p.conj()) / np.vdot(p, p).real) for p in (psi_h, psi_v)
+        )
+        block = next(b for b in parse_manifolds(rho_h, rho_v).blocks if b.photon_number == 2)
+        # row i holds n_H = 2 - i, n_V = i: m=+1 (n_H=2) is row 0, m=-1 (n_V=2) is row 2
+        u = np.array([psi_h[2] * psi_v[0], psi_h[1] * psi_v[1], psi_h[0] * psi_v[2]])
+        want = np.outer(u, u.conj()) / np.vdot(u, u).real
+        assert np.max(np.abs(block.block - want)) < 1e-14
+        assert abs(block.block[0, 0] - 144.0 / 280.0) < 1e-14
+
+    @pytest.mark.parametrize(
+        "alpha, cutoff_h, cutoff_v",
+        [(a, 24, 24) for a in DEFAULT_ALPHAS] + [(5.0, 55, 20)],
+    )
+    def test_blocks_equal_kronecker_gather(self, alpha, cutoff_h, cutoff_v):
+        # the blocks cut out of the dense n_H-major two-mode matrix, bit for bit
+        model = NoiseModel(3.6, 4.4, 0.85)
+        rho_h = synthesize_mode(model, alpha, cutoff_h)
+        rho_v = synthesize_mode(model, 0.0, cutoff_v)
+        dense = np.kron(rho_h.entries, rho_v.entries)
+        sector = parse_manifolds(rho_h, rho_v)
+        assert len(sector.blocks) == cutoff_h + cutoff_v + 1
+        for b in sector.blocks:
+            n_h = np.arange(b.photon_number, -1, -1)
+            n_v = b.photon_number - n_h
+            pos = np.nonzero((n_h <= cutoff_h) & (n_v <= cutoff_v))[0]
+            flat = n_h[pos] * (cutoff_v + 1) + n_v[pos]
+            want = np.zeros((b.dim, b.dim), dtype=complex)
+            want[np.ix_(pos, pos)] = dense[np.ix_(flat, flat)]
+            weight = float(np.real(np.trace(want)))
+            assert b.weight == max(weight, 0.0)
+            assert b.truncated == (len(pos) < b.dim)
+            assert np.array_equal(b.block, want if b.negligible else want / weight)
 
     def test_weights_sum_to_trace(self):
         sector = default_sector()
@@ -78,8 +91,7 @@ class TestParsing:
             assert b.truncated == (b.photon_number > 6)
 
     def test_negligible_blocks_flagged(self):
-        state = tensor_product(number_state(0, 3), number_state(0, 3))
-        sector = parse_manifolds(state)
+        sector = parse_manifolds(number_state(0, 3), number_state(0, 3))
         assert not sector.blocks[0].negligible
         assert all(b.negligible for b in sector.blocks[1:])
 
@@ -87,24 +99,6 @@ class TestParsing:
         sector = default_sector(cutoff=6)
         for b in sector.reported():
             assert not b.truncated and not b.negligible
-
-    def test_embedding_roundtrip(self):
-        sector = default_sector(cutoff=8)
-        model = NoiseModel(3.6, 4.4, 0.85)
-        state = tensor_product(
-            synthesize_mode(model, 1.13, 8), synthesize_mode(model, 0.0, 8)
-        )
-        back = embed_sector(sector, 8, 8)
-        # the embedded sector is the block-diagonal (fixed-N) part of the state
-        dim = 81
-        mask = np.zeros((dim, dim), dtype=bool)
-        for i in range(dim):
-            for j in range(dim):
-                ni = i // 9 + i % 9
-                nj = j // 9 + j % 9
-                mask[i, j] = ni == nj
-        assert np.max(np.abs(back[mask] - state.entries[mask])) < 1e-12
-        assert np.max(np.abs(back[~mask])) < 1e-14
 
 
 class TestBlockValidation:

@@ -11,7 +11,7 @@ from stokes_manifolds.render import (
     render_heatmap,
     write_ppm,
 )
-from stokes_manifolds.sphere import QFunction, build_quadrature_grid, husimi_manifold
+from stokes_manifolds.sphere import QFunction, build_quadrature_grid, husimi_manifold, husimi_total
 
 
 def highest_weight_q(spin=2.0, degree=12):
@@ -82,7 +82,7 @@ class TestFoliation:
             )
         sector = PolarizationSector(tuple(blocks))
         grid = build_quadrature_grid(8)
-        img = render_foliation(sector, grid, "z", side=128)
+        img = render_foliation(husimi_total(sector, grid), "z", side=128)
         assert img.shape == (128, 128, 3)
         # center stays background (S = 0 carries no ring), rings are colored
         assert tuple(img[64, 64]) == (0, 0, 0)
@@ -90,7 +90,8 @@ class TestFoliation:
 
     def test_empty_sector(self):
         block = ManifoldBlock(0.0, 1.0, np.array([[1.0]], dtype=complex))
-        img = render_foliation(PolarizationSector((block,)), build_quadrature_grid(4))
+        q = husimi_total(PolarizationSector((block,)), build_quadrature_grid(4))
+        img = render_foliation(q)
         assert not np.any(img)
 
 

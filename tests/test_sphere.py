@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stokes_manifolds.fock import NoiseModel, synthesize_mode, tensor_product
+from stokes_manifolds.fock import NoiseModel, synthesize_mode
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
 from stokes_manifolds.sphere import (
     FOUR_PI,
@@ -152,10 +152,9 @@ class TestHusimiTotal:
 
     def test_integral_equals_captured_weight(self):
         model = NoiseModel(3.6, 4.4, 0.85)
-        state = tensor_product(
+        sector = parse_manifolds(
             synthesize_mode(model, 1.13, 12), synthesize_mode(model, 0.0, 12)
         )
-        sector = parse_manifolds(state)
         grid = build_quadrature_grid(24)
         q = husimi_total(sector, grid, max_spin=6.0)
         want = sum(b.weight for b in sector.reported(6.0))

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokes_manifolds.fock import NoiseModel, synthesize_mode, tensor_product
+from stokes_manifolds.fock import NoiseModel, synthesize_mode
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
 from stokes_manifolds.stokes import (
     MODE_FULL,
     MODE_PERP,
     MODE_UNDEFINED,
     gaussian_total_xi2,
-    large_alpha_xi2_limit,
     manifold_stokes_summary,
     quadrature_estimate_xi2,
     rotation_matrix,
@@ -129,10 +128,9 @@ class TestManifoldSummary:
 class TestTotalSummary:
     def test_pure_alpha0_two_photon_perfect(self):
         model = NoiseModel(3.6, 3.6, 1.0)
-        state = tensor_product(
+        sector = parse_manifolds(
             synthesize_mode(model, 0.0, 20), synthesize_mode(model, 0.0, 20)
         )
-        sector = parse_manifolds(state)
         block = next(b for b in sector.blocks if b.photon_number == 2)
         assert manifold_stokes_summary(block).xi2 < 1e-10
 
@@ -141,18 +139,17 @@ class TestTotalSummary:
         r = model.squeeze_parameter
         alpha = 2.0
         cutoff = 30
-        state = tensor_product(
+        sector = parse_manifolds(
             synthesize_mode(model, alpha, cutoff), synthesize_mode(model, 0.0, cutoff)
         )
-        total = total_stokes_summary(parse_manifolds(state))
+        total = total_stokes_summary(sector)
         assert abs(total.xi2 - gaussian_total_xi2(alpha, r)) < 1e-5
 
     def test_raises_when_weight_escapes(self):
         model = NoiseModel(3.6, 4.4, 0.85)
-        state = tensor_product(
+        sector = parse_manifolds(
             synthesize_mode(model, 3.0, 4), synthesize_mode(model, 0.0, 4)
         )
-        sector = parse_manifolds(state)
         with pytest.raises(ValueError, match="captures"):
             total_stokes_summary(sector, min_captured=0.9)
 
@@ -171,13 +168,12 @@ class TestClosedForms:
         r = 0.41
         db = 20.0 * r / math.log(10.0)  # sq = anti gives nbar = 0 and this r
         model = NoiseModel(db, db, 1.0)
-        state = tensor_product(
+        sector = parse_manifolds(
             synthesize_mode(model, alpha, 30), synthesize_mode(model, 0.0, 30)
         )
-        total = total_stokes_summary(parse_manifolds(state))
+        total = total_stokes_summary(sector)
         assert abs(total.xi2 - gaussian_total_xi2(alpha, r)) < 1e-9
 
     def test_gaussian_large_alpha_limit(self):
         r = 0.4144
-        assert abs(gaussian_total_xi2(1e6, r) - large_alpha_xi2_limit(r)) < 1e-9
-        assert abs(large_alpha_xi2_limit(r) - math.exp(-2 * r)) < 1e-15
+        assert abs(gaussian_total_xi2(1e6, r) - math.exp(-2 * r)) < 1e-9
