@@ -15,7 +15,13 @@ import sys
 import numpy as np
 
 from .fock import NoiseModel, loss_channel, synthesize_mode, thermal_state
-from .multipole import clebsch_gordan, multipoles_algebraic, multipoles_integral, spherical_harmonic
+from .multipole import (
+    cg_table,
+    cg_table_deviation,
+    multipoles_algebraic,
+    multipoles_integral,
+    spherical_harmonic,
+)
 from .polar import ManifoldBlock, parse_manifolds
 from .pipeline import (
     EMIT_CHOICES,
@@ -117,8 +123,11 @@ def _cmd_check(_args) -> int:
         worst = max(worst, abs(val - want))
     check("spherical-harmonic orthonormality", worst < 1e-12, f"max dev {worst:.2e}")
 
-    dev = abs(clebsch_gordan(0.5, 0.5, 0.5, -0.5, 0, 0) - 1.0 / math.sqrt(2.0))
-    check("Clebsch-Gordan anchor", dev < 1e-14, f"dev {dev:.2e}")
+    try:
+        dev = cg_table_deviation(cg_table(24))
+        check("Clebsch-Gordan table orthonormality (2S=24)", True, f"max dev {dev:.2e}")
+    except ValueError as exc:
+        check("Clebsch-Gordan table orthonormality (2S=24)", False, str(exc))
 
     rng = np.random.default_rng(20240817)
     worst = 0.0

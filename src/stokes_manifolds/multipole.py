@@ -161,43 +161,104 @@ def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpec
     return MultipoleSpectrum(spin, tuple(coeffs))
 
 
+# largest |Gram - 1| entry a Clebsch-Gordan table may show before it is refused
+CG_TABLE_TOL = 1e-10
+
+
+def _cg_recursion(two_s: int) -> np.ndarray:
+    """Unchecked table C[K, i_out, i_in] = <S m_out; S -m_in | K, m_out - m_in>.
+
+    With j1 = j2 = S the 3j symbols f(K) = (S S K; m_out -m_in m_in-m_out)
+    obey the three-term recursion in K of Schulten & Gordon (J. Math. Phys.
+    16, 1961 (1975)), divided through by K(K+1):
+
+        a(K+1) f(K+1) - (2K+1)(m_out + m_in) f(K) + a(K) f(K-1) = 0,
+        a(K) = sqrt(((2S+1)^2 - K^2)(K^2 - q^2)),  q = m_out - m_in,
+
+    and the Clebsch-Gordan coefficient is sqrt(2K+1) f(K) up to a sign that
+    does not depend on K.  Each recursion is stable only while the solution
+    grows or oscillates, so f is run up from K = |q| and down from K = 2S
+    and the two are spliced inside the classically allowed region, where the
+    local characteristic roots are complex (Luscombe & Luban, PRE 57, 7274
+    (1998)).  Every (m_out, m_in) pair runs at once, so the loops have 2S+1
+    steps.  Rows are normalised to sum_K C^2 = 1, with C[2S] > 0 as in the
+    Condon-Shortley convention.
+    """
+    dim = two_s + 1
+    m = two_s / 2.0 - np.arange(dim)
+    q = np.abs(m[:, None] - m[None, :])
+    k = np.arange(dim + 1, dtype=float)[:, None, None]
+    a = np.sqrt(np.maximum((dim**2 - k**2) * (k**2 - q**2), 0.0))  # a(2S+1) = 0
+    k = k[:dim]
+    b = (2 * k + 1) * (m[:, None] + m[None, :])
+    up = (k == q).astype(float)  # f(|q|) = 1, kept where the step below is masked
+    down = np.zeros((dim + 1, dim, dim))  # down[2S+1] = 0
+    down[two_s] = 1.0
+    # the unspliced halves may overflow where they are unstable; they are discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        for K in range(two_s):
+            prev = up[K - 1] if K else 0.0
+            np.divide(b[K] * up[K] - a[K] * prev, a[K + 1], out=up[K + 1], where=K + 1 > q)
+        for K in range(two_s, 0, -1):
+            np.divide(b[K] * down[K] - a[K + 1] * down[K + 1], a[K], out=down[K - 1],
+                      where=K > q)
+        # splice at the largest |f_up| among allowed K (b^2 < 4 a(K) a(K+1)); a
+        # pair with no allowed K splices at the K nearest to allowed, its peak
+        lack = np.where(k >= q, b**2 - 4.0 * a[:dim] * a[1:], np.inf)
+        allowed = lack <= np.maximum(lack.min(axis=0), 0.0)
+        splice = np.argmax(np.where(allowed, np.abs(up), -1.0), axis=0)[None]
+        down = down[:dim]
+        scale = np.take_along_axis(up, splice, 0) / np.take_along_axis(down, splice, 0)
+        table = np.where(k <= splice, up, down * scale) * np.sqrt(2 * k + 1)
+    table /= np.sqrt(np.sum(table**2, axis=0))
+    table *= np.sign(table[-1])
+    return table
+
+
+def cg_table_deviation(table: np.ndarray) -> float:
+    """Largest entry of |G_q - 1| over the diagonal offsets q, where G_q is the
+    Gram matrix over K of the table's q-diagonal columns; nan if any entry is."""
+    dim = table.shape[0]
+    devs = []
+    for q in range(1 - dim, dim):
+        cols = np.diagonal(table, q, 1, 2)
+        devs.append(np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1]))))
+    return float(np.max(devs))
+
+
 @lru_cache(maxsize=None)
-def _tensor_basis(two_j: int) -> tuple:
-    """Trace-orthonormal irreducible tensors T_Kq on the m-descending basis."""
-    spin = two_j / 2.0
-    dim = two_j + 1
-    m_of = [spin - i for i in range(dim)]
-    basis = []
-    for degree in range(two_j + 1):
-        row = []
-        for order in range(-degree, degree + 1):
-            t = np.zeros((dim, dim), dtype=complex)
-            for i_out, m_out in enumerate(m_of):
-                for i_in, m_in in enumerate(m_of):
-                    if abs(m_out - m_in - order) > 1e-9:
-                        continue
-                    sign = (-1.0) ** round(spin - m_in)
-                    t[i_out, i_in] = sign * clebsch_gordan(
-                        spin, m_out, spin, -m_in, degree, order
-                    )
-            t.setflags(write=False)
-            row.append(t)
-        basis.append(tuple(row))
-    return tuple(basis)
+def cg_table(two_s: int) -> np.ndarray:
+    """Read-only Clebsch-Gordan table of spin S = two_s/2, indexed
+    [K, i_out, i_in] on the m-descending basis (m = S - i); built once per
+    spin and refused with ValueError unless orthonormal to CG_TABLE_TOL."""
+    table = _cg_recursion(two_s)
+    deviation = cg_table_deviation(table)
+    if not deviation <= CG_TABLE_TOL:
+        raise ValueError(
+            f"Clebsch-Gordan table of S={two_s / 2:g} is not orthonormal: "
+            f"deviation {deviation:.2e} exceeds {CG_TABLE_TOL:g}"
+        )
+    table.setflags(write=False)
+    return table
 
 
 def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:
-    """Multipoles as rho_Kq = Tr(T_Kq^dag rho) with trace-orthonormal tensors.
+    """Multipoles as rho_Kq = Tr(T_Kq^dag rho) with trace-orthonormal tensors
+    T_Kq[m_out, m_in] = (-1)^(S-m_in) <S m_out; S -m_in | K q>.
 
+    T_Kq is nonzero only on the diagonal m_out - m_in = q, so each order q is
+    one real-by-complex matvec of the table's q-diagonal with the block's.
     Normalization matches the quadrature route exactly (the dual-route test is
     the anchor for both conventions).
     """
-    basis = _tensor_basis(block.photon_number)
-    coeffs = []
-    for row in basis:
-        vals = np.array([np.sum(np.conj(t) * block.block) for t in row])
-        coeffs.append(vals)
-    return MultipoleSpectrum(block.spin, tuple(coeffs))
+    two_s = block.photon_number
+    table = cg_table(two_s)
+    signed = block.block * (-1.0) ** np.arange(two_s + 1)  # (-1)^(S - m_in)
+    rho = np.empty((two_s + 1, 2 * two_s + 1), dtype=complex)
+    for q in range(-two_s, two_s + 1):
+        rho[:, q + two_s] = np.diagonal(table, q, 1, 2) @ np.diagonal(signed, q)
+    coeffs = tuple(rho[k, two_s - k : two_s + k + 1] for k in range(two_s + 1))
+    return MultipoleSpectrum(block.spin, coeffs)
 
 
 def aggregate_weights(terms) -> np.ndarray:

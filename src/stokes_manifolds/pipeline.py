@@ -50,6 +50,8 @@ EMIT_CHOICES = (
 DEFAULT_ALPHAS = (0.0, 0.57, 1.13, 2.31)
 # amplitudes with published reference data; others are flagged in the manifest
 REFERENCE_ALPHAS = (0.0, 1.13, 2.31)
+# a sweep warns when the truncated modes lose more than this share of the trace
+TRACE_DEFICIT_WARN = 1e-6
 
 
 class ConfigError(ValueError):
@@ -201,13 +203,6 @@ def _check_cutoffs(config: RunConfig):
             f"grid_l={config.resolved_grid_l} is too coarse for the Q functions of "
             f"S_report_max={s_max}; q_csv and heatmaps need grid_l >= {4.0 * s_max:g}"
         )
-    recommended = 4.0 * max(abs(complex(a)) for a in config.alphas) ** 2 + 10.0
-    if min(config.cutoff_h, config.cutoff_v) < recommended:
-        warnings.warn(
-            f"cutoff {min(config.cutoff_h, config.cutoff_v)} below recommended "
-            f"{recommended:.0f} for the largest alpha; truncation deficit will grow",
-            stacklevel=2,
-        )
 
 
 def _dedupe(alphas):
@@ -233,17 +228,26 @@ def run_sweep(config: RunConfig) -> RunReport:
     for alpha in alphas:
         ta = time.perf_counter()
         rho_h = synthesize_mode(model, alpha, config.cutoff_h)
+        deficit = 1.0 - rho_h.trace * rho_v.trace
+        if deficit > TRACE_DEFICIT_WARN:
+            warnings.warn(
+                f"cutoffs ({config.cutoff_h}, {config.cutoff_v}) lose {deficit:.3g} "
+                f"of the trace at alpha={alpha}, above {TRACE_DEFICIT_WARN:g}; "
+                "a larger cutoff is recommended",
+                stacklevel=2,
+            )
         sector = parse_manifolds(rho_h, rho_v)
+        reported = sector.reported(s_max)
         try:
             # the total uses every parsed manifold; s_max only limits reports
             total = total_stokes_summary(sector)
+            spectra = [multipoles_algebraic(block).weights for block in reported]
         except ValueError as exc:
             raise NumericalGuardError(str(exc)) from exc
         summaries = []
         multis = []
         terms = []
-        for block in sector.reported(s_max):
-            weights = multipoles_algebraic(block).weights
+        for block, weights in zip(reported, spectra):
             terms.append((block.weight, weights))
             if block.spin == 0:
                 continue
@@ -260,7 +264,7 @@ def run_sweep(config: RunConfig) -> RunReport:
                 manifold_multipoles=tuple(multis),
                 aggregated_weights=aggregate_weights(terms),
                 analytic_estimate=analytic,
-                trace_deficit=1.0 - rho_h.trace * rho_v.trace,
+                trace_deficit=deficit,
                 elapsed=time.perf_counter() - ta,
             )
         )

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from sympy import Rational
 
 from stokes_manifolds.multipole import (
+    CG_TABLE_TOL,
     aggregate_weights,
+    cg_table,
+    cg_table_deviation,
     clebsch_gordan,
     multipoles_algebraic,
     multipoles_integral,
@@ -89,6 +92,53 @@ class TestClebschGordan:
             assert abs(clebsch_gordan(j1, m1, j2, m2, j, m) - want) < 1e-14
 
 
+class TestClebschGordanTable:
+    def test_matches_racah_oracle(self):
+        # every (K, m_out, m_in) entry, zeros included, at each spin a default run uses
+        for two_s in range(25):
+            spin = two_s / 2.0
+            idx = range(two_s + 1)
+            want = np.array([
+                [[clebsch_gordan(spin, spin - i_out, spin, i_in - spin, k, i_in - i_out)
+                  for i_in in idx] for i_out in idx] for k in idx
+            ])
+            assert np.max(np.abs(cg_table(two_s) - want)) < 1e-12
+
+    @pytest.mark.parametrize("two_s", [48, 160])
+    def test_matches_symbolic_reference_at_large_spin(self, two_s):
+        table = cg_table(two_s)
+        spin = Rational(two_s, 2)
+        half = two_s // 2
+        # corners, the stretched and minimal K, a 3e-48 entry at 2S=160, the bulk
+        entries = [(0, 0, 0), (two_s, 0, 0), (two_s, 0, two_s), (two_s, half, half + 1),
+                   (1, two_s, two_s - 1), (half, 3, 7)]
+        rng = np.random.default_rng(two_s)
+        for i_out, i_in in rng.integers(0, two_s + 1, size=(6, 2)):
+            entries.append((int(rng.integers(abs(i_in - i_out), two_s + 1)), i_out, i_in))
+        for k, i_out, i_in in entries:
+            want = float(
+                sympy_cg.CG(spin, spin - i_out, spin, i_in - spin, k, i_in - i_out).doit()
+            )
+            assert abs(table[k, i_out, i_in] - want) < 1e-12
+
+    def test_large_spin_passes_guard(self):
+        # the Racah sum this table replaced was off by 50 here
+        assert cg_table_deviation(cg_table(160)) <= CG_TABLE_TOL
+
+    def test_corrupt_table_refused(self, corrupt_cg_tables):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            cg_table(3)
+
+    def test_deviation_sees_nan(self):
+        table = cg_table(3).copy()
+        table[3, 0, 0] = np.nan
+        assert not cg_table_deviation(table) <= CG_TABLE_TOL
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            cg_table(2)[0, 0, 0] = 0.0
+
+
 class TestSphericalHarmonics:
     def test_y00(self):
         got = spherical_harmonic(0, 0, 0.7, 1.1)
@@ -157,6 +207,21 @@ class TestMultipoles:
             sp_i = multipoles_integral(block, grid)
             for ca, ci in zip(sp_a.coefficients, sp_i.coefficients):
                 assert np.max(np.abs(ca - ci)) < 1e-10
+
+    def test_dual_route_at_run_sizes(self):
+        # The quadrature route divides by C^{SS}_{SS,K0}, which falls to 1.3e-7
+        # at S=12, K=24, so its rounding error grows as 1/C: the raw difference
+        # there is about 1e-8.  Scaled back by C it stays near 2e-15 at every K.
+        rng = np.random.default_rng(14)
+        grid = build_quadrature_grid(48)
+        for two_s in range(9, 25):
+            spin = two_s / 2.0
+            block = random_block(spin, rng)
+            sp_a = multipoles_algebraic(block)
+            sp_i = multipoles_integral(block, grid)
+            for k, (ca, ci) in enumerate(zip(sp_a.coefficients, sp_i.coefficients)):
+                norm = clebsch_gordan(spin, spin, k, 0, spin, spin)
+                assert np.max(np.abs(ca - ci)) * norm < 1e-12
 
     def test_hermiticity_relation(self):
         rng = np.random.default_rng(6)

@@ -87,6 +87,12 @@ class TestSweep:
         with pytest.warns(UserWarning, match="recommended"):
             run_sweep(config)
 
+    def test_default_run_warns_nothing(self):
+        # the largest trace deficit of the default sweep is 8.5e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            run_sweep(RunConfig())
+
     def test_pure_alpha0_odd_manifolds_negligible(self):
         config = RunConfig(
             alphas=(0.0,), squeezing_db=3.6, antisqueezing_db=3.6,
@@ -151,6 +157,12 @@ class TestComputedOnce:
         calls = _record_calls(monkeypatch, "multipoles_algebraic", [pipeline, multipole])
         report = run_sweep(RunConfig(**FAST))
         assert Counter(map(id, calls)) == _reported_block_ids(report)
+
+    def test_tables_need_no_scalar_clebsch_gordan(self, monkeypatch):
+        multipole.cg_table.cache_clear()
+        calls = _record_calls(monkeypatch, "clebsch_gordan", [multipole])
+        run_sweep(RunConfig(**FAST))
+        assert calls == []
 
     def test_manifold_q_once_per_reported_block(self, monkeypatch, tmp_path):
         report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
@@ -293,6 +305,13 @@ class TestCli:
         assert "numerical guard" in err and "grid_l" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_corrupt_cg_table_exit(self, tmp_path, capsys, corrupt_cg_tables):
+        code = main(["run", "--alpha", "0", "--out", str(tmp_path), "--emit", "multipole_csv"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numerical guard" in err and "not orthonormal" in err
+        assert "Traceback" not in err
 
     def test_bad_alpha_list(self, tmp_path):
         assert main(["run", "--alpha", "0,banana", "--out", str(tmp_path)]) == 1
