@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 HERMITICITY_TOL = 1e-12
 
@@ -36,6 +34,13 @@ def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
     if dev >= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
     return 0.5 * (mat + mat.conj().T)
+
+
+def _unitary_exp(h: np.ndarray) -> np.ndarray:
+    """exp(-iH) of a Hermitian H as V diag(e^{-i lambda}) V^dag from its
+    eigendecomposition, so the result is unitary by construction."""
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(-1j * values)) @ vectors.conj().T
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
         raise ValueError("cutoff must be non-negative")
     pad = padded_cutoff(cutoff)
     a = lowering_operator(pad + 1)
-    full = expm(alpha * a.conj().T - np.conj(alpha) * a)
+    full = _unitary_exp(1j * (alpha * a.conj().T - np.conj(alpha) * a))
     mat = full[: cutoff + 1, : cutoff + 1]
     _warn_if_inaccurate(mat, full, "displacement_matrix", abs(alpha), cutoff)
     return mat
@@ -132,7 +137,7 @@ def squeeze_matrix(r: complex, cutoff: int) -> np.ndarray:
     pad = padded_cutoff(cutoff)
     a = lowering_operator(pad + 1)
     a2 = a @ a
-    full = expm(0.5 * (np.conj(r) * a2 - r * a2.conj().T))
+    full = _unitary_exp(0.5j * (np.conj(r) * a2 - r * a2.conj().T))
     mat = full[: cutoff + 1, : cutoff + 1]
     _warn_if_inaccurate(mat, full, "squeeze_matrix", abs(r), cutoff)
     return mat
@@ -181,9 +186,10 @@ def loss_channel(state: ModeState, eta: float) -> ModeState:
     out = np.zeros((dim, dim), dtype=complex)
     log_eta = math.log(eta)
     log_one_minus = math.log(1.0 - eta)
+    log_fact = np.array([math.lgamma(n + 1) for n in range(dim)])
     for k in range(dim):
         n = np.arange(k, dim)
-        log_c = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        log_c = log_fact[n] - log_fact[k] - log_fact[n - k]
         coeff = np.exp(0.5 * (log_c + (n - k) * log_eta + k * log_one_minus))
         kraus = np.zeros((dim, dim))
         kraus[n - k, n] = coeff

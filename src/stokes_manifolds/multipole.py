@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .polar import ManifoldBlock
 from .sphere import FOUR_PI, SphereGrid, husimi_manifold
@@ -45,7 +44,7 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
 
 def _logfact(n2: int) -> float:
     # n2 is twice an integer
-    return float(gammaln(n2 // 2 + 1))
+    return math.lgamma(n2 // 2 + 1)
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +97,7 @@ def spherical_harmonic(degree: int, order: int, theta, phi) -> np.ndarray:
     x = np.cos(theta)
     s = np.sin(theta)
     # normalized associated Legendre via the standard upward recurrence
-    log_ratio = gammaln(2 * m + 1) - 2 * gammaln(m + 1) - 2 * m * math.log(2.0)
+    log_ratio = math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - 2 * m * math.log(2.0)
     p_mm = (-1.0) ** m * math.sqrt((2 * m + 1) / FOUR_PI * math.exp(log_ratio)) * s**m
     if degree == m:
         p = p_mm

@@ -179,7 +179,6 @@ class AlphaResult:
     aggregated_weights: np.ndarray
     analytic_estimate: float
     trace_deficit: float
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,6 @@ def run_sweep(config: RunConfig) -> RunReport:
     rho_v = synthesize_mode(model, 0.0, config.cutoff_v)
     results = []
     for alpha in alphas:
-        ta = time.perf_counter()
         rho_h = synthesize_mode(model, alpha, config.cutoff_h)
         deficit = 1.0 - rho_h.trace * rho_v.trace
         if deficit > TRACE_DEFICIT_WARN:
@@ -265,7 +263,6 @@ def run_sweep(config: RunConfig) -> RunReport:
                 aggregated_weights=aggregate_weights(terms),
                 analytic_estimate=analytic,
                 trace_deficit=deficit,
-                elapsed=time.perf_counter() - ta,
             )
         )
     return RunReport(

@@ -18,6 +18,14 @@ from .fock import ModeState, _require_hermitian
 WEIGHT_FLOOR = 1e-12
 
 
+def _two_spin(spin: float) -> int:
+    """2S of a non-negative half-integer spin S."""
+    two_s = round(2 * spin)
+    if abs(2 * spin - two_s) > 1e-9 or two_s < 0:
+        raise ValueError(f"spin must be a non-negative half-integer, got {spin}")
+    return two_s
+
+
 @dataclass(frozen=True)
 class ManifoldBlock:
     """Unit-trace block of the spin-S manifold with its probability weight.
@@ -34,11 +42,8 @@ class ManifoldBlock:
     negligible: bool = False
 
     def __post_init__(self):
-        two_j = round(2 * self.spin)
-        if abs(2 * self.spin - two_j) > 1e-9 or two_j < 0:
-            raise ValueError(f"spin must be a non-negative half-integer, got {self.spin}")
         block = np.asarray(self.block, dtype=complex)
-        dim = two_j + 1
+        dim = _two_spin(self.spin) + 1
         if block.shape != (dim, dim):
             raise ValueError(f"block must be {dim}x{dim}, got {block.shape}")
         if not self.negligible:
@@ -73,10 +78,6 @@ class PolarizationSector:
     def captured(self) -> float:
         """Total probability caught by the parsed manifolds."""
         return float(sum(b.weight for b in self.blocks))
-
-    @property
-    def max_spin(self) -> float:
-        return self.blocks[-1].spin if self.blocks else 0.0
 
     def reported(self, max_spin: float | None = None) -> tuple[ManifoldBlock, ...]:
         """Blocks that enter reports: above the weight floor, complete, and

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .polar import ManifoldBlock, PolarizationSector
+from .polar import ManifoldBlock, PolarizationSector, _two_spin
 
 FOUR_PI = 4.0 * math.pi
 
@@ -88,15 +87,14 @@ def su2_overlap_amplitudes(spin: float, theta, phi) -> np.ndarray:
 
     Output shape is (2S+1,) + broadcast shape of theta and phi.
     """
-    two_j = round(2 * spin)
-    if abs(2 * spin - two_j) > 1e-9 or two_j < 0:
-        raise ValueError(f"spin must be a non-negative half-integer, got {spin}")
+    two_j = _two_spin(spin)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     k = np.arange(two_j + 1)  # S + m = 2S - index... index i has m = S - i
     up = two_j - k  # exponent S + m
     down = k        # exponent S - m
-    log_binom = gammaln(two_j + 1) - gammaln(up + 1) - gammaln(down + 1)
+    log_fact = np.array([math.lgamma(n + 1) for n in range(two_j + 1)])
+    log_binom = log_fact[two_j] - log_fact[up] - log_fact[down]
     shape = (two_j + 1,) + np.broadcast_shapes(theta.shape, phi.shape)
     out = np.empty(shape, dtype=complex)
     c = np.cos(theta / 2.0)
@@ -110,7 +108,8 @@ def su2_overlap_amplitudes(spin: float, theta, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QFunction:
-    """Husimi values over a sphere grid; kind is 'manifold' or 'total'.
+    """Husimi values over a sphere grid, of one manifold (with its spin) or of
+    the total state.
 
     A total Q keeps the manifold Q functions it was summed from in `parts`,
     in spin order, so consumers of the per-manifold maps reuse them.
@@ -118,7 +117,6 @@ class QFunction:
 
     grid: SphereGrid
     values: np.ndarray
-    kind: str
     spin: float | None = None
     parts: tuple = ()
 
@@ -137,7 +135,7 @@ def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
     amps = su2_overlap_amplitudes(block.spin, th, ph)
     # a copy, not a view that would keep the complex einsum result alive
     values = np.einsum("imn,ij,jmn->mn", amps.conj(), block.block, amps).real.copy()
-    return QFunction(grid, values, "manifold", spin=block.spin)
+    return QFunction(grid, values, spin=block.spin)
 
 
 def husimi_total(sector: PolarizationSector, grid: SphereGrid,
@@ -153,4 +151,4 @@ def husimi_total(sector: PolarizationSector, grid: SphereGrid,
     values = np.zeros((grid.n_theta, grid.n_phi))
     for b, q in zip(blocks, parts):
         values += b.weight * (b.dim / FOUR_PI) * q.values
-    return QFunction(grid, values, "total", parts=parts)
+    return QFunction(grid, values, parts=parts)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
-from .polar import ManifoldBlock, PolarizationSector
+from .fock import _unitary_exp
+from .polar import ManifoldBlock, PolarizationSector, _two_spin
 
 DIRECTION_EPS = 1e-6
 
@@ -42,9 +42,7 @@ class StokesMatrices:
 @lru_cache(maxsize=None)
 def stokes_matrices(spin: float) -> StokesMatrices:
     """Standard angular-momentum matrices for half-integer spin."""
-    two_j = round(2 * spin)
-    if abs(2 * spin - two_j) > 1e-9 or two_j < 0:
-        raise ValueError(f"spin must be a non-negative half-integer, got {spin}")
+    two_j = _two_spin(spin)
     m = spin - np.arange(two_j + 1)  # descending
     sz = np.diag(m.astype(complex))
     raising = np.zeros((two_j + 1, two_j + 1), dtype=complex)
@@ -65,7 +63,7 @@ def rotation_matrix(spin: float, axis, angle: float) -> np.ndarray:
     axis = axis / np.linalg.norm(axis)
     ops = stokes_matrices(spin)
     gen = axis[0] * ops.sx + axis[1] * ops.sy + axis[2] * ops.sz
-    return expm(-1j * angle * gen)
+    return _unitary_exp(angle * gen)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from stokes_manifolds.fock import (
     ModeState,
     NoiseModel,
+    _unitary_exp,
     displacement_matrix,
     fit_noise_parameters,
     loss_channel,
@@ -86,6 +88,29 @@ class TestOperators:
     def test_warns_on_too_small_cutoff(self):
         with pytest.warns(UserWarning, match="cutoff"):
             displacement_matrix(4.0, 3)
+
+
+class TestUnitaryExp:
+    # padded sizes that runs reach: cutoff 24 (default), 90 (criterion 5b), 160
+    SIZES = ((80, 2.31), (229, 7.0), (386, 9.0))
+
+    @pytest.mark.parametrize("dim,alpha", SIZES)
+    def test_displacement_matches_expm(self, dim, alpha):
+        a = lowering_operator(dim)
+        gen = alpha * a.conj().T - alpha * a
+        assert np.max(np.abs(_unitary_exp(1j * gen) - expm(gen))) < 1e-13
+
+    @pytest.mark.parametrize("dim", [d for d, _ in SIZES])
+    @pytest.mark.parametrize("r", [NoiseModel(3.6, 4.4).squeeze_parameter, 0.41])
+    def test_squeeze_matches_expm(self, dim, r):
+        a2 = lowering_operator(dim) @ lowering_operator(dim)
+        gen = 0.5 * (r * a2 - r * a2.conj().T)
+        assert np.max(np.abs(_unitary_exp(1j * gen) - expm(gen))) < 1e-13
+
+    def test_zero_displacement_is_identity(self):
+        # the route of the undisplaced V mode at the default cutoff (dim 80)
+        pad = padded_cutoff(24)
+        assert np.array_equal(displacement_matrix(0.0, pad), np.eye(pad + 1))
 
 
 class TestNoiseModel:

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stokes_manifolds
 from stokes_manifolds import multipole, pipeline, render, sphere
 from stokes_manifolds.cli import main
 from stokes_manifolds.pipeline import (
@@ -320,6 +325,28 @@ class TestCli:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "all" in out and "FAIL" not in out
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy's import blocked,
+        # `check` and a small run still succeed
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from stokes_manifolds.cli import main\n"
+            "codes = [main(['check']), main(['run', '--alpha', '0,1.13', '--cutoff', '12',"
+            f" '--grid-l', '24', '--out', {str(out)!r}])]\n"
+            "print('exit codes', *codes)\n"
+        )
+        src = str(Path(stokes_manifolds.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit codes 0 0", proc.stdout
+        assert (out / "manifest.json").exists()
 
 
 def _write(tmp_path, doc):

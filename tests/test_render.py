@@ -47,7 +47,7 @@ class TestHeatmaps:
 
     def test_constant_q_uniform_image(self):
         grid = build_quadrature_grid(6)
-        q = QFunction(grid, np.full((grid.n_theta, grid.n_phi), 0.3), "total")
+        q = QFunction(grid, np.full((grid.n_theta, grid.n_phi), 0.3))
         img = render_heatmap(q, "equirectangular", (32, 64))
         assert np.all(img == img[0, 0])
 
