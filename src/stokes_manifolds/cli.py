@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -83,6 +84,7 @@ def _overrides_from_args(args) -> dict:
 
 
 def _cmd_run(args) -> int:
+    t0 = time.perf_counter()
     try:
         config = parse_config(args.config, _overrides_from_args(args))
         report = run_sweep(config)
@@ -97,7 +99,7 @@ def _cmd_run(args) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {len(manifest['files'])} files to {config.out_dir} "
-          f"in {report.wall_clock:.2f}s")
+          f"in {time.perf_counter() - t0:.2f}s")
     for res in report.results:
         print(f"alpha={res.alpha:g}: xi2_total={res.total.xi2:.6g} "
               f"({res.total.xi2_db:+.3f} dB), trace deficit {res.trace_deficit:.3g}")

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import math
-import time
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -186,7 +185,6 @@ class RunReport:
     config: RunConfig
     results: tuple
     grid_l: int
-    wall_clock: float
 
 
 def _check_cutoffs(config: RunConfig):
@@ -216,7 +214,6 @@ def _dedupe(alphas):
 
 def run_sweep(config: RunConfig) -> RunReport:
     """Synthesize, parse, and analyze the state at every requested amplitude."""
-    t0 = time.perf_counter()
     _check_cutoffs(config)
     alphas = _dedupe(config.alphas)
     efficiency = config.efficiency if config.apply_loss else 1.0
@@ -265,12 +262,7 @@ def run_sweep(config: RunConfig) -> RunReport:
                 trace_deficit=deficit,
             )
         )
-    return RunReport(
-        config=config,
-        results=tuple(results),
-        grid_l=config.resolved_grid_l,
-        wall_clock=time.perf_counter() - t0,
-    )
+    return RunReport(config=config, results=tuple(results), grid_l=config.resolved_grid_l)
 
 
 def _fmt(x) -> str:
@@ -285,6 +277,15 @@ def _write_csv(path: Path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_float_csv(path: Path, header, table: np.ndarray):
+    """A float table as `_write_csv` would print it: `%.12g` fields joined by
+    commas and \r\n line ends, formatted in one pass over the whole array."""
+    row = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def _sha256(path: Path) -> str:
@@ -363,15 +364,9 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
             q = husimi_total(res.sector, grid, s_max)
             tag = f"alpha{i}"
             if "q_csv" in emit:
-                th, ph = grid.mesh()
-                rows = zip(
-                    th.ravel().tolist(),
-                    ph.ravel().tolist(),
-                    grid.weights.ravel().tolist(),
-                    q.values.ravel().tolist(),
-                )
+                table = np.stack([*grid.mesh(), grid.weights, q.values], axis=-1)
                 path = outdir / f"q_total_{tag}.csv"
-                _write_csv(path, ["theta", "phi", "weight", "value"], rows)
+                _write_float_csv(path, ["theta", "phi", "weight", "value"], table.reshape(-1, 4))
                 written.append(path)
             if "heatmaps" in emit:
                 path = outdir / f"q_total_{tag}_equirect.ppm"

@@ -4,6 +4,17 @@ Coherent-state convention: |S, n> = exp(-i phi Sz) exp(-i theta Sy) |S, S>,
 so the overlap amplitudes are
 <S, m|S, n> = sqrt(C(2S, S+m)) cos^{S+m}(theta/2) sin^{S-m}(theta/2) e^{-i m phi}.
 The Q function of a unit-trace block integrates to 4 pi/(2S+1).
+
+The amplitudes factor as c_i(theta) e^{-i m_i phi} with real c_i, i = S - m_i,
+so Q^(S) of a Hermitian block is an azimuthal Fourier series,
+
+    Q^(S)(theta, phi) = Re sum_{q>=0} (2 - delta_q0) e^{i q phi} F_q(theta),
+    F_q(theta) = sum_i rho[i, i+q] c_i(theta) c_{i+q}(theta).
+
+A block costs one pass along each of its 2S+1 upper diagonals on the n_theta
+Gauss nodes, O((2S+1)^2 n_theta), plus one (n_theta x 2S+1)(2S+1 x n_phi)
+product with the e^{i q phi} table; no (2S+1) x n_theta x n_phi amplitude
+table is formed.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar import ManifoldBlock, PolarizationSector, _two_spin
+from .polar import ManifoldBlock, PolarizationSector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -82,27 +93,19 @@ def _verify_exactness(theta, phi, weights, degree):
             raise AssertionError(f"azimuthal sum for frequency {k} is {abs(s):.3e}")
 
 
-def su2_overlap_amplitudes(spin: float, theta, phi) -> np.ndarray:
-    """Amplitudes <S, m|S, n> for m = S, ..., -S; broadcasts over theta/phi.
-
-    Output shape is (2S+1,) + broadcast shape of theta and phi.
-    """
-    two_j = _two_spin(spin)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    k = np.arange(two_j + 1)  # S + m = 2S - index... index i has m = S - i
+def _coherent_magnitudes(two_j: int, theta: np.ndarray) -> np.ndarray:
+    """The real, phi-free factors c_i(theta) of the amplitudes <S, m|S, n>,
+    i = S - m, with shape (2S+1,) + theta.shape."""
+    k = np.arange(two_j + 1)
     up = two_j - k  # exponent S + m
     down = k        # exponent S - m
     log_fact = np.array([math.lgamma(n + 1) for n in range(two_j + 1)])
     log_binom = log_fact[two_j] - log_fact[up] - log_fact[down]
-    shape = (two_j + 1,) + np.broadcast_shapes(theta.shape, phi.shape)
-    out = np.empty(shape, dtype=complex)
+    out = np.empty((two_j + 1,) + theta.shape)
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
-    m = spin - k
     for i in range(two_j + 1):
-        mag = np.exp(0.5 * log_binom[i]) * c ** up[i] * s ** down[i]
-        out[i] = mag * np.exp(-1j * m[i] * phi)
+        out[i] = np.exp(0.5 * log_binom[i]) * c ** up[i] * s ** down[i]
     return out
 
 
@@ -125,16 +128,22 @@ class QFunction:
 
 
 def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
-    """Q^(S)(n) = <S, n| rho |S, n> over the grid nodes."""
+    """Q^(S)(n) = <S, n| rho |S, n> over the grid nodes, summed as the
+    azimuthal Fourier series Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta)."""
     needed = 2 * block.photon_number  # bandwidth of |<S,m|S,n>|^2 products
     if grid.exactness < needed:
         raise ValueError(
             f"grid exactness {grid.exactness} too coarse for S={block.spin}; need >= {needed}"
         )
-    th, ph = grid.mesh()
-    amps = su2_overlap_amplitudes(block.spin, th, ph)
-    # a copy, not a view that would keep the complex einsum result alive
-    values = np.einsum("imn,ij,jmn->mn", amps.conj(), block.block, amps).real.copy()
+    two_j = block.photon_number
+    c = _coherent_magnitudes(two_j, grid.theta)  # (2S+1, n_theta)
+    # F[q] = sum_i rho[i, i+q] c_i c_{i+q}: one pass along each upper diagonal
+    f = np.empty((two_j + 1, grid.n_theta), dtype=complex)
+    for q in range(two_j + 1):
+        f[q] = np.diagonal(block.block, q) @ (c[: two_j + 1 - q] * c[q:])
+    f[1:] *= 2.0  # the q < 0 diagonals are the conjugates of the q > 0 ones
+    waves = np.exp(1j * np.outer(np.arange(two_j + 1), grid.phi))  # (2S+1, n_phi)
+    values = f.real.T @ waves.real - f.imag.T @ waves.imag
     return QFunction(grid, values, spin=block.spin)
 
 

@@ -2,8 +2,10 @@ import csv
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import stokes_manifolds
-from stokes_manifolds import multipole, pipeline, render, sphere
+from stokes_manifolds import cli, multipole, pipeline, render, sphere
 from stokes_manifolds.cli import main
 from stokes_manifolds.pipeline import (
     DEFAULT_ALPHAS,
@@ -261,6 +263,22 @@ class TestEmission:
         assert manifest["files"] == {}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    def test_float_csv_bytes_match_csv_writer(self, tmp_path):
+        # the array writer must print what csv.writer over _fmt printed
+        values = [0.0, -0.0, 1e-300, 1.0, 0.1234567890125, 999999999999.5,
+                  123456789012.0, 1234567890123.0, 1e-5, 1e-4, -2.5e17, math.pi,
+                  math.inf, -math.inf, math.nan, 5e-324]
+        table = np.array(values + values[::-1]).reshape(-1, 4)
+        old = tmp_path / "csv_writer.csv"
+        with open(old, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["theta", "phi", "weight", "value"])
+            for row in table.tolist():
+                writer.writerow([pipeline._fmt(v) for v in row])
+        new = tmp_path / "array.csv"
+        pipeline._write_float_csv(new, ["theta", "phi", "weight", "value"], table)
+        assert new.read_bytes() == old.read_bytes()
+
     def test_determinism(self, tmp_path):
         config = RunConfig(**FAST)
         dirs = []
@@ -318,6 +336,21 @@ class TestCli:
         assert "numerical guard" in err and "not orthonormal" in err
         assert "Traceback" not in err
 
+    def test_reported_time_covers_emission(self, tmp_path, monkeypatch, capsys):
+        emit = cli.emit_figure_tables
+
+        def slow_emit(*args, **kwargs):
+            time.sleep(0.3)
+            return emit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "emit_figure_tables", slow_emit)
+        code = main(["run", "--alpha", "0", "--cutoff", "4", "--out", str(tmp_path),
+                     "--emit", "squeezing_csv"])
+        assert code == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("wrote 2 files") and line.endswith("s"), line
+        assert float(line.rsplit(" in ", 1)[1][:-1]) >= 0.3, line
+
     def test_bad_alpha_list(self, tmp_path):
         assert main(["run", "--alpha", "0,banana", "--out", str(tmp_path)]) == 1
 
@@ -347,6 +380,28 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "exit codes 0 0", proc.stdout
         assert (out / "manifest.json").exists()
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_check():
+    """The globals of bench/check.py; run_path writes no bytecode cache there."""
+    return runpy.run_path(str(BENCH / "check.py"))
+
+
+@pytest.mark.parametrize("workload,config", [
+    ("cli_default", {}),
+    ("qmap_fine", {"grid_l": 96, "emit": ["q_csv", "heatmaps"]}),
+])
+def test_outputs_match_bench_reference(tmp_path, bench_check, workload, config):
+    # the benchmark's own output gate: 1e-9 relative, 1e-12 absolute, one
+    # colormap step per pixel
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, config), "--out", str(out)]) == 0
+    reference = bench_check["load_reference"](BENCH / "reference" / f"{workload}.tar.xz")
+    assert bench_check["compare_dir"](out, reference) == []
 
 
 def _write(tmp_path, doc):

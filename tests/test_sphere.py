@@ -1,18 +1,69 @@
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
+from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
 from stokes_manifolds.sphere import (
     FOUR_PI,
     build_quadrature_grid,
     husimi_manifold,
     husimi_total,
-    su2_overlap_amplitudes,
 )
 from stokes_manifolds.stokes import rotation_matrix
+
+
+def su2_overlap_amplitudes(spin, theta, phi):
+    """Amplitudes <S, m|S, n> for m = S, ..., -S, broadcast over theta/phi:
+    sqrt(C(2S, S+m)) cos^{S+m}(theta/2) sin^{S-m}(theta/2) e^{-i m phi}."""
+    two_j = round(2 * spin)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    k = np.arange(two_j + 1)
+    up = two_j - k  # exponent S + m
+    down = k        # exponent S - m
+    log_fact = np.array([math.lgamma(n + 1) for n in range(two_j + 1)])
+    log_binom = log_fact[two_j] - log_fact[up] - log_fact[down]
+    shape = (two_j + 1,) + np.broadcast_shapes(theta.shape, phi.shape)
+    out = np.empty(shape, dtype=complex)
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    m = spin - k
+    for i in range(two_j + 1):
+        mag = np.exp(0.5 * log_binom[i]) * c ** up[i] * s ** down[i]
+        out[i] = mag * np.exp(-1j * m[i] * phi)
+    return out
+
+
+def husimi_oracle(block, grid):
+    """Q^(S) = <S, n| rho |S, n> contracted over the full amplitude table."""
+    th, ph = grid.mesh()
+    amps = su2_overlap_amplitudes(block.spin, th, ph)
+    return np.einsum("imn,ij,jmn->mn", amps.conj(), block.block, amps, optimize=True).real
+
+
+@lru_cache(maxsize=None)
+def default_ladder_blocks(cutoff):
+    """Every reported block of the default sweep's amplitudes at `cutoff`."""
+    model = NoiseModel(3.6, 4.4, 0.85)
+    rho_v = synthesize_mode(model, 0.0, cutoff)
+    return tuple(
+        block
+        for alpha in DEFAULT_ALPHAS
+        for block in parse_manifolds(synthesize_mode(model, alpha, cutoff), rho_v)
+        .reported(cutoff / 2.0)
+    )
+
+
+def random_block(rng, spin):
+    dim = round(2 * spin) + 1
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return ManifoldBlock(spin, 1.0, rho / np.trace(rho).real)
 
 
 def highest_weight_block(spin):
@@ -92,11 +143,7 @@ class TestHusimiManifold:
         rng = np.random.default_rng(7)
         grid = build_quadrature_grid(12)
         for spin in (1.0, 2.0, 3.0):
-            dim = round(2 * spin) + 1
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            rho = m @ m.conj().T
-            rho /= np.trace(rho).real
-            q = husimi_manifold(ManifoldBlock(spin, 1.0, rho), grid)
+            q = husimi_manifold(random_block(rng, spin), grid)
             assert q.values.min() > -1e-12
             assert q.values.max() < 1.0 + 1e-10
 
@@ -134,6 +181,34 @@ class TestHusimiManifold:
         with pytest.raises(ValueError, match="exactness"):
             husimi_manifold(mixed_block(2.0), grid)
 
+    @pytest.mark.parametrize("cutoff,degree", [(24, 48), (24, 96), (48, 96)])
+    def test_matches_oracle_on_default_ladder(self, cutoff, degree):
+        grid = build_quadrature_grid(degree)
+        for block in default_ladder_blocks(cutoff):
+            q = husimi_manifold(block, grid).values
+            assert np.max(np.abs(q - husimi_oracle(block, grid))) < 1e-13, block.spin
+
+    def test_matches_oracle_on_complex_blocks(self):
+        # complex coherences exercise the sign of e^{iq phi} and Im F_q
+        rng = np.random.default_rng(41)
+        grid = build_quadrature_grid(96)
+        for spin in (0.5, 1.0, 2.5, 6.0, 12.0, 24.0):
+            block = random_block(rng, spin)
+            q = husimi_manifold(block, grid).values
+            assert np.max(np.abs(q - husimi_oracle(block, grid))) < 1e-13, spin
+
+    def test_peak_memory_has_no_amplitude_table(self):
+        # a (2S+1) x n_theta x n_phi complex table at 2S=24, L=96 alone is 7.5 MB
+        grid = build_quadrature_grid(96)
+        block = random_block(np.random.default_rng(5), 12.0)
+        tracemalloc.start()
+        try:
+            husimi_manifold(block, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+
 
 def _q_at(block, theta, phi):
     amps = su2_overlap_amplitudes(block.spin, np.array(theta), np.array(phi))
@@ -159,3 +234,10 @@ class TestHusimiTotal:
         q = husimi_total(sector, grid, max_spin=6.0)
         want = sum(b.weight for b in sector.reported(6.0))
         assert abs(q.integral() - want) < 1e-10
+
+    @pytest.mark.parametrize("cutoff", [24, 48])
+    def test_reported_blocks_integrate_at_run_sizes(self, cutoff):
+        grid = build_quadrature_grid(96)
+        for block in default_ladder_blocks(cutoff):
+            want = FOUR_PI / block.dim
+            assert abs(husimi_manifold(block, grid).integral() - want) < 1e-12, block.spin
