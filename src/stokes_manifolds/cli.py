@@ -22,6 +22,7 @@ from .multipole import (
     multipoles_algebraic,
     multipoles_integral,
     spherical_harmonic,
+    stretched_cg,
 )
 from .polar import ManifoldBlock, parse_manifolds
 from .pipeline import (
@@ -158,6 +159,19 @@ def _cmd_check(_args) -> int:
     target = sum(b.weight for b in sector.reported(6.0))
     dev = abs(q.integral() - target)
     check("total Husimi normalization", dev < 1e-8, f"dev {dev:.2e}")
+
+    # every block a cutoff-16 run reports, on that run's default grid; the
+    # quadrature route divides by C_K, so its error is compared scaled by C_K
+    run_grid = build_quadrature_grid(32)
+    worst = 0.0
+    for block in sector.reported(8.0):
+        norm = stretched_cg(block.photon_number)
+        sp_a = multipoles_algebraic(block)
+        sp_i = multipoles_integral(block, run_grid)
+        for k, (ca, ci) in enumerate(zip(sp_a.coefficients, sp_i.coefficients)):
+            worst = max(worst, float(np.max(np.abs(ca - ci))) * norm[k])
+    check("scaled dual-route multipoles, reported blocks at cutoff 16", worst < 1e-12,
+          f"max |d rho_Kq| C_K {worst:.2e}")
 
     block = next(b for b in sector.blocks if b.spin == 0.5)
     xi2 = manifold_stokes_summary(block).xi2

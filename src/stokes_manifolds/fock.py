@@ -172,18 +172,23 @@ def thermal_state(nbar: float, cutoff: int) -> ModeState:
 
 
 def loss_channel(state: ModeState, eta: float) -> ModeState:
-    """Pure-loss channel with transmissivity eta, in Kraus form."""
+    """Pure-loss channel with transmissivity eta, in Kraus form.
+
+    The Kraus operator E_k = sum_n c_k(n) |n-k><n|, with
+    c_k(n) = sqrt(C(n, k) eta^(n-k) (1-eta)^k), shifts photon numbers down by
+    k, so E_k rho E_k^T adds outer(c_k, c_k) * rho[k:, k:] to the top-left
+    (dim-k) x (dim-k) corner: O(dim^3) work in all.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     if eta == 1.0:
         return state
     dim = state.cutoff + 1
     rho = state.entries
+    out = np.zeros((dim, dim), dtype=complex)
     if eta == 0.0:
-        out = np.zeros((dim, dim), dtype=complex)
         out[0, 0] = state.trace
         return ModeState(state.cutoff, out)
-    out = np.zeros((dim, dim), dtype=complex)
     log_eta = math.log(eta)
     log_one_minus = math.log(1.0 - eta)
     log_fact = np.array([math.lgamma(n + 1) for n in range(dim)])
@@ -191,9 +196,7 @@ def loss_channel(state: ModeState, eta: float) -> ModeState:
         n = np.arange(k, dim)
         log_c = log_fact[n] - log_fact[k] - log_fact[n - k]
         coeff = np.exp(0.5 * (log_c + (n - k) * log_eta + k * log_one_minus))
-        kraus = np.zeros((dim, dim))
-        kraus[n - k, n] = coeff
-        out += kraus @ rho @ kraus.T
+        out[: dim - k, : dim - k] += np.outer(coeff, coeff) * rho[k:, k:]
     return ModeState(state.cutoff, out)
 
 

@@ -15,74 +15,27 @@ from functools import lru_cache
 import numpy as np
 
 from .polar import ManifoldBlock
-from .sphere import FOUR_PI, SphereGrid, husimi_manifold
+from .sphere import FOUR_PI, SphereGrid, husimi_fourier
 
 
-def _half_int(value: float, name: str) -> int:
-    doubled = round(2 * value)
-    if abs(2 * value - doubled) > 1e-9:
-        raise ValueError(f"{name}={value} is not a half-integer")
-    return doubled
-
-
-def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
-    """Condon-Shortley Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>.
-
-    Evaluated by the Racah closed-form sum with log-factorials and compensated
-    summation; returns 0 when a selection rule fails.
-    """
-    tj1, tm1 = _half_int(j1, "j1"), _half_int(m1, "m1")
-    tj2, tm2 = _half_int(j2, "j2"), _half_int(m2, "m2")
-    tj, tm = _half_int(j, "j"), _half_int(m, "m")
-    for tjj, tmm, name in ((tj1, tm1, "j1"), (tj2, tm2, "j2"), (tj, tm, "j")):
-        if tjj < 0:
-            raise ValueError(f"{name} must be non-negative")
-        if abs(tmm) > tjj or (tjj - tmm) % 2 != 0:
-            return 0.0
-    return _cg_doubled(tj1, tm1, tj2, tm2, tj, tm)
-
-
-def _logfact(n2: int) -> float:
-    # n2 is twice an integer
-    return math.lgamma(n2 // 2 + 1)
-
-
-@lru_cache(maxsize=None)
-def _cg_doubled(tj1, tm1, tj2, tm2, tj, tm) -> float:
-    if tm1 + tm2 != tm:
-        return 0.0
-    if tj > tj1 + tj2 or tj < abs(tj1 - tj2) or (tj1 + tj2 + tj) % 2 != 0:
-        return 0.0
-    log_delta = (
-        _logfact(tj1 + tj2 - tj)
-        + _logfact(tj1 - tj2 + tj)
-        + _logfact(-tj1 + tj2 + tj)
-        - _logfact(tj1 + tj2 + tj + 2)
-    )
-    log_pre = 0.5 * (
-        math.log(tj + 1)
-        + log_delta
-        + _logfact(tj1 + tm1)
-        + _logfact(tj1 - tm1)
-        + _logfact(tj2 + tm2)
-        + _logfact(tj2 - tm2)
-        + _logfact(tj + tm)
-        + _logfact(tj - tm)
-    )
-    k_min = max(0, (tj2 - tj - tm1) // 2, (tj1 - tj + tm2) // 2)
-    k_max = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    terms = []
-    for k in range(k_min, k_max + 1):
-        log_den = (
-            _logfact(2 * k)
-            + _logfact(tj1 + tj2 - tj - 2 * k)
-            + _logfact(tj1 - tm1 - 2 * k)
-            + _logfact(tj2 + tm2 - 2 * k)
-            + _logfact(tj - tj2 + tm1 + 2 * k)
-            + _logfact(tj - tj1 - tm2 + 2 * k)
+def _legendre_rows(m: int, max_degree: int, theta) -> list:
+    """[P_lm(theta) for l = m..max_degree], m >= 0: the orthonormal associated
+    Legendre functions with Condon-Shortley phase, Y_lm = P_lm e^{i m phi},
+    by the standard upward recurrence in l."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.cos(theta)
+    log_ratio = math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - 2 * m * math.log(2.0)
+    p = (-1.0) ** m * math.sqrt((2 * m + 1) / FOUR_PI * math.exp(log_ratio)) * np.sin(theta) ** m
+    rows = [p]
+    p_prev = 0.0
+    for l in range(m + 1, max_degree + 1):
+        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = -math.sqrt(
+            (2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m)
         )
-        terms.append((-1.0) ** k * math.exp(log_pre - log_den))
-    return math.fsum(terms)
+        p, p_prev = a * x * p + b * p_prev, p
+        rows.append(p)
+    return rows
 
 
 def spherical_harmonic(degree: int, order: int, theta, phi) -> np.ndarray:
@@ -91,26 +44,8 @@ def spherical_harmonic(degree: int, order: int, theta, phi) -> np.ndarray:
         raise ValueError("degree must be non-negative")
     if abs(order) > degree:
         raise ValueError(f"|order| = {abs(order)} exceeds degree {degree}")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     m = abs(order)
-    x = np.cos(theta)
-    s = np.sin(theta)
-    # normalized associated Legendre via the standard upward recurrence
-    log_ratio = math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - 2 * m * math.log(2.0)
-    p_mm = (-1.0) ** m * math.sqrt((2 * m + 1) / FOUR_PI * math.exp(log_ratio)) * s**m
-    if degree == m:
-        p = p_mm
-    else:
-        p_prev = p_mm
-        p = math.sqrt(2 * m + 3.0) * x * p_mm
-        for l in range(m + 2, degree + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = -math.sqrt(
-                (2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m)
-            )
-            p, p_prev = a * x * p + b * p_prev, p
-    y = p * np.exp(1j * m * phi)
+    y = _legendre_rows(m, degree, theta)[-1] * np.exp(1j * m * np.asarray(phi, dtype=float))
     if order >= 0:
         return y
     return (-1.0) ** m * np.conj(y)
@@ -132,32 +67,40 @@ class MultipoleSpectrum:
         return complex(self.coefficients[degree][order + degree])
 
 
+def stretched_cg(two_s: int) -> np.ndarray:
+    """C_K = <S S; K 0 | S S> for K = 0..2S, in closed form:
+    C_K = (2S)! sqrt(2S+1) / sqrt((2S-K)! (2S+K+1)!)."""
+    log_c = [
+        math.lgamma(two_s + 1) - 0.5 * (math.lgamma(two_s - k + 1) + math.lgamma(two_s + k + 2))
+        for k in range(two_s + 1)
+    ]
+    return np.exp(log_c) * math.sqrt(two_s + 1)
+
+
 def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpectrum:
     """Multipoles by projecting the Husimi function onto Y*_Kq.
 
-    rho_Kq = sqrt((2S+1)/4pi) / C^{SS}_{SS,K0} * integral Y*_Kq(n) Q^(S)(n) dn.
-    The conjugate on Y is what makes this route agree with the algebraic one
-    and satisfy rho_{K,-q} = (-1)^q rho*_{Kq}.
+    rho_Kq = sqrt((2S+1)/4pi) / C_K * integral Y*_Kq(n) Q^(S)(n) dn with
+    C_K = <S S; K 0 | S S> (Agarwal, PRA 24, 2889 (1981)).  Q^(S) is the
+    azimuthal series sum_q e^{iq phi} F_q(theta) of `husimi_fourier`, with
+    F_{-q} = conj(F_q), so the phi integral picks out one order and
+
+        rho_Kq = sqrt((2S+1)/4pi) / C_K * 2pi sum_theta w_theta P_Kq(theta) F_q(theta),
+
+    P_Kq(theta) = Y_Kq(theta, 0), on the Gauss nodes alone: one upward
+    Legendre sweep over K per q >= 0.
+    The conjugate on Y gives rho_{K,-q} = (-1)^q rho*_{Kq}, which fills the
+    negative orders.
     """
-    two_k_max = block.photon_number  # K runs to 2S
-    if grid.exactness < 2 * block.photon_number:
-        raise ValueError(
-            f"grid exactness {grid.exactness} too coarse for S={block.spin}; "
-            f"need >= {2 * block.photon_number}"
-        )
-    q_fun = husimi_manifold(block, grid)
-    th, ph = grid.mesh()
-    spin = block.spin
-    coeffs = []
-    for degree in range(two_k_max + 1):
-        norm = clebsch_gordan(spin, spin, degree, 0, spin, spin)
-        pref = math.sqrt(block.dim / FOUR_PI) / norm
-        row = np.empty(2 * degree + 1, dtype=complex)
-        for order in range(-degree, degree + 1):
-            y = spherical_harmonic(degree, order, th, ph)
-            row[order + degree] = pref * grid.integrate(np.conj(y) * q_fun.values)
-        coeffs.append(row)
-    return MultipoleSpectrum(spin, tuple(coeffs))
+    two_s = block.photon_number
+    f = husimi_fourier(block, grid) * grid.weights.sum(axis=1)  # 2pi w_theta F_q
+    rho = np.zeros((two_s + 1, 2 * two_s + 1), dtype=complex)  # [K, q + 2S]
+    for q in range(two_s + 1):
+        rho[q:, two_s + q] = np.array(_legendre_rows(q, two_s, grid.theta)) @ f[q]
+        rho[q:, two_s - q] = (-1.0) ** q * np.conj(rho[q:, two_s + q])
+    rho *= (math.sqrt(block.dim / FOUR_PI) / stretched_cg(two_s))[:, None]
+    coeffs = tuple(rho[k, two_s - k : two_s + k + 1] for k in range(two_s + 1))
+    return MultipoleSpectrum(block.spin, coeffs)
 
 
 # largest |Gram - 1| entry a Clebsch-Gordan table may show before it is refused

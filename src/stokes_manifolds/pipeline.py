@@ -104,6 +104,10 @@ class RunConfig:
         unknown = set(self.emit) - set(EMIT_CHOICES)
         if unknown:
             raise ConfigError(f"unknown emit flags: {sorted(unknown)}")
+        shape = self.raster_shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 2
+                and all(isinstance(n, int) and n > 0 for n in shape)):
+            raise ConfigError(f"raster_shape must be two positive integers, got {shape!r}")
 
     @property
     def resolved_s_report_max(self) -> float:

@@ -127,9 +127,10 @@ class QFunction:
         return float(self.grid.integrate(self.values))
 
 
-def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
-    """Q^(S)(n) = <S, n| rho |S, n> over the grid nodes, summed as the
-    azimuthal Fourier series Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta)."""
+def husimi_fourier(block: ManifoldBlock, grid: SphereGrid) -> np.ndarray:
+    """Rows F_q(theta) = sum_i rho[i, i+q] c_i(theta) c_{i+q}(theta) for
+    q = 0..2S on the grid's theta nodes, shape (2S+1, n_theta): one pass
+    along each upper diagonal of the block."""
     needed = 2 * block.photon_number  # bandwidth of |<S,m|S,n>|^2 products
     if grid.exactness < needed:
         raise ValueError(
@@ -137,12 +138,18 @@ def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
         )
     two_j = block.photon_number
     c = _coherent_magnitudes(two_j, grid.theta)  # (2S+1, n_theta)
-    # F[q] = sum_i rho[i, i+q] c_i c_{i+q}: one pass along each upper diagonal
     f = np.empty((two_j + 1, grid.n_theta), dtype=complex)
     for q in range(two_j + 1):
         f[q] = np.diagonal(block.block, q) @ (c[: two_j + 1 - q] * c[q:])
+    return f
+
+
+def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
+    """Q^(S)(n) = <S, n| rho |S, n> over the grid nodes, summed as the
+    azimuthal Fourier series Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta)."""
+    f = husimi_fourier(block, grid)
     f[1:] *= 2.0  # the q < 0 diagonals are the conjugates of the q > 0 ones
-    waves = np.exp(1j * np.outer(np.arange(two_j + 1), grid.phi))  # (2S+1, n_phi)
+    waves = np.exp(1j * np.outer(np.arange(block.dim), grid.phi))  # (2S+1, n_phi)
     values = f.real.T @ waves.real - f.imag.T @ waves.imag
     return QFunction(grid, values, spin=block.spin)
 

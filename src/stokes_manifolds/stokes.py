@@ -11,59 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fock import _unitary_exp
-from .polar import ManifoldBlock, PolarizationSector, _two_spin
+from .polar import ManifoldBlock, PolarizationSector
 
 DIRECTION_EPS = 1e-6
 
 MODE_PERP = "perpendicular-restricted"
 MODE_FULL = "full-space"
 MODE_UNDEFINED = "undefined"
-
-
-@dataclass(frozen=True)
-class StokesMatrices:
-    """Spin-S matrices of Sx, Sy, Sz on the basis m = S, ..., -S."""
-
-    spin: float
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-    @property
-    def vector(self):
-        return (self.sx, self.sy, self.sz)
-
-
-@lru_cache(maxsize=None)
-def stokes_matrices(spin: float) -> StokesMatrices:
-    """Standard angular-momentum matrices for half-integer spin."""
-    two_j = _two_spin(spin)
-    m = spin - np.arange(two_j + 1)  # descending
-    sz = np.diag(m.astype(complex))
-    raising = np.zeros((two_j + 1, two_j + 1), dtype=complex)
-    for i in range(1, two_j + 1):
-        # |m_i> -> |m_i + 1> sits one row up in descending order
-        raising[i - 1, i] = math.sqrt(spin * (spin + 1) - m[i] * (m[i] + 1))
-    lowering = raising.conj().T
-    sx = 0.5 * (raising + lowering)
-    sy = -0.5j * (raising - lowering)
-    for mat in (sx, sy, sz):
-        mat.setflags(write=False)
-    return StokesMatrices(spin, sx, sy, sz)
-
-
-def rotation_matrix(spin: float, axis, angle: float) -> np.ndarray:
-    """SU(2) rotation exp(-i angle n.S) on the spin-S block."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    ops = stokes_matrices(spin)
-    gen = axis[0] * ops.sx + axis[1] * ops.sy + axis[2] * ops.sz
-    return _unitary_exp(angle * gen)
 
 
 @dataclass(frozen=True)
@@ -131,14 +88,37 @@ def _minimize_variance(gamma: np.ndarray, mean: np.ndarray, spin_scale: float):
     return gamma_min, direction, MODE_FULL
 
 
-def _moments(block: np.ndarray, ops: StokesMatrices):
-    vec = ops.vector
-    mean = np.array([np.real(np.trace(block @ s)) for s in vec])
-    second = np.zeros((3, 3))
-    for k in range(3):
-        for l in range(k, 3):
-            anti = vec[k] @ vec[l] + vec[l] @ vec[k]
-            second[k, l] = second[l, k] = 0.5 * np.real(np.trace(block @ anti))
+def _moments(block: ManifoldBlock):
+    """Mean Stokes vector and symmetrised second moments <{S_k, S_l}>/2.
+
+    On the basis m_i = S - i the raising operator is S+ |m_i> = c_i |m_i + 1>,
+    c_i = sqrt(S(S+1) - m_i(m_i+1)), so every moment sits on the block's
+    diagonals 0, -1 and -2:
+
+        <S+> = sum_i c_i rho[i, i-1],   <{Sz, S+}> = sum_i (2 m_i + 1) c_i rho[i, i-1],
+        <S+^2> = sum_i c_i c_{i-1} rho[i, i-2],
+
+    with <Sx> + i<Sy> = <S+>, <{Sz, Sx}> + i<{Sz, Sy}> = <{Sz, S+}>,
+    <Sx^2 + Sy^2> = S(S+1) - <Sz^2>, <Sx^2 - Sy^2> = Re<S+^2> and
+    <{Sx, Sy}> = Im<S+^2>.
+    """
+    rho = block.block
+    spin = block.spin
+    m = spin - np.arange(block.dim)
+    c = np.sqrt(spin * (spin + 1) - m * (m + 1))
+    p = np.diagonal(rho).real
+    sz, sz2 = p @ m, p @ m**2
+    lower = np.diagonal(rho, -1)
+    s_plus = lower @ c[1:]
+    zs_plus = lower @ ((2 * m[1:] + 1) * c[1:])
+    s_plus2 = np.diagonal(rho, -2) @ (c[2:] * c[1:-1])
+    perp = spin * (spin + 1) - sz2
+    mean = np.array([s_plus.real, s_plus.imag, sz])
+    second = 0.5 * np.array([
+        [perp + s_plus2.real, s_plus2.imag, zs_plus.real],
+        [s_plus2.imag, perp - s_plus2.real, zs_plus.imag],
+        [zs_plus.real, zs_plus.imag, 2.0 * sz2],
+    ])
     return mean, second
 
 
@@ -148,8 +128,7 @@ def manifold_stokes_summary(block: ManifoldBlock) -> StokesSummary:
         raise ValueError("negligible block excluded from squeezing reports")
     if block.spin == 0:
         return _undefined_summary(0.0)
-    ops = stokes_matrices(block.spin)
-    mean, second = _moments(block.block, ops)
+    mean, second = _moments(block)
     gamma = second - np.outer(mean, mean)
     gamma_min, direction, mode = _minimize_variance(gamma, mean, block.spin)
     xi2 = 4.0 * gamma_min / block.photon_number
@@ -174,8 +153,7 @@ def total_stokes_summary(sector: PolarizationSector, min_captured: float = 0.5) 
     for b in sector.blocks:
         if b.negligible or b.spin == 0:
             continue
-        ops = stokes_matrices(b.spin)
-        bm, bs = _moments(b.block, ops)
+        bm, bs = _moments(b)
         mean += b.weight * bm
         second += b.weight * bs
         mean_photons += b.weight * b.photon_number

@@ -1,0 +1,152 @@
+"""Dense and scalar reference implementations the tests check the package against.
+
+The package computes each spin-S quantity along block diagonals; these are the
+textbook forms it replaced: dense spin matrices and SU(2) rotations, the Racah
+closed-form Clebsch-Gordan sum, and the pure-loss channel as dense Kraus
+products.
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from stokes_manifolds.fock import NoiseModel, _unitary_exp, synthesize_mode
+from stokes_manifolds.pipeline import DEFAULT_ALPHAS
+from stokes_manifolds.polar import parse_manifolds
+
+
+@lru_cache(maxsize=None)
+def default_ladder_blocks(cutoff):
+    """Every reported block of the default sweep's amplitudes at `cutoff`."""
+    model = NoiseModel(3.6, 4.4, 0.85)
+    rho_v = synthesize_mode(model, 0.0, cutoff)
+    return tuple(
+        block
+        for alpha in DEFAULT_ALPHAS
+        for block in parse_manifolds(synthesize_mode(model, alpha, cutoff), rho_v)
+        .reported(cutoff / 2.0)
+    )
+
+
+# -- spin matrices ------------------------------------------------------------
+
+def spin_matrices(spin):
+    """Dense (Sx, Sy, Sz) of spin S on the basis m = S, ..., -S."""
+    two_j = round(2 * spin)
+    m = spin - np.arange(two_j + 1)  # descending
+    sz = np.diag(m.astype(complex))
+    raising = np.zeros((two_j + 1, two_j + 1), dtype=complex)
+    for i in range(1, two_j + 1):
+        # |m_i> -> |m_i + 1> sits one row up in descending order
+        raising[i - 1, i] = math.sqrt(spin * (spin + 1) - m[i] * (m[i] + 1))
+    lowering = raising.conj().T
+    return 0.5 * (raising + lowering), -0.5j * (raising - lowering), sz
+
+
+def rotation_matrix(spin, axis, angle):
+    """SU(2) rotation exp(-i angle n.S) on the spin-S block."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    sx, sy, sz = spin_matrices(spin)
+    return _unitary_exp(angle * (axis[0] * sx + axis[1] * sy + axis[2] * sz))
+
+
+def dense_moments(block):
+    """Mean Stokes vector and <{S_k, S_l}>/2 as traces with dense matrices."""
+    ops = spin_matrices(block.spin)
+    rho = block.block
+    mean = np.array([np.real(np.trace(rho @ s)) for s in ops])
+    second = np.zeros((3, 3))
+    for k in range(3):
+        for l in range(k, 3):
+            anti = ops[k] @ ops[l] + ops[l] @ ops[k]
+            second[k, l] = second[l, k] = 0.5 * np.real(np.trace(rho @ anti))
+    return mean, second
+
+
+# -- Clebsch-Gordan coefficients by the Racah sum -----------------------------
+
+def _half_int(value, name):
+    doubled = round(2 * value)
+    if abs(2 * value - doubled) > 1e-9:
+        raise ValueError(f"{name}={value} is not a half-integer")
+    return doubled
+
+
+def clebsch_gordan(j1, m1, j2, m2, j, m):
+    """Condon-Shortley Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>.
+
+    Evaluated by the Racah closed-form sum with log-factorials and compensated
+    summation; returns 0 when a selection rule fails.
+    """
+    tj1, tm1 = _half_int(j1, "j1"), _half_int(m1, "m1")
+    tj2, tm2 = _half_int(j2, "j2"), _half_int(m2, "m2")
+    tj, tm = _half_int(j, "j"), _half_int(m, "m")
+    for tjj, tmm, name in ((tj1, tm1, "j1"), (tj2, tm2, "j2"), (tj, tm, "j")):
+        if tjj < 0:
+            raise ValueError(f"{name} must be non-negative")
+        if abs(tmm) > tjj or (tjj - tmm) % 2 != 0:
+            return 0.0
+    return _cg_doubled(tj1, tm1, tj2, tm2, tj, tm)
+
+
+def _logfact(n2):
+    # n2 is twice an integer
+    return math.lgamma(n2 // 2 + 1)
+
+
+@lru_cache(maxsize=None)
+def _cg_doubled(tj1, tm1, tj2, tm2, tj, tm):
+    if tm1 + tm2 != tm:
+        return 0.0
+    if tj > tj1 + tj2 or tj < abs(tj1 - tj2) or (tj1 + tj2 + tj) % 2 != 0:
+        return 0.0
+    log_delta = (
+        _logfact(tj1 + tj2 - tj)
+        + _logfact(tj1 - tj2 + tj)
+        + _logfact(-tj1 + tj2 + tj)
+        - _logfact(tj1 + tj2 + tj + 2)
+    )
+    log_pre = 0.5 * (
+        math.log(tj + 1)
+        + log_delta
+        + _logfact(tj1 + tm1)
+        + _logfact(tj1 - tm1)
+        + _logfact(tj2 + tm2)
+        + _logfact(tj2 - tm2)
+        + _logfact(tj + tm)
+        + _logfact(tj - tm)
+    )
+    k_min = max(0, (tj2 - tj - tm1) // 2, (tj1 - tj + tm2) // 2)
+    k_max = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    terms = []
+    for k in range(k_min, k_max + 1):
+        log_den = (
+            _logfact(2 * k)
+            + _logfact(tj1 + tj2 - tj - 2 * k)
+            + _logfact(tj1 - tm1 - 2 * k)
+            + _logfact(tj2 + tm2 - 2 * k)
+            + _logfact(tj - tj2 + tm1 + 2 * k)
+            + _logfact(tj - tj1 - tm2 + 2 * k)
+        )
+        terms.append((-1.0) ** k * math.exp(log_pre - log_den))
+    return math.fsum(terms)
+
+
+# -- pure loss as dense Kraus products ----------------------------------------
+
+def dense_loss(rho, eta):
+    """sum_k E_k rho E_k^T with each Kraus operator E_k a dense dim x dim matrix,
+    E_k = sum_n sqrt(C(n, k) eta^(n-k) (1-eta)^k) |n-k><n|."""
+    dim = rho.shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    log_fact = np.array([math.lgamma(n + 1) for n in range(dim)])
+    for k in range(dim):
+        n = np.arange(k, dim)
+        log_c = log_fact[n] - log_fact[k] - log_fact[n - k]
+        coeff = np.exp(0.5 * (log_c + (n - k) * math.log(eta) + k * math.log(1.0 - eta)))
+        kraus = np.zeros((dim, dim))
+        kraus[n - k, n] = coeff
+        out += kraus @ rho @ kraus.T
+    return out

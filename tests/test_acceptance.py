@@ -43,8 +43,9 @@ from stokes_manifolds.stokes import (
     gaussian_total_xi2,
     manifold_stokes_summary,
     quadrature_estimate_xi2,
-    rotation_matrix,
 )
+
+from oracles import rotation_matrix
 
 R_REFERENCE = 0.41
 PURE_DB = 20.0 * R_REFERENCE / math.log(10.0)  # squeezing level giving r = 0.41 exactly

@@ -21,6 +21,8 @@ from stokes_manifolds.fock import (
     thermal_state,
 )
 
+from oracles import dense_loss
+
 
 def coherent_amplitudes(alpha, dim):
     n = np.arange(dim)
@@ -167,6 +169,17 @@ class TestThermalAndLoss:
         once = loss_channel(state, eta1 * eta2)
         twice = loss_channel(loss_channel(state, eta1), eta2)
         assert np.max(np.abs(once.entries - twice.entries)) < 1e-10
+
+    @pytest.mark.parametrize("eta", [0.37, 0.85])
+    @pytest.mark.parametrize("dim", [47, 137, 251])
+    def test_loss_matches_dense_kraus(self, dim, eta):
+        # a Hermitian PSD state scaled to entries of order 1
+        rng = np.random.default_rng(dim)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = m @ m.conj().T
+        state = ModeState(dim - 1, rho / np.max(np.abs(rho)))
+        got = loss_channel(state, eta).entries
+        assert np.max(np.abs(got - dense_loss(state.entries, eta))) < 1e-14
 
     def test_full_loss_gives_vacuum(self):
         state = thermal_state(1.2, 10)

@@ -7,19 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Rational
 
+from stokes_manifolds import multipole
 from stokes_manifolds.multipole import (
     CG_TABLE_TOL,
     aggregate_weights,
     cg_table,
     cg_table_deviation,
-    clebsch_gordan,
     multipoles_algebraic,
     multipoles_integral,
     spherical_harmonic,
+    stretched_cg,
 )
 from stokes_manifolds.polar import ManifoldBlock, PolarizationSector
 from stokes_manifolds.sphere import FOUR_PI, build_quadrature_grid
-from stokes_manifolds.stokes import rotation_matrix
+
+from oracles import clebsch_gordan, default_ladder_blocks, rotation_matrix
 
 
 def random_block(spin, rng):
@@ -208,20 +210,54 @@ class TestMultipoles:
             for ca, ci in zip(sp_a.coefficients, sp_i.coefficients):
                 assert np.max(np.abs(ca - ci)) < 1e-10
 
+    def test_stretched_cg_matches_racah_oracle(self):
+        for two_s in range(49):
+            spin = two_s / 2.0
+            want = [clebsch_gordan(spin, spin, k, 0, spin, spin) for k in range(two_s + 1)]
+            assert np.max(np.abs(stretched_cg(two_s) - want)) < 1e-13, two_s
+
+    @staticmethod
+    def _scaled_route_gap(block, grid):
+        # The quadrature route divides by C_K = C^{SS}_{SS,K0}, which falls to
+        # 1.3e-7 at S=12, K=24, so its rounding error grows as 1/C_K: the raw
+        # difference there is about 1e-8.  Scaled back by C_K it stays near
+        # 1e-14 at every K.
+        sp_a = multipoles_algebraic(block)
+        sp_i = multipoles_integral(block, grid)
+        norm = stretched_cg(block.photon_number)
+        return max(np.max(np.abs(ca - ci)) * norm[k]
+                   for k, (ca, ci) in enumerate(zip(sp_a.coefficients, sp_i.coefficients)))
+
     def test_dual_route_at_run_sizes(self):
-        # The quadrature route divides by C^{SS}_{SS,K0}, which falls to 1.3e-7
-        # at S=12, K=24, so its rounding error grows as 1/C: the raw difference
-        # there is about 1e-8.  Scaled back by C it stays near 2e-15 at every K.
         rng = np.random.default_rng(14)
         grid = build_quadrature_grid(48)
         for two_s in range(9, 25):
-            spin = two_s / 2.0
-            block = random_block(spin, rng)
-            sp_a = multipoles_algebraic(block)
-            sp_i = multipoles_integral(block, grid)
-            for k, (ca, ci) in enumerate(zip(sp_a.coefficients, sp_i.coefficients)):
-                norm = clebsch_gordan(spin, spin, k, 0, spin, spin)
-                assert np.max(np.abs(ca - ci)) * norm < 1e-12
+            assert self._scaled_route_gap(random_block(two_s / 2.0, rng), grid) < 1e-12, two_s
+
+    @pytest.mark.parametrize("cutoff,degree", [(24, 48), (48, 96)])
+    def test_dual_route_on_default_ladder(self, cutoff, degree):
+        grid = build_quadrature_grid(degree)
+        for block in default_ladder_blocks(cutoff):
+            assert self._scaled_route_gap(block, grid) < 1e-12, block.spin
+
+    def test_quadrature_route_works_on_theta_nodes(self, monkeypatch):
+        # the Legendre rows are evaluated on the n_theta Gauss nodes, never on
+        # the (n_theta, n_phi) mesh, and no Y_Kq is formed
+        def refuse(*args):
+            raise AssertionError("spherical_harmonic called")
+
+        shapes = []
+        rows = multipole._legendre_rows
+
+        def recording(m, max_degree, theta):
+            shapes.append(np.shape(theta))
+            return rows(m, max_degree, theta)
+
+        monkeypatch.setattr(multipole, "spherical_harmonic", refuse)
+        monkeypatch.setattr(multipole, "_legendre_rows", recording)
+        grid = build_quadrature_grid(12)
+        multipoles_integral(random_block(3.0, np.random.default_rng(15)), grid)
+        assert set(shapes) == {(grid.n_theta,)}
 
     def test_hermiticity_relation(self):
         rng = np.random.default_rng(6)

@@ -165,12 +165,6 @@ class TestComputedOnce:
         report = run_sweep(RunConfig(**FAST))
         assert Counter(map(id, calls)) == _reported_block_ids(report)
 
-    def test_tables_need_no_scalar_clebsch_gordan(self, monkeypatch):
-        multipole.cg_table.cache_clear()
-        calls = _record_calls(monkeypatch, "clebsch_gordan", [multipole])
-        run_sweep(RunConfig(**FAST))
-        assert calls == []
-
     def test_manifold_q_once_per_reported_block(self, monkeypatch, tmp_path):
         report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
         calls = _record_calls(monkeypatch, "husimi_manifold", [sphere, render])
@@ -308,6 +302,17 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [[64], [0, 5], [-3, 5], [2.5, 4]])
+    def test_bad_raster_shape_exit(self, tmp_path, capsys, shape):
+        out = tmp_path / "out"
+        code = main(["run", "--config", _write(tmp_path, {"raster_shape": shape}),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "raster_shape" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_guard_exit(self, tmp_path, capsys):
         code = main([
             "run", "--alpha", "0", "--cutoff", "24", "--out", str(tmp_path),
@@ -358,6 +363,7 @@ class TestCli:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "all" in out and "FAIL" not in out
+        assert "[ok] scaled dual-route multipoles, reported blocks at cutoff 16" in out
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: with scipy's import blocked,

@@ -1,12 +1,10 @@
 import math
 import tracemalloc
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
-from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
 from stokes_manifolds.sphere import (
     FOUR_PI,
@@ -14,7 +12,8 @@ from stokes_manifolds.sphere import (
     husimi_manifold,
     husimi_total,
 )
-from stokes_manifolds.stokes import rotation_matrix
+
+from oracles import default_ladder_blocks, rotation_matrix
 
 
 def su2_overlap_amplitudes(spin, theta, phi):
@@ -44,19 +43,6 @@ def husimi_oracle(block, grid):
     th, ph = grid.mesh()
     amps = su2_overlap_amplitudes(block.spin, th, ph)
     return np.einsum("imn,ij,jmn->mn", amps.conj(), block.block, amps, optimize=True).real
-
-
-@lru_cache(maxsize=None)
-def default_ladder_blocks(cutoff):
-    """Every reported block of the default sweep's amplitudes at `cutoff`."""
-    model = NoiseModel(3.6, 4.4, 0.85)
-    rho_v = synthesize_mode(model, 0.0, cutoff)
-    return tuple(
-        block
-        for alpha in DEFAULT_ALPHAS
-        for block in parse_manifolds(synthesize_mode(model, alpha, cutoff), rho_v)
-        .reported(cutoff / 2.0)
-    )
 
 
 def random_block(rng, spin):

@@ -11,13 +11,14 @@ from stokes_manifolds.stokes import (
     MODE_FULL,
     MODE_PERP,
     MODE_UNDEFINED,
+    _moments,
     gaussian_total_xi2,
     manifold_stokes_summary,
     quadrature_estimate_xi2,
-    rotation_matrix,
-    stokes_matrices,
     total_stokes_summary,
 )
+
+from oracles import default_ladder_blocks, dense_moments, rotation_matrix, spin_matrices
 
 
 def random_block(spin, rng):
@@ -33,8 +34,7 @@ class TestMatrices:
     @settings(max_examples=9, deadline=None)
     def test_commutators_and_casimir(self, two_j):
         spin = two_j / 2.0
-        ops = stokes_matrices(spin)
-        sx, sy, sz = ops.vector
+        sx, sy, sz = spin_matrices(spin)
         assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) < 1e-12
         assert np.max(np.abs(sy @ sz - sz @ sy - 1j * sx)) < 1e-12
         casimir = sx @ sx + sy @ sy + sz @ sz
@@ -42,14 +42,34 @@ class TestMatrices:
         assert np.max(np.abs(casimir - want)) < 1e-12
 
     def test_spin_half_is_half_pauli(self):
-        ops = stokes_matrices(0.5)
-        assert np.allclose(ops.sx, [[0, 0.5], [0.5, 0]])
-        assert np.allclose(ops.sy, [[0, -0.5j], [0.5j, 0]])
-        assert np.allclose(ops.sz, [[0.5, 0], [0, -0.5]])
+        sx, sy, sz = spin_matrices(0.5)
+        assert np.allclose(sx, [[0, 0.5], [0.5, 0]])
+        assert np.allclose(sy, [[0, -0.5j], [0.5j, 0]])
+        assert np.allclose(sz, [[0.5, 0], [0, -0.5]])
 
     def test_rotation_is_unitary(self):
         u = rotation_matrix(1.5, [1.0, 1.0, 0.0], 0.7)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
+
+
+def _moment_gap(block):
+    mean, second = _moments(block)
+    want_mean, want_second = dense_moments(block)
+    return max(np.max(np.abs(mean - want_mean)), np.max(np.abs(second - want_second)))
+
+
+class TestDiagonalMoments:
+    """The moments read off diagonals 0, -1 and -2 against dense-matrix traces."""
+
+    def test_random_complex_blocks(self):
+        rng = np.random.default_rng(23)
+        for two_s in range(1, 49):
+            assert _moment_gap(random_block(two_s / 2.0, rng)) < 1e-12, two_s
+
+    @pytest.mark.parametrize("cutoff", [24, 48])
+    def test_default_ladder(self, cutoff):
+        for block in default_ladder_blocks(cutoff):
+            assert _moment_gap(block) < 1e-12, block.spin
 
 
 class TestManifoldSummary:
@@ -103,12 +123,12 @@ class TestManifoldSummary:
         rng = np.random.default_rng(5)
         block = random_block(1.5, rng)
         s = manifold_stokes_summary(block)
-        ops = stokes_matrices(1.5)
-        mean = np.array([np.trace(block.block @ o).real for o in ops.vector])
+        ops = spin_matrices(1.5)
+        mean = np.array([np.trace(block.block @ o).real for o in ops])
         gamma = np.empty((3, 3))
         for k in range(3):
             for l in range(3):
-                anti = ops.vector[k] @ ops.vector[l] + ops.vector[l] @ ops.vector[k]
+                anti = ops[k] @ ops[l] + ops[l] @ ops[k]
                 gamma[k, l] = 0.5 * np.trace(block.block @ anti).real - mean[k] * mean[l]
         assert np.max(np.abs(gamma - s.gamma)) < 1e-12
         # minimum over the plane perpendicular to the mean, dense angular scan
