@@ -1,7 +1,9 @@
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -146,6 +148,8 @@ def _record_calls(monkeypatch, name, modules):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recording)
+    if not any(hasattr(module, name) for module in modules):
+        raise AttributeError(f"no module in {modules} binds {name!r}")
     return calls
 
 
@@ -164,6 +168,14 @@ class TestComputedOnce:
         calls = _record_calls(monkeypatch, "multipoles_algebraic", [pipeline, multipole])
         report = run_sweep(RunConfig(**FAST))
         assert Counter(map(id, calls)) == _reported_block_ids(report)
+
+    def test_tables_need_no_scalar_clebsch_gordan(self):
+        multipole.cg_table.cache_clear()
+        run_sweep(RunConfig(**FAST))
+        assert multipole.cg_table.cache_info().currsize > 0
+        for info in pkgutil.iter_modules(stokes_manifolds.__path__):
+            module = importlib.import_module(f"stokes_manifolds.{info.name}")
+            assert not hasattr(module, "clebsch_gordan"), info.name
 
     def test_manifold_q_once_per_reported_block(self, monkeypatch, tmp_path):
         report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
