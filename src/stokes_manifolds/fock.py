@@ -65,11 +65,6 @@ class ModeState:
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
 
-    @property
-    def mean_photon_number(self) -> float:
-        n = np.arange(self.cutoff + 1)
-        return float(np.real(np.sum(n * np.diag(self.entries))))
-
 
 def fit_noise_parameters(squeezing_db: float, antisqueezing_db: float) -> tuple[float, float]:
     """Invert measured squeezing/anti-squeezing levels into (r, nbar).
@@ -110,52 +105,49 @@ class NoiseModel:
         object.__setattr__(self, "thermal_occupation", nbar)
 
 
-def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated displacement operator D(alpha) = exp(alpha a^dag - alpha* a).
-
-    Built by exponentiating the generator at a padded cutoff and cropping, so
-    the retained columns are accurate even near the truncation edge.
+def _padded_unitary(generator, cutoff: int, name: str, scale: float) -> np.ndarray:
+    """exp(-iH) of H = generator(a), exponentiated at a padded cutoff and
+    cropped, so the retained columns are accurate even near the truncation edge.
     """
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     pad = padded_cutoff(cutoff)
-    a = lowering_operator(pad + 1)
-    full = _unitary_exp(1j * (alpha * a.conj().T - np.conj(alpha) * a))
+    full = _unitary_exp(generator(lowering_operator(pad + 1)))
     mat = full[: cutoff + 1, : cutoff + 1]
-    _warn_if_inaccurate(mat, full, "displacement_matrix", abs(alpha), cutoff)
-    return mat
-
-
-def squeeze_matrix(r: complex, cutoff: int) -> np.ndarray:
-    """Truncated squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]."""
-    if not np.isfinite(r):
-        raise ValueError("r must be finite")
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    pad = padded_cutoff(cutoff)
-    a = lowering_operator(pad + 1)
-    a2 = a @ a
-    full = _unitary_exp(0.5j * (np.conj(r) * a2 - r * a2.conj().T))
-    mat = full[: cutoff + 1, : cutoff + 1]
-    _warn_if_inaccurate(mat, full, "squeeze_matrix", abs(r), cutoff)
-    return mat
-
-
-def _warn_if_inaccurate(cropped, full, name, scale, cutoff):
     # Columns near the truncation edge always lose norm in the crop; what
     # signals a genuinely insufficient cutoff is weight of the vacuum column
     # escaping above it, or a non-unitary padded exponential.
-    dim = full.shape[0]
-    defect = np.max(np.abs(full.conj().T @ full - np.eye(dim)))
-    vac_loss = 1.0 - np.sum(np.abs(cropped[:, 0]) ** 2)
+    defect = np.max(np.abs(full.conj().T @ full - np.eye(pad + 1)))
+    vac_loss = 1.0 - np.sum(np.abs(mat[:, 0]) ** 2)
     if defect > 1e-8 or vac_loss > 1e-6:
         warnings.warn(
             f"{name}: cutoff {cutoff} may be too small for argument magnitude "
             f"{scale:.3g} (unitarity defect {defect:.2e}, vacuum-column loss {vac_loss:.2e})",
             stacklevel=3,
         )
+    return mat
+
+
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
+    """Truncated displacement operator D(alpha) = exp(alpha a^dag - alpha* a)."""
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    return _padded_unitary(
+        lambda a: 1j * (alpha * a.conj().T - np.conj(alpha) * a),
+        cutoff, "displacement_matrix", abs(alpha),
+    )
+
+
+def squeeze_matrix(r: complex, cutoff: int) -> np.ndarray:
+    """Truncated squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]."""
+    if not np.isfinite(r):
+        raise ValueError("r must be finite")
+
+    def generator(a):
+        a2 = a @ a
+        return 0.5j * (np.conj(r) * a2 - r * a2.conj().T)
+
+    return _padded_unitary(generator, cutoff, "squeeze_matrix", abs(r))
 
 
 def thermal_state(nbar: float, cutoff: int) -> ModeState:
@@ -216,8 +208,7 @@ def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState
     sq = squeeze_matrix(r, pad)
     unitary = disp @ sq
     rho = unitary @ thermal_state(nbar, pad).entries @ unitary.conj().T
-    padded = ModeState(pad, 0.5 * (rho + rho.conj().T))
-    lossy = loss_channel(padded, model.efficiency)
+    lossy = loss_channel(ModeState(pad, rho), model.efficiency)
     cropped = lossy.entries[: cutoff + 1, : cutoff + 1]
     return ModeState(cutoff, cropped)
 

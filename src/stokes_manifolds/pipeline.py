@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -22,12 +23,7 @@ import numpy as np
 
 from .fock import NoiseModel, synthesize_mode
 from .multipole import aggregate_weights, multipoles_algebraic
-from .polar import (
-    PolarizationSector,
-    dump_sector,
-    parse_manifolds,
-    photon_number_distribution,
-)
+from .polar import PolarizationSector, dump_sector, parse_manifolds
 from .render import render_foliation, render_heatmap, write_ppm
 from .sphere import build_quadrature_grid, husimi_total
 from .stokes import (
@@ -74,31 +70,33 @@ class RunConfig:
     s_report_max: float | None = None  # default min(cutoff) / 2
     out_dir: str = "out"
     emit: tuple = EMIT_CHOICES
-    allow_complex_alpha: bool = False
+    allow_complex_alpha: bool = False  # admits negative real alphas; complex ones are refused
     raster_shape: tuple = (64, 128)
 
     def __post_init__(self):
         if not self.alphas:
             raise ConfigError("alphas must be non-empty")
         for a in self.alphas:
-            if not np.isfinite(a):
-                raise ConfigError(f"alpha {a!r} is not finite")
-            if not self.allow_complex_alpha:
-                if complex(a).imag != 0.0 or complex(a).real < 0.0:
-                    raise ConfigError(
-                        f"alpha {a!r} must be real and non-negative "
-                        "(set allow_complex_alpha to lift this)"
-                    )
+            if not isinstance(a, numbers.Real) or not math.isfinite(a):
+                raise ConfigError(f"alpha {a!r} is not a finite real number")
+            if a < 0 and not self.allow_complex_alpha:
+                raise ConfigError(
+                    f"alpha {a!r} must be non-negative "
+                    "(set allow_complex_alpha to allow negative amplitudes)"
+                )
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigError("efficiency must lie in [0, 1]")
         if self.squeezing_db < 0 or self.antisqueezing_db < self.squeezing_db:
             raise ConfigError(
                 "need 0 <= squeezing_db <= antisqueezing_db for a physical noise model"
             )
-        if self.cutoff_h < 1 or self.cutoff_v < 1:
-            raise ConfigError("cutoffs must be at least 1")
-        if self.grid_l is not None and self.grid_l < 0:
-            raise ConfigError("grid_l must be non-negative")
+        if not all(isinstance(n, int) and n >= 1 for n in (self.cutoff_h, self.cutoff_v)):
+            raise ConfigError(
+                f"cutoff_h and cutoff_v must be integers of at least 1, "
+                f"got {self.cutoff_h!r}, {self.cutoff_v!r}"
+            )
+        if self.grid_l is not None and not (isinstance(self.grid_l, int) and self.grid_l >= 0):
+            raise ConfigError(f"grid_l must be a non-negative integer, got {self.grid_l!r}")
         if self.s_report_max is not None and self.s_report_max < 0.5:
             raise ConfigError("s_report_max must be at least 1/2")
         unknown = set(self.emit) - set(EMIT_CHOICES)
@@ -171,13 +169,13 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 @dataclass(frozen=True)
 class AlphaResult:
-    """Everything computed for one coherent amplitude."""
+    """Everything computed for one coherent amplitude.  `sector` holds only the
+    manifolds up to S_report_max; the total is taken over every manifold."""
 
     alpha: float
     sector: PolarizationSector
     manifold_summaries: tuple
     total: StokesSummary
-    photon_distribution: tuple
     manifold_multipoles: tuple  # (spin, weights array) pairs
     aggregated_weights: np.ndarray
     analytic_estimate: float
@@ -219,54 +217,54 @@ def _dedupe(alphas):
 def run_sweep(config: RunConfig) -> RunReport:
     """Synthesize, parse, and analyze the state at every requested amplitude."""
     _check_cutoffs(config)
-    alphas = _dedupe(config.alphas)
     efficiency = config.efficiency if config.apply_loss else 1.0
     model = NoiseModel(config.squeezing_db, config.antisqueezing_db, efficiency)
-    s_max = config.resolved_s_report_max
     rho_v = synthesize_mode(model, 0.0, config.cutoff_v)
     results = []
-    for alpha in alphas:
-        rho_h = synthesize_mode(model, alpha, config.cutoff_h)
-        deficit = 1.0 - rho_h.trace * rho_v.trace
-        if deficit > TRACE_DEFICIT_WARN:
-            warnings.warn(
-                f"cutoffs ({config.cutoff_h}, {config.cutoff_v}) lose {deficit:.3g} "
-                f"of the trace at alpha={alpha}, above {TRACE_DEFICIT_WARN:g}; "
-                "a larger cutoff is recommended",
-                stacklevel=2,
-            )
-        sector = parse_manifolds(rho_h, rho_v)
-        reported = sector.reported(s_max)
-        try:
-            # the total uses every parsed manifold; s_max only limits reports
-            total = total_stokes_summary(sector)
-            spectra = [multipoles_algebraic(block).weights for block in reported]
-        except ValueError as exc:
-            raise NumericalGuardError(str(exc)) from exc
-        summaries = []
-        multis = []
-        terms = []
-        for block, weights in zip(reported, spectra):
-            terms.append((block.weight, weights))
-            if block.spin == 0:
-                continue
-            summaries.append(manifold_stokes_summary(block))
-            multis.append((block.spin, weights))
-        analytic = quadrature_estimate_xi2(abs(complex(alpha)), model.squeeze_parameter)
-        results.append(
-            AlphaResult(
-                alpha=float(abs(complex(alpha))) if not config.allow_complex_alpha else alpha,
-                sector=sector,
-                manifold_summaries=tuple(summaries),
-                total=total,
-                photon_distribution=tuple(photon_number_distribution(sector)),
-                manifold_multipoles=tuple(multis),
-                aggregated_weights=aggregate_weights(terms),
-                analytic_estimate=analytic,
-                trace_deficit=deficit,
-            )
-        )
+    for alpha in _dedupe(config.alphas):
+        results.append(_analyze_alpha(config, model, rho_v, alpha))
     return RunReport(config=config, results=tuple(results), grid_l=config.resolved_grid_l)
+
+
+def _analyze_alpha(config: RunConfig, model: NoiseModel, rho_v, alpha) -> AlphaResult:
+    """One amplitude of the sweep; its full sector is released on return."""
+    s_max = config.resolved_s_report_max
+    rho_h = synthesize_mode(model, alpha, config.cutoff_h)
+    deficit = 1.0 - rho_h.trace * rho_v.trace
+    if deficit > TRACE_DEFICIT_WARN:
+        warnings.warn(
+            f"cutoffs ({config.cutoff_h}, {config.cutoff_v}) lose {deficit:.3g} "
+            f"of the trace at alpha={alpha}, above {TRACE_DEFICIT_WARN:g}; "
+            "a larger cutoff is recommended",
+            stacklevel=3,
+        )
+    sector = parse_manifolds(rho_h, rho_v)
+    reported = sector.reported(s_max)
+    try:
+        # the total uses every parsed manifold; s_max only limits reports
+        total = total_stokes_summary(sector)
+        spectra = [multipoles_algebraic(block).weights for block in reported]
+    except ValueError as exc:
+        raise NumericalGuardError(str(exc)) from exc
+    summaries = []
+    multis = []
+    terms = []
+    for block, weights in zip(reported, spectra):
+        terms.append((block.weight, weights))
+        if block.spin == 0:
+            continue
+        summaries.append(manifold_stokes_summary(block))
+        multis.append((block.spin, weights))
+    return AlphaResult(
+        alpha=float(alpha),
+        sector=sector.restricted(s_max),
+        manifold_summaries=tuple(summaries),
+        total=total,
+        manifold_multipoles=tuple(multis),
+        aggregated_weights=aggregate_weights(terms),
+        analytic_estimate=quadrature_estimate_xi2(abs(alpha), model.squeeze_parameter),
+        trace_deficit=deficit,
+    )
 
 
 def _fmt(x) -> str:
@@ -328,10 +326,9 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
 
     if "photon_csv" in emit:
         rows = [
-            (res.alpha, n, p)
+            (res.alpha, b.photon_number, b.weight)
             for res in report.results
-            for n, p in res.photon_distribution
-            if n <= 2 * s_max
+            for b in res.sector.blocks
         ]
         path = outdir / "fig3b.csv"
         _write_csv(path, ["alpha", "N", "P_N"], rows)
@@ -381,14 +378,14 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
                     write_ppm(render_heatmap(q, axis, config.raster_shape), path)
                     written.append(path)
                 path = outdir / f"foliation_{tag}_view_z.ppm"
-                write_ppm(render_foliation(q, "z"), path)
+                write_ppm(render_foliation(q), path)
                 written.append(path)
             del q  # release this alpha's manifold maps before the next are built
 
     if "sector_json" in emit:
         for i, res in enumerate(report.results):
             path = outdir / f"sector_alpha{i}.json"
-            dump_sector(res.sector.restricted(s_max), path)
+            dump_sector(res.sector, path)
             written.append(path)
 
     manifest = {

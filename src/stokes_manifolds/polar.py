@@ -97,8 +97,7 @@ class PolarizationSector:
         )
 
 
-def parse_manifolds(rho_h: ModeState, rho_v: ModeState,
-                    weight_floor: float = WEIGHT_FLOOR) -> PolarizationSector:
+def parse_manifolds(rho_h: ModeState, rho_v: ModeState) -> PolarizationSector:
     """Extract the block-diagonal polarization sector of the product state
     rho_H (x) rho_V.
 
@@ -121,7 +120,7 @@ def parse_manifolds(rho_h: ModeState, rho_v: ModeState,
         block[np.ix_(pos, pos)] = rho_h.entries[np.ix_(h, h)] * rho_v.entries[np.ix_(v, v)]
         weight = float(np.real(np.trace(block)))
         truncated = not valid.all()
-        if weight > weight_floor:
+        if weight > WEIGHT_FLOOR:
             blocks.append(
                 ManifoldBlock(n_total / 2.0, weight, block / weight, truncated=truncated)
             )
@@ -134,32 +133,21 @@ def parse_manifolds(rho_h: ModeState, rho_v: ModeState,
     return PolarizationSector(tuple(blocks))
 
 
-def photon_number_distribution(sector: PolarizationSector) -> list[tuple[int, float]]:
-    """Pairs (N, P_N) over all parsed manifolds."""
-    return [(b.photon_number, b.weight) for b in sector.blocks]
-
-
-def sector_to_json_dict(sector: PolarizationSector) -> dict:
-    """JSON-ready dump: per manifold S, the weight and the block as nested
-    [re, im] pairs in m-descending order."""
-    manifolds = []
-    for b in sector.blocks:
-        manifolds.append(
-            {
-                "S": b.spin,
-                "N": b.photon_number,
-                "P": b.weight,
-                "truncated": b.truncated,
-                "negligible": b.negligible,
-                "block": [
-                    [[float(z.real), float(z.imag)] for z in row] for row in b.block
-                ],
-            }
-        )
-    return {"captured": sector.captured, "manifolds": manifolds}
-
-
 def dump_sector(sector: PolarizationSector, path) -> None:
+    """JSON dump: per manifold S, the weight and the block as nested [re, im]
+    pairs in m-descending order."""
+    manifolds = [
+        {
+            "S": b.spin,
+            "N": b.photon_number,
+            "P": b.weight,
+            "truncated": b.truncated,
+            "negligible": b.negligible,
+            "block": [[[float(z.real), float(z.imag)] for z in row] for row in b.block],
+        }
+        for b in sector.blocks
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sector_to_json_dict(sector), fh, indent=1, sort_keys=True)
+        json.dump({"captured": sector.captured, "manifolds": manifolds}, fh,
+                  indent=1, sort_keys=True)
         fh.write("\n")

@@ -130,17 +130,15 @@ def _axis_view_angles(axis: str, u, v):
     return theta, phi, visible
 
 
-def render_foliation(q: QFunction, axis: str = "z", side: int = 256) -> np.ndarray:
-    """Concentric-ring composite of the manifold Q functions in an axis view.
+def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
+    """Concentric-ring composite of the manifold Q functions, viewed along z.
 
     `q` is a total Q function; each of its manifold parts with S > 0 occupies
     an annulus at radius proportional to sqrt(S(S+1)); a pixel at planar
-    angle psi samples the manifold Q on the silhouette great circle
-    perpendicular to the view axis.  Each ring is normalized to its own
-    maximum, so faint manifolds remain visible.
+    angle psi samples the manifold Q at azimuth psi on the equator, the
+    silhouette great circle of the z view.  Each ring is normalized to its
+    own maximum, so faint manifolds remain visible.
     """
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"unknown axis {axis!r}")
     parts = [p for p in q.parts if p.spin > 0]
     image = np.empty((side, side, 3), dtype=np.uint8)
     image[:] = BACKGROUND
@@ -148,9 +146,7 @@ def render_foliation(q: QFunction, axis: str = "z", side: int = 256) -> np.ndarr
         return image
     radii = np.array([math.sqrt(p.spin * (p.spin + 1.0)) for p in parts])
     radii = radii / radii.max()
-    half_width = 0.45 * min(
-        np.min(np.diff(np.concatenate(([0.0], radii)))) if len(radii) else 1.0, 1.0
-    )
+    half_width = 0.45 * np.min(np.diff(radii, prepend=0.0))
     u, v = _pixel_plane(side)
     rho = np.sqrt(u * u + v * v)
     psi = np.mod(np.arctan2(v, u), 2.0 * math.pi)
@@ -158,26 +154,10 @@ def render_foliation(q: QFunction, axis: str = "z", side: int = 256) -> np.ndarr
         ring = np.abs(rho - r) <= half_width
         if not ring.any():
             continue
-        theta, phi = _silhouette_angles(axis, psi[ring])
-        vals = _nearest_node_sampler(part)(theta, phi)
+        phi = psi[ring]
+        vals = _nearest_node_sampler(part)(np.full_like(phi, 0.5 * math.pi), phi)
         image[ring] = apply_colormap(vals, vmax=float(vals.max()) or 1.0)
     return image
-
-
-def _silhouette_angles(axis: str, psi):
-    # the great circle perpendicular to the view axis, parameterized by the
-    # planar angle psi of the ring pixel
-    if axis == "z":
-        theta = np.full_like(psi, 0.5 * math.pi)
-        phi = psi
-    elif axis == "x":
-        # circle through y and z: direction (0, cos psi, sin psi)
-        theta = np.arccos(np.clip(np.sin(psi), -1.0, 1.0))
-        phi = np.mod(np.arctan2(np.cos(psi), 0.0), 2.0 * math.pi)
-    else:  # y: circle through z and x: direction (-cos psi, 0, sin psi)
-        theta = np.arccos(np.clip(np.sin(psi), -1.0, 1.0))
-        phi = np.mod(np.arctan2(0.0, -np.cos(psi)), 2.0 * math.pi)
-    return theta, phi
 
 
 def write_ppm(image: np.ndarray, path) -> None:

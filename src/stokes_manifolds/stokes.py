@@ -180,28 +180,3 @@ def quadrature_estimate_xi2(alpha: float, r: float) -> float:
         return 0.0
     return abs(alpha) ** 2 * math.exp(-r) / denom
 
-
-def gaussian_total_xi2(alpha: float, r: float) -> float:
-    """Exact total-state xi^2 of the pure model from Gaussian moments.
-
-    For rho = D_H(alpha) S_H(r)|0><0| x S_V(r)|0><0| (alpha real) the mean spin
-    points along z, Sx and Sy are uncorrelated, and their variances are
-    Var(Sx) = [alpha^2 e^{-2r} + sinh^2(2r)]/4 and Var(Sy) = alpha^2 e^{+2r}/4.
-    At alpha = 0 the mean vanishes and Var(Sz) equals Var(Sx), so in every case
-    the minimum is over these two branches; with <N> = alpha^2 + 2 sinh^2 r
-
-        xi^2 = min(alpha^2 e^{-2r} + sinh^2 2r, alpha^2 e^{2r}) / (alpha^2 + 2 sinh^2 r).
-
-    The branches cross at alpha^2 = sinh(2r)/2; xi^2 is 0 at alpha = 0 and
-    tends to e^{-2r} at large alpha.
-    """
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    a2 = float(alpha) ** 2
-    denom = a2 + 2.0 * math.sinh(r) ** 2
-    if denom == 0.0:
-        return math.nan
-    var_x = a2 * math.exp(-2.0 * r) + math.sinh(2.0 * r) ** 2
-    var_y = a2 * math.exp(2.0 * r)
-    return min(var_x, var_y) / denom
-

@@ -3,7 +3,8 @@
 The package computes each spin-S quantity along block diagonals; these are the
 textbook forms it replaced: dense spin matrices and SU(2) rotations, the Racah
 closed-form Clebsch-Gordan sum, and the pure-loss channel as dense Kraus
-products.
+products.  Closed forms that only the tests evaluate live here too: the mean
+photon number of one mode and the total-state xi^2 of the pure Gaussian model.
 """
 
 import math
@@ -27,6 +28,37 @@ def default_ladder_blocks(cutoff):
         for block in parse_manifolds(synthesize_mode(model, alpha, cutoff), rho_v)
         .reported(cutoff / 2.0)
     )
+
+
+def mean_photon_number(state):
+    """<n> = sum_n n rho_nn of a single-mode state."""
+    n = np.arange(state.cutoff + 1)
+    return float(np.real(np.sum(n * np.diag(state.entries))))
+
+
+def gaussian_total_xi2(alpha, r):
+    """Exact total-state xi^2 of the pure model from Gaussian moments.
+
+    For rho = D_H(alpha) S_H(r)|0><0| x S_V(r)|0><0| (alpha real) the mean spin
+    points along z, Sx and Sy are uncorrelated, and their variances are
+    Var(Sx) = [alpha^2 e^{-2r} + sinh^2(2r)]/4 and Var(Sy) = alpha^2 e^{+2r}/4.
+    At alpha = 0 the mean vanishes and Var(Sz) equals Var(Sx), so in every case
+    the minimum is over these two branches; with <N> = alpha^2 + 2 sinh^2 r
+
+        xi^2 = min(alpha^2 e^{-2r} + sinh^2 2r, alpha^2 e^{2r}) / (alpha^2 + 2 sinh^2 r).
+
+    The branches cross at alpha^2 = sinh(2r)/2; xi^2 is 0 at alpha = 0 and
+    tends to e^{-2r} at large alpha.
+    """
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    a2 = float(alpha) ** 2
+    denom = a2 + 2.0 * math.sinh(r) ** 2
+    if denom == 0.0:
+        return math.nan
+    var_x = a2 * math.exp(-2.0 * r) + math.sinh(2.0 * r) ** 2
+    var_y = a2 * math.exp(2.0 * r)
+    return min(var_x, var_y) / denom
 
 
 # -- spin matrices ------------------------------------------------------------

@@ -40,12 +40,11 @@ from stokes_manifolds.sphere import FOUR_PI, build_quadrature_grid, husimi_manif
 from stokes_manifolds.stokes import (
     MODE_FULL,
     MODE_PERP,
-    gaussian_total_xi2,
     manifold_stokes_summary,
     quadrature_estimate_xi2,
 )
 
-from oracles import rotation_matrix
+from oracles import gaussian_total_xi2, rotation_matrix
 
 R_REFERENCE = 0.41
 PURE_DB = 20.0 * R_REFERENCE / math.log(10.0)  # squeezing level giving r = 0.41 exactly

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +21,8 @@ import pytest
 import stokes_manifolds
 from stokes_manifolds import cli, multipole, pipeline, render, sphere
 from stokes_manifolds.cli import main
+from stokes_manifolds.fock import NoiseModel, synthesize_mode
+from stokes_manifolds.polar import parse_manifolds
 from stokes_manifolds.pipeline import (
     DEFAULT_ALPHAS,
     EMIT_CHOICES,
@@ -78,6 +83,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("allow", [False, True])
+    @pytest.mark.parametrize("alpha", [1 + 1j, 1 + 0j, "1.0"])
+    def test_non_real_alpha_refused(self, alpha, allow):
+        with pytest.raises(ConfigError, match="real"):
+            RunConfig(alphas=(alpha,), allow_complex_alpha=allow)
+
+    def test_negative_alpha_needs_flag(self):
+        with pytest.raises(ConfigError, match="allow_complex_alpha"):
+            RunConfig(alphas=(-1.13,))
+        config = RunConfig(alphas=(-1.13, 0.0), allow_complex_alpha=True,
+                           **{k: v for k, v in FAST.items() if k != "alphas"})
+        assert config.echo()["alphas"] == [-1.13, 0.0]
+        report = run_sweep(config)
+        assert [type(r.alpha) for r in report.results] == [float, float]
+        assert [r.alpha for r in report.results] == [-1.13, 0.0]
+
 
 class TestSweep:
     def test_dedupe_warns(self):
@@ -103,16 +124,33 @@ class TestSweep:
             run_sweep(RunConfig())
 
     def test_pure_alpha0_odd_manifolds_negligible(self):
-        config = RunConfig(
-            alphas=(0.0,), squeezing_db=3.6, antisqueezing_db=3.6,
-            efficiency=1.0, cutoff_h=16, cutoff_v=16, s_report_max=6.0,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = run_sweep(config)
-        for n, p in report.results[0].photon_distribution:
-            if n % 2 == 1:
-                assert p < 1e-12
+        # every N, not only the report range a sweep keeps
+        rho = synthesize_mode(NoiseModel(3.6, 3.6, 1.0), 0.0, 16)
+        sector = parse_manifolds(rho, rho)
+        assert len(sector.blocks) == 33
+        for b in sector.blocks:
+            if b.photon_number % 2 == 1:
+                assert b.weight < 1e-12
+
+    def test_full_sector_released_before_next_amplitude(self, monkeypatch):
+        parsed = []
+
+        def parse(*args, _original=pipeline.parse_manifolds):
+            assert all(ref() is None for ref in parsed)
+            sector = _original(*args)
+            parsed.append(weakref.ref(sector))
+            return sector
+
+        monkeypatch.setattr(pipeline, "parse_manifolds", parse)
+        run_sweep(RunConfig(**FAST))
+        assert len(parsed) == len(FAST["alphas"])
+
+    @pytest.mark.parametrize("s_max", [5.0, 5.3, 0.5])
+    def test_results_keep_only_report_range(self, s_max):
+        config = RunConfig(**{**FAST, "s_report_max": s_max, "emit": ()})
+        for res in run_sweep(config).results:
+            numbers = [b.photon_number for b in res.sector.blocks]
+            assert numbers == list(range(int(2 * s_max) + 1))
 
     def test_report_fields_finite(self):
         report = run_sweep(RunConfig(**FAST))
@@ -153,6 +191,26 @@ def _record_calls(monkeypatch, name, modules):
     return calls
 
 
+def _src_bindings(name):
+    """Where `name` is bound in the package: as a module global, or as an
+    attribute, dataclass field or parameter of a class or function that a
+    module defines."""
+    found = []
+    for info in pkgutil.iter_modules(stokes_manifolds.__path__):
+        module = importlib.import_module(f"stokes_manifolds.{info.name}")
+        owners = [module, *(obj for obj in vars(module).values()
+                            if getattr(obj, "__module__", None) == module.__name__)]
+        for owner in owners:
+            names = set(dir(owner))
+            if dataclasses.is_dataclass(owner):
+                names.update(f.name for f in dataclasses.fields(owner))
+            if inspect.isfunction(owner):
+                names.update(inspect.signature(owner).parameters)
+            if name in names:
+                found.append(f"{module.__name__}:{getattr(owner, '__name__', owner)}")
+    return found
+
+
 def _reported_block_ids(report):
     s_max = report.config.resolved_s_report_max
     return Counter(id(b) for res in report.results for b in res.sector.reported(s_max))
@@ -173,9 +231,18 @@ class TestComputedOnce:
         multipole.cg_table.cache_clear()
         run_sweep(RunConfig(**FAST))
         assert multipole.cg_table.cache_info().currsize > 0
-        for info in pkgutil.iter_modules(stokes_manifolds.__path__):
-            module = importlib.import_module(f"stokes_manifolds.{info.name}")
-            assert not hasattr(module, "clebsch_gordan"), info.name
+        assert _src_bindings("clebsch_gordan") == []
+
+    @pytest.mark.parametrize("name", [
+        # kept only as test oracles, in tests/oracles.py
+        "gaussian_total_xi2", "mean_photon_number",
+        # P_N is read off the retained sector's blocks
+        "photon_number_distribution", "photon_distribution",
+        # folded into dump_sector, parse_manifolds and render_foliation
+        "sector_to_json_dict", "weight_floor", "_silhouette_angles",
+    ])
+    def test_removed_names_stay_unbound(self, name):
+        assert _src_bindings(name) == []
 
     def test_manifold_q_once_per_reported_block(self, monkeypatch, tmp_path):
         report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
@@ -239,8 +306,9 @@ class TestEmission:
             total = sum(
                 float(r["P_N"]) for r in rows if float(r["alpha"]) == res.alpha
             )
-            want = sum(p for n, p in res.photon_distribution if n <= 10)
+            want = sum(b.weight for b in res.sector.blocks)
             assert abs(total - want) < 1e-9
+        assert max(int(r["N"]) for r in rows) == 10
 
     def test_sector_json_loads(self, emitted):
         outdir, _, _ = emitted
@@ -313,6 +381,21 @@ class TestCli:
         code = main(["run", "--eta", "2.0", "--out", str(tmp_path)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"cutoff_h": 12.5, "cutoff_v": 12.5}, "cutoff"),
+        ({"cutoff_v": "24"}, "cutoff"),
+        ({"cutoff_h": 24.0}, "cutoff"),
+        ({"grid_l": 48.5}, "grid_l"),
+    ])
+    def test_non_integer_size_exit(self, tmp_path, capsys, doc, key):
+        out = tmp_path / "out"
+        code = main(["run", "--config", _write(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("shape", [[64], [0, 5], [-3, 5], [2.5, 4]])
     def test_bad_raster_shape_exit(self, tmp_path, capsys, shape):

@@ -5,12 +5,7 @@ import pytest
 
 from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
-from stokes_manifolds.polar import (
-    ManifoldBlock,
-    parse_manifolds,
-    photon_number_distribution,
-    sector_to_json_dict,
-)
+from stokes_manifolds.polar import ManifoldBlock, dump_sector, parse_manifolds
 
 
 def number_state(n, cutoff):
@@ -75,9 +70,11 @@ class TestParsing:
             assert np.array_equal(b.block, want if b.negligible else want / weight)
 
     def test_weights_sum_to_trace(self):
-        sector = default_sector()
-        state_trace = sum(w for _, w in photon_number_distribution(sector))
-        assert abs(state_trace - sector.captured) < 1e-14
+        model = NoiseModel(3.6, 4.4, 0.85)
+        rho_h = synthesize_mode(model, 1.13, 12)
+        rho_v = synthesize_mode(model, 0.0, 12)
+        sector = parse_manifolds(rho_h, rho_v)
+        assert abs(rho_h.trace * rho_v.trace - sector.captured) < 1e-14
         assert sector.captured <= 1.0 + 1e-12
 
     def test_blocks_unit_trace(self):
@@ -118,9 +115,9 @@ class TestBlockValidation:
 class TestJsonDump:
     def test_roundtrip_structure(self, tmp_path):
         sector = default_sector(cutoff=4)
-        doc = sector_to_json_dict(sector)
-        text = json.dumps(doc)
-        loaded = json.loads(text)
+        path = tmp_path / "sector.json"
+        dump_sector(sector, path)
+        loaded = json.loads(path.read_text())
         assert abs(loaded["captured"] - sector.captured) < 1e-15
         m = loaded["manifolds"][2]
         assert m["N"] == 2

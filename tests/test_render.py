@@ -82,7 +82,7 @@ class TestFoliation:
             )
         sector = PolarizationSector(tuple(blocks))
         grid = build_quadrature_grid(8)
-        img = render_foliation(husimi_total(sector, grid), "z", side=128)
+        img = render_foliation(husimi_total(sector, grid), side=128)
         assert img.shape == (128, 128, 3)
         # center stays background (S = 0 carries no ring), rings are colored
         assert tuple(img[64, 64]) == (0, 0, 0)

@@ -12,13 +12,18 @@ from stokes_manifolds.stokes import (
     MODE_PERP,
     MODE_UNDEFINED,
     _moments,
-    gaussian_total_xi2,
     manifold_stokes_summary,
     quadrature_estimate_xi2,
     total_stokes_summary,
 )
 
-from oracles import default_ladder_blocks, dense_moments, rotation_matrix, spin_matrices
+from oracles import (
+    default_ladder_blocks,
+    dense_moments,
+    gaussian_total_xi2,
+    rotation_matrix,
+    spin_matrices,
+)
 
 
 def random_block(spin, rng):
