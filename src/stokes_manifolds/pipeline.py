@@ -84,6 +84,10 @@ class RunConfig:
                     f"alpha {a!r} must be non-negative "
                     "(set allow_complex_alpha to allow negative amplitudes)"
                 )
+        for name in ("squeezing_db", "antisqueezing_db", "s_report_max"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} {value!r} is not a finite real number")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigError("efficiency must lie in [0, 1]")
         if self.squeezing_db < 0 or self.antisqueezing_db < self.squeezing_db:
@@ -281,13 +285,26 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_float_csv(path: Path, header, table: np.ndarray):
-    """A float table as `_write_csv` would print it: `%.12g` fields joined by
-    commas and \r\n line ends, formatted in one pass over the whole array."""
-    row = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
+def _q_csv_rows(grid) -> list[str]:
+    """Per theta row of the grid, the lines `theta,phi,weight,%.12g\r\n` with
+    the grid fields printed as `_write_csv` prints them.  The weights are
+    constant along a theta row, so only n_theta + n_phi grid values are
+    formatted."""
+    theta = ["%.12g" % x for x in grid.theta.tolist()]
+    weight = ["%.12g" % x for x in grid.weights[:, 0].tolist()]
+    phi = [",%.12g," % x for x in grid.phi.tolist()]
+    return [
+        "".join([th + p + w + ",%.12g\r\n" for p in phi])
+        for th, w in zip(theta, weight)
+    ]
+
+
+def _write_q_csv(path: Path, rows: list[str], values: np.ndarray):
+    """A Q table: the grid lines of `_q_csv_rows` filled in with the values,
+    one theta row at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+        fh.write("theta,phi,weight,value\r\n")
+        fh.writelines(row % tuple(v.tolist()) for row, v in zip(rows, values))
 
 
 def _sha256(path: Path) -> str:
@@ -361,13 +378,13 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
     need_grid = emit & {"q_csv", "heatmaps"}
     if need_grid:
         grid = build_quadrature_grid(report.grid_l)
+        q_rows = _q_csv_rows(grid) if "q_csv" in emit else None
         for i, res in enumerate(report.results):
             q = husimi_total(res.sector, grid, s_max)
             tag = f"alpha{i}"
             if "q_csv" in emit:
-                table = np.stack([*grid.mesh(), grid.weights, q.values], axis=-1)
                 path = outdir / f"q_total_{tag}.csv"
-                _write_float_csv(path, ["theta", "phi", "weight", "value"], table.reshape(-1, 4))
+                _write_q_csv(path, q_rows, q.values)
                 written.append(path)
             if "heatmaps" in emit:
                 path = outdir / f"q_total_{tag}_equirect.ppm"

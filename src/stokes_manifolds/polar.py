@@ -133,21 +133,38 @@ def parse_manifolds(rho_h: ModeState, rho_v: ModeState) -> PolarizationSector:
     return PolarizationSector(tuple(blocks))
 
 
+def _block_template(dim: int) -> str:
+    """The text json.dump(indent=1) prints for a dim x dim block of [re, im]
+    pairs at the depth of a manifold's "block" value, with a %s per number."""
+    pair = "[\n      %s,\n      %s\n     ]"
+    row = "[\n     " + ",\n     ".join([pair] * dim) + "\n    ]"
+    return "[\n    " + ",\n    ".join([row] * dim) + "\n   ]"
+
+
 def dump_sector(sector: PolarizationSector, path) -> None:
     """JSON dump: per manifold S, the weight and the block as nested [re, im]
-    pairs in m-descending order."""
-    manifolds = [
-        {
-            "S": b.spin,
-            "N": b.photon_number,
-            "P": b.weight,
-            "truncated": b.truncated,
-            "negligible": b.negligible,
-            "block": [[[float(z.real), float(z.imag)] for z in row] for row in b.block],
-        }
-        for b in sector.blocks
-    ]
+    pairs in m-descending order.
+
+    The text is what json.dump(..., indent=1, sort_keys=True) prints, built from
+    a template per block size: finite numbers print as float repr, which is what
+    json prints, and json.dumps spells the scalar fields and the entries of any
+    block that holds NaN or an infinity.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"captured": sector.captured, "manifolds": manifolds}, fh,
-                  indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n "captured": %s,\n "manifolds": ' % json.dumps(sector.captured))
+        if not sector.blocks:
+            fh.write("[]\n}\n")
+            return
+        for i, b in enumerate(sector.blocks):
+            values = np.ascontiguousarray(b.block).view(float).ravel()
+            fields = tuple(values.tolist())
+            if not np.isfinite(values).all():
+                fields = tuple(map(json.dumps, fields))
+            fh.write(
+                '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'
+                '   "negligible": %s,\n   "truncated": %s\n  }'
+                % (",\n  " if i else "[\n  ", b.photon_number, json.dumps(b.weight),
+                   json.dumps(b.spin), _block_template(b.dim) % fields,
+                   json.dumps(b.negligible), json.dumps(b.truncated))
+            )
+        fh.write("\n ]\n}\n")

@@ -59,21 +59,26 @@ def apply_colormap(values: np.ndarray, vmin: float = 0.0, vmax: float | None = N
     return COLORMAP[idx]
 
 
+def _theta_index(theta_nodes: np.ndarray, theta) -> np.ndarray:
+    """Index of the grid's theta node nearest to each theta."""
+    ti = np.searchsorted(theta_nodes, theta)
+    ti = np.clip(ti, 1, len(theta_nodes) - 1)
+    left = theta_nodes[ti - 1]
+    right = theta_nodes[ti]
+    return np.where(theta - left < right - theta, ti - 1, ti)
+
+
+def _phi_index(n_phi: int, phi) -> np.ndarray:
+    """Index of the uniform phi node nearest to each phi, wrapping at 2 pi."""
+    dphi = 2.0 * math.pi / n_phi
+    return np.floor(np.mod(phi, 2.0 * math.pi) / dphi + 0.5).astype(np.intp) % n_phi
+
+
 def _nearest_node_sampler(q: QFunction):
     grid = q.grid
-    theta_nodes = grid.theta
-    phi_nodes = grid.phi
-    n_phi = grid.n_phi
-    dphi = 2.0 * math.pi / n_phi
 
     def sample(theta, phi):
-        ti = np.searchsorted(theta_nodes, theta)
-        ti = np.clip(ti, 1, len(theta_nodes) - 1)
-        left = theta_nodes[ti - 1]
-        right = theta_nodes[ti]
-        ti = np.where(theta - left < right - theta, ti - 1, ti)
-        pj = np.floor(np.mod(phi, 2.0 * math.pi) / dphi + 0.5).astype(np.intp) % n_phi
-        return q.values[ti, pj]
+        return q.values[_theta_index(grid.theta, theta), _phi_index(grid.n_phi, phi)]
 
     return sample
 
@@ -108,9 +113,14 @@ def render_heatmap(q: QFunction, projection: str = "equirectangular",
     raise ValueError(f"unknown projection {projection!r}")
 
 
+def _pixel_coords(side: int) -> np.ndarray:
+    """Pixel centres along one image axis, in (-1, 1)."""
+    return (np.arange(side) + 0.5) / side * 2.0 - 1.0
+
+
 def _pixel_plane(side: int):
     # image coordinates: row 0 at the top; u to the right, v upward
-    coords = (np.arange(side) + 0.5) / side * 2.0 - 1.0
+    coords = _pixel_coords(side)
     v, u = np.meshgrid(-coords, coords, indexing="ij")
     return u, v
 
@@ -130,6 +140,24 @@ def _axis_view_angles(axis: str, u, v):
     return theta, phi, visible
 
 
+def _ring_pixels(radii: np.ndarray, half_width: float, side: int):
+    """Flat indices of the pixels within half_width of a ring radius, and the
+    ring of each.  The rings are disjoint, so only the nearest ring is tested;
+    rho is _pixel_plane's sqrt(u*u + v*v), kept on a band around the rings
+    wide enough to hold every pixel the test accepts."""
+    coords = _pixel_coords(side)
+    square = coords * coords
+    rho = np.sqrt(np.add.outer(square, square)).ravel()
+    band = np.flatnonzero(
+        (rho >= radii[0] - 2.0 * half_width) & (rho <= radii[-1] + 2.0 * half_width)
+    )
+    rho = rho[band]
+    ring = np.searchsorted(0.5 * (radii[1:] + radii[:-1]), rho)
+    ring = ring.astype(np.min_scalar_type(len(radii)))
+    hit = np.flatnonzero(np.abs(rho - radii[ring]) <= half_width)
+    return band[hit], ring[hit]
+
+
 def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
     """Concentric-ring composite of the manifold Q functions, viewed along z.
 
@@ -138,6 +166,11 @@ def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
     angle psi samples the manifold Q at azimuth psi on the equator, the
     silhouette great circle of the z view.  Each ring is normalized to its
     own maximum, so faint manifolds remain visible.
+
+    The parts come in increasing spin order, so the rings are disjoint (half
+    width 0.45 of the smallest radius gap): each pixel is tested against its
+    nearest ring only, all rings are sampled in one gather, and the ring
+    maxima are taken over the equator nodes each ring hits.
     """
     parts = [p for p in q.parts if p.spin > 0]
     image = np.empty((side, side, 3), dtype=np.uint8)
@@ -147,16 +180,21 @@ def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
     radii = np.array([math.sqrt(p.spin * (p.spin + 1.0)) for p in parts])
     radii = radii / radii.max()
     half_width = 0.45 * np.min(np.diff(radii, prepend=0.0))
-    u, v = _pixel_plane(side)
-    rho = np.sqrt(u * u + v * v)
-    psi = np.mod(np.arctan2(v, u), 2.0 * math.pi)
-    for part, r in zip(parts, radii):
-        ring = np.abs(rho - r) <= half_width
-        if not ring.any():
-            continue
-        phi = psi[ring]
-        vals = _nearest_node_sampler(part)(np.full_like(phi, 0.5 * math.pi), phi)
-        image[ring] = apply_colormap(vals, vmax=float(vals.max()) or 1.0)
+    pixels, ring = _ring_pixels(radii, half_width, side)
+    coords = _pixel_coords(side)
+    psi = np.mod(np.arctan2(-coords[pixels // side], coords[pixels % side]), 2.0 * math.pi)
+    grid = q.grid
+    node = _phi_index(grid.n_phi, psi)
+    equator = np.stack([p.values[_theta_index(grid.theta, 0.5 * math.pi)] for p in parts])
+    vals = equator[ring, node]
+    seen = np.zeros(equator.shape, dtype=bool)
+    seen[ring, node] = True
+    vmax = np.where(seen, equator, -np.inf).max(axis=1)
+    # apply_colormap(vals, vmax=max or 1.0) per ring; a ring whose maximum is
+    # not positive has no positive sample, so a span of 1 maps it to index 0
+    span = np.where(vmax > 0.0, vmax, 1.0)
+    idx = np.clip(vals / span[ring] * 255.0, 0.0, 255.0).astype(np.intp)
+    image.reshape(-1, 3)[pixels] = COLORMAP[idx]
     return image
 
 

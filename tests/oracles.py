@@ -5,8 +5,12 @@ textbook forms it replaced: dense spin matrices and SU(2) rotations, the Racah
 closed-form Clebsch-Gordan sum, and the pure-loss channel as dense Kraus
 products.  Closed forms that only the tests evaluate live here too: the mean
 photon number of one mode and the total-state xi^2 of the pure Gaussian model.
+The writers the package replaced with faster ones are kept as the byte and
+pixel references: the sector dump through `json.dump` and the foliation drawn
+one ring at a time.
 """
 
+import json
 import math
 from functools import lru_cache
 
@@ -15,6 +19,12 @@ import numpy as np
 from stokes_manifolds.fock import NoiseModel, _unitary_exp, synthesize_mode
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import parse_manifolds
+from stokes_manifolds.render import (
+    BACKGROUND,
+    _nearest_node_sampler,
+    _pixel_plane,
+    apply_colormap,
+)
 
 
 @lru_cache(maxsize=None)
@@ -182,3 +192,48 @@ def dense_loss(rho, eta):
         kraus[n - k, n] = coeff
         out += kraus @ rho @ kraus.T
     return out
+
+
+# -- writers the package replaced -----------------------------------------------
+
+def json_dump_sector(sector, path):
+    """The sector dump as nested lists through json.dump(indent=1, sort_keys=True)."""
+    manifolds = [
+        {
+            "S": b.spin,
+            "N": b.photon_number,
+            "P": b.weight,
+            "truncated": b.truncated,
+            "negligible": b.negligible,
+            "block": [[[float(z.real), float(z.imag)] for z in row] for row in b.block],
+        }
+        for b in sector.blocks
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"captured": sector.captured, "manifolds": manifolds}, fh,
+                  indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def foliation_loop(q, side=256):
+    """The ring foliation drawn one ring at a time: a full-plane mask per ring,
+    the ring's equator samples, and apply_colormap at the ring's own maximum."""
+    parts = [p for p in q.parts if p.spin > 0]
+    image = np.empty((side, side, 3), dtype=np.uint8)
+    image[:] = BACKGROUND
+    if not parts:
+        return image
+    radii = np.array([math.sqrt(p.spin * (p.spin + 1.0)) for p in parts])
+    radii = radii / radii.max()
+    half_width = 0.45 * np.min(np.diff(radii, prepend=0.0))
+    u, v = _pixel_plane(side)
+    rho = np.sqrt(u * u + v * v)
+    psi = np.mod(np.arctan2(v, u), 2.0 * math.pi)
+    for part, r in zip(parts, radii):
+        ring = np.abs(rho - r) <= half_width
+        if not ring.any():
+            continue
+        phi = psi[ring]
+        vals = _nearest_node_sampler(part)(np.full_like(phi, 0.5 * math.pi), phi)
+        image[ring] = apply_colormap(vals, vmax=float(vals.max()) or 1.0)
+    return image

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import runpy
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -23,6 +25,7 @@ from stokes_manifolds import cli, multipole, pipeline, render, sphere
 from stokes_manifolds.cli import main
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
 from stokes_manifolds.polar import parse_manifolds
+from stokes_manifolds.sphere import SphereGrid, build_quadrature_grid, husimi_total
 from stokes_manifolds.pipeline import (
     DEFAULT_ALPHAS,
     EMIT_CHOICES,
@@ -338,20 +341,42 @@ class TestEmission:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_float_csv_bytes_match_csv_writer(self, tmp_path):
-        # the array writer must print what csv.writer over _fmt printed
+        # the Q-CSV writer must print what csv.writer over _fmt printed, grid
+        # fields and values alike
         values = [0.0, -0.0, 1e-300, 1.0, 0.1234567890125, 999999999999.5,
                   123456789012.0, 1234567890123.0, 1e-5, 1e-4, -2.5e17, math.pi,
                   math.inf, -math.inf, math.nan, 5e-324]
-        table = np.array(values + values[::-1]).reshape(-1, 4)
-        old = tmp_path / "csv_writer.csv"
-        with open(old, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "phi", "weight", "value"])
-            for row in table.tolist():
-                writer.writerow([pipeline._fmt(v) for v in row])
-        new = tmp_path / "array.csv"
-        pipeline._write_float_csv(new, ["theta", "phi", "weight", "value"], table)
-        assert new.read_bytes() == old.read_bytes()
+        grid = _grid_of(theta=values, phi=values[::-1][:8], row_weights=values[::-1])
+        q_values = np.array(values * 8).reshape(16, 8)
+        _assert_q_csv_matches_csv_writer(tmp_path, grid, [q_values])
+
+    def test_q_csv_shares_grid_lines_across_amplitudes(self, tmp_path):
+        grid = build_quadrature_grid(12)
+        rng = np.random.default_rng(5)
+        amplitudes = [rng.normal(size=(grid.n_theta, grid.n_phi)) for _ in range(2)]
+        _assert_q_csv_matches_csv_writer(tmp_path, grid, amplitudes)
+
+    def test_q_csv_on_emitted_grid(self, emitted):
+        # the emitted table against csv.writer over the full node mesh
+        outdir, report, _ = emitted
+        grid = build_quadrature_grid(report.grid_l)
+        q = husimi_total(report.results[1].sector, grid, report.config.resolved_s_report_max)
+        rows = np.stack([*grid.mesh(), grid.weights, q.values], axis=-1).reshape(-1, 4)
+        want = _csv_writer_text(["theta", "phi", "weight", "value"], rows.tolist())
+        assert (outdir / "q_total_alpha1.csv").read_bytes() == want
+
+    def test_q_csv_peak_memory(self, tmp_path):
+        # the writer it replaced (the whole table as one float array, printed
+        # with one row template) peaked at 4.9 MB for one L 96 table
+        grid = build_quadrature_grid(96)
+        values = np.random.default_rng(7).random((grid.n_theta, grid.n_phi))
+        tracemalloc.start()
+        try:
+            pipeline._write_q_csv(tmp_path / "q.csv", pipeline._q_csv_rows(grid), values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.9e6, peak
 
     def test_determinism(self, tmp_path):
         config = RunConfig(**FAST)
@@ -366,6 +391,32 @@ class TestEmission:
         assert files_a == files_b
         for name in files_a:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def _grid_of(theta, phi, row_weights):
+    """A SphereGrid with the given nodes and a weight per theta row."""
+    theta, phi, w = (np.array(x, dtype=float) for x in (theta, phi, row_weights))
+    return SphereGrid(theta, phi, np.repeat(w[:, None], len(phi), axis=1), exactness=0)
+
+
+def _csv_writer_text(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([pipeline._fmt(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _assert_q_csv_matches_csv_writer(tmp_path, grid, amplitudes):
+    lines = pipeline._q_csv_rows(grid)
+    for i, values in enumerate(amplitudes):
+        path = tmp_path / f"q{i}.csv"
+        pipeline._write_q_csv(path, lines, values)
+        rows = [(th, ph, grid.weights[a, b], values[a, b])
+                for a, th in enumerate(grid.theta.tolist())
+                for b, ph in enumerate(grid.phi.tolist())]
+        assert path.read_bytes() == _csv_writer_text(["theta", "phi", "weight", "value"], rows)
 
 
 class TestCli:
@@ -389,6 +440,18 @@ class TestCli:
         ({"grid_l": 48.5}, "grid_l"),
     ])
     def test_non_integer_size_exit(self, tmp_path, capsys, doc, key):
+        out = tmp_path / "out"
+        code = main(["run", "--config", _write(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["squeezing_db", "antisqueezing_db", "s_report_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_exit(self, tmp_path, capsys, key, value):
+        doc = {"cutoff_h": 8, "cutoff_v": 8, "alphas": [1.0], key: value}
         out = tmp_path / "out"
         code = main(["run", "--config", _write(tmp_path, doc), "--out", str(out)])
         err = capsys.readouterr().err

@@ -1,11 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from oracles import json_dump_sector
 from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
-from stokes_manifolds.polar import ManifoldBlock, dump_sector, parse_manifolds
+from stokes_manifolds.polar import (
+    ManifoldBlock,
+    PolarizationSector,
+    dump_sector,
+    parse_manifolds,
+)
 
 
 def number_state(n, cutoff):
@@ -124,3 +131,50 @@ class TestJsonDump:
         block = np.array([[complex(re, im) for re, im in row] for row in m["block"]])
         want = sector.blocks[2].block
         assert np.max(np.abs(block - want)) < 1e-15
+
+
+def _assert_dump_matches_json(sector, tmp_path):
+    want, got = tmp_path / "json_dump.json", tmp_path / "dump_sector.json"
+    json_dump_sector(sector, want)
+    dump_sector(sector, got)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _odd_blocks():
+    """A truncated block, then negligible blocks (no Hermitian check) holding
+    every float json spells differently or prints at the edge of repr."""
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e22, -1e22, 0.1]
+    half = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    blocks = [ManifoldBlock(1.0, 0.75, half, truncated=True)]
+    for two_s in (3, 4):
+        dim = two_s + 1
+        block = np.resize(special, 2 * dim * dim).view(complex).reshape(dim, dim)
+        blocks.append(ManifoldBlock(two_s / 2.0, 0.0, block, truncated=True, negligible=True))
+    blocks.append(ManifoldBlock(2.5, 5e-324, np.full((6, 6), complex(-0.0, 1e16)), negligible=True))
+    return blocks
+
+
+class TestDumpSectorBytes:
+    """dump_sector prints what json.dump(indent=1, sort_keys=True) printed."""
+
+    @pytest.mark.parametrize("cutoff", [24, 48])
+    @pytest.mark.parametrize("alpha", DEFAULT_ALPHAS)
+    def test_default_ladder(self, tmp_path, cutoff, alpha):
+        sector = default_sector(alpha, cutoff)
+        # the report range a run dumps; at cutoff 24 also every parsed manifold,
+        # truncated and negligible ones included
+        _assert_dump_matches_json(sector.restricted(cutoff / 2.0), tmp_path)
+        if cutoff == 24:
+            _assert_dump_matches_json(sector, tmp_path)
+
+    def test_truncated_and_negligible_blocks(self, tmp_path):
+        _assert_dump_matches_json(PolarizationSector(tuple(_odd_blocks())), tmp_path)
+
+    def test_non_finite_weight(self, tmp_path):
+        blocks = _odd_blocks()
+        blocks[1] = ManifoldBlock(1.5, math.nan, blocks[1].block, negligible=True)
+        _assert_dump_matches_json(PolarizationSector(tuple(blocks)), tmp_path)
+
+    def test_no_blocks(self, tmp_path):
+        _assert_dump_matches_json(PolarizationSector(()), tmp_path)
+        assert '"manifolds": []\n' in (tmp_path / "dump_sector.json").read_text()

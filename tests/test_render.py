@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stokes_manifolds.polar import ManifoldBlock, PolarizationSector
+from oracles import foliation_loop
+from stokes_manifolds.fock import NoiseModel, synthesize_mode
+from stokes_manifolds.pipeline import DEFAULT_ALPHAS
+from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, parse_manifolds
 from stokes_manifolds.render import (
     COLORMAP,
     apply_colormap,
@@ -93,6 +97,72 @@ class TestFoliation:
         q = husimi_total(PolarizationSector((block,)), build_quadrature_grid(4))
         img = render_foliation(q)
         assert not np.any(img)
+        assert np.array_equal(img, foliation_loop(q))
+
+
+def default_ladder_q(grid_l):
+    """Total Q of each default amplitude at cutoff 24, S_max 12."""
+    model = NoiseModel(3.6, 4.4, 0.85)
+    rho_v = synthesize_mode(model, 0.0, 24)
+    grid = build_quadrature_grid(grid_l)
+    return [husimi_total(parse_manifolds(synthesize_mode(model, a, 24), rho_v), grid, 12.0)
+            for a in DEFAULT_ALPHAS]
+
+
+def parts_q(part_values, grid_l=8):
+    """A total Q whose manifold parts, S = 1/2, 1, ..., hold the given values."""
+    grid = build_quadrature_grid(grid_l)
+    parts = tuple(
+        QFunction(grid, np.broadcast_to(np.asarray(v, dtype=float), (grid.n_theta, grid.n_phi)),
+                  spin=(i + 1) / 2.0)
+        for i, v in enumerate(part_values)
+    )
+    return QFunction(grid, np.zeros((grid.n_theta, grid.n_phi)), parts=parts)
+
+
+class TestFoliationPixels:
+    """render_foliation draws the pixels of the ring-by-ring loop it replaced."""
+
+    @pytest.mark.parametrize("grid_l", [48, 96])
+    def test_default_ladder(self, grid_l):
+        for q in default_ladder_q(grid_l):
+            for side in (128, 256, 16):
+                assert np.array_equal(render_foliation(q, side), foliation_loop(q, side))
+
+    def test_one_ring(self):
+        blocks = (ManifoldBlock(0.0, 0.5, np.eye(1, dtype=complex)),
+                  ManifoldBlock(0.5, 0.5, np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)))
+        q = husimi_total(PolarizationSector(blocks), build_quadrature_grid(8))
+        img = render_foliation(q, 128)
+        assert np.array_equal(img, foliation_loop(q, 128))
+        assert np.any(img)
+
+    def test_zero_and_negative_ring_maxima(self):
+        # rings whose samples are all zero, all negative, mixed, and positive
+        grid_l = 8
+        n_phi = 2 * grid_l + 1
+        ramp = np.linspace(-1.0, 2.0, n_phi)
+        q = parts_q([0.0, -0.5, ramp, -ramp, 0.3], grid_l)
+        img = render_foliation(q, 128)
+        assert np.array_equal(img, foliation_loop(q, 128))
+        assert np.any(np.all(img == COLORMAP[0], axis=-1))
+
+    def test_all_samples_zero(self):
+        q = parts_q([0.0] * 4)
+        img = render_foliation(q, 96)
+        assert np.array_equal(img, foliation_loop(q, 96))
+        assert np.all(np.all(img == COLORMAP[0], axis=-1) | np.all(img == 0, axis=-1))
+
+    def test_peak_memory(self):
+        # the ring-by-ring loop peaked at 3.5 MB at side 256
+        q = default_ladder_q(48)[2]
+        tracemalloc.start()
+        try:
+            render_foliation(q, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6, peak
 
 
 class TestPpm:
