@@ -174,7 +174,7 @@ def _cmd_check(_args) -> int:
           f"max |d rho_Kq| C_K {worst:.2e}")
 
     block = next(b for b in sector.blocks if b.spin == 0.5)
-    xi2 = manifold_stokes_summary(block).xi2
+    xi2 = manifold_stokes_summary([block])[0].xi2
     check("one-photon manifold unsqueezed", abs(xi2 - 1.0) < 1e-6, f"xi2 {xi2:.9f}")
 
     block = next(b for b in sector.blocks if b.spin == 2.0)

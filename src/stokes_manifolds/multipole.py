@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,18 +54,25 @@ def spherical_harmonic(degree: int, order: int, theta, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultipoleSpectrum:
-    """Complex multipoles of one manifold: coefficients[K][q + K] for q = -K..K."""
+    """Complex multipoles of one manifold: rho[K, q + 2S] for K = 0..2S and
+    q = -2S..2S, zero where |q| > K."""
 
     spin: float
-    coefficients: tuple[np.ndarray, ...]
+    rho: np.ndarray
+
+    @property
+    def coefficients(self) -> tuple[np.ndarray, ...]:
+        """rho_Kq for q = -K..K, one array per K."""
+        two_s = self.rho.shape[0] - 1
+        return tuple(self.rho[k, two_s - k : two_s + k + 1] for k in range(two_s + 1))
 
     @property
     def weights(self) -> np.ndarray:
         """W_K^(S) = sum_q |rho_Kq|^2 for K = 0..2S."""
-        return np.array([float(np.sum(np.abs(c) ** 2)) for c in self.coefficients])
+        return np.sum(np.abs(self.rho) ** 2, axis=1)
 
     def coefficient(self, degree: int, order: int) -> complex:
-        return complex(self.coefficients[degree][order + degree])
+        return complex(self.rho[degree, order + self.rho.shape[0] - 1])
 
 
 def stretched_cg(two_s: int) -> np.ndarray:
@@ -99,8 +107,7 @@ def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpec
         rho[q:, two_s + q] = np.array(_legendre_rows(q, two_s, grid.theta)) @ f[q]
         rho[q:, two_s - q] = (-1.0) ** q * np.conj(rho[q:, two_s + q])
     rho *= (math.sqrt(block.dim / FOUR_PI) / stretched_cg(two_s))[:, None]
-    coeffs = tuple(rho[k, two_s - k : two_s + k + 1] for k in range(two_s + 1))
-    return MultipoleSpectrum(block.spin, coeffs)
+    return MultipoleSpectrum(block.spin, rho)
 
 
 # largest |Gram - 1| entry a Clebsch-Gordan table may show before it is refused
@@ -146,8 +153,11 @@ def _cg_recursion(two_s: int) -> np.ndarray:
                       where=K > q)
         # splice at the largest |f_up| among allowed K (b^2 < 4 a(K) a(K+1)); a
         # pair with no allowed K splices at the K nearest to allowed, its peak
-        lack = np.where(k >= q, b**2 - 4.0 * a[:dim] * a[1:], np.inf)
+        lack = b**2
+        lack -= 4.0 * a[:dim] * a[1:]
+        np.copyto(lack, np.inf, where=k < q)
         allowed = lack <= np.maximum(lack.min(axis=0), 0.0)
+        del lack
         splice = np.argmax(np.where(allowed, np.abs(up), -1.0), axis=0)[None]
         down = down[:dim]
         scale = np.take_along_axis(up, splice, 0) / np.take_along_axis(down, splice, 0)
@@ -157,30 +167,52 @@ def _cg_recursion(two_s: int) -> np.ndarray:
     return table
 
 
-def cg_table_deviation(table: np.ndarray) -> float:
-    """Largest entry of |G_q - 1| over the diagonal offsets q, where G_q is the
-    Gram matrix over K of the table's q-diagonal columns; nan if any entry is."""
-    dim = table.shape[0]
+class CGTable(NamedTuple):
+    """Clebsch-Gordan table of spin S = two_s/2 in diagonal-major order.
+
+    values[K, c] = <S m_out; S -m_in | K, m_out - m_in> on the m-descending
+    basis (m = S - i) for the pair (i_out, i_in) of column c.  The columns run
+    over q = i_in - i_out = m_out - m_in from -2S to 2S and, within one q, over
+    ascending i_out, so each q is one contiguous segment: `starts[q + 2S]` is
+    its first column and `pairs[c]` = i_out (2S+1) + i_in the flat index of
+    column c in a (2S+1)^2 block.
+    """
+
+    values: np.ndarray
+    pairs: np.ndarray
+    starts: np.ndarray
+
+
+def cg_table_deviation(table: CGTable) -> float:
+    """Largest entry of |G_q - 1| over the orders q, where G_q is the Gram
+    matrix over K of the table's q segment; nan if any entry is."""
+    bounds = [*table.starts, table.values.shape[1]]
     devs = []
-    for q in range(1 - dim, dim):
-        cols = np.diagonal(table, q, 1, 2)
-        devs.append(np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1]))))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        cols = table.values[:, start:stop]
+        devs.append(np.max(np.abs(cols.T @ cols - np.eye(stop - start))))
     return float(np.max(devs))
 
 
 @lru_cache(maxsize=None)
-def cg_table(two_s: int) -> np.ndarray:
-    """Read-only Clebsch-Gordan table of spin S = two_s/2, indexed
-    [K, i_out, i_in] on the m-descending basis (m = S - i); built once per
-    spin and refused with ValueError unless orthonormal to CG_TABLE_TOL."""
-    table = _cg_recursion(two_s)
+def cg_table(two_s: int) -> CGTable:
+    """Read-only diagonal-major Clebsch-Gordan table of spin S = two_s/2,
+    built once per spin and refused with ValueError unless orthonormal to
+    CG_TABLE_TOL.  The natural table of `_cg_recursion` is reordered once and
+    let go."""
+    dim = two_s + 1
+    i_out, i_in = np.indices((dim, dim)).reshape(2, -1)
+    pairs = np.argsort(i_in - i_out, kind="stable")  # by q, then by i_out
+    starts = np.concatenate(([0], np.cumsum(dim - np.abs(np.arange(1 - dim, dim - 1)))))
+    table = CGTable(_cg_recursion(two_s).reshape(dim, dim * dim)[:, pairs], pairs, starts)
     deviation = cg_table_deviation(table)
     if not deviation <= CG_TABLE_TOL:
         raise ValueError(
             f"Clebsch-Gordan table of S={two_s / 2:g} is not orthonormal: "
             f"deviation {deviation:.2e} exceeds {CG_TABLE_TOL:g}"
         )
-    table.setflags(write=False)
+    for array in table:
+        array.setflags(write=False)
     return table
 
 
@@ -188,19 +220,17 @@ def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:
     """Multipoles as rho_Kq = Tr(T_Kq^dag rho) with trace-orthonormal tensors
     T_Kq[m_out, m_in] = (-1)^(S-m_in) <S m_out; S -m_in | K q>.
 
-    T_Kq is nonzero only on the diagonal m_out - m_in = q, so each order q is
-    one real-by-complex matvec of the table's q-diagonal with the block's.
-    Normalization matches the quadrature route exactly (the dual-route test is
-    the anchor for both conventions).
+    T_Kq is nonzero only on the diagonal m_out - m_in = q, so the block is
+    gathered once, signed, in the table's column order, and rho_Kq is the sum
+    of the table row K times that column over the q segment: one product and
+    one segmented sum for every (K, q).  Normalization matches the quadrature
+    route exactly (the dual-route test is the anchor for both conventions).
     """
-    two_s = block.photon_number
-    table = cg_table(two_s)
-    signed = block.block * (-1.0) ** np.arange(two_s + 1)  # (-1)^(S - m_in)
-    rho = np.empty((two_s + 1, 2 * two_s + 1), dtype=complex)
-    for q in range(-two_s, two_s + 1):
-        rho[:, q + two_s] = np.diagonal(table, q, 1, 2) @ np.diagonal(signed, q)
-    coeffs = tuple(rho[k, two_s - k : two_s + k + 1] for k in range(two_s + 1))
-    return MultipoleSpectrum(block.spin, coeffs)
+    table = cg_table(block.photon_number)
+    signed = block.block * (-1.0) ** np.arange(block.dim)  # (-1)^(S - m_in)
+    column = signed.ravel()[table.pairs]
+    rho = np.add.reduceat(table.values * column, table.starts, axis=1)
+    return MultipoleSpectrum(block.spin, rho)
 
 
 def aggregate_weights(terms) -> np.ndarray:

@@ -74,6 +74,10 @@ class RunConfig:
     raster_shape: tuple = (64, 128)
 
     def __post_init__(self):
+        for name in ("apply_loss", "allow_complex_alpha"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         if not self.alphas:
             raise ConfigError("alphas must be non-empty")
         for a in self.alphas:
@@ -248,24 +252,20 @@ def _analyze_alpha(config: RunConfig, model: NoiseModel, rho_v, alpha) -> AlphaR
         # the total uses every parsed manifold; s_max only limits reports
         total = total_stokes_summary(sector)
         spectra = [multipoles_algebraic(block).weights for block in reported]
+        summaries = manifold_stokes_summary([b for b in reported if b.spin != 0])
     except ValueError as exc:
         raise NumericalGuardError(str(exc)) from exc
-    summaries = []
-    multis = []
-    terms = []
-    for block, weights in zip(reported, spectra):
-        terms.append((block.weight, weights))
-        if block.spin == 0:
-            continue
-        summaries.append(manifold_stokes_summary(block))
-        multis.append((block.spin, weights))
     return AlphaResult(
         alpha=float(alpha),
         sector=sector.restricted(s_max),
         manifold_summaries=tuple(summaries),
         total=total,
-        manifold_multipoles=tuple(multis),
-        aggregated_weights=aggregate_weights(terms),
+        manifold_multipoles=tuple(
+            (block.spin, weights) for block, weights in zip(reported, spectra) if block.spin != 0
+        ),
+        aggregated_weights=aggregate_weights(
+            [(block.weight, weights) for block, weights in zip(reported, spectra)]
+        ),
         analytic_estimate=quadrature_estimate_xi2(abs(alpha), model.squeeze_parameter),
         trace_deficit=deficit,
     )

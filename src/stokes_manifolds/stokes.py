@@ -69,23 +69,46 @@ def _pick_direction(values, vectors):
     return gamma_min, np.real(best)
 
 
-def _minimize_variance(gamma: np.ndarray, mean: np.ndarray, spin_scale: float):
-    norm = np.linalg.norm(mean)
-    if spin_scale > 0 and norm / spin_scale > DIRECTION_EPS:
-        mhat = mean / norm
-        seed = np.zeros(3)
-        seed[np.argmin(np.abs(mhat))] = 1.0
-        u = np.cross(mhat, seed)
-        u /= np.linalg.norm(u)
-        v = np.cross(mhat, u)
-        basis = np.stack([u, v], axis=1)
-        reduced = basis.T @ gamma @ basis
-        values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
-        gamma_min, w = _pick_direction(values, vectors)
-        return gamma_min, basis @ w, MODE_PERP
-    values, vectors = np.linalg.eigh(0.5 * (gamma + gamma.T))
-    gamma_min, direction = _pick_direction(values, vectors)
-    return gamma_min, direction, MODE_FULL
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as one dot product per row: the same
+    arithmetic as np.linalg.norm of the row alone."""
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+
+
+def _minimize_variance(gamma: np.ndarray, mean: np.ndarray, spin_scale: np.ndarray):
+    """Smallest variance, its direction and the mode of each of n covariances.
+
+    gamma is (n, 3, 3), mean (n, 3) and spin_scale (n,).  A row whose mean
+    exceeds DIRECTION_EPS of its scale is minimised over the plane
+    perpendicular to the mean, spanned by u = mhat x e and v = mhat x u with e
+    the axis least aligned with mhat; every other row over the whole space.
+    Each mode is one stacked eigh.
+    """
+    norm = _norms(mean)
+    perp = norm / spin_scale > DIRECTION_EPS
+    gamma_min = np.empty(len(mean))
+    direction = np.empty_like(mean)
+
+    rows = np.flatnonzero(perp)
+    mhat = mean[rows] / norm[rows, None]
+    seed = np.zeros_like(mhat)
+    seed[np.arange(len(rows)), np.argmin(np.abs(mhat), axis=1)] = 1.0
+    u = np.cross(mhat, seed)
+    u /= _norms(u)[:, None]
+    v = np.cross(mhat, u)
+    basis = np.stack([u, v], axis=2)
+    reduced = basis.swapaxes(1, 2) @ gamma[rows] @ basis
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.swapaxes(1, 2)))
+    for i, val, vec, b in zip(rows, values, vectors, basis):
+        gamma_min[i], w = _pick_direction(val, vec)
+        direction[i] = b @ w
+
+    rows = np.flatnonzero(~perp)
+    full = gamma[rows]
+    values, vectors = np.linalg.eigh(0.5 * (full + full.swapaxes(1, 2)))
+    for i, val, vec in zip(rows, values, vectors):
+        gamma_min[i], direction[i] = _pick_direction(val, vec)
+    return gamma_min.tolist(), direction, [MODE_PERP if p else MODE_FULL for p in perp]
 
 
 def _moments(block: ManifoldBlock):
@@ -122,17 +145,24 @@ def _moments(block: ManifoldBlock):
     return mean, second
 
 
-def manifold_stokes_summary(block: ManifoldBlock) -> StokesSummary:
-    """Mean Stokes vector, covariance, and squeezing degree of one manifold."""
-    if block.negligible:
+def manifold_stokes_summary(blocks) -> list[StokesSummary]:
+    """Mean Stokes vector, covariance and squeezing degree of each manifold
+    block, in order, with the variances of all spin > 0 blocks minimised as
+    one stack; a spin-0 block gives the undefined summary."""
+    if any(b.negligible for b in blocks):
         raise ValueError("negligible block excluded from squeezing reports")
-    if block.spin == 0:
-        return _undefined_summary(0.0)
-    mean, second = _moments(block)
-    gamma = second - np.outer(mean, mean)
-    gamma_min, direction, mode = _minimize_variance(gamma, mean, block.spin)
-    xi2 = 4.0 * gamma_min / block.photon_number
-    return StokesSummary(block.spin, mean, gamma, gamma_min, direction, xi2, mode)
+    spun = [b for b in blocks if b.spin != 0]
+    moments = [_moments(b) for b in spun]
+    mean = np.array([m for m, _ in moments]).reshape(-1, 3)
+    second = np.array([s for _, s in moments]).reshape(-1, 3, 3)
+    gamma = second - mean[:, :, None] * mean[:, None, :]
+    gamma_min, direction, mode = _minimize_variance(gamma, mean, np.array([b.spin for b in spun]))
+    summaries = iter([
+        StokesSummary(b.spin, mean[i], gamma[i], gamma_min[i], direction[i],
+                      4.0 * gamma_min[i] / b.photon_number, mode[i])
+        for i, b in enumerate(spun)
+    ])
+    return [_undefined_summary(0.0) if b.spin == 0 else next(summaries) for b in blocks]
 
 
 def total_stokes_summary(sector: PolarizationSector, min_captured: float = 0.5) -> StokesSummary:
@@ -161,9 +191,10 @@ def total_stokes_summary(sector: PolarizationSector, min_captured: float = 0.5) 
         return _undefined_summary(0.0)
     gamma = second - np.outer(mean, mean)
     spin_scale = mean_photons / 2.0
-    gamma_min, direction, mode = _minimize_variance(gamma, mean, spin_scale)
-    xi2 = 4.0 * gamma_min / mean_photons
-    return StokesSummary(spin_scale, mean, gamma, gamma_min, direction, xi2, mode)
+    gamma_min, direction, mode = _minimize_variance(
+        gamma[None], mean[None], np.array([spin_scale]))
+    xi2 = 4.0 * gamma_min[0] / mean_photons
+    return StokesSummary(spin_scale, mean, gamma, gamma_min[0], direction[0], xi2, mode[0])
 
 
 def quadrature_estimate_xi2(alpha: float, r: float) -> float:

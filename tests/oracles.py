@@ -7,7 +7,9 @@ products.  Closed forms that only the tests evaluate live here too: the mean
 photon number of one mode and the total-state xi^2 of the pure Gaussian model.
 The writers the package replaced with faster ones are kept as the byte and
 pixel references: the sector dump through `json.dump` and the foliation drawn
-one ring at a time.
+one ring at a time.  So are the per-block forms of the two stacked per-manifold
+reports: the multipoles as one Clebsch-Gordan diagonal matvec per order q, and
+the Stokes variance minimised one block at a time.
 """
 
 import json
@@ -17,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from stokes_manifolds.fock import NoiseModel, _unitary_exp, synthesize_mode
+from stokes_manifolds.multipole import cg_table
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import parse_manifolds
 from stokes_manifolds.render import (
@@ -24,6 +27,15 @@ from stokes_manifolds.render import (
     _nearest_node_sampler,
     _pixel_plane,
     apply_colormap,
+)
+from stokes_manifolds.stokes import (
+    DIRECTION_EPS,
+    MODE_FULL,
+    MODE_PERP,
+    StokesSummary,
+    _moments,
+    _pick_direction,
+    _undefined_summary,
 )
 
 
@@ -174,6 +186,64 @@ def _cg_doubled(tj1, tm1, tj2, tm2, tj, tm):
         )
         terms.append((-1.0) ** k * math.exp(log_pre - log_den))
     return math.fsum(terms)
+
+
+def natural_cg_table(two_s):
+    """The diagonal-major table `cg_table(two_s)` scattered back through its
+    column order to C[K, i_out, i_in] = <S m_out; S -m_in | K, m_out - m_in>."""
+    table = cg_table(two_s)
+    dim = two_s + 1
+    natural = np.empty((dim, dim * dim))
+    natural[:, table.pairs] = table.values
+    return natural.reshape(dim, dim, dim)
+
+
+# -- per-block forms of the stacked per-manifold reports ----------------------
+
+def multipoles_loop(block):
+    """rho[K, q + 2S] by one real-by-complex matvec per order q: the table's
+    q-diagonal with the same diagonal of the block signed by (-1)^(S - m_in)."""
+    two_s = block.photon_number
+    table = natural_cg_table(two_s)
+    signed = block.block * (-1.0) ** np.arange(two_s + 1)
+    rho = np.empty((two_s + 1, 2 * two_s + 1), dtype=complex)
+    for q in range(-two_s, two_s + 1):
+        rho[:, q + two_s] = np.diagonal(table, q, 1, 2) @ np.diagonal(signed, q)
+    return rho
+
+
+def minimize_variance_single(gamma, mean, spin_scale):
+    """Smallest variance of one (3, 3) covariance: over the plane perpendicular
+    to an appreciable mean, else over the whole space."""
+    norm = np.linalg.norm(mean)
+    if spin_scale > 0 and norm / spin_scale > DIRECTION_EPS:
+        mhat = mean / norm
+        seed = np.zeros(3)
+        seed[np.argmin(np.abs(mhat))] = 1.0
+        u = np.cross(mhat, seed)
+        u /= np.linalg.norm(u)
+        v = np.cross(mhat, u)
+        basis = np.stack([u, v], axis=1)
+        reduced = basis.T @ gamma @ basis
+        values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+        gamma_min, w = _pick_direction(values, vectors)
+        return gamma_min, basis @ w, MODE_PERP
+    values, vectors = np.linalg.eigh(0.5 * (gamma + gamma.T))
+    gamma_min, direction = _pick_direction(values, vectors)
+    return gamma_min, direction, MODE_FULL
+
+
+def stokes_summary_single(block):
+    """The Stokes summary of one block through `minimize_variance_single`."""
+    if block.negligible:
+        raise ValueError("negligible block excluded from squeezing reports")
+    if block.spin == 0:
+        return _undefined_summary(0.0)
+    mean, second = _moments(block)
+    gamma = second - np.outer(mean, mean)
+    gamma_min, direction, mode = minimize_variance_single(gamma, mean, block.spin)
+    xi2 = 4.0 * gamma_min / block.photon_number
+    return StokesSummary(block.spin, mean, gamma, gamma_min, direction, xi2, mode)
 
 
 # -- pure loss as dense Kraus products ----------------------------------------

@@ -181,7 +181,7 @@ def test_criterion_03_ideal_two_photon_squeezing():
         synthesize_mode(model, 0.0, 24), synthesize_mode(model, 0.0, 24)
     )
     block = next(b for b in sector.blocks if b.photon_number == 2)
-    xi2 = manifold_stokes_summary(block).xi2
+    xi2 = manifold_stokes_summary([block])[0].xi2
 
     # independent brute-force covariance with literal spin-1 matrices
     s = 1.0 / math.sqrt(2.0)
@@ -416,14 +416,14 @@ def test_criterion_09_grid_exactness_and_rotations(default_report):
     for spin in (1.0, 2.0, 3.0):
         block = next(b for b in res.sector.reported() if b.spin == spin)
         base_w = multipoles_algebraic(block).weights
-        base_xi2 = manifold_stokes_summary(block).xi2
+        base_xi2 = manifold_stokes_summary([block])[0].xi2
         for _ in range(5):
             u = rotation_matrix(spin, rng.normal(size=3), rng.uniform(0, 2 * math.pi))
             rot = ManifoldBlock(spin, 1.0, u @ block.block @ u.conj().T)
             worst_rot = max(
                 worst_rot,
                 float(np.max(np.abs(multipoles_algebraic(rot).weights - base_w))),
-                abs(manifold_stokes_summary(rot).xi2 - base_xi2),
+                abs(manifold_stokes_summary([rot])[0].xi2 - base_xi2),
             )
     ok = worst_gram < 1e-12 and worst_rot < 1e-8
     line = _verdict(

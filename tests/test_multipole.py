@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from stokes_manifolds.multipole import (
 from stokes_manifolds.polar import ManifoldBlock, PolarizationSector
 from stokes_manifolds.sphere import FOUR_PI, build_quadrature_grid
 
-from oracles import clebsch_gordan, default_ladder_blocks, rotation_matrix
+from oracles import (
+    clebsch_gordan,
+    default_ladder_blocks,
+    multipoles_loop,
+    natural_cg_table,
+    rotation_matrix,
+)
 
 
 def random_block(spin, rng):
@@ -94,6 +101,12 @@ class TestClebschGordan:
             assert abs(clebsch_gordan(j1, m1, j2, m2, j, m) - want) < 1e-14
 
 
+def _column(table, i_out, i_in):
+    """Column of the pair (i_out, i_in) in a diagonal-major table."""
+    dim = table.values.shape[0]
+    return int(np.flatnonzero(table.pairs == i_out * dim + i_in)[0])
+
+
 class TestClebschGordanTable:
     def test_matches_racah_oracle(self):
         # every (K, m_out, m_in) entry, zeros included, at each spin a default run uses
@@ -104,7 +117,21 @@ class TestClebschGordanTable:
                 [[clebsch_gordan(spin, spin - i_out, spin, i_in - spin, k, i_in - i_out)
                   for i_in in idx] for i_out in idx] for k in idx
             ])
-            assert np.max(np.abs(cg_table(two_s) - want)) < 1e-12
+            assert np.max(np.abs(natural_cg_table(two_s) - want)) < 1e-12
+
+    @pytest.mark.parametrize("two_s", [1, 4, 24])
+    def test_diagonal_major_order(self, two_s):
+        # columns grouped by q = i_in - i_out from -2S to 2S, then by ascending i_out
+        table = cg_table(two_s)
+        dim = two_s + 1
+        i_out, i_in = np.divmod(table.pairs, dim)
+        q = i_in - i_out
+        assert table.values.shape == (dim, dim * dim)
+        assert sorted(table.pairs) == list(range(dim * dim))
+        assert np.all(np.diff(q) >= 0)
+        assert list(table.starts) == [int(np.flatnonzero(q == k)[0]) for k in range(-two_s, dim)]
+        for start, stop in zip(table.starts, [*table.starts[1:], dim * dim]):
+            assert np.all(np.diff(i_out[start:stop]) == 1)
 
     @pytest.mark.parametrize("two_s", [48, 160])
     def test_matches_symbolic_reference_at_large_spin(self, two_s):
@@ -121,7 +148,7 @@ class TestClebschGordanTable:
             want = float(
                 sympy_cg.CG(spin, spin - i_out, spin, i_in - spin, k, i_in - i_out).doit()
             )
-            assert abs(table[k, i_out, i_in] - want) < 1e-12
+            assert abs(table.values[k, _column(table, i_out, i_in)] - want) < 1e-12
 
     def test_large_spin_passes_guard(self):
         # the Racah sum this table replaced was off by 50 here
@@ -132,13 +159,34 @@ class TestClebschGordanTable:
             cg_table(3)
 
     def test_deviation_sees_nan(self):
-        table = cg_table(3).copy()
-        table[3, 0, 0] = np.nan
-        assert not cg_table_deviation(table) <= CG_TABLE_TOL
+        table = cg_table(3)
+        values = table.values.copy()
+        values[3, _column(table, 0, 0)] = np.nan
+        assert not cg_table_deviation(table._replace(values=values)) <= CG_TABLE_TOL
 
     def test_read_only(self):
+        table = cg_table(2)
         with pytest.raises(ValueError):
-            cg_table(2)[0, 0, 0] = 0.0
+            table.values[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            table.pairs[0] = 1
+        with pytest.raises(ValueError):
+            table.starts[0] = 1
+
+    def test_one_table_held_per_spin(self):
+        # the packed table replaces the (2S+1)^3 cube of the recursion, which
+        # is let go; the build's peak must not rise with the reordering
+        two_s = 96
+        cg_table.cache_clear()
+        tracemalloc.start()
+        try:
+            cg_table(two_s)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            cg_table.cache_clear()
+        assert held <= 1.05 * (two_s + 1) ** 3 * 8, held
+        assert peak <= 53e6, peak
 
 
 class TestSphericalHarmonics:
@@ -295,6 +343,27 @@ class TestMultipoles:
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="exactness"):
             multipoles_integral(random_block(3.0, rng), build_quadrature_grid(8))
+
+
+class TestPackedMultipoles:
+    """The one-reduction rho_Kq against one Clebsch-Gordan diagonal matvec per q."""
+
+    @staticmethod
+    def _gap(block):
+        got = multipoles_algebraic(block)
+        want = multipoles_loop(block)
+        return (np.max(np.abs(got.rho - want)),
+                np.max(np.abs(got.weights - np.sum(np.abs(want) ** 2, axis=1))))
+
+    @pytest.mark.parametrize("cutoff", [24, 48])
+    def test_default_ladder(self, cutoff):
+        for block in default_ladder_blocks(cutoff):
+            assert max(self._gap(block)) < 1e-14, block.spin
+
+    def test_random_complex_blocks(self):
+        rng = np.random.default_rng(31)
+        for two_s in range(1, 49):
+            assert max(self._gap(random_block(two_s / 2.0, rng))) < 1e-14, two_s
 
 
 class TestAggregation:

@@ -471,6 +471,19 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["apply_loss", "allow_complex_alpha"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_non_boolean_flag_exit(self, tmp_path, capsys, key, value):
+        doc = {"apply_loss": True, "alphas": [1.0], "allow_complex_alpha": False,
+               "cutoff_h": 8, "cutoff_v": 8, key: value}
+        out = tmp_path / "out"
+        code = main(["run", "--config", _write(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_guard_exit(self, tmp_path, capsys):
         code = main([
             "run", "--alpha", "0", "--cutoff", "24", "--out", str(tmp_path),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
+from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
 from stokes_manifolds.stokes import (
     MODE_FULL,
@@ -21,8 +22,10 @@ from oracles import (
     default_ladder_blocks,
     dense_moments,
     gaussian_total_xi2,
+    minimize_variance_single,
     rotation_matrix,
     spin_matrices,
+    stokes_summary_single,
 )
 
 
@@ -81,14 +84,14 @@ class TestManifoldSummary:
     def test_spin_half_always_unity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            s = manifold_stokes_summary(random_block(0.5, rng))
+            s = manifold_stokes_summary([random_block(0.5, rng)])[0]
             assert abs(s.xi2 - 1.0) < 1e-10
 
     def test_spin_coherent_state_is_shot_noise(self):
         # |S,S> at S=2: mean (0,0,2), perpendicular variances S/2 = 1
         rho = np.zeros((5, 5), dtype=complex)
         rho[0, 0] = 1.0
-        s = manifold_stokes_summary(ManifoldBlock(2.0, 1.0, rho))
+        s = manifold_stokes_summary([ManifoldBlock(2.0, 1.0, rho)])[0]
         assert np.allclose(s.mean, [0, 0, 2], atol=1e-12)
         assert s.mode == MODE_PERP
         assert abs(s.gamma_min - 1.0) < 1e-12
@@ -97,7 +100,7 @@ class TestManifoldSummary:
     def test_two_photon_noon_like_block(self):
         # (|1,+1> + |1,-1>)/sqrt(2): zero mean, Var(Sy) = 0
         v = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-        s = manifold_stokes_summary(ManifoldBlock(1.0, 1.0, np.outer(v, v)))
+        s = manifold_stokes_summary([ManifoldBlock(1.0, 1.0, np.outer(v, v))])[0]
         assert np.linalg.norm(s.mean) < 1e-12
         assert s.mode == MODE_FULL
         assert abs(s.gamma_min) < 1e-12
@@ -105,29 +108,29 @@ class TestManifoldSummary:
 
     def test_vacuum_manifold_undefined(self):
         block = ManifoldBlock(0.0, 1.0, np.array([[1.0]], dtype=complex))
-        s = manifold_stokes_summary(block)
+        s = manifold_stokes_summary([block])[0]
         assert s.mode == MODE_UNDEFINED
         assert math.isnan(s.xi2)
 
     def test_rejects_negligible(self):
         block = ManifoldBlock(0.5, 0.0, np.zeros((2, 2), dtype=complex), negligible=True)
         with pytest.raises(ValueError):
-            manifold_stokes_summary(block)
+            manifold_stokes_summary([block])[0]
 
     def test_xi2_rotation_invariant(self):
         rng = np.random.default_rng(11)
         for spin in (1.0, 1.5, 2.0):
             block = random_block(spin, rng)
-            base = manifold_stokes_summary(block).xi2
+            base = manifold_stokes_summary([block])[0].xi2
             axis = rng.normal(size=3)
             u = rotation_matrix(spin, axis, rng.uniform(0, 2 * math.pi))
             rotated = ManifoldBlock(spin, 1.0, u @ block.block @ u.conj().T)
-            assert abs(manifold_stokes_summary(rotated).xi2 - base) < 1e-8
+            assert abs(manifold_stokes_summary([rotated])[0].xi2 - base) < 1e-8
 
     def test_brute_force_covariance_agreement(self):
         rng = np.random.default_rng(5)
         block = random_block(1.5, rng)
-        s = manifold_stokes_summary(block)
+        s = manifold_stokes_summary([block])[0]
         ops = spin_matrices(1.5)
         mean = np.array([np.trace(block.block @ o).real for o in ops])
         gamma = np.empty((3, 3))
@@ -150,6 +153,67 @@ class TestManifoldSummary:
         assert abs(min(vals) - s.gamma_min) < 1e-7
 
 
+def _assert_same_summary(got, want):
+    assert got.spin == want.spin and got.mode == want.mode
+    for field in ("mean", "gamma", "gamma_min", "direction", "xi2"):
+        a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+class TestStackedSummaries:
+    """One stacked call against the per-block minimiser, bit for bit."""
+
+    @pytest.mark.parametrize("cutoff", [24, 48])
+    def test_default_ladder(self, cutoff):
+        blocks = default_ladder_blocks(cutoff)
+        got = manifold_stokes_summary(blocks)
+        assert len(got) == len(blocks)
+        for block, summary in zip(blocks, got):
+            _assert_same_summary(summary, stokes_summary_single(block))
+
+    def test_ties(self):
+        # |S, S>: the perpendicular variances tie; maximally mixed: zero mean
+        # and a three-fold tie over the whole space
+        coherent = np.zeros((5, 5), dtype=complex)
+        coherent[0, 0] = 1.0
+        blocks = [ManifoldBlock(2.0, 1.0, coherent),
+                  ManifoldBlock(1.5, 1.0, np.eye(4, dtype=complex) / 4.0)]
+        got = manifold_stokes_summary(blocks)
+        assert [s.mode for s in got] == [MODE_PERP, MODE_FULL]
+        for block, summary in zip(blocks, got):
+            _assert_same_summary(summary, stokes_summary_single(block))
+
+    def test_spin_zero_in_stack(self):
+        rng = np.random.default_rng(29)
+        blocks = [random_block(1.0, rng),
+                  ManifoldBlock(0.0, 1.0, np.array([[1.0]], dtype=complex)),
+                  random_block(2.5, rng)]
+        got = manifold_stokes_summary(blocks)
+        assert got[1].mode == MODE_UNDEFINED and math.isnan(got[1].xi2)
+        for block, summary in zip(blocks, got):
+            _assert_same_summary(summary, stokes_summary_single(block))
+
+    def test_negligible_in_stack_raises(self):
+        rng = np.random.default_rng(30)
+        negligible = ManifoldBlock(0.5, 0.0, np.zeros((2, 2), dtype=complex), negligible=True)
+        with pytest.raises(ValueError, match="negligible"):
+            manifold_stokes_summary([random_block(1.0, rng), negligible])
+
+    def test_empty_stack(self):
+        assert manifold_stokes_summary([]) == []
+
+    @pytest.mark.parametrize("alpha", DEFAULT_ALPHAS)
+    def test_total_through_the_same_minimiser(self, alpha):
+        model = NoiseModel(3.6, 4.4, 0.85)
+        sector = parse_manifolds(
+            synthesize_mode(model, alpha, 24), synthesize_mode(model, 0.0, 24)
+        )
+        total = total_stokes_summary(sector)
+        gamma_min, direction, mode = minimize_variance_single(total.gamma, total.mean, total.spin)
+        assert total.mode == mode and total.gamma_min == gamma_min
+        assert total.direction.tobytes() == direction.tobytes()
+
+
 class TestTotalSummary:
     def test_pure_alpha0_two_photon_perfect(self):
         model = NoiseModel(3.6, 3.6, 1.0)
@@ -157,7 +221,7 @@ class TestTotalSummary:
             synthesize_mode(model, 0.0, 20), synthesize_mode(model, 0.0, 20)
         )
         block = next(b for b in sector.blocks if b.photon_number == 2)
-        assert manifold_stokes_summary(block).xi2 < 1e-10
+        assert manifold_stokes_summary([block])[0].xi2 < 1e-10
 
     def test_total_matches_gaussian_closed_form(self):
         model = NoiseModel(3.6, 3.6, 1.0)
