@@ -154,9 +154,9 @@ def _cmd_check(_args) -> int:
     model = NoiseModel(3.6, 4.4, 0.85)
     rho_h = synthesize_mode(model, 1.13, 16)
     rho_v = synthesize_mode(model, 0.0, 16)
-    sector = parse_manifolds(rho_h, rho_v)
-    q = husimi_total(sector, grid, max_spin=6.0)
-    target = sum(b.weight for b in sector.reported(6.0))
+    sector = parse_manifolds(rho_h, rho_v, 6.0)
+    q = husimi_total(sector, grid)
+    target = sum(b.weight for b in sector.reported())
     dev = abs(q.integral() - target)
     check("total Husimi normalization", dev < 1e-8, f"dev {dev:.2e}")
 
@@ -164,7 +164,8 @@ def _cmd_check(_args) -> int:
     # quadrature route divides by C_K, so its error is compared scaled by C_K
     run_grid = build_quadrature_grid(32)
     worst = 0.0
-    for block in sector.reported(8.0):
+    sector = parse_manifolds(rho_h, rho_v, 8.0)
+    for block in sector.reported():
         norm = stretched_cg(block.photon_number)
         sp_a = multipoles_algebraic(block)
         sp_i = multipoles_integral(block, run_grid)
@@ -173,11 +174,11 @@ def _cmd_check(_args) -> int:
     check("scaled dual-route multipoles, reported blocks at cutoff 16", worst < 1e-12,
           f"max |d rho_Kq| C_K {worst:.2e}")
 
-    block = next(b for b in sector.blocks if b.spin == 0.5)
+    block = sector.blocks[1]
     xi2 = manifold_stokes_summary([block])[0].xi2
     check("one-photon manifold unsqueezed", abs(xi2 - 1.0) < 1e-6, f"xi2 {xi2:.9f}")
 
-    block = next(b for b in sector.blocks if b.spin == 2.0)
+    block = sector.blocks[4]
     qm = husimi_manifold(block, grid)
     dev = abs(qm.integral() - 4.0 * math.pi / 5.0)
     check("manifold Husimi normalization", dev < 1e-8, f"dev {dev:.2e}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fock import NoiseModel, synthesize_mode
 from .multipole import aggregate_weights, multipoles_algebraic
-from .polar import PolarizationSector, dump_sector, parse_manifolds
+from .polar import PolarizationSector, dump_sector, parse_manifolds, report_photons
 from .render import render_foliation, render_heatmap, write_ppm
 from .sphere import build_quadrature_grid, husimi_total
 from .stokes import (
@@ -57,6 +57,11 @@ class NumericalGuardError(RuntimeError):
     """A runtime numerical guard tripped (insufficient cutoff, lost weight)."""
 
 
+def _is_real(value) -> bool:
+    """A finite real number; bool, an int subclass, is refused."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     alphas: tuple = DEFAULT_ALPHAS
@@ -81,8 +86,8 @@ class RunConfig:
         if not self.alphas:
             raise ConfigError("alphas must be non-empty")
         for a in self.alphas:
-            if not isinstance(a, numbers.Real) or not math.isfinite(a):
-                raise ConfigError(f"alpha {a!r} is not a finite real number")
+            if not _is_real(a):
+                raise ConfigError(f"alphas entry {a!r} is not a finite real number")
             if a < 0 and not self.allow_complex_alpha:
                 raise ConfigError(
                     f"alpha {a!r} must be non-negative "
@@ -90,20 +95,20 @@ class RunConfig:
                 )
         for name in ("squeezing_db", "antisqueezing_db", "s_report_max"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if value is not None and not _is_real(value):
                 raise ConfigError(f"{name} {value!r} is not a finite real number")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ConfigError("efficiency must lie in [0, 1]")
+        if not (_is_real(self.efficiency) and 0.0 <= self.efficiency <= 1.0):
+            raise ConfigError(f"efficiency must be a number in [0, 1], got {self.efficiency!r}")
         if self.squeezing_db < 0 or self.antisqueezing_db < self.squeezing_db:
             raise ConfigError(
                 "need 0 <= squeezing_db <= antisqueezing_db for a physical noise model"
             )
-        if not all(isinstance(n, int) and n >= 1 for n in (self.cutoff_h, self.cutoff_v)):
+        if not all(type(n) is int and n >= 1 for n in (self.cutoff_h, self.cutoff_v)):
             raise ConfigError(
                 f"cutoff_h and cutoff_v must be integers of at least 1, "
                 f"got {self.cutoff_h!r}, {self.cutoff_v!r}"
             )
-        if self.grid_l is not None and not (isinstance(self.grid_l, int) and self.grid_l >= 0):
+        if self.grid_l is not None and not (type(self.grid_l) is int and self.grid_l >= 0):
             raise ConfigError(f"grid_l must be a non-negative integer, got {self.grid_l!r}")
         if self.s_report_max is not None and self.s_report_max < 0.5:
             raise ConfigError("s_report_max must be at least 1/2")
@@ -112,7 +117,7 @@ class RunConfig:
             raise ConfigError(f"unknown emit flags: {sorted(unknown)}")
         shape = self.raster_shape
         if not (isinstance(shape, (tuple, list)) and len(shape) == 2
-                and all(isinstance(n, int) and n > 0 for n in shape)):
+                and all(type(n) is int and n > 0 for n in shape)):
             raise ConfigError(f"raster_shape must be two positive integers, got {shape!r}")
 
     @property
@@ -177,8 +182,8 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 @dataclass(frozen=True)
 class AlphaResult:
-    """Everything computed for one coherent amplitude.  `sector` holds only the
-    manifolds up to S_report_max; the total is taken over every manifold."""
+    """Everything computed for one coherent amplitude.  `sector` holds the
+    manifolds up to S_report_max; the total is taken from the two modes."""
 
     alpha: float
     sector: PolarizationSector
@@ -199,16 +204,14 @@ class RunReport:
 
 def _check_cutoffs(config: RunConfig):
     s_max = config.resolved_s_report_max
-    needed = int(round(2 * s_max))
-    if needed > min(config.cutoff_h, config.cutoff_v):
-        raise NumericalGuardError(
-            f"S_report_max={s_max} needs photon numbers up to {needed} in both "
-            f"modes; cutoffs are ({config.cutoff_h}, {config.cutoff_v})"
-        )
-    if set(config.emit) & {"q_csv", "heatmaps"} and config.resolved_grid_l < 4.0 * s_max:
+    try:
+        top = report_photons(s_max, config.cutoff_h, config.cutoff_v)
+    except ValueError as exc:
+        raise NumericalGuardError(str(exc)) from exc
+    if set(config.emit) & {"q_csv", "heatmaps"} and config.resolved_grid_l < 2 * top:
         raise NumericalGuardError(
             f"grid_l={config.resolved_grid_l} is too coarse for the Q functions of "
-            f"S_report_max={s_max}; q_csv and heatmaps need grid_l >= {4.0 * s_max:g}"
+            f"S_report_max={s_max}; q_csv and heatmaps need grid_l >= {2 * top}"
         )
 
 
@@ -235,8 +238,7 @@ def run_sweep(config: RunConfig) -> RunReport:
 
 
 def _analyze_alpha(config: RunConfig, model: NoiseModel, rho_v, alpha) -> AlphaResult:
-    """One amplitude of the sweep; its full sector is released on return."""
-    s_max = config.resolved_s_report_max
+    """One amplitude of the sweep."""
     rho_h = synthesize_mode(model, alpha, config.cutoff_h)
     deficit = 1.0 - rho_h.trace * rho_v.trace
     if deficit > TRACE_DEFICIT_WARN:
@@ -246,18 +248,17 @@ def _analyze_alpha(config: RunConfig, model: NoiseModel, rho_v, alpha) -> AlphaR
             "a larger cutoff is recommended",
             stacklevel=3,
         )
-    sector = parse_manifolds(rho_h, rho_v)
-    reported = sector.reported(s_max)
+    sector = parse_manifolds(rho_h, rho_v, config.resolved_s_report_max)
+    reported = sector.reported()
     try:
-        # the total uses every parsed manifold; s_max only limits reports
-        total = total_stokes_summary(sector)
+        total = total_stokes_summary(rho_h, rho_v)
         spectra = [multipoles_algebraic(block).weights for block in reported]
         summaries = manifold_stokes_summary([b for b in reported if b.spin != 0])
     except ValueError as exc:
         raise NumericalGuardError(str(exc)) from exc
     return AlphaResult(
         alpha=float(alpha),
-        sector=sector.restricted(s_max),
+        sector=sector,
         manifold_summaries=tuple(summaries),
         total=total,
         manifold_multipoles=tuple(
@@ -317,18 +318,15 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     config = report.config
     emit = set(config.emit)
-    s_max = config.resolved_s_report_max
     written: list[Path] = []
 
     if "squeezing_csv" in emit:
         rows = []
         for res in report.results:
             for s in res.manifold_summaries:
-                block = next(
-                    b for b in res.sector.blocks if b.spin == s.spin
-                )
+                n = round(2 * s.spin)  # the sector holds N = 0, 1, ... in order
                 rows.append(
-                    (res.alpha, s.spin, round(2 * s.spin), block.weight,
+                    (res.alpha, s.spin, n, res.sector.blocks[n].weight,
                      s.mean[0], s.mean[1], s.mean[2],
                      s.gamma_min, s.xi2, s.xi2_db, s.mode)
                 )
@@ -380,7 +378,7 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
         grid = build_quadrature_grid(report.grid_l)
         q_rows = _q_csv_rows(grid) if "q_csv" in emit else None
         for i, res in enumerate(report.results):
-            q = husimi_total(res.sector, grid, s_max)
+            q = husimi_total(res.sector, grid)
             tag = f"alpha{i}"
             if "q_csv" in emit:
                 path = outdir / f"q_total_{tag}.csv"

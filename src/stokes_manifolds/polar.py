@@ -9,6 +9,7 @@ discarded by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,19 +19,10 @@ from .fock import ModeState, _require_hermitian
 WEIGHT_FLOOR = 1e-12
 
 
-def _two_spin(spin: float) -> int:
-    """2S of a non-negative half-integer spin S."""
-    two_s = round(2 * spin)
-    if abs(2 * spin - two_s) > 1e-9 or two_s < 0:
-        raise ValueError(f"spin must be a non-negative half-integer, got {spin}")
-    return two_s
-
-
 @dataclass(frozen=True)
 class ManifoldBlock:
     """Unit-trace block of the spin-S manifold with its probability weight.
 
-    `truncated` marks manifolds whose basis straddles a mode cutoff;
     `negligible` marks weights below the floor, which stay unnormalized and
     are excluded from squeezing and multipole reports.
     """
@@ -38,12 +30,14 @@ class ManifoldBlock:
     spin: float
     weight: float
     block: np.ndarray
-    truncated: bool = False
     negligible: bool = False
 
     def __post_init__(self):
         block = np.asarray(self.block, dtype=complex)
-        dim = _two_spin(self.spin) + 1
+        two_s = round(2 * self.spin)
+        if abs(2 * self.spin - two_s) > 1e-9 or two_s < 0:
+            raise ValueError(f"spin must be a non-negative half-integer, got {self.spin}")
+        dim = two_s + 1
         if block.shape != (dim, dim):
             raise ValueError(f"block must be {dim}x{dim}, got {block.shape}")
         if not self.negligible:
@@ -74,62 +68,44 @@ class PolarizationSector:
         if any(b - a != 0.5 for a, b in zip(spins, spins[1:])):
             raise ValueError("block spins must increase in steps of 1/2")
 
-    @property
-    def captured(self) -> float:
-        """Total probability caught by the parsed manifolds."""
-        return float(sum(b.weight for b in self.blocks))
-
     def reported(self, max_spin: float | None = None) -> tuple[ManifoldBlock, ...]:
-        """Blocks that enter reports: above the weight floor, complete, and
-        (optionally) no larger than max_spin."""
-        out = []
-        for b in self.blocks:
-            if b.negligible or b.truncated:
-                continue
-            if max_spin is not None and b.spin > max_spin + 1e-9:
-                continue
-            out.append(b)
-        return tuple(out)
-
-    def restricted(self, max_spin: float) -> "PolarizationSector":
-        return PolarizationSector(
-            tuple(b for b in self.blocks if b.spin <= max_spin + 1e-9)
+        """Blocks that enter reports: above the weight floor and (optionally)
+        no larger than max_spin."""
+        return tuple(
+            b for b in self.blocks
+            if not b.negligible and (max_spin is None or b.spin <= max_spin + 1e-9)
         )
 
 
-def parse_manifolds(rho_h: ModeState, rho_v: ModeState) -> PolarizationSector:
-    """Extract the block-diagonal polarization sector of the product state
-    rho_H (x) rho_V.
+def report_photons(max_spin: float, cutoff_h: int, cutoff_v: int) -> int:
+    """Largest photon number N = 2S of a report up to S = max_spin; a
+    ValueError if it passes either mode cutoff."""
+    top = math.floor(2 * max_spin + 1e-9)
+    if top > min(cutoff_h, cutoff_v):
+        raise ValueError(f"S_report_max={max_spin} needs photon numbers up to {top} in "
+                         f"both modes; cutoffs are ({cutoff_h}, {cutoff_v})")
+    return top
+
+
+def parse_manifolds(rho_h: ModeState, rho_v: ModeState, max_spin: float) -> PolarizationSector:
+    """Extract the blocks N = 0..2 max_spin of the block-diagonal polarization
+    sector of the product state rho_H (x) rho_V.
 
     Each block is gathered straight from the two modes,
     block_N[i, j] = rho_H[n_i, n_j] rho_V[N - n_i, N - n_j] with n_i = N - i,
-    so the two-mode matrix is never formed.  Basis states outside either mode
-    cutoff carry zero amplitude, so incomplete manifolds keep zero rows in the
-    full (2S+1)-dimensional block and are flagged as truncated.
+    so the two-mode matrix is never formed.  Every gathered manifold lies
+    inside both mode cutoffs, so every block is complete.
     """
-    ch, cv = rho_h.cutoff, rho_v.cutoff
     blocks = []
-    for n_total in range(ch + cv + 1):
+    for n_total in range(report_photons(max_spin, rho_h.cutoff, rho_v.cutoff) + 1):
         n_h = np.arange(n_total, -1, -1)  # m descending
         n_v = n_total - n_h
-        valid = (n_h <= ch) & (n_v <= cv)
-        dim = n_total + 1
-        block = np.zeros((dim, dim), dtype=complex)
-        pos = np.nonzero(valid)[0]
-        h, v = n_h[pos], n_v[pos]
-        block[np.ix_(pos, pos)] = rho_h.entries[np.ix_(h, h)] * rho_v.entries[np.ix_(v, v)]
+        block = rho_h.entries[np.ix_(n_h, n_h)] * rho_v.entries[np.ix_(n_v, n_v)]
         weight = float(np.real(np.trace(block)))
-        truncated = not valid.all()
         if weight > WEIGHT_FLOOR:
-            blocks.append(
-                ManifoldBlock(n_total / 2.0, weight, block / weight, truncated=truncated)
-            )
+            blocks.append(ManifoldBlock(n_total / 2.0, weight, block / weight))
         else:
-            blocks.append(
-                ManifoldBlock(
-                    n_total / 2.0, max(weight, 0.0), block, truncated=truncated, negligible=True
-                )
-            )
+            blocks.append(ManifoldBlock(n_total / 2.0, max(weight, 0.0), block, negligible=True))
     return PolarizationSector(tuple(blocks))
 
 
@@ -142,8 +118,9 @@ def _block_template(dim: int) -> str:
 
 
 def dump_sector(sector: PolarizationSector, path) -> None:
-    """JSON dump: per manifold S, the weight and the block as nested [re, im]
-    pairs in m-descending order.
+    """JSON dump: the summed weight, then per manifold S the weight and the
+    block as nested [re, im] pairs in m-descending order.  Every parsed block
+    is complete, so "truncated", kept for readers of earlier dumps, is false.
 
     The text is what json.dump(..., indent=1, sort_keys=True) prints, built from
     a template per block size: finite numbers print as float repr, which is what
@@ -151,7 +128,8 @@ def dump_sector(sector: PolarizationSector, path) -> None:
     block that holds NaN or an infinity.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n "captured": %s,\n "manifolds": ' % json.dumps(sector.captured))
+        captured = float(sum(b.weight for b in sector.blocks))
+        fh.write('{\n "captured": %s,\n "manifolds": ' % json.dumps(captured))
         if not sector.blocks:
             fh.write("[]\n}\n")
             return
@@ -165,6 +143,6 @@ def dump_sector(sector: PolarizationSector, path) -> None:
                 '   "negligible": %s,\n   "truncated": %s\n  }'
                 % (",\n  " if i else "[\n  ", b.photon_number, json.dumps(b.weight),
                    json.dumps(b.spin), _block_template(b.dim) % fields,
-                   json.dumps(b.negligible), json.dumps(b.truncated))
+                   json.dumps(b.negligible), "false")
             )
         fh.write("\n ]\n}\n")

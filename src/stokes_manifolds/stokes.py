@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar import ManifoldBlock, PolarizationSector
+from .fock import ModeState
+from .polar import WEIGHT_FLOOR, ManifoldBlock
 
 DIRECTION_EPS = 1e-6
 
@@ -45,15 +46,8 @@ class StokesSummary:
 
 
 def _undefined_summary(spin: float) -> StokesSummary:
-    return StokesSummary(
-        spin=spin,
-        mean=np.zeros(3),
-        gamma=np.zeros((3, 3)),
-        gamma_min=0.0,
-        direction=np.array([0.0, 0.0, 1.0]),
-        xi2=math.nan,
-        mode=MODE_UNDEFINED,
-    )
+    return StokesSummary(spin, np.zeros(3), np.zeros((3, 3)), 0.0, np.array([0.0, 0.0, 1.0]),
+                         math.nan, MODE_UNDEFINED)
 
 
 def _pick_direction(values, vectors):
@@ -111,31 +105,13 @@ def _minimize_variance(gamma: np.ndarray, mean: np.ndarray, spin_scale: np.ndarr
     return gamma_min.tolist(), direction, [MODE_PERP if p else MODE_FULL for p in perp]
 
 
-def _moments(block: ManifoldBlock):
-    """Mean Stokes vector and symmetrised second moments <{S_k, S_l}>/2.
-
-    On the basis m_i = S - i the raising operator is S+ |m_i> = c_i |m_i + 1>,
-    c_i = sqrt(S(S+1) - m_i(m_i+1)), so every moment sits on the block's
-    diagonals 0, -1 and -2:
-
-        <S+> = sum_i c_i rho[i, i-1],   <{Sz, S+}> = sum_i (2 m_i + 1) c_i rho[i, i-1],
-        <S+^2> = sum_i c_i c_{i-1} rho[i, i-2],
-
-    with <Sx> + i<Sy> = <S+>, <{Sz, Sx}> + i<{Sz, Sy}> = <{Sz, S+}>,
-    <Sx^2 + Sy^2> = S(S+1) - <Sz^2>, <Sx^2 - Sy^2> = Re<S+^2> and
-    <{Sx, Sy}> = Im<S+^2>.
-    """
-    rho = block.block
-    spin = block.spin
-    m = spin - np.arange(block.dim)
-    c = np.sqrt(spin * (spin + 1) - m * (m + 1))
-    p = np.diagonal(rho).real
-    sz, sz2 = p @ m, p @ m**2
-    lower = np.diagonal(rho, -1)
-    s_plus = lower @ c[1:]
-    zs_plus = lower @ ((2 * m[1:] + 1) * c[1:])
-    s_plus2 = np.diagonal(rho, -2) @ (c[2:] * c[1:-1])
-    perp = spin * (spin + 1) - sz2
+def _stokes_moments(casimir, sz, sz2, s_plus, zs_plus, s_plus2):
+    """Mean Stokes vector and symmetrised second moments <{S_k, S_l}>/2 from
+    <S(S+1)>, <Sz>, <Sz^2>, <S+>, <{Sz, S+}> and <S+^2>, with
+    <Sx> + i<Sy> = <S+>, <{Sz, Sx}> + i<{Sz, Sy}> = <{Sz, S+}>,
+    <Sx^2 + Sy^2> = <S(S+1)> - <Sz^2>, <Sx^2 - Sy^2> = Re<S+^2> and
+    <{Sx, Sy}> = Im<S+^2>."""
+    perp = casimir - sz2
     mean = np.array([s_plus.real, s_plus.imag, sz])
     second = 0.5 * np.array([
         [perp + s_plus2.real, s_plus2.imag, zs_plus.real],
@@ -143,6 +119,37 @@ def _moments(block: ManifoldBlock):
         [zs_plus.real, zs_plus.imag, 2.0 * sz2],
     ])
     return mean, second
+
+
+def _moments(block: ManifoldBlock):
+    """Mean Stokes vector and symmetrised second moments of one block.
+
+    On the basis m_i = S - i the raising operator is S+ |m_i> = c_i |m_i + 1>,
+    c_i = sqrt(S(S+1) - m_i(m_i+1)), so every moment sits on the block's
+    diagonals 0, -1 and -2:
+
+        <S+> = sum_i c_i rho[i, i-1],   <{Sz, S+}> = sum_i (2 m_i + 1) c_i rho[i, i-1],
+        <S+^2> = sum_i c_i c_{i-1} rho[i, i-2].
+    """
+    rho = block.block
+    spin = block.spin
+    m = spin - np.arange(block.dim)
+    c = np.sqrt(spin * (spin + 1) - m * (m + 1))
+    p = np.diagonal(rho).real
+    lower = np.diagonal(rho, -1)
+    return _stokes_moments(
+        spin * (spin + 1), p @ m, p @ m**2, lower @ c[1:],
+        lower @ ((2 * m[1:] + 1) * c[1:]), np.diagonal(rho, -2) @ (c[2:] * c[1:-1]),
+    )
+
+
+def _summaries(spins, mean: np.ndarray, second: np.ndarray) -> list[StokesSummary]:
+    """Summary of each row of n means (n, 3) and second moments (n, 3, 3) at
+    the given spins, with xi^2 = 4 gamma_min / N, N = 2S."""
+    gamma = second - mean[:, :, None] * mean[:, None, :]
+    gamma_min, direction, mode = _minimize_variance(gamma, mean, np.array(spins))
+    return [StokesSummary(s, mean[i], gamma[i], gamma_min[i], direction[i],
+                          4.0 * gamma_min[i] / (2.0 * s), mode[i]) for i, s in enumerate(spins)]
 
 
 def manifold_stokes_summary(blocks) -> list[StokesSummary]:
@@ -155,46 +162,59 @@ def manifold_stokes_summary(blocks) -> list[StokesSummary]:
     moments = [_moments(b) for b in spun]
     mean = np.array([m for m, _ in moments]).reshape(-1, 3)
     second = np.array([s for _, s in moments]).reshape(-1, 3, 3)
-    gamma = second - mean[:, :, None] * mean[:, None, :]
-    gamma_min, direction, mode = _minimize_variance(gamma, mean, np.array([b.spin for b in spun]))
-    summaries = iter([
-        StokesSummary(b.spin, mean[i], gamma[i], gamma_min[i], direction[i],
-                      4.0 * gamma_min[i] / b.photon_number, mode[i])
-        for i, b in enumerate(spun)
-    ])
+    summaries = iter(_summaries([b.spin for b in spun], mean, second))
     return [_undefined_summary(0.0) if b.spin == 0 else next(summaries) for b in blocks]
 
 
-def total_stokes_summary(sector: PolarizationSector, min_captured: float = 0.5) -> StokesSummary:
-    """Squeezing of the whole state via weight-averaged Stokes moments.
+def _ladder_diagonal(entries: np.ndarray, k: int) -> np.ndarray:
+    """<n| rho a^dag^k |n> for k >= 0 and <n| rho a^|k| |n> for k < 0 over
+    n = 0..cutoff: diagonal k of rho times sqrt((i+1)...(i+|k|)), i = 0, 1, ..."""
+    i = np.arange(len(entries) - abs(k))
+    steps = i[:, None] + np.arange(1, abs(k) + 1)
+    values = np.diagonal(entries, k) * np.sqrt(np.prod(steps, axis=1))
+    return np.pad(values, (max(-k, 0), max(k, 0)))[:len(entries)]
 
-    First and second moments are accumulated as P_S-weighted block traces and
-    the variance is normalized by the mean photon number.
+
+def total_stokes_summary(rho_h: ModeState, rho_v: ModeState) -> StokesSummary:
+    """Squeezing of the whole state rho_H (x) rho_V, with the variance
+    normalized by the mean photon number.  Every Stokes operator keeps N fixed,
+    so under the Schwinger map S+ = a_H^dag a_V, Sz = (n_H - n_V)/2 each moment
+    of manifold N, times P_N, is a convolution (f * g)[N] = sum_n f[n] g[N - n]
+    of mode diagonals: P_N = (p_H * p_V)[N] and <S+^k>_N = (h_k * v_k)[N], with
+    p the photon-number distributions, h_k[n] = <n|rho_H a^dag^k|n> and
+    v_k[n] = <n|rho_V a^k|n>; <{Sz, S+}> = <S+ (2 Sz + 1)>, <Sz> and <Sz^2>
+    weight these by n_H - n_V.
     """
-    captured = sector.captured
-    if captured <= min_captured:
-        raise ValueError(
-            f"sector captures only {captured:.6f} of the state; "
-            f"need more than {min_captured} (raise the cutoff)"
-        )
-    mean = np.zeros(3)
-    second = np.zeros((3, 3))
-    mean_photons = 0.0
-    for b in sector.blocks:
-        if b.negligible or b.spin == 0:
-            continue
-        bm, bs = _moments(b)
-        mean += b.weight * bm
-        second += b.weight * bs
-        mean_photons += b.weight * b.photon_number
-    if mean_photons == 0.0:
+    captured = rho_h.trace * rho_v.trace
+    if captured <= 0.5:
+        raise ValueError(f"the modes keep only {captured:.6f} of the state, "
+                         "not more than 0.5; raise the cutoff")
+    n_h, n_v = np.arange(rho_h.cutoff + 1), np.arange(rho_v.cutoff + 1)
+    p_h, p_v = np.diagonal(rho_h.entries).real, np.diagonal(rho_v.entries).real
+    weight = np.convolve(p_h, p_v)
+    photons = np.arange(len(weight))
+    # The manifolds a block-by-block total summed: N > 0 above the weight
+    # floor.  Item 2 of ROADMAP.md drops the floor, moving xi^2 by < 1e-9.
+    keep = (photons > 0) & (weight > WEIGHT_FLOOR)
+    if not keep.any():
         return _undefined_summary(0.0)
-    gamma = second - np.outer(mean, mean)
-    spin_scale = mean_photons / 2.0
-    gamma_min, direction, mode = _minimize_variance(
-        gamma[None], mean[None], np.array([spin_scale]))
-    xi2 = 4.0 * gamma_min[0] / mean_photons
-    return StokesSummary(spin_scale, mean, gamma, gamma_min[0], direction[0], xi2, mode[0])
+
+    def total(f, g):
+        return np.convolve(f, g)[keep].sum()
+
+    h1, v1 = _ladder_diagonal(rho_h.entries, 1), _ladder_diagonal(rho_v.entries, -1)
+    spin = photons[keep] / 2.0
+    mean, second = _stokes_moments(
+        weight[keep] @ (spin * (spin + 1)),
+        0.5 * (total(n_h * p_h, p_v) - total(p_h, n_v * p_v)),
+        0.25 * (total(n_h**2 * p_h, p_v) - 2.0 * total(n_h * p_h, n_v * p_v)
+                + total(p_h, n_v**2 * p_v)),
+        total(h1, v1),
+        total((n_h + 1) * h1, v1) - total(h1, n_v * v1),
+        total(_ladder_diagonal(rho_h.entries, 2), _ladder_diagonal(rho_v.entries, -2)),
+    )
+    mean_photons = float(weight[keep] @ photons[keep])
+    return _summaries([mean_photons / 2.0], mean[None], second[None])[0]
 
 
 def quadrature_estimate_xi2(alpha: float, r: float) -> float:

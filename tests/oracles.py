@@ -9,7 +9,9 @@ The writers the package replaced with faster ones are kept as the byte and
 pixel references: the sector dump through `json.dump` and the foliation drawn
 one ring at a time.  So are the per-block forms of the two stacked per-manifold
 reports: the multipoles as one Clebsch-Gordan diagonal matvec per order q, and
-the Stokes variance minimised one block at a time.
+the Stokes variance minimised one block at a time.  The total Stokes summary
+the package takes from the two modes is kept as the sum over every manifold
+block, each gathered in full.
 """
 
 import json
@@ -21,7 +23,7 @@ import numpy as np
 from stokes_manifolds.fock import NoiseModel, _unitary_exp, synthesize_mode
 from stokes_manifolds.multipole import cg_table
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
-from stokes_manifolds.polar import parse_manifolds
+from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock, parse_manifolds
 from stokes_manifolds.render import (
     BACKGROUND,
     _nearest_node_sampler,
@@ -33,6 +35,7 @@ from stokes_manifolds.stokes import (
     MODE_FULL,
     MODE_PERP,
     StokesSummary,
+    _minimize_variance,
     _moments,
     _pick_direction,
     _undefined_summary,
@@ -47,8 +50,8 @@ def default_ladder_blocks(cutoff):
     return tuple(
         block
         for alpha in DEFAULT_ALPHAS
-        for block in parse_manifolds(synthesize_mode(model, alpha, cutoff), rho_v)
-        .reported(cutoff / 2.0)
+        for block in parse_manifolds(synthesize_mode(model, alpha, cutoff), rho_v, cutoff / 2.0)
+        .reported()
     )
 
 
@@ -246,6 +249,45 @@ def stokes_summary_single(block):
     return StokesSummary(block.spin, mean, gamma, gamma_min, direction, xi2, mode)
 
 
+# -- the total Stokes summary block by block -----------------------------------
+
+def full_block(rho_h, rho_v, n_total):
+    """Manifold N of rho_H (x) rho_V gathered in full, (N+1) x (N+1) and
+    unnormalised, with zero rows and columns for basis states past a cutoff."""
+    ch, cv = rho_h.cutoff, rho_v.cutoff
+    n_h = np.arange(n_total, -1, -1)  # m descending
+    n_v = n_total - n_h
+    pos = np.nonzero((n_h <= ch) & (n_v <= cv))[0]
+    h, v = n_h[pos], n_v[pos]
+    block = np.zeros((n_total + 1, n_total + 1), dtype=complex)
+    block[np.ix_(pos, pos)] = rho_h.entries[np.ix_(h, h)] * rho_v.entries[np.ix_(v, v)]
+    return block
+
+
+def block_sum_total(rho_h, rho_v):
+    """The total Stokes summary as the P_N-weighted sum of the per-block
+    moments of every manifold N = 1..ch+cv above the weight floor, straddling
+    ones included, with the variance normalised by the mean photon number."""
+    mean, second, mean_photons = np.zeros(3), np.zeros((3, 3)), 0.0
+    for n_total in range(1, rho_h.cutoff + rho_v.cutoff + 1):
+        block = full_block(rho_h, rho_v, n_total)
+        weight = float(np.real(np.trace(block)))
+        if weight <= WEIGHT_FLOOR:
+            continue
+        bm, bs = _moments(ManifoldBlock(n_total / 2.0, weight, block / weight))
+        mean += weight * bm
+        second += weight * bs
+        mean_photons += weight * n_total
+    if mean_photons == 0.0:
+        return _undefined_summary(0.0)
+    gamma = second - np.outer(mean, mean)
+    spin_scale = mean_photons / 2.0
+    gamma_min, direction, mode = _minimize_variance(
+        gamma[None], mean[None], np.array([spin_scale]))
+    xi2 = 4.0 * gamma_min[0] / mean_photons
+    return StokesSummary(spin_scale, mean, gamma, gamma_min[0], direction[0], xi2, mode[0])
+
+
 # -- pure loss as dense Kraus products ----------------------------------------
 
 def dense_loss(rho, eta):
@@ -273,14 +315,15 @@ def json_dump_sector(sector, path):
             "S": b.spin,
             "N": b.photon_number,
             "P": b.weight,
-            "truncated": b.truncated,
+            "truncated": False,
             "negligible": b.negligible,
             "block": [[[float(z.real), float(z.imag)] for z in row] for row in b.block],
         }
         for b in sector.blocks
     ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"captured": sector.captured, "manifolds": manifolds}, fh,
+        captured = float(sum(b.weight for b in sector.blocks))
+        json.dump({"captured": captured, "manifolds": manifolds}, fh,
                   indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -144,7 +144,7 @@ def test_criterion_01_parity_law():
     start = time.perf_counter()
     model = NoiseModel(PURE_DB, PURE_DB, 1.0)
     sector = parse_manifolds(
-        synthesize_mode(model, 0.0, 32), synthesize_mode(model, 0.0, 32)
+        synthesize_mode(model, 0.0, 32), synthesize_mode(model, 0.0, 32), 16.0
     )
     worst = max(
         (b.weight for b in sector.blocks if b.photon_number % 2 == 1), default=0.0
@@ -178,7 +178,7 @@ def test_criterion_02_one_photon_no_squeezing(default_report, pure_report):
 def test_criterion_03_ideal_two_photon_squeezing():
     model = NoiseModel(PURE_DB, PURE_DB, 1.0)
     sector = parse_manifolds(
-        synthesize_mode(model, 0.0, 24), synthesize_mode(model, 0.0, 24)
+        synthesize_mode(model, 0.0, 24), synthesize_mode(model, 0.0, 24), 12.0
     )
     block = next(b for b in sector.blocks if b.photon_number == 2)
     xi2 = manifold_stokes_summary([block])[0].xi2

@@ -13,7 +13,6 @@ import sys
 import time
 import tracemalloc
 import warnings
-import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -36,6 +35,8 @@ from stokes_manifolds.pipeline import (
     parse_config,
     run_sweep,
 )
+
+from oracles import full_block
 
 FAST = {
     "alphas": (0.0, 1.13),
@@ -127,26 +128,34 @@ class TestSweep:
             run_sweep(RunConfig())
 
     def test_pure_alpha0_odd_manifolds_negligible(self):
-        # every N, not only the report range a sweep keeps
+        # every N: the parsed report range, then the blocks past it in full
         rho = synthesize_mode(NoiseModel(3.6, 3.6, 1.0), 0.0, 16)
-        sector = parse_manifolds(rho, rho)
-        assert len(sector.blocks) == 33
+        sector = parse_manifolds(rho, rho, 8.0)
+        assert len(sector.blocks) == 17
         for b in sector.blocks:
             if b.photon_number % 2 == 1:
                 assert b.weight < 1e-12
+        for n in range(17, 33, 2):
+            assert np.trace(full_block(rho, rho, n)).real < 1e-12
 
-    def test_full_sector_released_before_next_amplitude(self, monkeypatch):
-        parsed = []
+    def test_sweep_parses_report_range_only(self, monkeypatch):
+        # each amplitude is parsed up to S_report_max and no further; a range
+        # past either mode cutoff is refused
+        spins = []
 
-        def parse(*args, _original=pipeline.parse_manifolds):
-            assert all(ref() is None for ref in parsed)
-            sector = _original(*args)
-            parsed.append(weakref.ref(sector))
-            return sector
+        def parse(rho_h, rho_v, max_spin, _original=pipeline.parse_manifolds):
+            spins.append(max_spin)
+            return _original(rho_h, rho_v, max_spin)
 
         monkeypatch.setattr(pipeline, "parse_manifolds", parse)
         run_sweep(RunConfig(**FAST))
-        assert len(parsed) == len(FAST["alphas"])
+        assert spins == [FAST["s_report_max"]] * len(FAST["alphas"])
+        model = NoiseModel(3.6, 4.4, 0.85)
+        wide, narrow = synthesize_mode(model, 1.13, 12), synthesize_mode(model, 0.0, 10)
+        assert len(parse_manifolds(wide, narrow, 5.0).blocks) == 11
+        for rho_h, rho_v in ((wide, narrow), (narrow, wide)):
+            with pytest.raises(ValueError, match="up to 11"):
+                parse_manifolds(rho_h, rho_v, 5.5)
 
     @pytest.mark.parametrize("s_max", [5.0, 5.3, 0.5])
     def test_results_keep_only_report_range(self, s_max):
@@ -471,8 +480,17 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["apply_loss", "allow_complex_alpha"])
-    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    @pytest.mark.parametrize(
+        "value, key",
+        [(v, k) for k in ("apply_loss", "allow_complex_alpha") for v in ("false", "no", 0, 1, None)]
+        # and booleans where numbers belong: bool is an int in Python
+        + [pytest.param(v, k, id=f"{v!r}-{k}") for v, k in (
+            ([True], "alphas"), ([1.0, False], "alphas"), (True, "squeezing_db"),
+            (True, "antisqueezing_db"), (True, "efficiency"), (False, "efficiency"),
+            (True, "cutoff_h"), (True, "cutoff_v"), (True, "grid_l"), (False, "grid_l"),
+            (True, "s_report_max"), ([True, 64], "raster_shape"), ([64, True], "raster_shape"),
+        )],
+    )
     def test_non_boolean_flag_exit(self, tmp_path, capsys, key, value):
         doc = {"apply_loss": True, "alphas": [1.0], "allow_complex_alpha": False,
                "cutoff_h": 8, "cutoff_v": 8, key: value}
@@ -483,6 +501,16 @@ class TestCli:
         assert "config error" in err and key in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_fractional_report_range_runs(self, tmp_path):
+        # S_max = 5.3 reports N <= 10, which cutoff 10 holds and grid_l 20 resolves
+        doc = {"cutoff_h": 10, "cutoff_v": 10, "s_report_max": 5.3, "grid_l": 20}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cutoff 10 loses trace at alpha 2.31
+            assert main(["run", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+        rows = csv.DictReader(io.StringIO((out / "fig3b.csv").read_text(encoding="utf-8")))
+        assert {int(r["N"]) for r in rows} == set(range(11))
 
     def test_guard_exit(self, tmp_path, capsys):
         code = main([

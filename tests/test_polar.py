@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import json_dump_sector
+from oracles import full_block, json_dump_sector
 from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import (
@@ -25,12 +25,12 @@ def default_sector(alpha=1.13, cutoff=12):
     model = NoiseModel(3.6, 4.4, 0.85)
     rho_h = synthesize_mode(model, alpha, cutoff)
     rho_v = synthesize_mode(model, 0.0, cutoff)
-    return parse_manifolds(rho_h, rho_v)
+    return parse_manifolds(rho_h, rho_v, cutoff / 2.0)
 
 
 class TestParsing:
     def test_single_fock_pair_lands_in_one_manifold(self):
-        sector = parse_manifolds(number_state(2, 4), number_state(1, 4))
+        sector = parse_manifolds(number_state(2, 4), number_state(1, 4), 2.0)
         weights = {b.photon_number: b.weight for b in sector.blocks}
         assert abs(weights[3] - 1.0) < 1e-14
         assert all(w < 1e-14 for n, w in weights.items() if n != 3)
@@ -45,7 +45,7 @@ class TestParsing:
         rho_h, rho_v = (
             ModeState(2, np.outer(p, p.conj()) / np.vdot(p, p).real) for p in (psi_h, psi_v)
         )
-        block = next(b for b in parse_manifolds(rho_h, rho_v).blocks if b.photon_number == 2)
+        block = parse_manifolds(rho_h, rho_v, 1.0).blocks[2]
         # row i holds n_H = 2 - i, n_V = i: m=+1 (n_H=2) is row 0, m=-1 (n_V=2) is row 2
         u = np.array([psi_h[2] * psi_v[0], psi_h[1] * psi_v[1], psi_h[0] * psi_v[2]])
         want = np.outer(u, u.conj()) / np.vdot(u, u).real
@@ -57,52 +57,48 @@ class TestParsing:
         [(a, 24, 24) for a in DEFAULT_ALPHAS] + [(5.0, 55, 20)],
     )
     def test_blocks_equal_kronecker_gather(self, alpha, cutoff_h, cutoff_v):
-        # the blocks cut out of the dense n_H-major two-mode matrix, bit for bit
+        # the blocks N <= min(cutoff) cut out of the dense n_H-major two-mode
+        # matrix, bit for bit
         model = NoiseModel(3.6, 4.4, 0.85)
         rho_h = synthesize_mode(model, alpha, cutoff_h)
         rho_v = synthesize_mode(model, 0.0, cutoff_v)
         dense = np.kron(rho_h.entries, rho_v.entries)
-        sector = parse_manifolds(rho_h, rho_v)
-        assert len(sector.blocks) == cutoff_h + cutoff_v + 1
+        top = min(cutoff_h, cutoff_v)
+        sector = parse_manifolds(rho_h, rho_v, top / 2.0)
+        assert [b.photon_number for b in sector.blocks] == list(range(top + 1))
         for b in sector.blocks:
             n_h = np.arange(b.photon_number, -1, -1)
-            n_v = b.photon_number - n_h
-            pos = np.nonzero((n_h <= cutoff_h) & (n_v <= cutoff_v))[0]
-            flat = n_h[pos] * (cutoff_v + 1) + n_v[pos]
-            want = np.zeros((b.dim, b.dim), dtype=complex)
-            want[np.ix_(pos, pos)] = dense[np.ix_(flat, flat)]
+            flat = n_h * (cutoff_v + 1) + b.photon_number - n_h
+            want = dense[np.ix_(flat, flat)]
             weight = float(np.real(np.trace(want)))
             assert b.weight == max(weight, 0.0)
-            assert b.truncated == (len(pos) < b.dim)
             assert np.array_equal(b.block, want if b.negligible else want / weight)
 
     def test_weights_sum_to_trace(self):
+        # the report range N <= 12 and the fully gathered blocks past it hold
+        # the whole trace of the two modes
         model = NoiseModel(3.6, 4.4, 0.85)
         rho_h = synthesize_mode(model, 1.13, 12)
         rho_v = synthesize_mode(model, 0.0, 12)
-        sector = parse_manifolds(rho_h, rho_v)
-        assert abs(rho_h.trace * rho_v.trace - sector.captured) < 1e-14
-        assert sector.captured <= 1.0 + 1e-12
+        captured = sum(b.weight for b in parse_manifolds(rho_h, rho_v, 6.0).blocks)
+        rest = sum(np.trace(full_block(rho_h, rho_v, n)).real for n in range(13, 25))
+        assert abs(rho_h.trace * rho_v.trace - captured - rest) < 1e-14
+        assert captured <= 1.0 + 1e-12
 
     def test_blocks_unit_trace(self):
         for b in default_sector().blocks:
             if not b.negligible:
                 assert abs(np.trace(b.block).real - 1.0) < 1e-10
 
-    def test_truncated_flag_on_straddling_manifolds(self):
-        sector = default_sector(cutoff=6)
-        for b in sector.blocks:
-            assert b.truncated == (b.photon_number > 6)
-
     def test_negligible_blocks_flagged(self):
-        sector = parse_manifolds(number_state(0, 3), number_state(0, 3))
+        sector = parse_manifolds(number_state(0, 3), number_state(0, 3), 1.5)
         assert not sector.blocks[0].negligible
         assert all(b.negligible for b in sector.blocks[1:])
 
-    def test_reported_excludes_truncated_and_negligible(self):
-        sector = default_sector(cutoff=6)
-        for b in sector.reported():
-            assert not b.truncated and not b.negligible
+    def test_reported_excludes_negligible(self):
+        sector = parse_manifolds(number_state(0, 3), number_state(1, 3), 1.5)
+        assert [b.photon_number for b in sector.reported()] == [1]
+        assert [b.photon_number for b in sector.reported(0.0)] == []
 
 
 class TestBlockValidation:
@@ -125,7 +121,7 @@ class TestJsonDump:
         path = tmp_path / "sector.json"
         dump_sector(sector, path)
         loaded = json.loads(path.read_text())
-        assert abs(loaded["captured"] - sector.captured) < 1e-15
+        assert abs(loaded["captured"] - sum(b.weight for b in sector.blocks)) < 1e-15
         m = loaded["manifolds"][2]
         assert m["N"] == 2
         block = np.array([[complex(re, im) for re, im in row] for row in m["block"]])
@@ -141,15 +137,15 @@ def _assert_dump_matches_json(sector, tmp_path):
 
 
 def _odd_blocks():
-    """A truncated block, then negligible blocks (no Hermitian check) holding
-    every float json spells differently or prints at the edge of repr."""
+    """A block with a zero row, then negligible blocks (no Hermitian check)
+    holding every float json spells differently or prints at the edge of repr."""
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e22, -1e22, 0.1]
     half = np.diag([0.5, 0.5, 0.0]).astype(complex)
-    blocks = [ManifoldBlock(1.0, 0.75, half, truncated=True)]
+    blocks = [ManifoldBlock(1.0, 0.75, half)]
     for two_s in (3, 4):
         dim = two_s + 1
         block = np.resize(special, 2 * dim * dim).view(complex).reshape(dim, dim)
-        blocks.append(ManifoldBlock(two_s / 2.0, 0.0, block, truncated=True, negligible=True))
+        blocks.append(ManifoldBlock(two_s / 2.0, 0.0, block, negligible=True))
     blocks.append(ManifoldBlock(2.5, 5e-324, np.full((6, 6), complex(-0.0, 1e16)), negligible=True))
     return blocks
 
@@ -160,12 +156,8 @@ class TestDumpSectorBytes:
     @pytest.mark.parametrize("cutoff", [24, 48])
     @pytest.mark.parametrize("alpha", DEFAULT_ALPHAS)
     def test_default_ladder(self, tmp_path, cutoff, alpha):
-        sector = default_sector(alpha, cutoff)
-        # the report range a run dumps; at cutoff 24 also every parsed manifold,
-        # truncated and negligible ones included
-        _assert_dump_matches_json(sector.restricted(cutoff / 2.0), tmp_path)
-        if cutoff == 24:
-            _assert_dump_matches_json(sector, tmp_path)
+        # the report range a run dumps, negligible manifolds included
+        _assert_dump_matches_json(default_sector(alpha, cutoff), tmp_path)
 
     def test_truncated_and_negligible_blocks(self, tmp_path):
         _assert_dump_matches_json(PolarizationSector(tuple(_odd_blocks())), tmp_path)

@@ -105,7 +105,7 @@ def default_ladder_q(grid_l):
     model = NoiseModel(3.6, 4.4, 0.85)
     rho_v = synthesize_mode(model, 0.0, 24)
     grid = build_quadrature_grid(grid_l)
-    return [husimi_total(parse_manifolds(synthesize_mode(model, a, 24), rho_v), grid, 12.0)
+    return [husimi_total(parse_manifolds(synthesize_mode(model, a, 24), rho_v, 12.0), grid)
             for a in DEFAULT_ALPHAS]
 
 

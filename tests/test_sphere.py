@@ -214,12 +214,16 @@ class TestHusimiTotal:
     def test_integral_equals_captured_weight(self):
         model = NoiseModel(3.6, 4.4, 0.85)
         sector = parse_manifolds(
-            synthesize_mode(model, 1.13, 12), synthesize_mode(model, 0.0, 12)
+            synthesize_mode(model, 1.13, 12), synthesize_mode(model, 0.0, 12), 6.0
         )
         grid = build_quadrature_grid(24)
-        q = husimi_total(sector, grid, max_spin=6.0)
-        want = sum(b.weight for b in sector.reported(6.0))
+        q = husimi_total(sector, grid)
+        want = sum(b.weight for b in sector.reported())
         assert abs(q.integral() - want) < 1e-10
+        # a narrower max_spin sums the reported manifolds up to it
+        q = husimi_total(sector, grid, max_spin=4.0)
+        want = sum(b.weight for b in sector.reported(4.0))
+        assert abs(q.integral() - want) < 1e-10 and len(q.parts) < len(sector.reported())
 
     @pytest.mark.parametrize("cutoff", [24, 48])
     def test_reported_blocks_integrate_at_run_sizes(self, cutoff):

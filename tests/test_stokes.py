@@ -19,6 +19,7 @@ from stokes_manifolds.stokes import (
 )
 
 from oracles import (
+    block_sum_total,
     default_ladder_blocks,
     dense_moments,
     gaussian_total_xi2,
@@ -205,10 +206,9 @@ class TestStackedSummaries:
     @pytest.mark.parametrize("alpha", DEFAULT_ALPHAS)
     def test_total_through_the_same_minimiser(self, alpha):
         model = NoiseModel(3.6, 4.4, 0.85)
-        sector = parse_manifolds(
+        total = total_stokes_summary(
             synthesize_mode(model, alpha, 24), synthesize_mode(model, 0.0, 24)
         )
-        total = total_stokes_summary(sector)
         gamma_min, direction, mode = minimize_variance_single(total.gamma, total.mean, total.spin)
         assert total.mode == mode and total.gamma_min == gamma_min
         assert total.direction.tobytes() == direction.tobytes()
@@ -218,9 +218,9 @@ class TestTotalSummary:
     def test_pure_alpha0_two_photon_perfect(self):
         model = NoiseModel(3.6, 3.6, 1.0)
         sector = parse_manifolds(
-            synthesize_mode(model, 0.0, 20), synthesize_mode(model, 0.0, 20)
+            synthesize_mode(model, 0.0, 20), synthesize_mode(model, 0.0, 20), 10.0
         )
-        block = next(b for b in sector.blocks if b.photon_number == 2)
+        block = sector.blocks[2]
         assert manifold_stokes_summary([block])[0].xi2 < 1e-10
 
     def test_total_matches_gaussian_closed_form(self):
@@ -228,19 +228,34 @@ class TestTotalSummary:
         r = model.squeeze_parameter
         alpha = 2.0
         cutoff = 30
-        sector = parse_manifolds(
+        total = total_stokes_summary(
             synthesize_mode(model, alpha, cutoff), synthesize_mode(model, 0.0, cutoff)
         )
-        total = total_stokes_summary(sector)
         assert abs(total.xi2 - gaussian_total_xi2(alpha, r)) < 1e-5
 
     def test_raises_when_weight_escapes(self):
         model = NoiseModel(3.6, 4.4, 0.85)
-        sector = parse_manifolds(
-            synthesize_mode(model, 3.0, 4), synthesize_mode(model, 0.0, 4)
-        )
-        with pytest.raises(ValueError, match="captures"):
-            total_stokes_summary(sector, min_captured=0.9)
+        # the two modes keep 0.052 of the state's trace
+        with pytest.raises(ValueError, match="keep only 0.051725"):
+            total_stokes_summary(synthesize_mode(model, 3.0, 4), synthesize_mode(model, 0.0, 4))
+
+    @pytest.mark.parametrize(
+        "alphas, cutoff_h, cutoff_v",
+        [pytest.param(DEFAULT_ALPHAS, c, c, id=f"ladder-{c}-{c}") for c in (24, 48, 160)]
+        + [pytest.param((5.0,), 55, 20, id="5.0-55-20"),
+           pytest.param(DEFAULT_ALPHAS, 30, 20, id="ladder-30-20")],
+    )
+    def test_matches_block_sum(self, alphas, cutoff_h, cutoff_v):
+        # the block sum gathers every manifold in full, straddling ones included
+        model = NoiseModel(3.6, 4.4, 0.85)
+        rho_v = synthesize_mode(model, 0.0, cutoff_v)
+        for alpha in alphas:
+            rho_h = synthesize_mode(model, alpha, cutoff_h)
+            got, want = total_stokes_summary(rho_h, rho_v), block_sum_total(rho_h, rho_v)
+            assert abs(got.xi2 - want.xi2) <= 1e-13 * abs(want.xi2), alpha
+            assert np.max(np.abs(got.gamma - want.gamma)) <= 1e-12, alpha
+            assert np.max(np.abs(got.mean - want.mean)) <= 1e-12, alpha
+            assert got.spin == pytest.approx(want.spin, rel=1e-14) and got.mode == want.mode
 
 
 class TestClosedForms:
@@ -257,10 +272,9 @@ class TestClosedForms:
         r = 0.41
         db = 20.0 * r / math.log(10.0)  # sq = anti gives nbar = 0 and this r
         model = NoiseModel(db, db, 1.0)
-        sector = parse_manifolds(
+        total = total_stokes_summary(
             synthesize_mode(model, alpha, 30), synthesize_mode(model, 0.0, 30)
         )
-        total = total_stokes_summary(sector)
         assert abs(total.xi2 - gaussian_total_xi2(alpha, r)) < 1e-9
 
     def test_gaussian_large_alpha_limit(self):
