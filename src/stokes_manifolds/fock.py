@@ -2,11 +2,13 @@
 
 Conventions: quadrature x = (a + a^dag)/sqrt(2), vacuum variance 1/2; dB values
 are 10*log10(Var/Var_vac).  The squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]
-squeezes x for real r > 0.
+squeezes x for real r > 0.  A mode of the model is D(sqrt(eta) alpha) applied to
+one lossy squeezed-thermal core, which is built once per model and padded size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,6 +20,8 @@ HERMITICITY_TOL = 1e-12
 
 def padded_cutoff(cutoff: int) -> int:
     """Internal cutoff used when building operators that get cropped back down."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
     return math.ceil(1.5 * cutoff) + 10
 
 
@@ -105,19 +109,13 @@ class NoiseModel:
         object.__setattr__(self, "thermal_occupation", nbar)
 
 
-def _padded_unitary(generator, cutoff: int, name: str, scale: float) -> np.ndarray:
-    """exp(-iH) of H = generator(a), exponentiated at a padded cutoff and
-    cropped, so the retained columns are accurate even near the truncation edge.
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    pad = padded_cutoff(cutoff)
-    full = _unitary_exp(generator(lowering_operator(pad + 1)))
+def _crop_checked(full: np.ndarray, cutoff: int, name: str, scale: float) -> np.ndarray:
+    """The padded unitary `full` cropped to 0..cutoff; warns if that looks too small."""
     mat = full[: cutoff + 1, : cutoff + 1]
     # Columns near the truncation edge always lose norm in the crop; what
     # signals a genuinely insufficient cutoff is weight of the vacuum column
     # escaping above it, or a non-unitary padded exponential.
-    defect = np.max(np.abs(full.conj().T @ full - np.eye(pad + 1)))
+    defect = np.max(np.abs(full.conj().T @ full - np.eye(len(full))))
     vac_loss = 1.0 - np.sum(np.abs(mat[:, 0]) ** 2)
     if defect > 1e-8 or vac_loss > 1e-6:
         warnings.warn(
@@ -128,26 +126,47 @@ def _padded_unitary(generator, cutoff: int, name: str, scale: float) -> np.ndarr
     return mat
 
 
+@functools.lru_cache(maxsize=2)
+def _displacement_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of G = i(a^dag - a) on dim levels, read-only."""
+    a = lowering_operator(dim)
+    values, vectors = np.linalg.eigh(1j * (a.T - a))
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
+
+
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated displacement operator D(alpha) = exp(alpha a^dag - alpha* a)."""
+    """Truncated displacement operator D(alpha) = exp(alpha a^dag - alpha* a).
+
+    D(t) = V diag(e^{-i t lambda}) V^dag for real t, from one cached eigh of
+    G = i(a^dag - a) per padded size; a complex alpha is D(|alpha|) with the
+    phases diag(e^{i n arg alpha}) on both sides.  D(0) is the exact identity.
+    """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    return _padded_unitary(
-        lambda a: 1j * (alpha * a.conj().T - np.conj(alpha) * a),
-        cutoff, "displacement_matrix", abs(alpha),
-    )
+    dim = padded_cutoff(cutoff) + 1
+    alpha = complex(alpha)
+    if alpha == 0:
+        full = np.eye(dim, dtype=complex)
+    else:
+        values, vectors = _displacement_eigenbasis(dim)
+        t = alpha.real if alpha.imag == 0 else abs(alpha)
+        full = (vectors * np.exp(-1j * t * values)) @ vectors.conj().T
+        if alpha.imag != 0:
+            phase = np.exp(1j * np.angle(alpha) * np.arange(dim))
+            full = phase[:, None] * full * phase.conj()
+    return _crop_checked(full, cutoff, "displacement_matrix", abs(alpha))
 
 
 def squeeze_matrix(r: complex, cutoff: int) -> np.ndarray:
     """Truncated squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]."""
     if not np.isfinite(r):
         raise ValueError("r must be finite")
-
-    def generator(a):
-        a2 = a @ a
-        return 0.5j * (np.conj(r) * a2 - r * a2.conj().T)
-
-    return _padded_unitary(generator, cutoff, "squeeze_matrix", abs(r))
+    a = lowering_operator(padded_cutoff(cutoff) + 1)
+    a2 = a @ a
+    full = _unitary_exp(0.5j * (np.conj(r) * a2 - r * a2.conj().T))
+    return _crop_checked(full, cutoff, "squeeze_matrix", abs(r))
 
 
 def thermal_state(nbar: float, cutoff: int) -> ModeState:
@@ -192,23 +211,31 @@ def loss_channel(state: ModeState, eta: float) -> ModeState:
     return ModeState(state.cutoff, out)
 
 
+@functools.lru_cache(maxsize=2)
+def _lossy_core(model: NoiseModel, pad: int) -> tuple[np.ndarray, tuple]:
+    """The alpha-independent part of every mode, L_eta(S rho_th S^dag) on
+    photon numbers 0..pad (read-only), with the warnings building it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sq = squeeze_matrix(model.squeeze_parameter, pad)
+        rho = sq @ thermal_state(model.thermal_occupation, pad).entries @ sq.conj().T
+        core = loss_channel(ModeState(pad, rho), model.efficiency).entries
+    return core, tuple(caught)
+
+
 def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState:
-    """Displaced squeezed thermal state with detection loss.
+    """Displaced squeezed thermal state with detection loss,
+    rho = L_eta(D(alpha) S(r) rho_th(nbar) S^dag(r) D^dag(alpha)).
 
-    rho = D(alpha) S(r) rho_th(nbar) S^dag(r) D^dag(alpha), then the loss
-    channel with the model's efficiency.  Everything is assembled at a padded
-    cutoff and cropped at the end, so the truncation deficit sits in the trace.
+    Pure loss commutes with displacement up to the amplitude, L_eta(D(alpha)
+    s D^dag(alpha)) = D(sqrt(eta) alpha) L_eta(s) D^dag(sqrt(eta) alpha), so
+    each mode is one displacement of the lossy core, built once per (model,
+    padded cutoff); the warnings building it raised are raised on every call.
+    The padded result is cropped, so the truncation deficit sits in the trace.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
     pad = padded_cutoff(cutoff)
-    r = model.squeeze_parameter
-    nbar = model.thermal_occupation
-    disp = displacement_matrix(alpha, pad)
-    sq = squeeze_matrix(r, pad)
-    unitary = disp @ sq
-    rho = unitary @ thermal_state(nbar, pad).entries @ unitary.conj().T
-    lossy = loss_channel(ModeState(pad, rho), model.efficiency)
-    cropped = lossy.entries[: cutoff + 1, : cutoff + 1]
-    return ModeState(cutoff, cropped)
-
+    core, caught = _lossy_core(model, pad)
+    for w in caught:
+        warnings.warn(w.message, w.category, stacklevel=2)
+    disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad)[: cutoff + 1]
+    return ModeState(cutoff, disp @ core @ disp.conj().T)

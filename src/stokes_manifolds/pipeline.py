@@ -83,6 +83,9 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be true or false, got {value!r}")
+        for name in ("alphas", "emit"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
         if not self.alphas:
             raise ConfigError("alphas must be non-empty")
         for a in self.alphas:

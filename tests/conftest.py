@@ -1,6 +1,6 @@
 import pytest
 
-from stokes_manifolds import multipole
+from stokes_manifolds import fock, multipole
 
 
 @pytest.fixture
@@ -18,3 +18,15 @@ def corrupt_cg_tables(monkeypatch):
     multipole.cg_table.cache_clear()
     yield
     multipole.cg_table.cache_clear()
+
+
+@pytest.fixture
+def fresh_fock_caches():
+    """The lossy-core and displacement-eigenbasis caches, emptied before and
+    after, so a sweep builds both while functions patched into `fock` run."""
+    caches = (fock._lossy_core, fock._displacement_eigenbasis)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -11,7 +11,9 @@ one ring at a time.  So are the per-block forms of the two stacked per-manifold
 reports: the multipoles as one Clebsch-Gordan diagonal matvec per order q, and
 the Stokes variance minimised one block at a time.  The total Stokes summary
 the package takes from the two modes is kept as the sum over every manifold
-block, each gathered in full.
+block, each gathered in full.  Each mode is synthesised as the model states
+it, displaced before the loss, where the package displaces one shared lossy
+core by sqrt(eta) alpha.
 """
 
 import json
@@ -20,7 +22,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from stokes_manifolds.fock import NoiseModel, _unitary_exp, synthesize_mode
+from stokes_manifolds.fock import (
+    ModeState,
+    NoiseModel,
+    _unitary_exp,
+    loss_channel,
+    lowering_operator,
+    padded_cutoff,
+    squeeze_matrix,
+    synthesize_mode,
+    thermal_state,
+)
 from stokes_manifolds.multipole import cg_table
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock, parse_manifolds
@@ -304,6 +316,21 @@ def dense_loss(rho, eta):
         kraus[n - k, n] = coeff
         out += kraus @ rho @ kraus.T
     return out
+
+
+# -- synthesis in the order of the model ----------------------------------------
+
+def direct_synthesis(model, alpha, cutoff):
+    """L_eta(D(alpha) S rho_th S^dag D^dag(alpha)) on the padded cutoff, the loss
+    applied last, cropped to 0..cutoff.  D(alpha) is exponentiated from its
+    generator on `padded_cutoff(pad) + 1` levels and cropped to the pad."""
+    pad = padded_cutoff(cutoff)
+    a = lowering_operator(padded_cutoff(pad) + 1)
+    disp = _unitary_exp(1j * (alpha * a.T - np.conj(alpha) * a))[: pad + 1, : pad + 1]
+    unitary = disp @ squeeze_matrix(model.squeeze_parameter, pad)
+    rho = unitary @ thermal_state(model.thermal_occupation, pad).entries @ unitary.conj().T
+    lossy = loss_channel(ModeState(pad, rho), model.efficiency)
+    return lossy.entries[: cutoff + 1, : cutoff + 1]
 
 
 # -- writers the package replaced -----------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from stokes_manifolds.fock import (
     thermal_state,
 )
 
-from oracles import dense_loss, mean_photon_number
+from oracles import dense_loss, direct_synthesis, mean_photon_number
 
 
 def coherent_amplitudes(alpha, dim):
@@ -90,6 +91,17 @@ class TestOperators:
     def test_warns_on_too_small_cutoff(self):
         with pytest.warns(UserWarning, match="cutoff"):
             displacement_matrix(4.0, 3)
+
+    # the padded cutoffs of synthesis at cutoffs 24, 46 and 160
+    @pytest.mark.parametrize("alpha", [0.57, -1.13, 2.31, 6.45, 1.3 - 0.4j])
+    @pytest.mark.parametrize("cutoff", [46, 79, 250])
+    def test_displacement_matches_expm(self, cutoff, alpha):
+        a = lowering_operator(padded_cutoff(cutoff) + 1)
+        want = expm(alpha * a.T - np.conj(alpha) * a)[: cutoff + 1, : cutoff + 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # 6.45 outgrows cutoff 46
+            got = displacement_matrix(alpha, cutoff)
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestUnitaryExp:
@@ -209,6 +221,26 @@ class TestSynthesis:
         state = synthesize_mode(NoiseModel(3.6, 4.4, 0.85), 1.13, 24)
         assert np.linalg.eigvalsh(state.entries)[0] >= -1e-10
         assert 1.0 - 1e-6 < state.trace <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.85, 1.0])
+    @pytest.mark.parametrize("cutoff", [24, 48, 160])
+    def test_matches_direct_route(self, cutoff, eta):
+        # loss after the displacement, against D(sqrt(eta) alpha) on the lossy core
+        model = NoiseModel(3.6, 4.4, eta)
+        for alpha in (0.0, 0.57, 1.13, 2.31, -1.13) + ((7.0,) if cutoff == 160 else ()):
+            got = synthesize_mode(model, alpha, cutoff).entries
+            dev = np.max(np.abs(got - direct_synthesis(model, alpha, cutoff)))
+            assert dev < 1e-13, (alpha, dev)
+
+    def test_core_warnings_raised_on_every_call(self):
+        # the squeeze guard trips while the cached core is built, and a call
+        # that finds the core cached still warns
+        model = NoiseModel(0.0, 40.0, 0.85)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            for _ in range(2):
+                with pytest.warns(UserWarning, match="squeeze_matrix"):
+                    synthesize_mode(model, 0.5, 1)
 
     def test_hermiticity_enforced(self):
         bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)

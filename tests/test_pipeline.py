@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import stokes_manifolds
-from stokes_manifolds import cli, multipole, pipeline, render, sphere
+from stokes_manifolds import cli, fock, multipole, pipeline, render, sphere
 from stokes_manifolds.cli import main
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
 from stokes_manifolds.polar import parse_manifolds
@@ -233,6 +233,14 @@ class TestComputedOnce:
         calls = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
         run_sweep(RunConfig(**FAST))
         assert len(calls) == len(FAST["alphas"]) + 1
+
+    def test_core_and_eigenbasis_built_once_per_sweep(self, monkeypatch, fresh_fock_caches):
+        squeezes = _record_calls(monkeypatch, "squeeze_matrix", [fock])
+        modes = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
+        run_sweep(RunConfig())
+        assert len(squeezes) == 1
+        assert fock._displacement_eigenbasis.cache_info().misses == 1
+        assert len(modes) == len(DEFAULT_ALPHAS) + 1
 
     def test_multipoles_once_per_reported_block(self, monkeypatch):
         calls = _record_calls(monkeypatch, "multipoles_algebraic", [pipeline, multipole])
@@ -489,6 +497,10 @@ class TestCli:
             (True, "antisqueezing_db"), (True, "efficiency"), (False, "efficiency"),
             (True, "cutoff_h"), (True, "cutoff_v"), (True, "grid_l"), (False, "grid_l"),
             (True, "s_report_max"), ([True, 64], "raster_shape"), ([64, True], "raster_shape"),
+        )]
+        # and a string or a number where a list belongs
+        + [pytest.param(v, k, id=f"{v!r}-{k}") for v, k in (
+            ("q_csv", "emit"), (1.0, "alphas"), ("1.5", "alphas"),
         )],
     )
     def test_non_boolean_flag_exit(self, tmp_path, capsys, key, value):
