@@ -4,13 +4,14 @@ Conventions: quadrature x = (a + a^dag)/sqrt(2), vacuum variance 1/2; dB values
 are 10*log10(Var/Var_vac).  The squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]
 squeezes x for real r > 0.  A mode of the model is D(sqrt(eta) alpha) applied to
 one lossy squeezed-thermal core, which is built once per model and padded size.
+Operators are exponentiated at a padded size and cropped; what a too-small
+cutoff loses shows in the mode's trace deficit, on which the sweep warns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,23 +110,6 @@ class NoiseModel:
         object.__setattr__(self, "thermal_occupation", nbar)
 
 
-def _crop_checked(full: np.ndarray, cutoff: int, name: str, scale: float) -> np.ndarray:
-    """The padded unitary `full` cropped to 0..cutoff; warns if that looks too small."""
-    mat = full[: cutoff + 1, : cutoff + 1]
-    # Columns near the truncation edge always lose norm in the crop; what
-    # signals a genuinely insufficient cutoff is weight of the vacuum column
-    # escaping above it, or a non-unitary padded exponential.
-    defect = np.max(np.abs(full.conj().T @ full - np.eye(len(full))))
-    vac_loss = 1.0 - np.sum(np.abs(mat[:, 0]) ** 2)
-    if defect > 1e-8 or vac_loss > 1e-6:
-        warnings.warn(
-            f"{name}: cutoff {cutoff} may be too small for argument magnitude "
-            f"{scale:.3g} (unitarity defect {defect:.2e}, vacuum-column loss {vac_loss:.2e})",
-            stacklevel=3,
-        )
-    return mat
-
-
 @functools.lru_cache(maxsize=2)
 def _displacement_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of G = i(a^dag - a) on dim levels, read-only."""
@@ -140,8 +124,9 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Truncated displacement operator D(alpha) = exp(alpha a^dag - alpha* a).
 
     D(t) = V diag(e^{-i t lambda}) V^dag for real t, from one cached eigh of
-    G = i(a^dag - a) per padded size; a complex alpha is D(|alpha|) with the
-    phases diag(e^{i n arg alpha}) on both sides.  D(0) is the exact identity.
+    G = i(a^dag - a) per padded size, cropped to 0..cutoff; a complex alpha is
+    D(|alpha|) with the phases diag(e^{i n arg alpha}) on both sides.  D(0) is
+    the exact identity.
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -156,17 +141,17 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
         if alpha.imag != 0:
             phase = np.exp(1j * np.angle(alpha) * np.arange(dim))
             full = phase[:, None] * full * phase.conj()
-    return _crop_checked(full, cutoff, "displacement_matrix", abs(alpha))
+    return full[: cutoff + 1, : cutoff + 1]
 
 
 def squeeze_matrix(r: complex, cutoff: int) -> np.ndarray:
-    """Truncated squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]."""
+    """Squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2], padded and cropped to 0..cutoff."""
     if not np.isfinite(r):
         raise ValueError("r must be finite")
     a = lowering_operator(padded_cutoff(cutoff) + 1)
     a2 = a @ a
     full = _unitary_exp(0.5j * (np.conj(r) * a2 - r * a2.conj().T))
-    return _crop_checked(full, cutoff, "squeeze_matrix", abs(r))
+    return full[: cutoff + 1, : cutoff + 1]
 
 
 def thermal_state(nbar: float, cutoff: int) -> ModeState:
@@ -212,15 +197,12 @@ def loss_channel(state: ModeState, eta: float) -> ModeState:
 
 
 @functools.lru_cache(maxsize=2)
-def _lossy_core(model: NoiseModel, pad: int) -> tuple[np.ndarray, tuple]:
+def _lossy_core(model: NoiseModel, pad: int) -> np.ndarray:
     """The alpha-independent part of every mode, L_eta(S rho_th S^dag) on
-    photon numbers 0..pad (read-only), with the warnings building it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sq = squeeze_matrix(model.squeeze_parameter, pad)
-        rho = sq @ thermal_state(model.thermal_occupation, pad).entries @ sq.conj().T
-        core = loss_channel(ModeState(pad, rho), model.efficiency).entries
-    return core, tuple(caught)
+    photon numbers 0..pad, read-only."""
+    sq = squeeze_matrix(model.squeeze_parameter, pad)
+    rho = sq @ thermal_state(model.thermal_occupation, pad).entries @ sq.conj().T
+    return loss_channel(ModeState(pad, rho), model.efficiency).entries
 
 
 def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState:
@@ -230,12 +212,9 @@ def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState
     Pure loss commutes with displacement up to the amplitude, L_eta(D(alpha)
     s D^dag(alpha)) = D(sqrt(eta) alpha) L_eta(s) D^dag(sqrt(eta) alpha), so
     each mode is one displacement of the lossy core, built once per (model,
-    padded cutoff); the warnings building it raised are raised on every call.
-    The padded result is cropped, so the truncation deficit sits in the trace.
+    padded cutoff).  The padded result is cropped, so the truncation deficit
+    sits in the trace, and 1 - trace is the one measure of a too-small cutoff.
     """
     pad = padded_cutoff(cutoff)
-    core, caught = _lossy_core(model, pad)
-    for w in caught:
-        warnings.warn(w.message, w.category, stacklevel=2)
     disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad)[: cutoff + 1]
-    return ModeState(cutoff, disp @ core @ disp.conj().T)
+    return ModeState(cutoff, disp @ _lossy_core(model, pad) @ disp.conj().T)

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,19 +137,10 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {
+            **asdict(self),
             "alphas": [float(a) for a in self.alphas],
-            "squeezing_db": self.squeezing_db,
-            "antisqueezing_db": self.antisqueezing_db,
-            "efficiency": self.efficiency,
-            "apply_loss": self.apply_loss,
-            "cutoff_h": self.cutoff_h,
-            "cutoff_v": self.cutoff_v,
             "grid_l": self.resolved_grid_l,
             "s_report_max": self.resolved_s_report_max,
-            "out_dir": self.out_dir,
-            "emit": list(self.emit),
-            "allow_complex_alpha": self.allow_complex_alpha,
-            "raster_shape": list(self.raster_shape),
         }
 
 
@@ -219,13 +210,16 @@ def _check_cutoffs(config: RunConfig):
 
 
 def _dedupe(alphas):
-    seen = []
+    """The amplitudes less those printed (`_fmt`) like an earlier one, which
+    would share its rows and manifest key; + 0.0 folds -0.0 into 0.0."""
+    seen = {}
     for a in alphas:
-        if any(a == b for b in seen):
+        text = _fmt(float(a) + 0.0)
+        if text in seen:
             warnings.warn(f"duplicate alpha {a} removed from sweep", stacklevel=3)
             continue
-        seen.append(a)
-    return tuple(seen)
+        seen[text] = a
+    return tuple(seen.values())
 
 
 def run_sweep(config: RunConfig) -> RunReport:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from stokes_manifolds.fock import (
     synthesize_mode,
     thermal_state,
 )
+from stokes_manifolds.pipeline import TRACE_DEFICIT_WARN
 
 from oracles import dense_loss, direct_synthesis, mean_photon_number
 
@@ -88,20 +88,13 @@ class TestOperators:
     def test_padding_rule(self):
         assert padded_cutoff(24) == 46
 
-    def test_warns_on_too_small_cutoff(self):
-        with pytest.warns(UserWarning, match="cutoff"):
-            displacement_matrix(4.0, 3)
-
     # the padded cutoffs of synthesis at cutoffs 24, 46 and 160
     @pytest.mark.parametrize("alpha", [0.57, -1.13, 2.31, 6.45, 1.3 - 0.4j])
     @pytest.mark.parametrize("cutoff", [46, 79, 250])
     def test_displacement_matches_expm(self, cutoff, alpha):
         a = lowering_operator(padded_cutoff(cutoff) + 1)
         want = expm(alpha * a.T - np.conj(alpha) * a)[: cutoff + 1, : cutoff + 1]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # 6.45 outgrows cutoff 46
-            got = displacement_matrix(alpha, cutoff)
-        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.max(np.abs(displacement_matrix(alpha, cutoff) - want)) < 1e-13
 
 
 class TestUnitaryExp:
@@ -232,15 +225,28 @@ class TestSynthesis:
             dev = np.max(np.abs(got - direct_synthesis(model, alpha, cutoff)))
             assert dev < 1e-13, (alpha, dev)
 
-    def test_core_warnings_raised_on_every_call(self):
-        # the squeeze guard trips while the cached core is built, and a call
-        # that finds the core cached still warns
-        model = NoiseModel(0.0, 40.0, 0.85)
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            for _ in range(2):
-                with pytest.warns(UserWarning, match="squeeze_matrix"):
-                    synthesize_mode(model, 0.5, 1)
+    def test_trace_deficit_flags_lost_vacuum_column(self):
+        # wherever the cropped D(sqrt(eta) alpha) or S(r) loses more than 1e-6
+        # of its vacuum column at the padded cutoff, the sweep's trace-deficit
+        # warning fires; noise models, cutoffs and amplitudes run from the
+        # default to far past every cutoff
+        models = [NoiseModel(sq, anti, eta)
+                  for sq, anti in ((3.6, 4.4), (0.0, 40.0), (10.0, 30.0))
+                  for eta in (0.0, 0.85, 1.0)]
+        flagged = 0
+        for model in models:
+            for cutoff in (1, 2, 4, 8, 12):
+                pad = padded_cutoff(cutoff)
+                trace_v = synthesize_mode(model, 0.0, cutoff).trace
+                for alpha in (0.0, 2.31, 7.0):
+                    ops = (displacement_matrix(math.sqrt(model.efficiency) * alpha, pad),
+                           squeeze_matrix(model.squeeze_parameter, pad))
+                    if max(1.0 - np.sum(np.abs(op[:, 0]) ** 2) for op in ops) <= 1e-6:
+                        continue
+                    flagged += 1
+                    deficit = 1.0 - synthesize_mode(model, alpha, cutoff).trace * trace_v
+                    assert deficit > TRACE_DEFICIT_WARN, (model, cutoff, alpha, deficit)
+        assert flagged == 116  # of the 135 configs
 
     def test_hermiticity_enforced(self):
         bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import runpy
 import subprocess
 import sys
@@ -57,6 +58,17 @@ class TestConfig:
         assert config.cutoff_h == config.cutoff_v == 24
         assert config.resolved_s_report_max == 12.0
         assert config.resolved_grid_l == 48
+
+    def test_echo(self):
+        # the default echo is held by the bench reference test below
+        config = RunConfig(alphas=(0, 2), raster_shape=[8, 16], grid_l=40,
+                           s_report_max=5.3, apply_loss=False, emit=("q_csv",))
+        assert json.loads(json.dumps(config.echo())) == {
+            "alphas": [0.0, 2.0], "squeezing_db": 3.6, "antisqueezing_db": 4.4,
+            "efficiency": 0.85, "apply_loss": False, "cutoff_h": 24, "cutoff_v": 24,
+            "grid_l": 40, "s_report_max": 5.3, "out_dir": "out", "emit": ["q_csv"],
+            "allow_complex_alpha": False, "raster_shape": [8, 16],
+        }
 
     def test_json_file_with_overrides(self, tmp_path):
         doc = tmp_path / "config.json"
@@ -120,6 +132,28 @@ class TestSweep:
         config = RunConfig(alphas=(3.0,), cutoff_h=12, cutoff_v=12, s_report_max=3.0)
         with pytest.warns(UserWarning, match="recommended"):
             run_sweep(config)
+
+    def test_deficit_warning_raised_on_every_run(self):
+        # a second sweep in the same process, with the mode caches warm, warns
+        # again, once per amplitude, and raises no other warning
+        config = RunConfig(alphas=(0.0, 0.57), cutoff_h=4, cutoff_v=4)
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_sweep(config)
+            messages = [str(w.message) for w in caught]
+            assert len(messages) == len(config.alphas), messages
+            for text, alpha in zip(messages, config.alphas):
+                assert "recommended" in text and f"alpha={alpha}," in text, text
+
+    def test_alphas_printed_alike_are_duplicates(self, tmp_path):
+        config = RunConfig(**{**FAST, "alphas": (1.0, 1.0000000000001), "emit": ("squeezing_csv",)})
+        with pytest.warns(UserWarning, match="duplicate alpha 1.0000000000001"):
+            report = run_sweep(config)
+        assert [r.alpha for r in report.results] == [1.0]
+        manifest = emit_figure_tables(report, tmp_path)
+        assert list(manifest["trace_deficit"]) == ["1"]
+        assert manifest["alphas"] == [1.0]
 
     def test_default_run_warns_nothing(self):
         # the largest trace deficit of the default sweep is 8.5e-9
@@ -567,6 +601,19 @@ class TestCli:
         assert line.startswith("wrote 2 files") and line.endswith("s"), line
         assert float(line.rsplit(" in ", 1)[1][:-1]) >= 0.3, line
 
+    def test_one_truncation_warning_per_amplitude(self, tmp_path):
+        # the only truncation warning names the user's cutoffs, never the
+        # padded size the modes are built at; alpha = 2.31 then keeps under
+        # half the state, so the guard stops the run after its warning
+        proc = _run_python(["-m", "stokes_manifolds.cli", "run", "--cutoff", "4",
+                            "--emit", "photon_csv", "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2 and "numerical guard" in proc.stderr, proc.stderr
+        lines = [ln for ln in proc.stderr.splitlines() if "Warning" in ln]
+        assert len(lines) == len(DEFAULT_ALPHAS), proc.stderr
+        for line, alpha in zip(lines, DEFAULT_ALPHAS):
+            assert "UserWarning: cutoffs (4, 4) lose " in line and f"alpha={alpha}," in line
+            assert re.findall(r"cutoffs? \(?([\d, ]+)", line) == ["4, 4"], line
+
     def test_bad_alpha_list(self, tmp_path):
         assert main(["run", "--alpha", "0,banana", "--out", str(tmp_path)]) == 1
 
@@ -588,15 +635,20 @@ class TestCli:
             f" '--grid-l', '24', '--out', {str(out)!r}])]\n"
             "print('exit codes', *codes)\n"
         )
-        src = str(Path(stokes_manifolds.__file__).parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=300,
-        )
+        proc = _run_python(["-c", script])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "exit codes 0 0", proc.stdout
         assert (out / "manifest.json").exists()
+
+
+def _run_python(args):
+    """A fresh interpreter that imports this package, run on `args`."""
+    src = str(Path(stokes_manifolds.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
