@@ -9,22 +9,10 @@ Exit codes: 0 success, 1 config error, 2 numerical guard or failed invariant,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
-import numpy as np
-
-from .fock import NoiseModel, loss_channel, synthesize_mode, thermal_state
-from .multipole import (
-    cg_table,
-    cg_table_deviation,
-    multipoles_algebraic,
-    multipoles_integral,
-    spherical_harmonic,
-    stretched_cg,
-)
-from .polar import ManifoldBlock, parse_manifolds
+from .invariants import default_suite
 from .pipeline import (
     EMIT_CHOICES,
     ConfigError,
@@ -33,8 +21,6 @@ from .pipeline import (
     parse_config,
     run_sweep,
 )
-from .sphere import build_quadrature_grid, husimi_manifold, husimi_total
-from .stokes import manifold_stokes_summary
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,86 +94,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(_args) -> int:
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append(ok)
-        status = "ok" if ok else "FAIL"
-        print(f"[{status}] {name}" + (f" ({detail})" if detail else ""))
-
-    grid = build_quadrature_grid(24)
-    th, ph = grid.mesh()
-    worst = 0.0
-    for k1, q1, k2, q2 in ((0, 0, 0, 0), (3, 1, 3, 1), (5, -2, 5, -2), (4, 2, 6, 2), (7, 3, 7, -3)):
-        val = grid.integrate(
-            spherical_harmonic(k1, q1, th, ph) * np.conj(spherical_harmonic(k2, q2, th, ph))
-        )
-        want = 1.0 if (k1, q1) == (k2, q2) else 0.0
-        worst = max(worst, abs(val - want))
-    check("spherical-harmonic orthonormality", worst < 1e-12, f"max dev {worst:.2e}")
-
     try:
-        dev = cg_table_deviation(cg_table(24))
-        check("Clebsch-Gordan table orthonormality (2S=24)", True, f"max dev {dev:.2e}")
-    except ValueError as exc:
-        check("Clebsch-Gordan table orthonormality (2S=24)", False, str(exc))
-
-    rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for two_j in (1, 2, 3, 4):
-        dim = two_j + 1
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
-        block = ManifoldBlock(two_j / 2.0, 1.0, rho)
-        sp_a = multipoles_algebraic(block)
-        sp_i = multipoles_integral(block, grid)
-        for ca, ci in zip(sp_a.coefficients, sp_i.coefficients):
-            worst = max(worst, float(np.max(np.abs(ca - ci))))
-    check("dual-route multipoles", worst < 1e-8, f"max dev {worst:.2e}")
-
-    state = thermal_state(0.7, 20)
-    tr0 = state.trace
-    tr1 = loss_channel(state, 0.37).trace
-    check("loss channel trace preservation", abs(tr1 - tr0) < 1e-12, f"dev {abs(tr1 - tr0):.2e}")
-
-    model = NoiseModel(3.6, 4.4, 0.85)
-    rho_h = synthesize_mode(model, 1.13, 16)
-    rho_v = synthesize_mode(model, 0.0, 16)
-    sector = parse_manifolds(rho_h, rho_v, 6.0)
-    q = husimi_total(sector, grid)
-    target = sum(b.weight for b in sector.reported())
-    dev = abs(q.integral() - target)
-    check("total Husimi normalization", dev < 1e-8, f"dev {dev:.2e}")
-
-    # every block a cutoff-16 run reports, on that run's default grid; the
-    # quadrature route divides by C_K, so its error is compared scaled by C_K
-    run_grid = build_quadrature_grid(32)
-    worst = 0.0
-    sector = parse_manifolds(rho_h, rho_v, 8.0)
-    for block in sector.reported():
-        norm = stretched_cg(block.photon_number)
-        sp_a = multipoles_algebraic(block)
-        sp_i = multipoles_integral(block, run_grid)
-        for k, (ca, ci) in enumerate(zip(sp_a.coefficients, sp_i.coefficients)):
-            worst = max(worst, float(np.max(np.abs(ca - ci))) * norm[k])
-    check("scaled dual-route multipoles, reported blocks at cutoff 16", worst < 1e-12,
-          f"max |d rho_Kq| C_K {worst:.2e}")
-
-    block = sector.blocks[1]
-    xi2 = manifold_stokes_summary([block])[0].xi2
-    check("one-photon manifold unsqueezed", abs(xi2 - 1.0) < 1e-6, f"xi2 {xi2:.9f}")
-
-    block = sector.blocks[4]
-    qm = husimi_manifold(block, grid)
-    dev = abs(qm.integral() - 4.0 * math.pi / 5.0)
-    check("manifold Husimi normalization", dev < 1e-8, f"dev {dev:.2e}")
-
-    if all(checks):
-        print(f"all {len(checks)} checks passed")
-        return 0
-    print(f"{checks.count(False)} of {len(checks)} checks failed", file=sys.stderr)
-    return 2
+        results = default_suite()
+    except NumericalGuardError as exc:  # the default run's own guards
+        print(f"numerical guard: {exc}", file=sys.stderr)
+        return 2
+    failed = 0
+    for name, worst, bound in results:
+        ok = worst <= bound
+        failed += not ok
+        print(f"[{'ok' if ok else 'FAIL'}] {name}: worst {worst:.2e}, bound {bound:g}")
+    if failed:
+        print(f"{failed} of {len(results)} checks failed", file=sys.stderr)
+        return 2
+    print(f"all {len(results)} checks passed")
+    return 0
 
 
 def main(argv=None) -> int:

@@ -109,6 +109,12 @@ class NoiseModel:
         object.__setattr__(self, "squeeze_parameter", r)
         object.__setattr__(self, "thermal_occupation", nbar)
 
+    def mean_photons(self, alpha: complex) -> float:
+        """Closed-form <n> = eta (|alpha|^2 + (nbar + 1/2) cosh 2r - 1/2) of the
+        mode displaced by alpha; inf, not OverflowError, if |alpha|^2 overflows."""
+        spread = (self.thermal_occupation + 0.5) * math.cosh(2.0 * self.squeeze_parameter)
+        return self.efficiency * (abs(alpha) * abs(alpha) + spread - 0.5)
+
 
 @functools.lru_cache(maxsize=2)
 def _displacement_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:

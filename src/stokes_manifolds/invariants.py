@@ -1,0 +1,127 @@
+"""Numerical invariants of the analysis, each defined once.
+
+Every invariant is a function that returns `(value, bound)`; it holds when
+value <= bound, so a NaN value fails.  The tests call these functions on
+their own inputs with their own bounds, and `default_suite` evaluates them on
+what a default run reports, for `stokes-manifolds check`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import multipole
+from .fock import loss_channel, padded_cutoff, thermal_state
+from .pipeline import RunConfig, run_sweep
+from .polar import ManifoldBlock
+from .sphere import FOUR_PI, build_quadrature_grid, husimi_manifold, husimi_total
+from .stokes import manifold_stokes_summary
+
+
+def spherical_harmonic(degree: int, order: int, theta, phi) -> np.ndarray:
+    """Orthonormal Y_Kq with Condon-Shortley phase; broadcasts over angles."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    if abs(order) > degree:
+        raise ValueError(f"|order| = {abs(order)} exceeds degree {degree}")
+    m = abs(order)
+    y = multipole._legendre_rows(m, degree, theta)[-1]
+    y = y * np.exp(1j * m * np.asarray(phi, dtype=float))
+    if order >= 0:
+        return y
+    return (-1.0) ** m * np.conj(y)
+
+
+def harmonic_orthonormality(grid, degrees) -> tuple[float, float]:
+    """Largest |sum_grid Y_Kq Y*_K'q' - delta| over every order of the given degrees."""
+    th, ph = grid.mesh()
+    y = np.array([spherical_harmonic(k, q, th, ph).ravel()
+                  for k in degrees for q in range(-k, k + 1)])
+    gram = (y * grid.weights.ravel()) @ y.conj().T
+    return float(np.max(np.abs(gram - np.eye(len(y))))), 1e-12
+
+
+def cg_orthonormality(two_s: int) -> tuple[float, float]:
+    """Largest |Gram - 1| of the cached Clebsch-Gordan table of 2S, which
+    `cg_table` refuses with ValueError above the bound."""
+    return multipole.cg_table_deviation(multipole.cg_table(two_s)), multipole.CG_TABLE_TOL
+
+
+def dual_route_gap(block: ManifoldBlock, grid) -> tuple[float, float]:
+    """Largest |rho_Kq(quadrature) - rho_Kq(algebraic)| C_K over (K, q).  The
+    quadrature route divides by C_K = <S S; K 0|S S>, 1.3e-7 at S = 12, K = 24,
+    so its rounding error grows as 1/C_K; scaled back it stays near 1e-14."""
+    gap = np.abs(multipole.multipoles_integral(block, grid).rho
+                 - multipole.multipoles_algebraic(block).rho)
+    return float(np.max(np.max(gap, axis=1) * multipole.stretched_cg(block.photon_number))), 1e-12
+
+
+def husimi_total_gap(sector, grid, max_spin=None) -> tuple[float, float]:
+    """|integral of the total Q - sum of P_S| over the reported manifolds."""
+    captured = sum(b.weight for b in sector.reported(max_spin))
+    return abs(husimi_total(sector, grid, max_spin).integral() - captured), 1e-12
+
+
+def husimi_manifold_gap(block: ManifoldBlock, grid) -> tuple[float, float]:
+    """|integral of Q^(S) - 4 pi/(2S+1)| for a unit-trace block."""
+    return abs(husimi_manifold(block, grid).integral() - FOUR_PI / block.dim), 1e-12
+
+
+def loss_trace_gap(state, eta: float) -> tuple[float, float]:
+    """|Tr L_eta(rho) - Tr rho| of the pure-loss channel."""
+    return abs(loss_channel(state, eta).trace - state.trace), 1e-12
+
+
+def spin_half_xi2_gap(block: ManifoldBlock) -> tuple[float, float]:
+    """|xi^2 - 1| of an S = 1/2 block, which no state can squeeze."""
+    return abs(manifold_stokes_summary([block])[0].xi2 - 1.0), 1e-12
+
+
+def random_block(spin: float, rng) -> ManifoldBlock:
+    """A unit-trace block of spin S, m m^dag for an m of random complex normals."""
+    dim = round(2 * spin) + 1
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return ManifoldBlock(spin, 1.0, rho / np.trace(rho).real)
+
+
+def _worst(name: str, pairs) -> tuple[str, float, float]:
+    values, bounds = np.array(list(pairs), dtype=float).T
+    return name, float(np.max(values)), float(np.min(bounds))
+
+
+def default_suite() -> list[tuple[str, float, float]]:
+    """(name, worst value, bound) of each invariant on what
+    `run_sweep(RunConfig())` reports: every reported block on the run's grid,
+    every Clebsch-Gordan table the run uses, and the loss channel at the
+    run's padded size and efficiency.  A real
+    alpha gives real blocks, so the multipole routes also meet random complex
+    blocks with 2S <= 4."""
+    report = run_sweep(RunConfig())
+    config = report.config
+    grid = build_quadrature_grid(report.grid_l)
+    blocks = [b for res in report.results for b in res.sector.reported()]
+    sizes = sorted({b.photon_number for b in blocks})
+    top = sizes[-1]
+    rng = np.random.default_rng(20240817)
+    randoms = [random_block(two_s / 2.0, rng) for two_s in range(1, 5)]
+    pad = padded_cutoff(config.cutoff_h)
+    on_grid = f"on grid L {report.grid_l}"
+    return [
+        _worst(f"spherical-harmonic orthonormality, degrees 0, 1, {top - 1}, {top} {on_grid}",
+               [harmonic_orthonormality(grid, (0, 1, top - 1, top))]),
+        _worst(f"Clebsch-Gordan orthonormality, {len(sizes)} tables 2S <= {top}",
+               map(cg_orthonormality, sizes)),
+        _worst(f"scaled dual-route multipoles, {len(blocks)} reported blocks {on_grid}",
+               (dual_route_gap(b, grid) for b in blocks)),
+        _worst(f"scaled dual-route multipoles, {len(randoms)} random complex blocks 2S <= 4",
+               (dual_route_gap(b, grid) for b in randoms)),
+        _worst(f"total Husimi integral, {len(report.results)} amplitudes {on_grid}",
+               (husimi_total_gap(res.sector, grid) for res in report.results)),
+        _worst(f"manifold Husimi integral, {len(blocks)} reported blocks {on_grid}",
+               (husimi_manifold_gap(b, grid) for b in blocks)),
+        _worst(f"loss channel trace, thermal state on {pad + 1} levels at eta {config.efficiency}",
+               [loss_trace_gap(thermal_state(0.7, pad), config.efficiency)]),
+        _worst(f"one-photon manifold xi2 = 1, {len(report.results)} amplitudes",
+               (spin_half_xi2_gap(res.sector.blocks[1]) for res in report.results)),
+    ]

@@ -39,19 +39,6 @@ def _legendre_rows(m: int, max_degree: int, theta) -> list:
     return rows
 
 
-def spherical_harmonic(degree: int, order: int, theta, phi) -> np.ndarray:
-    """Orthonormal Y_Kq with Condon-Shortley phase; broadcasts over angles."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if abs(order) > degree:
-        raise ValueError(f"|order| = {abs(order)} exceeds degree {degree}")
-    m = abs(order)
-    y = _legendre_rows(m, degree, theta)[-1] * np.exp(1j * m * np.asarray(phi, dtype=float))
-    if order >= 0:
-        return y
-    return (-1.0) ** m * np.conj(y)
-
-
 @dataclass(frozen=True)
 class MultipoleSpectrum:
     """Complex multipoles of one manifold: rho[K, q + 2S] for K = 0..2S and
@@ -59,12 +46,6 @@ class MultipoleSpectrum:
 
     spin: float
     rho: np.ndarray
-
-    @property
-    def coefficients(self) -> tuple[np.ndarray, ...]:
-        """rho_Kq for q = -K..K, one array per K."""
-        two_s = self.rho.shape[0] - 1
-        return tuple(self.rho[k, two_s - k : two_s + k + 1] for k in range(two_s + 1))
 
     @property
     def weights(self) -> np.ndarray:

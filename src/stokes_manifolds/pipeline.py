@@ -245,6 +245,13 @@ def _analyze_alpha(config: RunConfig, model: NoiseModel, rho_v, alpha) -> AlphaR
             "a larger cutoff is recommended",
             stacklevel=3,
         )
+    for mode, amplitude, cutoff in (("H", alpha, config.cutoff_h), ("V", 0.0, config.cutoff_v)):
+        mean = model.mean_photons(amplitude)
+        if not mean <= cutoff:
+            raise NumericalGuardError(
+                f"alpha={alpha}: the {mode} mode's mean photon number {mean:.4g} exceeds "
+                f"its cutoff {cutoff}; a larger cutoff is needed"
+            )
     sector = parse_manifolds(rho_h, rho_v, config.resolved_s_report_max)
     reported = sector.reported()
     try:

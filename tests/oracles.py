@@ -24,18 +24,16 @@ import numpy as np
 
 from stokes_manifolds.fock import (
     ModeState,
-    NoiseModel,
     _unitary_exp,
     loss_channel,
     lowering_operator,
     padded_cutoff,
     squeeze_matrix,
-    synthesize_mode,
     thermal_state,
 )
 from stokes_manifolds.multipole import cg_table
-from stokes_manifolds.pipeline import DEFAULT_ALPHAS
-from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock, parse_manifolds
+from stokes_manifolds.pipeline import RunConfig, run_sweep
+from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock
 from stokes_manifolds.render import (
     BACKGROUND,
     _nearest_node_sampler,
@@ -56,15 +54,9 @@ from stokes_manifolds.stokes import (
 
 @lru_cache(maxsize=None)
 def default_ladder_blocks(cutoff):
-    """Every reported block of the default sweep's amplitudes at `cutoff`."""
-    model = NoiseModel(3.6, 4.4, 0.85)
-    rho_v = synthesize_mode(model, 0.0, cutoff)
-    return tuple(
-        block
-        for alpha in DEFAULT_ALPHAS
-        for block in parse_manifolds(synthesize_mode(model, alpha, cutoff), rho_v, cutoff / 2.0)
-        .reported()
-    )
+    """Every block the default sweep at `cutoff` reports."""
+    report = run_sweep(RunConfig(cutoff_h=cutoff, cutoff_v=cutoff))
+    return tuple(b for res in report.results for b in res.sector.reported())
 
 
 def mean_photon_number(state):

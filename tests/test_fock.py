@@ -20,6 +20,7 @@ from stokes_manifolds.fock import (
     synthesize_mode,
     thermal_state,
 )
+from stokes_manifolds.invariants import loss_trace_gap
 from stokes_manifolds.pipeline import TRACE_DEFICIT_WARN
 
 from oracles import dense_loss, direct_synthesis, mean_photon_number
@@ -155,8 +156,7 @@ class TestThermalAndLoss:
 
     def test_loss_trace_preserving(self):
         state = thermal_state(0.8, 25)
-        out = loss_channel(state, 0.37)
-        assert abs(out.trace - state.trace) < 1e-12
+        assert loss_trace_gap(state, 0.37)[0] < 1e-12
 
     def test_loss_scales_mean_photons(self):
         model = NoiseModel(3.6, 4.4, 1.0)
@@ -208,6 +208,13 @@ class TestSynthesis:
         state = synthesize_mode(model, alpha, 30)
         want = alpha**2 + math.sinh(r) ** 2
         assert abs(mean_photon_number(state) - want) < 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.31, 5.0])
+    def test_closed_form_mean_photons(self, alpha):
+        # the closed form the sweep's cutoff guard reads, against sum n rho_nn
+        model = NoiseModel(3.6, 4.4, 0.85)
+        state = synthesize_mode(model, alpha, 120)
+        assert abs(model.mean_photons(alpha) - mean_photon_number(state)) < 1e-9
 
     def test_validate_passes_at_adequate_cutoff(self):
         # positive semidefinite, and the trace within 1e-6 below 1

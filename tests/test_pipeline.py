@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import stokes_manifolds
-from stokes_manifolds import cli, fock, multipole, pipeline, render, sphere
+from stokes_manifolds import cli, fock, invariants, multipole, pipeline, render, sphere
 from stokes_manifolds.cli import main
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
 from stokes_manifolds.polar import parse_manifolds
@@ -37,7 +37,7 @@ from stokes_manifolds.pipeline import (
     run_sweep,
 )
 
-from oracles import full_block
+from oracles import default_ladder_blocks, full_block
 
 FAST = {
     "alphas": (0.0, 1.13),
@@ -579,6 +579,18 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["20", "1e300"])
+    def test_mean_photon_guard_exit(self, tmp_path, capsys, alpha):
+        # wrong numbers at a trace deficit of 8.5e-8 (alpha 20), or an overflow
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(["run", "--alpha", alpha, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert "numerical guard" in err and "mean photon number" in err, err
+        assert "cutoff 24" in err and "Traceback" not in err
+
     def test_corrupt_cg_table_exit(self, tmp_path, capsys, corrupt_cg_tables):
         code = main(["run", "--alpha", "0", "--out", str(tmp_path), "--emit", "multipole_csv"])
         err = capsys.readouterr().err
@@ -620,8 +632,25 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "all" in out and "FAIL" not in out
-        assert "[ok] scaled dual-route multipoles, reported blocks at cutoff 16" in out
+        assert "all 8 checks passed" in out and "FAIL" not in out
+        blocks = len(default_ladder_blocks(24))  # what run_sweep(RunConfig()) reports
+        line = f"[ok] scaled dual-route multipoles, {blocks} reported blocks on grid L 48: worst "
+        assert blocks == 100 and RunConfig().resolved_grid_l == 48 and line in out, out
+
+    def test_check_guard_exit(self, capsys, corrupt_cg_tables):
+        assert main(["check"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical guard" in err and "not orthonormal" in err
+
+    @pytest.mark.parametrize("value", [1e-11, math.nan])
+    def test_check_fails(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(invariants, "loss_trace_gap", lambda state, eta: (value, 1e-12))
+        assert main(["check"]) == 2
+        out, err = capsys.readouterr()
+        assert [ln for ln in out.splitlines() if "FAIL" in ln] == [
+            f"[FAIL] loss channel trace, thermal state on 47 levels at eta 0.85: "
+            f"worst {value:.2e}, bound 1e-12"]
+        assert err == f"1 of {out.count(chr(10))} checks failed\n"
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: with scipy's import blocked,

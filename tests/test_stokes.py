@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
+from stokes_manifolds.invariants import random_block, spin_half_xi2_gap
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
 from stokes_manifolds.stokes import (
@@ -28,14 +29,6 @@ from oracles import (
     spin_matrices,
     stokes_summary_single,
 )
-
-
-def random_block(spin, rng):
-    dim = round(2 * spin) + 1
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
-    return ManifoldBlock(spin, 1.0, rho)
 
 
 class TestMatrices:
@@ -85,8 +78,7 @@ class TestManifoldSummary:
     def test_spin_half_always_unity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            s = manifold_stokes_summary([random_block(0.5, rng)])[0]
-            assert abs(s.xi2 - 1.0) < 1e-10
+            assert spin_half_xi2_gap(random_block(0.5, rng))[0] < 1e-10
 
     def test_spin_coherent_state_is_shot_noise(self):
         # |S,S> at S=2: mean (0,0,2), perpendicular variances S/2 = 1
