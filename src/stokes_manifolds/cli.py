@@ -14,6 +14,7 @@ import time
 
 from .invariants import default_suite
 from .pipeline import (
+    CONFIG_KEYS,
     EMIT_CHOICES,
     ConfigError,
     NumericalGuardError,
@@ -33,12 +34,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an amplitude sweep and emit files")
     run.add_argument("--config", help="JSON config document")
     run.add_argument("--alpha", help="comma-separated coherent amplitudes")
-    run.add_argument("--sq-db", type=float, help="squeezing level in dB")
-    run.add_argument("--anti-db", type=float, help="anti-squeezing level in dB")
-    run.add_argument("--eta", type=float, help="detection efficiency in [0, 1]")
+    # flags with a dest are named by their config key and pass through as given
+    run.add_argument("--sq-db", dest="squeezing_db", type=float, help="squeezing level in dB")
+    run.add_argument("--anti-db", dest="antisqueezing_db", type=float,
+                     help="anti-squeezing level in dB")
+    run.add_argument("--eta", dest="efficiency", type=float, help="detection efficiency in [0, 1]")
     run.add_argument("--cutoff", type=int, help="photon-number cutoff for both modes")
-    run.add_argument("--grid-l", type=int, help="spherical quadrature exactness")
-    run.add_argument("--out", help="output directory")
+    run.add_argument("--grid-l", dest="grid_l", type=int, help="spherical quadrature exactness")
+    run.add_argument("--out", dest="out_dir", help="output directory")
     run.add_argument("--emit", help=f"comma-separated subset of {','.join(EMIT_CHOICES)}")
 
     sub.add_parser("check", help="run the built-in invariant suite")
@@ -46,25 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
-    overrides: dict = {}
+    overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
     if args.alpha is not None:
         try:
             overrides["alphas"] = tuple(float(a) for a in args.alpha.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --alpha list: {exc}") from exc
-    if args.sq_db is not None:
-        overrides["squeezing_db"] = args.sq_db
-    if args.anti_db is not None:
-        overrides["antisqueezing_db"] = args.anti_db
-    if args.eta is not None:
-        overrides["efficiency"] = args.eta
     if args.cutoff is not None:
-        overrides["cutoff_h"] = args.cutoff
-        overrides["cutoff_v"] = args.cutoff
-    if args.grid_l is not None:
-        overrides["grid_l"] = args.grid_l
-    if args.out is not None:
-        overrides["out_dir"] = args.out
+        overrides["cutoff_h"] = overrides["cutoff_v"] = args.cutoff
     if args.emit is not None:
         overrides["emit"] = tuple(s for s in args.emit.split(",") if s)
     return overrides

@@ -144,7 +144,7 @@ class RunConfig:
         }
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -162,7 +162,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
             raise ConfigError("config document must be a JSON object")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key in ("alphas", "emit", "raster_shape"):
@@ -196,7 +196,10 @@ class RunReport:
     grid_l: int
 
 
-def _check_cutoffs(config: RunConfig):
+def _check_cutoffs(config: RunConfig, model: NoiseModel, alphas):
+    """Every refusal a config can earn before any mode is synthesized: the
+    report range, the Q-function grid and, by the closed form, the mean photon
+    number of the V mode and of each H mode."""
     s_max = config.resolved_s_report_max
     try:
         top = report_photons(s_max, config.cutoff_h, config.cutoff_v)
@@ -207,6 +210,15 @@ def _check_cutoffs(config: RunConfig):
             f"grid_l={config.resolved_grid_l} is too coarse for the Q functions of "
             f"S_report_max={s_max}; q_csv and heatmaps need grid_l >= {2 * top}"
         )
+    modes = [("the V mode", 0.0, config.cutoff_v)]
+    modes += [(f"alpha={a}: the H mode", a, config.cutoff_h) for a in alphas]
+    for what, amplitude, cutoff in modes:
+        mean = model.mean_photons(amplitude)
+        if not mean <= cutoff:
+            raise NumericalGuardError(
+                f"{what}'s mean photon number {mean:.4g} exceeds its cutoff {cutoff}; "
+                "a larger cutoff is needed"
+            )
 
 
 def _dedupe(alphas):
@@ -224,18 +236,19 @@ def _dedupe(alphas):
 
 def run_sweep(config: RunConfig) -> RunReport:
     """Synthesize, parse, and analyze the state at every requested amplitude."""
-    _check_cutoffs(config)
     efficiency = config.efficiency if config.apply_loss else 1.0
     model = NoiseModel(config.squeezing_db, config.antisqueezing_db, efficiency)
+    alphas = _dedupe(config.alphas)
+    _check_cutoffs(config, model, alphas)
     rho_v = synthesize_mode(model, 0.0, config.cutoff_v)
     results = []
-    for alpha in _dedupe(config.alphas):
+    for alpha in alphas:
         results.append(_analyze_alpha(config, model, rho_v, alpha))
     return RunReport(config=config, results=tuple(results), grid_l=config.resolved_grid_l)
 
 
 def _analyze_alpha(config: RunConfig, model: NoiseModel, rho_v, alpha) -> AlphaResult:
-    """One amplitude of the sweep."""
+    """One amplitude of the sweep, past the guards of `_check_cutoffs`."""
     rho_h = synthesize_mode(model, alpha, config.cutoff_h)
     deficit = 1.0 - rho_h.trace * rho_v.trace
     if deficit > TRACE_DEFICIT_WARN:
@@ -245,13 +258,6 @@ def _analyze_alpha(config: RunConfig, model: NoiseModel, rho_v, alpha) -> AlphaR
             "a larger cutoff is recommended",
             stacklevel=3,
         )
-    for mode, amplitude, cutoff in (("H", alpha, config.cutoff_h), ("V", 0.0, config.cutoff_v)):
-        mean = model.mean_photons(amplitude)
-        if not mean <= cutoff:
-            raise NumericalGuardError(
-                f"alpha={alpha}: the {mode} mode's mean photon number {mean:.4g} exceeds "
-                f"its cutoff {cutoff}; a larger cutoff is needed"
-            )
     sector = parse_manifolds(rho_h, rho_v, config.resolved_s_report_max)
     reported = sector.reported()
     try:
@@ -282,12 +288,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(header, rows, path: Path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _q_csv_rows(grid) -> list[str]:
@@ -304,16 +309,12 @@ def _q_csv_rows(grid) -> list[str]:
     ]
 
 
-def _write_q_csv(path: Path, rows: list[str], values: np.ndarray):
+def _write_q_csv(rows: list[str], values: np.ndarray, path: Path):
     """A Q table: the grid lines of `_q_csv_rows` filled in with the values,
     one theta row at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("theta,phi,weight,value\r\n")
         fh.writelines(row % tuple(v.tolist()) for row, v in zip(rows, values))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def emit_figure_tables(report: RunReport, outdir) -> dict:
@@ -322,7 +323,18 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     config = report.config
     emit = set(config.emit)
-    written: list[Path] = []
+    files: dict[str, str] = {}
+
+    def put(name: str, write, *args) -> None:
+        """Write one output file with `write(*args, path)` and record its
+        SHA-256, read back in fixed-size pieces."""
+        path = outdir / name
+        write(*args, path)
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for piece in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(piece)
+        files[name] = digest.hexdigest()
 
     if "squeezing_csv" in emit:
         rows = []
@@ -330,18 +342,19 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
             for s in res.manifold_summaries:
                 n = round(2 * s.spin)  # the sector holds N = 0, 1, ... in order
                 rows.append(
-                    (res.alpha, s.spin, n, res.sector.blocks[n].weight,
-                     s.mean[0], s.mean[1], s.mean[2],
+                    (res.alpha, s.spin, n, res.sector.blocks[n].weight, *s.mean,
                      s.gamma_min, s.xi2, s.xi2_db, s.mode)
                 )
-        path = outdir / "fig3a.csv"
-        _write_csv(
-            path,
+        put("fig3a.csv", _write_csv,
             ["alpha", "S", "N", "P_S", "mean_x", "mean_y", "mean_z",
              "gamma_min", "xi2", "xi2_dB", "mode"],
-            rows,
-        )
-        written.append(path)
+            rows)
+        rows = [
+            (res.alpha, res.total.xi2, res.total.xi2_db,
+             res.analytic_estimate, res.total.mode)
+            for res in report.results
+        ]
+        put("fig3c.csv", _write_csv, ["alpha", "xi2", "xi2_dB", "analytic_estimate", "mode"], rows)
 
     if "photon_csv" in emit:
         rows = [
@@ -349,67 +362,37 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
             for res in report.results
             for b in res.sector.blocks
         ]
-        path = outdir / "fig3b.csv"
-        _write_csv(path, ["alpha", "N", "P_N"], rows)
-        written.append(path)
-
-    if "squeezing_csv" in emit:
-        rows = [
-            (res.alpha, res.total.xi2, res.total.xi2_db,
-             res.analytic_estimate, res.total.mode)
-            for res in report.results
-        ]
-        path = outdir / "fig3c.csv"
-        _write_csv(
-            path, ["alpha", "xi2", "xi2_dB", "analytic_estimate", "mode"], rows
-        )
-        written.append(path)
+        put("fig3b.csv", _write_csv, ["alpha", "N", "P_N"], rows)
 
     if "multipole_csv" in emit:
         rows = []
         for res in report.results:
-            for spin, weights in res.manifold_multipoles:
-                for k, w in enumerate(weights):
-                    rows.append((res.alpha, spin, k, w))
-            for k, w in enumerate(res.aggregated_weights):
-                rows.append((res.alpha, "total", k, w))
-        path = outdir / "fig3d.csv"
-        _write_csv(path, ["alpha", "S", "K", "W_K"], rows)
-        written.append(path)
+            for spin, weights in (*res.manifold_multipoles, ("total", res.aggregated_weights)):
+                rows.extend((res.alpha, spin, k, w) for k, w in enumerate(weights))
+        put("fig3d.csv", _write_csv, ["alpha", "S", "K", "W_K"], rows)
 
-    need_grid = emit & {"q_csv", "heatmaps"}
-    if need_grid:
+    if emit & {"q_csv", "heatmaps"}:
         grid = build_quadrature_grid(report.grid_l)
         q_rows = _q_csv_rows(grid) if "q_csv" in emit else None
         for i, res in enumerate(report.results):
             q = husimi_total(res.sector, grid)
-            tag = f"alpha{i}"
             if "q_csv" in emit:
-                path = outdir / f"q_total_{tag}.csv"
-                _write_q_csv(path, q_rows, q.values)
-                written.append(path)
+                put(f"q_total_alpha{i}.csv", _write_q_csv, q_rows, q.values)
             if "heatmaps" in emit:
-                path = outdir / f"q_total_{tag}_equirect.ppm"
-                write_ppm(render_heatmap(q, "equirectangular", config.raster_shape), path)
-                written.append(path)
-                for axis in ("x", "y", "z"):
-                    path = outdir / f"q_total_{tag}_view_{axis}.ppm"
-                    write_ppm(render_heatmap(q, axis, config.raster_shape), path)
-                    written.append(path)
-                path = outdir / f"foliation_{tag}_view_z.ppm"
-                write_ppm(render_foliation(q), path)
-                written.append(path)
+                for view in ("equirectangular", "x", "y", "z"):
+                    name = "equirect" if view == "equirectangular" else f"view_{view}"
+                    put(f"q_total_alpha{i}_{name}.ppm", write_ppm,
+                        render_heatmap(q, view, config.raster_shape))
+                put(f"foliation_alpha{i}_view_z.ppm", write_ppm, render_foliation(q))
             del q  # release this alpha's manifold maps before the next are built
 
     if "sector_json" in emit:
         for i, res in enumerate(report.results):
-            path = outdir / f"sector_alpha{i}.json"
-            dump_sector(res.sector, path)
-            written.append(path)
+            put(f"sector_alpha{i}.json", dump_sector, res.sector)
 
     manifest = {
         "config": config.echo(),
-        "files": {p.name: _sha256(p) for p in written},
+        "files": files,
         "alphas": [res.alpha for res in report.results],
         "non_reference_alphas": sorted(
             {res.alpha for res in report.results} - set(REFERENCE_ALPHAS)

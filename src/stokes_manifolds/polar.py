@@ -43,7 +43,7 @@ class ManifoldBlock:
         if not self.negligible:
             block = _require_hermitian(block, "ManifoldBlock")
             tr = np.real(np.trace(block))
-            if abs(tr - 1.0) > 1e-10:
+            if not abs(tr - 1.0) <= 1e-10:  # a NaN trace fails too
                 raise ValueError(f"block trace {tr} is not 1")
         block.setflags(write=False)
         object.__setattr__(self, "block", block)

@@ -259,3 +259,12 @@ class TestSynthesis:
         bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             ModeState(1, bad)
+
+    @pytest.mark.parametrize("index", [(0, 0), (1, 2), (2, 2)])
+    def test_nan_entry_refused(self, index):
+        # a NaN deviation compares false with the tolerance, so it must fail
+        # the check, not pass it
+        entries = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        entries[index] = math.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            ModeState(2, entries)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import io
@@ -323,6 +324,28 @@ class TestEmission:
             assert len(digest) == 64
         assert (outdir / "manifest.json").exists()
 
+    def test_manifest_hashes_match_files_on_disk(self, emitted):
+        outdir, report, manifest = emitted
+        assert report.config.emit == EMIT_CHOICES
+        on_disk = {p.name for p in outdir.iterdir()} - {"manifest.json"}
+        assert set(manifest["files"]) == on_disk and len(on_disk) == 4 + 7 * 2
+        for name, digest in manifest["files"].items():
+            assert digest == hashlib.sha256((outdir / name).read_bytes()).hexdigest(), name
+
+    def test_hash_reads_fixed_size_pieces(self, tmp_path, monkeypatch):
+        # a sector dump of 0.4 MB spans several pieces, and emission never
+        # reads a whole file back
+        def refuse(self):
+            raise AssertionError(f"{self.name} read whole")
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        report = run_sweep(RunConfig(alphas=(0.0,), emit=("sector_json",)))
+        manifest = emit_figure_tables(report, tmp_path)
+        monkeypatch.undo()
+        data = (tmp_path / "sector_alpha0.json").read_bytes()
+        assert len(data) > 4 << 16
+        assert manifest["files"] == {"sector_alpha0.json": hashlib.sha256(data).hexdigest()}
+
     def test_squeezing_csv_schema(self, emitted):
         outdir, report, _ = emitted
         with open(outdir / "fig3a.csv", newline="") as fh:
@@ -423,7 +446,7 @@ class TestEmission:
         values = np.random.default_rng(7).random((grid.n_theta, grid.n_phi))
         tracemalloc.start()
         try:
-            pipeline._write_q_csv(tmp_path / "q.csv", pipeline._q_csv_rows(grid), values)
+            pipeline._write_q_csv(pipeline._q_csv_rows(grid), values, tmp_path / "q.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -463,7 +486,7 @@ def _assert_q_csv_matches_csv_writer(tmp_path, grid, amplitudes):
     lines = pipeline._q_csv_rows(grid)
     for i, values in enumerate(amplitudes):
         path = tmp_path / f"q{i}.csv"
-        pipeline._write_q_csv(path, lines, values)
+        pipeline._write_q_csv(lines, values, path)
         rows = [(th, ph, grid.weights[a, b], values[a, b])
                 for a, th in enumerate(grid.theta.tolist())
                 for b, ph in enumerate(grid.phi.tolist())]
@@ -579,17 +602,23 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("alpha", ["20", "1e300"])
-    def test_mean_photon_guard_exit(self, tmp_path, capsys, alpha):
-        # wrong numbers at a trace deficit of 8.5e-8 (alpha 20), or an overflow
+    @pytest.mark.parametrize("argv", [["--alpha", "20"], ["--alpha", "1e300"], ["--cutoff", "4"]],
+                             ids=["20", "1e300", "cutoff4"])
+    def test_mean_photon_guard_exit(self, tmp_path, capsys, monkeypatch, argv):
+        # the closed form refuses wrong numbers (a trace deficit of 8.5e-8 at
+        # alpha 20; alpha 2.31 at cutoff 4) or an overflow before any mode is
+        # synthesized, so no truncation warning comes first
+        calls = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            code = main(["run", "--alpha", alpha, "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", *argv, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
         assert "numerical guard" in err and "mean photon number" in err, err
-        assert "cutoff 24" in err and "Traceback" not in err
+        cutoff = argv[1] if argv[0] == "--cutoff" else "24"
+        assert f"cutoff {cutoff};" in err and "Traceback" not in err
+        assert caught == [] and calls == []
 
     def test_corrupt_cg_table_exit(self, tmp_path, capsys, corrupt_cg_tables):
         code = main(["run", "--alpha", "0", "--out", str(tmp_path), "--emit", "multipole_csv"])
@@ -615,14 +644,15 @@ class TestCli:
 
     def test_one_truncation_warning_per_amplitude(self, tmp_path):
         # the only truncation warning names the user's cutoffs, never the
-        # padded size the modes are built at; alpha = 2.31 then keeps under
-        # half the state, so the guard stops the run after its warning
+        # padded size the modes are built at
+        alphas = (0.0, 0.57, 1.13)
         proc = _run_python(["-m", "stokes_manifolds.cli", "run", "--cutoff", "4",
+                            "--alpha", ",".join(map(str, alphas)),
                             "--emit", "photon_csv", "--out", str(tmp_path / "out")])
-        assert proc.returncode == 2 and "numerical guard" in proc.stderr, proc.stderr
+        assert proc.returncode == 0, proc.stderr
         lines = [ln for ln in proc.stderr.splitlines() if "Warning" in ln]
-        assert len(lines) == len(DEFAULT_ALPHAS), proc.stderr
-        for line, alpha in zip(lines, DEFAULT_ALPHAS):
+        assert len(lines) == len(alphas), proc.stderr
+        for line, alpha in zip(lines, alphas):
             assert "UserWarning: cutoffs (4, 4) lose " in line and f"alpha={alpha}," in line
             assert re.findall(r"cutoffs? \(?([\d, ]+)", line) == ["4, 4"], line
 

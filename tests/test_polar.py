@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import full_block, json_dump_sector
+from stokes_manifolds import polar
 from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import (
@@ -113,6 +114,21 @@ class TestBlockValidation:
     def test_rejects_bad_spin(self):
         with pytest.raises(ValueError, match="half-integer"):
             ManifoldBlock(0.3, 1.0, np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("index", [(0, 1), (1, 1)])
+    def test_rejects_nan_entry(self, index):
+        block = np.diag([0.5, 0.5]).astype(complex)  # unit trace
+        block[index] = math.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            ManifoldBlock(0.5, 1.0, block)
+
+    def test_rejects_nan_trace(self, monkeypatch):
+        # the trace check fails a NaN on its own, past a Hermiticity check
+        # that lets the block through
+        monkeypatch.setattr(polar, "_require_hermitian", lambda mat, what: mat)
+        block = np.diag([1.0, math.nan]).astype(complex)
+        with pytest.raises(ValueError, match="trace nan is not 1"):
+            ManifoldBlock(0.5, 1.0, block)
 
 
 class TestJsonDump:
