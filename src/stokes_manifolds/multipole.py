@@ -52,9 +52,6 @@ class MultipoleSpectrum:
         """W_K^(S) = sum_q |rho_Kq|^2 for K = 0..2S."""
         return np.sum(np.abs(self.rho) ** 2, axis=1)
 
-    def coefficient(self, degree: int, order: int) -> complex:
-        return complex(self.rho[degree, order + self.rho.shape[0] - 1])
-
 
 def stretched_cg(two_s: int) -> np.ndarray:
     """C_K = <S S; K 0 | S S> for K = 0..2S, in closed form:
@@ -64,6 +61,12 @@ def stretched_cg(two_s: int) -> np.ndarray:
         for k in range(two_s + 1)
     ]
     return np.exp(log_c) * math.sqrt(two_s + 1)
+
+
+def _with_negative_orders(rho: np.ndarray) -> np.ndarray:
+    """rho[K, q + 2S] of a Hermitian block from rho[K, q >= 0]: rho_{K,-q} = (-1)^q rho*_Kq."""
+    q = np.arange(len(rho) - 1, 0, -1)  # 2S, ..., 1
+    return np.concatenate(((-1.0) ** q * np.conj(rho[:, q]), rho), axis=1)
 
 
 def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpectrum:
@@ -78,51 +81,46 @@ def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpec
 
     P_Kq(theta) = Y_Kq(theta, 0), on the Gauss nodes alone: one upward
     Legendre sweep over K per q >= 0.
-    The conjugate on Y gives rho_{K,-q} = (-1)^q rho*_{Kq}, which fills the
-    negative orders.
     """
     two_s = block.photon_number
     f = husimi_fourier(block, grid) * grid.weights.sum(axis=1)  # 2pi w_theta F_q
-    rho = np.zeros((two_s + 1, 2 * two_s + 1), dtype=complex)  # [K, q + 2S]
+    rho = np.zeros((two_s + 1, two_s + 1), dtype=complex)  # [K, q >= 0]
     for q in range(two_s + 1):
-        rho[q:, two_s + q] = np.array(_legendre_rows(q, two_s, grid.theta)) @ f[q]
-        rho[q:, two_s - q] = (-1.0) ** q * np.conj(rho[q:, two_s + q])
+        rho[q:, q] = np.array(_legendre_rows(q, two_s, grid.theta)) @ f[q]
     rho *= (math.sqrt(block.dim / FOUR_PI) / stretched_cg(two_s))[:, None]
-    return MultipoleSpectrum(block.spin, rho)
+    return MultipoleSpectrum(block.spin, _with_negative_orders(rho))
 
 
 # largest |Gram - 1| entry a Clebsch-Gordan table may show before it is refused
 CG_TABLE_TOL = 1e-10
 
 
-def _cg_recursion(two_s: int) -> np.ndarray:
-    """Unchecked table C[K, i_out, i_in] = <S m_out; S -m_in | K, m_out - m_in>.
+def _cg_recursion(two_s: int, i_out: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unchecked C[K, c] = <S m_out; S -m_in | K, q>, m_out = S - i_out[c], m_in = m_out - q[c].
 
-    With j1 = j2 = S the 3j symbols f(K) = (S S K; m_out -m_in m_in-m_out)
-    obey the three-term recursion in K of Schulten & Gordon (J. Math. Phys.
-    16, 1961 (1975)), divided through by K(K+1):
+    With j1 = j2 = S the 3j symbols f(K) = (S S K; m_out -m_in -q) obey the
+    three-term recursion in K of Schulten & Gordon (J. Math. Phys. 16, 1961
+    (1975)), divided through by K(K+1):
 
         a(K+1) f(K+1) - (2K+1)(m_out + m_in) f(K) + a(K) f(K-1) = 0,
-        a(K) = sqrt(((2S+1)^2 - K^2)(K^2 - q^2)),  q = m_out - m_in,
+        a(K) = sqrt(((2S+1)^2 - K^2)(K^2 - q^2)),
 
     and the Clebsch-Gordan coefficient is sqrt(2K+1) f(K) up to a sign that
     does not depend on K.  Each recursion is stable only while the solution
-    grows or oscillates, so f is run up from K = |q| and down from K = 2S
-    and the two are spliced inside the classically allowed region, where the
+    grows or oscillates, so f is run up from K = q and down from K = 2S and
+    the two are spliced inside the classically allowed region, where the
     local characteristic roots are complex (Luscombe & Luban, PRE 57, 7274
-    (1998)).  Every (m_out, m_in) pair runs at once, so the loops have 2S+1
-    steps.  Rows are normalised to sum_K C^2 = 1, with C[2S] > 0 as in the
+    (1998)).  Every pair runs at once, so the loops have 2S+1 steps.
+    Columns are normalised to sum_K C^2 = 1, with C[2S] > 0 as in the
     Condon-Shortley convention.
     """
     dim = two_s + 1
-    m = two_s / 2.0 - np.arange(dim)
-    q = np.abs(m[:, None] - m[None, :])
-    k = np.arange(dim + 1, dtype=float)[:, None, None]
+    k = np.arange(dim + 1, dtype=float)[:, None]
     a = np.sqrt(np.maximum((dim**2 - k**2) * (k**2 - q**2), 0.0))  # a(2S+1) = 0
     k = k[:dim]
-    b = (2 * k + 1) * (m[:, None] + m[None, :])
-    up = (k == q).astype(float)  # f(|q|) = 1, kept where the step below is masked
-    down = np.zeros((dim + 1, dim, dim))  # down[2S+1] = 0
+    b = (2 * k + 1) * (two_s - 2.0 * i_out - q)  # (2K+1)(m_out + m_in)
+    up = (k == q).astype(float)  # f(q) = 1, kept where the step below is masked
+    down = np.zeros((dim + 1, len(q)))  # down[2S+1] = 0
     down[two_s] = 1.0
     # the unspliced halves may overflow where they are unstable; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,10 +151,10 @@ class CGTable(NamedTuple):
 
     values[K, c] = <S m_out; S -m_in | K, m_out - m_in> on the m-descending
     basis (m = S - i) for the pair (i_out, i_in) of column c.  The columns run
-    over q = i_in - i_out = m_out - m_in from -2S to 2S and, within one q, over
-    ascending i_out, so each q is one contiguous segment: `starts[q + 2S]` is
-    its first column and `pairs[c]` = i_out (2S+1) + i_in the flat index of
-    column c in a (2S+1)^2 block.
+    over q = i_in - i_out = m_out - m_in from 0 to 2S (`_with_negative_orders`
+    gives q < 0) and, within one q, over ascending i_out: `starts[q]` is the
+    first column of order q and `pairs[c]` = i_out (2S+1) + i_in the flat
+    index of column c in a (2S+1)^2 block.
     """
 
     values: np.ndarray
@@ -179,13 +177,12 @@ def cg_table_deviation(table: CGTable) -> float:
 def cg_table(two_s: int) -> CGTable:
     """Read-only diagonal-major Clebsch-Gordan table of spin S = two_s/2,
     built once per spin and refused with ValueError unless orthonormal to
-    CG_TABLE_TOL.  The natural table of `_cg_recursion` is reordered once and
-    let go."""
+    CG_TABLE_TOL."""
     dim = two_s + 1
-    i_out, i_in = np.indices((dim, dim)).reshape(2, -1)
-    pairs = np.argsort(i_in - i_out, kind="stable")  # by q, then by i_out
-    starts = np.concatenate(([0], np.cumsum(dim - np.abs(np.arange(1 - dim, dim - 1)))))
-    table = CGTable(_cg_recursion(two_s).reshape(dim, dim * dim)[:, pairs], pairs, starts)
+    q = np.repeat(np.arange(dim), np.arange(dim, 0, -1))  # 2S+1-q columns of order q
+    starts = np.searchsorted(q, np.arange(dim))
+    i_out = np.arange(len(q)) - starts[q]
+    table = CGTable(_cg_recursion(two_s, i_out, q), i_out * (dim + 1) + q, starts)
     deviation = cg_table_deviation(table)
     if not deviation <= CG_TABLE_TOL:
         raise ValueError(
@@ -204,14 +201,14 @@ def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:
     T_Kq is nonzero only on the diagonal m_out - m_in = q, so the block is
     gathered once, signed, in the table's column order, and rho_Kq is the sum
     of the table row K times that column over the q segment: one product and
-    one segmented sum for every (K, q).  Normalization matches the quadrature
-    route exactly (the dual-route test is the anchor for both conventions).
+    one segmented sum for every K and q >= 0.  Normalization matches the
+    quadrature route exactly (the dual-route test anchors both conventions).
     """
     table = cg_table(block.photon_number)
     signed = block.block * (-1.0) ** np.arange(block.dim)  # (-1)^(S - m_in)
     column = signed.ravel()[table.pairs]
-    rho = np.add.reduceat(table.values * column, table.starts, axis=1)
-    return MultipoleSpectrum(block.spin, rho)
+    rho = np.add.reduceat(table.values * column, table.starts, axis=1)  # [K, q >= 0]
+    return MultipoleSpectrum(block.spin, _with_negative_orders(rho))
 
 
 def aggregate_weights(terms) -> np.ndarray:

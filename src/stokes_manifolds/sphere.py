@@ -71,26 +71,9 @@ def build_quadrature_grid(degree: int) -> SphereGrid:
     w_theta = w[order]
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     weights = np.outer(w_theta, np.full(n_phi, 2.0 * math.pi / n_phi))
-    _verify_exactness(theta, phi, weights, degree)
     for arr in (theta, phi, weights):
         arr.setflags(write=False)
     return SphereGrid(theta, phi, weights, degree)
-
-
-def _verify_exactness(theta, phi, weights, degree):
-    # Gauss-Legendre exactness is guaranteed analytically; spot-check the
-    # even moments of cos(theta) and the azimuthal DFT null sums.
-    x = np.cos(theta)
-    w_theta = weights[:, 0] * len(phi) / (2.0 * math.pi) if len(phi) else weights[:, 0]
-    for d in range(0, min(2 * degree, 24) + 1, 2):
-        got = float(np.sum(w_theta * x**d))
-        want = 2.0 / (d + 1)
-        if abs(got - want) > 1e-12 * max(1.0, want):
-            raise AssertionError(f"quadrature moment x^{d} off by {got - want:.3e}")
-    for k in range(1, min(2 * degree, 8) + 1):
-        s = np.sum(np.exp(1j * k * phi)) / len(phi)
-        if abs(s) > 1e-12:
-            raise AssertionError(f"azimuthal sum for frequency {k} is {abs(s):.3e}")
 
 
 def _coherent_magnitudes(two_j: int, theta: np.ndarray) -> np.ndarray:

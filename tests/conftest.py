@@ -9,9 +9,9 @@ def corrupt_cg_tables(monkeypatch):
     1e-6 off; the table cache is emptied before and after."""
     build = multipole._cg_recursion
 
-    def corrupt(two_s):
-        table = build(two_s)
-        table[two_s, 0, 0] += 1e-6
+    def corrupt(two_s, i_out, q):
+        table = build(two_s, i_out, q)
+        table[two_s, 0] += 1e-6
         return table
 
     monkeypatch.setattr(multipole, "_cg_recursion", corrupt)

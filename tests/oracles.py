@@ -196,13 +196,21 @@ def _cg_doubled(tj1, tm1, tj2, tm2, tj, tm):
 
 
 def natural_cg_table(two_s):
-    """The diagonal-major table `cg_table(two_s)` scattered back through its
-    column order to C[K, i_out, i_in] = <S m_out; S -m_in | K, m_out - m_in>."""
+    """The q >= 0 table `cg_table(two_s)` scattered back through its column
+    order to C[K, i_out, i_in] = <S m_out; S -m_in | K, m_out - m_in>, with
+    the entries i_in < i_out from the index reversal
+    <S -m1; S -m2 | K -M> = (-1)^(2S-K) <S m1; S m2 | K M>, which maps
+    (i_out, i_in) to (2S - i_out, 2S - i_in)."""
     table = cg_table(two_s)
     dim = two_s + 1
-    natural = np.empty((dim, dim * dim))
+    natural = np.zeros((dim, dim * dim))
     natural[:, table.pairs] = table.values
-    return natural.reshape(dim, dim, dim)
+    natural = natural.reshape(dim, dim, dim)
+    lower = np.tril(np.ones((dim, dim), dtype=bool), -1)  # i_in < i_out
+    sign = (-1.0) ** (two_s - np.arange(dim))[:, None, None]
+    reversed_ = sign * natural[:, ::-1, ::-1]
+    natural[:, lower] = reversed_[:, lower]
+    return natural
 
 
 # -- per-block forms of the stacked per-manifold reports ----------------------

@@ -100,9 +100,18 @@ class TestClebschGordan:
 
 
 def _column(table, i_out, i_in):
-    """Column of the pair (i_out, i_in) in a diagonal-major table."""
+    """Column of the pair (i_out, i_in), i_in >= i_out, in a diagonal-major table."""
     dim = table.values.shape[0]
     return int(np.flatnonzero(table.pairs == i_out * dim + i_in)[0])
+
+
+def _entry(table, k, i_out, i_in):
+    """C[K, i_out, i_in] of a q >= 0 table; a pair with i_in < i_out is read at
+    (2S - i_out, 2S - i_in) by <S -m1; S -m2 | K -M> = (-1)^(2S-K) <S m1; S m2 | K M>."""
+    two_s = table.values.shape[0] - 1
+    if i_in >= i_out:
+        return table.values[k, _column(table, i_out, i_in)]
+    return (-1.0) ** (two_s - k) * table.values[k, _column(table, two_s - i_out, two_s - i_in)]
 
 
 class TestClebschGordanTable:
@@ -119,17 +128,18 @@ class TestClebschGordanTable:
 
     @pytest.mark.parametrize("two_s", [1, 4, 24])
     def test_diagonal_major_order(self, two_s):
-        # columns grouped by q = i_in - i_out from -2S to 2S, then by ascending i_out
+        # columns grouped by q = i_in - i_out from 0 to 2S, then by ascending i_out
         table = cg_table(two_s)
         dim = two_s + 1
+        columns = dim * (dim + 1) // 2
         i_out, i_in = np.divmod(table.pairs, dim)
         q = i_in - i_out
-        assert table.values.shape == (dim, dim * dim)
-        assert sorted(table.pairs) == list(range(dim * dim))
+        assert table.values.shape == (dim, columns)
+        assert sorted(table.pairs) == [i * dim + j for i in range(dim) for j in range(i, dim)]
         assert np.all(np.diff(q) >= 0)
-        assert list(table.starts) == [int(np.flatnonzero(q == k)[0]) for k in range(-two_s, dim)]
-        for start, stop in zip(table.starts, [*table.starts[1:], dim * dim]):
-            assert np.all(np.diff(i_out[start:stop]) == 1)
+        assert list(table.starts) == [int(np.flatnonzero(q == k)[0]) for k in range(dim)]
+        for start, stop in zip(table.starts, [*table.starts[1:], columns]):
+            assert i_out[start] == 0 and np.all(np.diff(i_out[start:stop]) == 1)
 
     @pytest.mark.parametrize("two_s", [48, 160])
     def test_matches_symbolic_reference_at_large_spin(self, two_s):
@@ -146,7 +156,7 @@ class TestClebschGordanTable:
             want = float(
                 sympy_cg.CG(spin, spin - i_out, spin, i_in - spin, k, i_in - i_out).doit()
             )
-            assert abs(table.values[k, _column(table, i_out, i_in)] - want) < 1e-12
+            assert abs(_entry(table, k, i_out, i_in) - want) < 1e-12
 
     def test_large_spin_passes_guard(self):
         # the Racah sum this table replaced was off by 50 here
@@ -172,8 +182,8 @@ class TestClebschGordanTable:
             table.starts[0] = 1
 
     def test_one_table_held_per_spin(self):
-        # the packed table replaces the (2S+1)^3 cube of the recursion, which
-        # is let go; the build's peak must not rise with the reordering
+        # the recursion runs over the q >= 0 columns alone, so the build holds
+        # the half table and peaks at about six times it
         two_s = 96
         cg_table.cache_clear()
         tracemalloc.start()
@@ -183,8 +193,27 @@ class TestClebschGordanTable:
         finally:
             tracemalloc.stop()
             cg_table.cache_clear()
-        assert held <= 1.05 * (two_s + 1) ** 3 * 8, held
-        assert peak <= 53e6, peak
+        assert held <= 1.05 * (two_s + 1) ** 2 * (two_s + 2) / 2 * 8, held
+        assert peak <= 27e6, peak
+
+    @pytest.mark.parametrize("two_s", [24, 96])
+    def test_no_cube_held(self, two_s):
+        # no (2S+1)^3 array outlives the build: what stays is the half table
+        # and its int64 column index, one entry per column
+        dim = two_s + 1
+        columns = dim * (dim + 1) // 2
+        cg_table(two_s)  # numpy's first where= ufunc calls cache their loops
+        cg_table.cache_clear()
+        tracemalloc.start()
+        try:
+            cg_table(two_s)
+            held = tracemalloc.get_traced_memory()[0]
+            largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+        finally:
+            tracemalloc.stop()
+            cg_table.cache_clear()
+        assert largest < dim**3 * 8, largest
+        assert held <= 1.05 * columns * (dim + 1) * 8, held
 
 
 class TestSphericalHarmonics:
@@ -224,7 +253,7 @@ class TestMultipoles:
             dim = round(2 * spin) + 1
             block = ManifoldBlock(spin, 1.0, np.eye(dim, dtype=complex) / dim)
             sp = multipoles_algebraic(block)
-            assert abs(sp.coefficient(0, 0) - 1.0 / math.sqrt(dim)) < 1e-12
+            assert abs(sp.rho[0, dim - 1] - 1.0 / math.sqrt(dim)) < 1e-12
             assert np.max(sp.weights[1:]) < 1e-24
 
     def test_monopole_fixed_constant(self):
@@ -235,8 +264,8 @@ class TestMultipoles:
             dim = round(2 * spin) + 1
             sp_a = multipoles_algebraic(block)
             sp_i = multipoles_integral(block, grid)
-            assert abs(sp_a.coefficient(0, 0) - 1.0 / math.sqrt(dim)) < 1e-12
-            assert abs(sp_i.coefficient(0, 0) - sp_a.coefficient(0, 0)) < 1e-10
+            assert abs(sp_a.rho[0, dim - 1] - 1.0 / math.sqrt(dim)) < 1e-12
+            assert abs(sp_i.rho[0, dim - 1] - sp_a.rho[0, dim - 1]) < 1e-10
 
     def test_dual_route_agreement(self):
         # C_K >= 6.4e-3 at 2S <= 8, so a scaled gap below 1e-13 holds every
@@ -279,22 +308,30 @@ class TestMultipoles:
         multipoles_integral(random_block(3.0, np.random.default_rng(15)), grid)
         assert set(shapes) == {(grid.n_theta,)}
 
-    def test_hermiticity_relation(self):
+    def test_every_order_matches_dense_tensors(self):
+        # rho_Kq = Tr(T_Kq^dag rho) with dense T_Kq from the Racah sum, for
+        # every q, so the negative orders are checked against no mirror
         rng = np.random.default_rng(6)
-        block = random_block(2.0, rng)
-        sp = multipoles_algebraic(block)
-        for k in range(5):
-            for q in range(-k, k + 1):
-                lhs = sp.coefficient(k, -q)
-                rhs = (-1.0) ** q * np.conj(sp.coefficient(k, q))
-                assert abs(lhs - rhs) < 1e-12
+        for two_s in range(7):
+            spin = two_s / 2.0
+            block = random_block(spin, rng)
+            m = spin - np.arange(two_s + 1)
+            got = multipoles_algebraic(block).rho
+            for k in range(two_s + 1):
+                for q in range(-k, k + 1):
+                    tensor = np.array([
+                        [(-1.0) ** (spin - m_in) * clebsch_gordan(spin, m_out, spin, -m_in, k, q)
+                         for m_in in m] for m_out in m
+                    ])
+                    want = np.trace(tensor.conj().T @ block.block)
+                    assert abs(got[k, q + two_s] - want) < 1e-13, (two_s, k, q)
 
     def test_spin_half_up_dipole(self):
         rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         sp = multipoles_algebraic(ManifoldBlock(0.5, 1.0, rho))
-        assert abs(sp.coefficient(1, 1)) < 1e-14
-        assert abs(sp.coefficient(1, -1)) < 1e-14
-        assert abs(sp.weights[1] - abs(sp.coefficient(1, 0)) ** 2) < 1e-14
+        assert abs(sp.rho[1, 2]) < 1e-14  # q = 1
+        assert abs(sp.rho[1, 0]) < 1e-14  # q = -1
+        assert abs(sp.weights[1] - abs(sp.rho[1, 1]) ** 2) < 1e-14
 
     def test_weights_rotation_invariant(self):
         rng = np.random.default_rng(8)
