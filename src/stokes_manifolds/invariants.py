@@ -62,6 +62,15 @@ def husimi_total_gap(sector, grid, max_spin=None) -> tuple[float, float]:
     return abs(husimi_total(sector, grid, max_spin).integral() - captured), 1e-12
 
 
+def husimi_parts_gap(sector, grid) -> tuple[float, float]:
+    """Largest |Q_total - sum_S P_S (2S+1)/(4 pi) Q^(S)| over the grid nodes,
+    the total summed from its Fourier rows against the per-manifold maps."""
+    blocks = sector.reported()
+    parts = sum((b.weight * (b.dim / FOUR_PI) * husimi_manifold(b, grid).values
+                 for b in blocks), np.zeros((grid.n_theta, grid.n_phi)))
+    return float(np.max(np.abs(husimi_total(sector, grid).values - parts))), 1e-13
+
+
 def husimi_manifold_gap(block: ManifoldBlock, grid) -> tuple[float, float]:
     """|integral of Q^(S) - 4 pi/(2S+1)| for a unit-trace block."""
     return abs(husimi_manifold(block, grid).integral() - FOUR_PI / block.dim), 1e-12
@@ -118,6 +127,9 @@ def default_suite() -> list[tuple[str, float, float]]:
                (dual_route_gap(b, grid) for b in randoms)),
         _worst(f"total Husimi integral, {len(report.results)} amplitudes {on_grid}",
                (husimi_total_gap(res.sector, grid) for res in report.results)),
+        _worst(f"total Husimi map against its manifold maps, {len(report.results)} "
+               f"amplitudes {on_grid}",
+               (husimi_parts_gap(res.sector, grid) for res in report.results)),
         _worst(f"manifold Husimi integral, {len(blocks)} reported blocks {on_grid}",
                (husimi_manifold_gap(b, grid) for b in blocks)),
         _worst(f"loss channel trace, thermal state on {pad + 1} levels at eta {config.efficiency}",

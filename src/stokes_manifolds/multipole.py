@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polar import ManifoldBlock
+from .polar import ManifoldBlock, diagonal_order
 from .sphere import FOUR_PI, SphereGrid, husimi_fourier
 
 
@@ -49,8 +49,11 @@ class MultipoleSpectrum:
 
     @property
     def weights(self) -> np.ndarray:
-        """W_K^(S) = sum_q |rho_Kq|^2 for K = 0..2S."""
-        return np.sum(np.abs(self.rho) ** 2, axis=1)
+        """W_K^(S) = sum_q |rho_Kq|^2 for K = 0..2S, summed over the q >= 0
+        half as |rho_K0|^2 + 2 sum_{q>0} |rho_Kq|^2, since
+        |rho_K,-q| = |rho_Kq| for a Hermitian block."""
+        half = np.abs(self.rho[:, len(self.rho) - 1:]) ** 2  # q = 0..2S
+        return half[:, 0] + 2.0 * np.sum(half[:, 1:], axis=1)
 
 
 def stretched_cg(two_s: int) -> np.ndarray:
@@ -152,9 +155,10 @@ class CGTable(NamedTuple):
     values[K, c] = <S m_out; S -m_in | K, m_out - m_in> on the m-descending
     basis (m = S - i) for the pair (i_out, i_in) of column c.  The columns run
     over q = i_in - i_out = m_out - m_in from 0 to 2S (`_with_negative_orders`
-    gives q < 0) and, within one q, over ascending i_out: `starts[q]` is the
-    first column of order q and `pairs[c]` = i_out (2S+1) + i_in the flat
-    index of column c in a (2S+1)^2 block.
+    gives q < 0) and, within one q, over ascending i_out, the order of
+    `polar.diagonal_order`: `starts[q]` is the first column of order q and
+    `pairs[c]` = i_out (2S+1) + i_in the flat index of column c in a
+    (2S+1)^2 block.
     """
 
     values: np.ndarray
@@ -178,11 +182,9 @@ def cg_table(two_s: int) -> CGTable:
     """Read-only diagonal-major Clebsch-Gordan table of spin S = two_s/2,
     built once per spin and refused with ValueError unless orthonormal to
     CG_TABLE_TOL."""
-    dim = two_s + 1
-    q = np.repeat(np.arange(dim), np.arange(dim, 0, -1))  # 2S+1-q columns of order q
-    starts = np.searchsorted(q, np.arange(dim))
-    i_out = np.arange(len(q)) - starts[q]
-    table = CGTable(_cg_recursion(two_s, i_out, q), i_out * (dim + 1) + q, starts)
+    order = diagonal_order(two_s + 1)
+    values = _cg_recursion(two_s, order.i_out, order.i_in - order.i_out)
+    table = CGTable(values, order.pairs, order.starts)
     deviation = cg_table_deviation(table)
     if not deviation <= CG_TABLE_TOL:
         raise ValueError(

@@ -11,7 +11,8 @@ deterministic, so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import hashlib
+import io
+import itertools
 import json
 import math
 import numbers
@@ -23,7 +24,7 @@ import numpy as np
 
 from .fock import NoiseModel, synthesize_mode
 from .multipole import aggregate_weights, multipoles_algebraic
-from .polar import PolarizationSector, dump_sector, parse_manifolds, report_photons
+from .polar import PolarizationSector, dump_sector, parse_manifolds, report_photons, write_text
 from .render import render_foliation, render_heatmap, write_ppm
 from .sphere import build_quadrature_grid, husimi_total
 from .stokes import (
@@ -288,11 +289,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(header, rows, path: Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+def _write_csv(header, rows, path: Path) -> str:
+    """A figure table through csv.writer; returns the SHA-256 of the bytes
+    written."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return write_text([text.getvalue()], path)
 
 
 def _q_csv_rows(grid) -> list[str]:
@@ -309,12 +313,14 @@ def _q_csv_rows(grid) -> list[str]:
     ]
 
 
-def _write_q_csv(rows: list[str], values: np.ndarray, path: Path):
+def _write_q_csv(rows: list[str], values: np.ndarray, path: Path) -> str:
     """A Q table: the grid lines of `_q_csv_rows` filled in with the values,
-    one theta row at a time."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("theta,phi,weight,value\r\n")
-        fh.writelines(row % tuple(v.tolist()) for row, v in zip(rows, values))
+    one theta row at a time; returns the SHA-256 of the bytes written."""
+    return write_text(
+        itertools.chain(["theta,phi,weight,value\r\n"],
+                        (row % tuple(v.tolist()) for row, v in zip(rows, values))),
+        path,
+    )
 
 
 def emit_figure_tables(report: RunReport, outdir) -> dict:
@@ -326,15 +332,9 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
     files: dict[str, str] = {}
 
     def put(name: str, write, *args) -> None:
-        """Write one output file with `write(*args, path)` and record its
-        SHA-256, read back in fixed-size pieces."""
-        path = outdir / name
-        write(*args, path)
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for piece in iter(lambda: fh.read(1 << 16), b""):
-                digest.update(piece)
-        files[name] = digest.hexdigest()
+        """Write one output file with `write(*args, path)` and record the
+        SHA-256 the writer returns, taken from the bytes as written."""
+        files[name] = write(*args, outdir / name)
 
     if "squeezing_csv" in emit:
         rows = []
@@ -384,7 +384,6 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
                     put(f"q_total_alpha{i}_{name}.ppm", write_ppm,
                         render_heatmap(q, view, config.raster_shape))
                 put(f"foliation_alpha{i}_view_z.ppm", write_ppm, render_foliation(q))
-            del q  # release this alpha's manifold maps before the next are built
 
     if "sector_json" in emit:
         for i, res in enumerate(report.results):

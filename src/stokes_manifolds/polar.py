@@ -8,9 +8,13 @@ discarded by construction.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +81,31 @@ class PolarizationSector:
         )
 
 
+class DiagonalOrder(NamedTuple):
+    """The upper triangle of a dim x dim block in diagonal-major order: by
+    q = i_in - i_out from 0 to dim - 1, then by ascending i_out.  Entry c is
+    block[i_out[c], i_in[c]], at flat index `pairs[c]` = i_out dim + i_in, and
+    `starts[q]` is the first entry of diagonal q."""
+
+    i_out: np.ndarray
+    i_in: np.ndarray
+    pairs: np.ndarray
+    starts: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def diagonal_order(dim: int) -> DiagonalOrder:
+    """Read-only diagonal-major index of a dim x dim block, built once per size."""
+    q = np.repeat(np.arange(dim), np.arange(dim, 0, -1))  # dim - q entries on diagonal q
+    starts = np.searchsorted(q, np.arange(dim))
+    i_out = np.arange(len(q)) - starts[q]
+    i_in = i_out + q
+    order = DiagonalOrder(i_out, i_in, i_out * dim + i_in, starts)
+    for array in order:
+        array.setflags(write=False)
+    return order
+
+
 def report_photons(max_spin: float, cutoff_h: int, cutoff_v: int) -> int:
     """Largest photon number N = 2S of a report up to S = max_spin; a
     ValueError if it passes either mode cutoff."""
@@ -109,6 +138,18 @@ def parse_manifolds(rho_h: ModeState, rho_v: ModeState, max_spin: float) -> Pola
     return PolarizationSector(tuple(blocks))
 
 
+def write_text(pieces, path) -> str:
+    """Write the text pieces to `path` as UTF-8, in order; returns the SHA-256
+    of the bytes written, so no output file is read back to hash it."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for piece in pieces:
+            data = piece.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
 def _block_template(dim: int) -> str:
     """The text json.dump(indent=1) prints for a dim x dim block of [re, im]
     pairs at the depth of a manifold's "block" value, with a %s per number."""
@@ -117,32 +158,38 @@ def _block_template(dim: int) -> str:
     return "[\n    " + ",\n    ".join([row] * dim) + "\n   ]"
 
 
-def dump_sector(sector: PolarizationSector, path) -> None:
+def _manifold_text(i: int, b: ManifoldBlock) -> str:
+    """The text of manifold number i in the dump, with its leading separator."""
+    values = np.ascontiguousarray(b.block).view(float).ravel()
+    fields = tuple(values.tolist())
+    if not np.isfinite(values).all():
+        fields = tuple(map(json.dumps, fields))
+    return (
+        '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'
+        '   "negligible": %s,\n   "truncated": %s\n  }'
+        % (",\n  " if i else "[\n  ", b.photon_number, json.dumps(b.weight),
+           json.dumps(b.spin), _block_template(b.dim) % fields,
+           json.dumps(b.negligible), "false")
+    )
+
+
+def dump_sector(sector: PolarizationSector, path) -> str:
     """JSON dump: the summed weight, then per manifold S the weight and the
     block as nested [re, im] pairs in m-descending order.  Every parsed block
     is complete, so "truncated", kept for readers of earlier dumps, is false.
+    Returns the SHA-256 of the bytes written.
 
     The text is what json.dump(..., indent=1, sort_keys=True) prints, built from
     a template per block size: finite numbers print as float repr, which is what
     json prints, and json.dumps spells the scalar fields and the entries of any
-    block that holds NaN or an infinity.
+    block that holds NaN or an infinity.  It is written one manifold at a time.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        captured = float(sum(b.weight for b in sector.blocks))
-        fh.write('{\n "captured": %s,\n "manifolds": ' % json.dumps(captured))
-        if not sector.blocks:
-            fh.write("[]\n}\n")
-            return
-        for i, b in enumerate(sector.blocks):
-            values = np.ascontiguousarray(b.block).view(float).ravel()
-            fields = tuple(values.tolist())
-            if not np.isfinite(values).all():
-                fields = tuple(map(json.dumps, fields))
-            fh.write(
-                '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'
-                '   "negligible": %s,\n   "truncated": %s\n  }'
-                % (",\n  " if i else "[\n  ", b.photon_number, json.dumps(b.weight),
-                   json.dumps(b.spin), _block_template(b.dim) % fields,
-                   json.dumps(b.negligible), "false")
-            )
-        fh.write("\n ]\n}\n")
+    captured = float(sum(b.weight for b in sector.blocks))
+    return write_text(
+        itertools.chain(
+            ['{\n "captured": %s,\n "manifolds": ' % json.dumps(captured)],
+            itertools.starmap(_manifold_text, enumerate(sector.blocks)),
+            ["\n ]\n}\n" if sector.blocks else "[]\n}\n"],
+        ),
+        path,
+    )

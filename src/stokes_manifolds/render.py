@@ -7,11 +7,13 @@ identical inputs produce byte-identical rasters on every platform.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .sphere import QFunction
+from .sphere import QFunction, nearest_theta_node
 
 # Anchor colors of the shipped colormap (position in [0,1], RGB in 0..255).
 # Dark violet through teal and green to bright yellow; perceptually ordered.
@@ -40,6 +42,9 @@ COLORMAP = _build_colormap()
 COLORMAP.setflags(write=False)
 
 BACKGROUND = np.array([0, 0, 0], dtype=np.uint8)
+# the colormap with the background as entry 256, for images drawn as indices
+_PALETTE = np.vstack([COLORMAP, BACKGROUND])
+_PALETTE.setflags(write=False)
 
 
 def apply_colormap(values: np.ndarray, vmin: float = 0.0, vmax: float | None = None) -> np.ndarray:
@@ -56,16 +61,7 @@ def apply_colormap(values: np.ndarray, vmin: float = 0.0, vmax: float | None = N
         idx = np.zeros(values.shape, dtype=np.intp)
     else:
         idx = np.clip((values - vmin) / span * 255.0, 0.0, 255.0).astype(np.intp)
-    return COLORMAP[idx]
-
-
-def _theta_index(theta_nodes: np.ndarray, theta) -> np.ndarray:
-    """Index of the grid's theta node nearest to each theta."""
-    ti = np.searchsorted(theta_nodes, theta)
-    ti = np.clip(ti, 1, len(theta_nodes) - 1)
-    left = theta_nodes[ti - 1]
-    right = theta_nodes[ti]
-    return np.where(theta - left < right - theta, ti - 1, ti)
+    return np.take(COLORMAP, idx, axis=0)
 
 
 def _phi_index(n_phi: int, phi) -> np.ndarray:
@@ -74,13 +70,35 @@ def _phi_index(n_phi: int, phi) -> np.ndarray:
     return np.floor(np.mod(phi, 2.0 * math.pi) / dphi + 0.5).astype(np.intp) % n_phi
 
 
-def _nearest_node_sampler(q: QFunction):
-    grid = q.grid
+# pixel maps kept per (raster size, grid) or (raster size, rings); a run
+# draws at one raster size on one grid, so a few entries cover it
+_PLAN_CACHE_SIZE = 8
 
-    def sample(theta, phi):
-        return q.values[_theta_index(grid.theta, theta), _phi_index(grid.n_phi, phi)]
 
-    return sample
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _heatmap_plan(projection: str, rows: int, cols: int, theta_nodes: bytes, n_phi: int):
+    """The flat index of the grid node nearest to each pixel's direction, and
+    the mask of pixels outside the axis-view disk (None for equirectangular).
+    Those hidden pixels point one past the last node, where `render_heatmap`
+    puts a zero, so the image's normalization still counts them as zeros."""
+    theta_nodes = np.frombuffer(theta_nodes)
+    if projection == "equirectangular":
+        theta = (np.arange(rows) + 0.5) * math.pi / rows
+        phi = (np.arange(cols) + 0.5) * 2.0 * math.pi / cols
+        th, ph = np.meshgrid(theta, phi, indexing="ij")
+        nodes = nearest_theta_node(theta_nodes, th) * n_phi + _phi_index(n_phi, ph)
+        hidden = None
+    else:
+        side = min(rows, cols)
+        u, v = _pixel_plane(side)
+        theta, phi, visible = _axis_view_angles(projection, u, v)
+        nodes = np.full((side, side), len(theta_nodes) * n_phi, dtype=np.intp)
+        nodes[visible] = (nearest_theta_node(theta_nodes, theta[visible]) * n_phi
+                          + _phi_index(n_phi, phi[visible]))
+        hidden = ~visible
+        hidden.setflags(write=False)
+    nodes.setflags(write=False)
+    return nodes, hidden
 
 
 def render_heatmap(q: QFunction, projection: str = "equirectangular",
@@ -91,26 +109,19 @@ def render_heatmap(q: QFunction, projection: str = "equirectangular",
     columns phi in [0, 2 pi).  projection 'x'/'y'/'z': orthographic view of the
     sphere along that axis, visible hemisphere only, black outside the disk.
     Values are sampled at the nearest grid node and normalized per image.
+    The pixel-to-node map is built once per view, raster size and grid.
     """
-    if projection == "equirectangular":
-        rows, cols = resolution
-        theta = (np.arange(rows) + 0.5) * math.pi / rows
-        phi = (np.arange(cols) + 0.5) * 2.0 * math.pi / cols
-        th, ph = np.meshgrid(theta, phi, indexing="ij")
-        vals = _nearest_node_sampler(q)(th, ph)
-        return apply_colormap(vals)
-    if projection in ("x", "y", "z"):
-        side = min(resolution)
-        u, v = _pixel_plane(side)
-        theta, phi, visible = _axis_view_angles(projection, u, v)
-        vals = np.zeros((side, side))
-        sampler = _nearest_node_sampler(q)
-        vals[visible] = sampler(theta[visible], phi[visible])
-        image = np.empty((side, side, 3), dtype=np.uint8)
-        image[:] = BACKGROUND
-        image[visible] = apply_colormap(vals, vmax=float(vals.max()) or 1.0)[visible]
-        return image
-    raise ValueError(f"unknown projection {projection!r}")
+    if projection not in ("equirectangular", "x", "y", "z"):
+        raise ValueError(f"unknown projection {projection!r}")
+    rows, cols = resolution
+    grid = q.grid
+    nodes, hidden = _heatmap_plan(projection, rows, cols, grid.theta.tobytes(), grid.n_phi)
+    if hidden is None:
+        return apply_colormap(q.values.ravel()[nodes])
+    vals = np.append(q.values, 0.0)[nodes]
+    image = apply_colormap(vals, vmax=float(vals.max()) or 1.0)
+    image[hidden] = BACKGROUND
+    return image
 
 
 def _pixel_coords(side: int) -> np.ndarray:
@@ -153,57 +164,69 @@ def _ring_pixels(radii: np.ndarray, half_width: float, side: int):
     )
     rho = rho[band]
     ring = np.searchsorted(0.5 * (radii[1:] + radii[:-1]), rho)
-    ring = ring.astype(np.min_scalar_type(len(radii)))
     hit = np.flatnonzero(np.abs(rho - radii[ring]) <= half_width)
     return band[hit], ring[hit]
 
 
-def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
-    """Concentric-ring composite of the manifold Q functions, viewed along z.
-
-    `q` is a total Q function; each of its manifold parts with S > 0 occupies
-    an annulus at radius proportional to sqrt(S(S+1)); a pixel at planar
-    angle psi samples the manifold Q at azimuth psi on the equator, the
-    silhouette great circle of the z view.  Each ring is normalized to its
-    own maximum, so faint manifolds remain visible.
-
-    The parts come in increasing spin order, so the rings are disjoint (half
-    width 0.45 of the smallest radius gap): each pixel is tested against its
-    nearest ring only, all rings are sampled in one gather, and the ring
-    maxima are taken over the equator nodes each ring hits.
-    """
-    parts = [p for p in q.parts if p.spin > 0]
-    image = np.empty((side, side, 3), dtype=np.uint8)
-    image[:] = BACKGROUND
-    if not parts:
-        return image
-    radii = np.array([math.sqrt(p.spin * (p.spin + 1.0)) for p in parts])
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _foliation_plan(side: int, n_phi: int, spins: tuple):
+    """The pixels the rings of `spins` cover, the ring of each, the flat
+    (ring, phi node) each samples, and the (ring, phi node) pairs hit."""
+    radii = np.array([math.sqrt(s * (s + 1.0)) for s in spins])
     radii = radii / radii.max()
     half_width = 0.45 * np.min(np.diff(radii, prepend=0.0))
     pixels, ring = _ring_pixels(radii, half_width, side)
     coords = _pixel_coords(side)
     psi = np.mod(np.arctan2(-coords[pixels // side], coords[pixels % side]), 2.0 * math.pi)
-    grid = q.grid
-    node = _phi_index(grid.n_phi, psi)
-    equator = np.stack([p.values[_theta_index(grid.theta, 0.5 * math.pi)] for p in parts])
-    vals = equator[ring, node]
-    seen = np.zeros(equator.shape, dtype=bool)
-    seen[ring, node] = True
-    vmax = np.where(seen, equator, -np.inf).max(axis=1)
-    # apply_colormap(vals, vmax=max or 1.0) per ring; a ring whose maximum is
-    # not positive has no positive sample, so a span of 1 maps it to index 0
-    span = np.where(vmax > 0.0, vmax, 1.0)
-    idx = np.clip(vals / span[ring] * 255.0, 0.0, 255.0).astype(np.intp)
-    image.reshape(-1, 3)[pixels] = COLORMAP[idx]
-    return image
+    samples = ring * n_phi + _phi_index(n_phi, psi)
+    seen = np.zeros((len(spins), n_phi), dtype=bool)
+    seen.ravel()[samples] = True
+    for array in (pixels, ring, samples, seen):
+        array.setflags(write=False)
+    return pixels, ring, samples, seen
 
 
-def write_ppm(image: np.ndarray, path) -> None:
-    """Binary P6 pixmap, row-major, top row first."""
+def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
+    """Concentric-ring composite of the manifold Q functions, viewed along z.
+
+    `q` is a total Q function; each of its manifolds with S > 0 occupies an
+    annulus at radius proportional to sqrt(S(S+1)); a pixel at planar angle
+    psi samples the manifold Q at azimuth psi on the equator, the silhouette
+    great circle of the z view, from the total's `equator` rows.  Each ring
+    is normalized to its own maximum, so faint manifolds remain visible.
+
+    The manifolds come in increasing spin order, so the rings are disjoint
+    (half width 0.45 of the smallest radius gap): each pixel is tested against
+    its nearest ring only, once per raster size, phi grid and set of spins;
+    each image is then one gather, and the ring maxima are taken over the
+    equator nodes each ring hits.
+    """
+    index = np.full(side * side, len(COLORMAP), dtype=np.intp)  # the background
+    rings = np.array(q.spins) > 0
+    if rings.any():
+        spins = tuple(s for s in q.spins if s > 0)
+        pixels, ring, samples, seen = _foliation_plan(side, q.grid.n_phi, spins)
+        equator = q.equator[rings]
+        vals = equator.ravel()[samples]
+        vmax = np.where(seen, equator, -np.inf).max(axis=1)
+        # apply_colormap(vals, vmax=max or 1.0) per ring; a ring whose maximum is
+        # not positive has no positive sample, so a span of 1 maps it to index 0
+        span = np.where(vmax > 0.0, vmax, 1.0)
+        index[pixels] = np.clip(vals / span[ring] * 255.0, 0.0, 255.0)
+    return np.take(_PALETTE, index, axis=0).reshape(side, side, 3)
+
+
+def write_ppm(image: np.ndarray, path) -> str:
+    """Binary P6 pixmap, row-major, top row first; returns the SHA-256 of the
+    bytes written."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise ValueError("image must be an (H, W, 3) uint8 array")
     header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
+    payload = image.tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(image.tobytes())
+        fh.write(payload)
+    digest = hashlib.sha256(header)
+    digest.update(payload)
+    return digest.hexdigest()

@@ -6,8 +6,9 @@ closed-form Clebsch-Gordan sum, and the pure-loss channel as dense Kraus
 products.  Closed forms that only the tests evaluate live here too: the mean
 photon number of one mode and the total-state xi^2 of the pure Gaussian model.
 The writers the package replaced with faster ones are kept as the byte and
-pixel references: the sector dump through `json.dump` and the foliation drawn
-one ring at a time.  So are the per-block forms of the two stacked per-manifold
+pixel references: the sector dump through `json.dump`, the foliation drawn
+one ring at a time from the full map of each manifold, and the heatmaps
+sampled pixel by pixel.  So are the per-block forms of the two stacked per-manifold
 reports: the multipoles as one Clebsch-Gordan diagonal matvec per order q, and
 the Stokes variance minimised one block at a time.  The total Stokes summary
 the package takes from the two modes is kept as the sum over every manifold
@@ -36,10 +37,12 @@ from stokes_manifolds.pipeline import RunConfig, run_sweep
 from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock
 from stokes_manifolds.render import (
     BACKGROUND,
-    _nearest_node_sampler,
+    _axis_view_angles,
+    _phi_index,
     _pixel_plane,
     apply_colormap,
 )
+from stokes_manifolds.sphere import husimi_manifold, nearest_theta_node
 from stokes_manifolds.stokes import (
     DIRECTION_EPS,
     MODE_FULL,
@@ -53,10 +56,15 @@ from stokes_manifolds.stokes import (
 
 
 @lru_cache(maxsize=None)
+def default_ladder_sectors(cutoff):
+    """The sector of each amplitude of the default sweep at `cutoff`."""
+    report = run_sweep(RunConfig(cutoff_h=cutoff, cutoff_v=cutoff))
+    return tuple(res.sector for res in report.results)
+
+
 def default_ladder_blocks(cutoff):
     """Every block the default sweep at `cutoff` reports."""
-    report = run_sweep(RunConfig(cutoff_h=cutoff, cutoff_v=cutoff))
-    return tuple(b for res in report.results for b in res.sector.reported())
+    return tuple(b for sector in default_ladder_sectors(cutoff) for b in sector.reported())
 
 
 def mean_photon_number(state):
@@ -355,10 +363,26 @@ def json_dump_sector(sector, path):
         fh.write("\n")
 
 
-def foliation_loop(q, side=256):
-    """The ring foliation drawn one ring at a time: a full-plane mask per ring,
-    the ring's equator samples, and apply_colormap at the ring's own maximum."""
-    parts = [p for p in q.parts if p.spin > 0]
+def nearest_node_sampler(q):
+    """Q at the grid node nearest to each (theta, phi), looked up per call."""
+    grid = q.grid
+
+    def sample(theta, phi):
+        return q.values[nearest_theta_node(grid.theta, theta), _phi_index(grid.n_phi, phi)]
+
+    return sample
+
+
+def manifold_parts(sector, grid, max_spin=None):
+    """The full map of each reported manifold, `husimi_manifold` per block."""
+    return tuple(husimi_manifold(b, grid) for b in sector.reported(max_spin))
+
+
+def foliation_loop(parts, side=256):
+    """The ring foliation drawn one ring at a time from full manifold maps
+    (`manifold_parts`, in spin order): a full-plane mask per ring, the ring's
+    equator samples, and apply_colormap at the ring's own maximum."""
+    parts = [p for p in parts if p.spin > 0]
     image = np.empty((side, side, 3), dtype=np.uint8)
     image[:] = BACKGROUND
     if not parts:
@@ -374,6 +398,25 @@ def foliation_loop(q, side=256):
         if not ring.any():
             continue
         phi = psi[ring]
-        vals = _nearest_node_sampler(part)(np.full_like(phi, 0.5 * math.pi), phi)
+        vals = nearest_node_sampler(part)(np.full_like(phi, 0.5 * math.pi), phi)
         image[ring] = apply_colormap(vals, vmax=float(vals.max()) or 1.0)
+    return image
+
+
+def heatmap_loop(q, projection, resolution):
+    """A heatmap sampled pixel by pixel at the nearest node, with no cached
+    pixel map."""
+    if projection == "equirectangular":
+        rows, cols = resolution
+        theta = (np.arange(rows) + 0.5) * math.pi / rows
+        phi = (np.arange(cols) + 0.5) * 2.0 * math.pi / cols
+        th, ph = np.meshgrid(theta, phi, indexing="ij")
+        return apply_colormap(nearest_node_sampler(q)(th, ph))
+    side = min(resolution)
+    theta, phi, visible = _axis_view_angles(projection, *_pixel_plane(side))
+    vals = np.zeros((side, side))
+    vals[visible] = nearest_node_sampler(q)(theta[visible], phi[visible])
+    image = np.empty((side, side, 3), dtype=np.uint8)
+    image[:] = BACKGROUND
+    image[visible] = apply_colormap(vals, vmax=float(vals.max()) or 1.0)[visible]
     return image

@@ -299,11 +299,15 @@ class TestComputedOnce:
     def test_removed_names_stay_unbound(self, name):
         assert _src_bindings(name) == []
 
-    def test_manifold_q_once_per_reported_block(self, monkeypatch, tmp_path):
+    def test_emission_makes_no_manifold_map(self, monkeypatch, tmp_path):
+        # the total sums Fourier rows and keeps the equator rows the foliation
+        # draws, so no per-manifold map is built; each block's rows once
         report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
-        calls = _record_calls(monkeypatch, "husimi_manifold", [sphere, render])
+        maps = _record_calls(monkeypatch, "husimi_manifold", [sphere, render, pipeline])
+        rows = _record_calls(monkeypatch, "husimi_fourier", [sphere])
         emit_figure_tables(report, tmp_path)
-        assert Counter(map(id, calls)) == _reported_block_ids(report)
+        assert maps == []
+        assert Counter(map(id, rows)) == _reported_block_ids(report)
 
 
 @pytest.fixture(scope="module")
@@ -332,19 +336,26 @@ class TestEmission:
         for name, digest in manifest["files"].items():
             assert digest == hashlib.sha256((outdir / name).read_bytes()).hexdigest(), name
 
-    def test_hash_reads_fixed_size_pieces(self, tmp_path, monkeypatch):
-        # a sector dump of 0.4 MB spans several pieces, and emission never
-        # reads a whole file back
-        def refuse(self):
-            raise AssertionError(f"{self.name} read whole")
+    def test_hash_taken_from_written_bytes(self, tmp_path, monkeypatch):
+        # every file is opened once, to write it; a sector dump of 0.4 MB is
+        # hashed from the pieces written
+        modes = []
+        builtin_open = open
 
-        monkeypatch.setattr(Path, "read_bytes", refuse)
-        report = run_sweep(RunConfig(alphas=(0.0,), emit=("sector_json",)))
+        def recording_open(file, mode="r", *args, **kwargs):
+            modes.append((Path(file).name, mode))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        report = run_sweep(RunConfig(alphas=(0.0,)))
         manifest = emit_figure_tables(report, tmp_path)
         monkeypatch.undo()
+        names = sorted(name for name, _ in modes)
+        assert names == sorted([*manifest["files"], "manifest.json"])
+        assert all(mode.startswith("w") for _, mode in modes), modes
         data = (tmp_path / "sector_alpha0.json").read_bytes()
         assert len(data) > 4 << 16
-        assert manifest["files"] == {"sector_alpha0.json": hashlib.sha256(data).hexdigest()}
+        assert manifest["files"]["sector_alpha0.json"] == hashlib.sha256(data).hexdigest()
 
     def test_squeezing_csv_schema(self, emitted):
         outdir, report, _ = emitted
@@ -662,7 +673,7 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "all 8 checks passed" in out and "FAIL" not in out
+        assert "all 9 checks passed" in out and "FAIL" not in out
         blocks = len(default_ladder_blocks(24))  # what run_sweep(RunConfig()) reports
         line = f"[ok] scaled dual-route multipoles, {blocks} reported blocks on grid L 48: worst "
         assert blocks == 100 and RunConfig().resolved_grid_l == 48 and line in out, out

@@ -4,10 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import foliation_loop
-from stokes_manifolds.fock import NoiseModel, synthesize_mode
-from stokes_manifolds.pipeline import DEFAULT_ALPHAS
-from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, parse_manifolds
+from oracles import default_ladder_sectors, foliation_loop, heatmap_loop, manifold_parts
+from stokes_manifolds.polar import ManifoldBlock, PolarizationSector
 from stokes_manifolds.render import (
     COLORMAP,
     apply_colormap,
@@ -15,7 +13,14 @@ from stokes_manifolds.render import (
     render_heatmap,
     write_ppm,
 )
-from stokes_manifolds.sphere import QFunction, build_quadrature_grid, husimi_manifold, husimi_total
+from stokes_manifolds.sphere import (
+    QFunction,
+    SphereGrid,
+    build_quadrature_grid,
+    equator_node,
+    husimi_manifold,
+    husimi_total,
+)
 
 
 def highest_weight_q(spin=2.0, degree=12):
@@ -75,6 +80,30 @@ class TestHeatmaps:
         with pytest.raises(ValueError):
             render_heatmap(highest_weight_q(), "mercator")
 
+    @pytest.mark.parametrize("view", ["equirectangular", "x", "y", "z"])
+    def test_matches_pixel_by_pixel_sampling(self, view):
+        for q in default_ladder_q(48):
+            for resolution in ((64, 128), (33, 20)):
+                want = heatmap_loop(q, view, resolution)
+                assert np.array_equal(render_heatmap(q, view, resolution), want)
+
+    @pytest.mark.parametrize("view", ["equirectangular", "z"])
+    def test_grid_with_other_theta_nodes_gets_its_own_pixel_map(self, view):
+        # same n_phi, theta nodes squeezed toward the north pole: a pixel map
+        # cached for the Gauss grid would sample the wrong rows
+        gauss = build_quadrature_grid(12)
+        theta = gauss.theta**2 / math.pi
+        theta.setflags(write=False)
+        other = SphereGrid(theta, gauss.phi, gauss.weights, gauss.exactness)
+        rows = np.arange(gauss.n_theta, dtype=float)[:, None]
+        values = np.broadcast_to(rows, (gauss.n_theta, gauss.n_phi)) + gauss.phi
+        for grid in (gauss, other, gauss):
+            q = QFunction(grid, values)
+            assert np.array_equal(render_heatmap(q, view, (64, 128)),
+                                  heatmap_loop(q, view, (64, 128)))
+        assert not np.array_equal(render_heatmap(QFunction(gauss, values), view),
+                                  render_heatmap(QFunction(other, values), view))
+
 
 class TestFoliation:
     def test_ring_composite(self):
@@ -94,47 +123,54 @@ class TestFoliation:
 
     def test_empty_sector(self):
         block = ManifoldBlock(0.0, 1.0, np.array([[1.0]], dtype=complex))
-        q = husimi_total(PolarizationSector((block,)), build_quadrature_grid(4))
-        img = render_foliation(q)
+        sector = PolarizationSector((block,))
+        grid = build_quadrature_grid(4)
+        img = render_foliation(husimi_total(sector, grid))
         assert not np.any(img)
-        assert np.array_equal(img, foliation_loop(q))
+        assert np.array_equal(img, foliation_loop(manifold_parts(sector, grid)))
 
 
 def default_ladder_q(grid_l):
     """Total Q of each default amplitude at cutoff 24, S_max 12."""
-    model = NoiseModel(3.6, 4.4, 0.85)
-    rho_v = synthesize_mode(model, 0.0, 24)
     grid = build_quadrature_grid(grid_l)
-    return [husimi_total(parse_manifolds(synthesize_mode(model, a, 24), rho_v, 12.0), grid)
-            for a in DEFAULT_ALPHAS]
+    return [husimi_total(sector, grid) for sector in default_ladder_sectors(24)]
 
 
 def parts_q(part_values, grid_l=8):
-    """A total Q whose manifold parts, S = 1/2, 1, ..., hold the given values."""
+    """Manifold maps S = 1/2, 1, ... holding the given values, and a total Q
+    whose equator rows are read off those maps."""
     grid = build_quadrature_grid(grid_l)
     parts = tuple(
         QFunction(grid, np.broadcast_to(np.asarray(v, dtype=float), (grid.n_theta, grid.n_phi)),
                   spin=(i + 1) / 2.0)
         for i, v in enumerate(part_values)
     )
-    return QFunction(grid, np.zeros((grid.n_theta, grid.n_phi)), parts=parts)
+    equator = np.stack([p.values[equator_node(grid)] for p in parts])
+    total = QFunction(grid, np.zeros((grid.n_theta, grid.n_phi)),
+                      spins=tuple(p.spin for p in parts), equator=equator)
+    return total, parts
 
 
 class TestFoliationPixels:
-    """render_foliation draws the pixels of the ring-by-ring loop it replaced."""
+    """render_foliation, drawn from the total's equator rows, gives the pixels
+    of the ring-by-ring loop over the full manifold maps."""
 
     @pytest.mark.parametrize("grid_l", [48, 96])
     def test_default_ladder(self, grid_l):
-        for q in default_ladder_q(grid_l):
+        grid = build_quadrature_grid(grid_l)
+        for sector in default_ladder_sectors(24):
+            q = husimi_total(sector, grid)
+            parts = manifold_parts(sector, grid)
             for side in (128, 256, 16):
-                assert np.array_equal(render_foliation(q, side), foliation_loop(q, side))
+                assert np.array_equal(render_foliation(q, side), foliation_loop(parts, side))
 
     def test_one_ring(self):
         blocks = (ManifoldBlock(0.0, 0.5, np.eye(1, dtype=complex)),
                   ManifoldBlock(0.5, 0.5, np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)))
-        q = husimi_total(PolarizationSector(blocks), build_quadrature_grid(8))
-        img = render_foliation(q, 128)
-        assert np.array_equal(img, foliation_loop(q, 128))
+        sector = PolarizationSector(blocks)
+        grid = build_quadrature_grid(8)
+        img = render_foliation(husimi_total(sector, grid), 128)
+        assert np.array_equal(img, foliation_loop(manifold_parts(sector, grid), 128))
         assert np.any(img)
 
     def test_zero_and_negative_ring_maxima(self):
@@ -142,15 +178,15 @@ class TestFoliationPixels:
         grid_l = 8
         n_phi = 2 * grid_l + 1
         ramp = np.linspace(-1.0, 2.0, n_phi)
-        q = parts_q([0.0, -0.5, ramp, -ramp, 0.3], grid_l)
+        q, parts = parts_q([0.0, -0.5, ramp, -ramp, 0.3], grid_l)
         img = render_foliation(q, 128)
-        assert np.array_equal(img, foliation_loop(q, 128))
+        assert np.array_equal(img, foliation_loop(parts, 128))
         assert np.any(np.all(img == COLORMAP[0], axis=-1))
 
     def test_all_samples_zero(self):
-        q = parts_q([0.0] * 4)
+        q, parts = parts_q([0.0] * 4)
         img = render_foliation(q, 96)
-        assert np.array_equal(img, foliation_loop(q, 96))
+        assert np.array_equal(img, foliation_loop(parts, 96))
         assert np.all(np.all(img == COLORMAP[0], axis=-1) | np.all(img == 0, axis=-1))
 
     def test_peak_memory(self):

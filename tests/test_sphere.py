@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
-from stokes_manifolds.invariants import husimi_manifold_gap, husimi_total_gap, random_block
-from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
+from stokes_manifolds.invariants import (
+    husimi_manifold_gap,
+    husimi_parts_gap,
+    husimi_total_gap,
+    random_block,
+)
+from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, parse_manifolds
 from stokes_manifolds.sphere import (
     FOUR_PI,
     build_quadrature_grid,
+    equator_node,
     husimi_manifold,
     husimi_total,
 )
 
-from oracles import default_ladder_blocks, rotation_matrix
+from oracles import default_ladder_blocks, default_ladder_sectors, rotation_matrix
 
 
 def su2_overlap_amplitudes(spin, theta, phi):
@@ -73,6 +79,11 @@ class TestGrid:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             build_quadrature_grid(-1)
+
+    def test_built_once_per_degree(self):
+        grid = build_quadrature_grid(96)
+        assert build_quadrature_grid(96) is grid
+        assert not any(a.flags.writeable for a in (grid.theta, grid.phi, grid.weights))
 
 
 class TestAmplitudes:
@@ -192,8 +203,6 @@ def _q_at(block, theta, phi):
 class TestHusimiTotal:
     def test_vacuum_sector_constant(self):
         sector_block = ManifoldBlock(0.0, 1.0, np.array([[1.0]], dtype=complex))
-        from stokes_manifolds.polar import PolarizationSector
-
         sector = PolarizationSector((sector_block,))
         grid = build_quadrature_grid(4)
         q = husimi_total(sector, grid)
@@ -208,7 +217,44 @@ class TestHusimiTotal:
         assert husimi_total_gap(sector, grid)[0] < 1e-10
         # a narrower max_spin sums the reported manifolds up to it
         assert husimi_total_gap(sector, grid, max_spin=4.0)[0] < 1e-10
-        assert len(husimi_total(sector, grid, max_spin=4.0).parts) < len(sector.reported())
+        assert len(husimi_total(sector, grid, max_spin=4.0).spins) < len(sector.reported())
+
+    @pytest.mark.parametrize("grid_l", [48, 96])
+    def test_summed_rows_match_manifold_maps(self, grid_l):
+        # the one-product total against the sum of the per-manifold maps, and
+        # each equator row against its manifold map's equator node
+        grid = build_quadrature_grid(grid_l)
+        eq = equator_node(grid)
+        assert grid.theta[eq] == 0.5 * math.pi
+        for sector in default_ladder_sectors(24):
+            assert husimi_parts_gap(sector, grid)[0] < 1e-14
+            q = husimi_total(sector, grid)
+            blocks = sector.reported()
+            assert q.spins == tuple(b.spin for b in blocks)
+            assert q.equator.shape == (len(blocks), grid.n_phi)
+            for row, block in zip(q.equator, blocks):
+                want = husimi_manifold(block, grid).values[eq]
+                assert np.max(np.abs(row - want)) < 1e-15, block.spin
+
+    def test_complex_blocks_match_manifold_maps(self):
+        rng = np.random.default_rng(23)
+        blocks = [random_block(n / 2.0, rng) for n in range(9)]
+        sector = PolarizationSector(tuple(ManifoldBlock(b.spin, 1.0 / 9, b.block)
+                                          for b in blocks))
+        assert husimi_parts_gap(sector, build_quadrature_grid(16))[0] < 1e-14
+
+    def test_peak_memory_holds_no_manifold_maps(self):
+        # summing 25 full (97 x 193) manifold maps peaked at 4.2 MB
+        sector = default_ladder_sectors(24)[-1]
+        assert len(sector.reported()) == 25
+        grid = build_quadrature_grid(96)
+        tracemalloc.start()
+        try:
+            husimi_total(sector, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6, peak
 
     @pytest.mark.parametrize("cutoff", [24, 48])
     def test_reported_blocks_integrate_at_run_sizes(self, cutoff):
