@@ -48,9 +48,11 @@ def cg_orthonormality(two_s: int) -> tuple[float, float]:
 
 
 def dual_route_gap(block: ManifoldBlock, grid) -> tuple[float, float]:
-    """Largest |rho_Kq(quadrature) - rho_Kq(algebraic)| C_K over (K, q).  The
-    quadrature route divides by C_K = <S S; K 0|S S>, 1.3e-7 at S = 12, K = 24,
-    so its rounding error grows as 1/C_K; scaled back it stays near 1e-14."""
+    """Largest |rho_Kq(quadrature) - rho_Kq(algebraic)| C_K over K and q >= 0,
+    which bounds the gap at -q too, since rho_{K,-q} = (-1)^q conj(rho_Kq) in
+    both routes.  The quadrature route divides by C_K = <S S; K 0|S S>, 1.3e-7
+    at S = 12, K = 24, so its rounding error grows as 1/C_K; scaled back it
+    stays near 1e-14."""
     gap = np.abs(multipole.multipoles_integral(block, grid).rho
                  - multipole.multipoles_algebraic(block).rho)
     return float(np.max(np.max(gap, axis=1) * multipole.stretched_cg(block.photon_number))), 1e-12

@@ -3,7 +3,9 @@
 Two independent routes compute the same coefficients: projection of the Husimi
 function onto spherical harmonics (quadrature route) and the irreducible
 tensor decomposition of the block (algebraic route).  Their agreement pins all
-phase and normalization conventions in this module.
+phase and normalization conventions in this module.  Both hold the orders
+q >= 0 alone, and the algebraic route indexes the block and the Clebsch-Gordan
+table by the diagonal-major order of `polar.diagonal_order`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,18 +42,17 @@ def _legendre_rows(m: int, max_degree: int, theta) -> list:
 
 @dataclass(frozen=True)
 class MultipoleSpectrum:
-    """Complex multipoles of one manifold: rho[K, q + 2S] for K = 0..2S and
-    q = -2S..2S, zero where |q| > K."""
+    """Complex multipoles of one manifold: rho[K, q] for K = 0..2S and the
+    orders q = 0..2S, zero where q > K.  A Hermitian block fixes the negative
+    orders as rho_{K,-q} = (-1)^q conj(rho_Kq), so they are not stored."""
 
-    spin: float
     rho: np.ndarray
 
     @property
     def weights(self) -> np.ndarray:
-        """W_K^(S) = sum_q |rho_Kq|^2 for K = 0..2S, summed over the q >= 0
-        half as |rho_K0|^2 + 2 sum_{q>0} |rho_Kq|^2, since
-        |rho_K,-q| = |rho_Kq| for a Hermitian block."""
-        half = np.abs(self.rho[:, len(self.rho) - 1:]) ** 2  # q = 0..2S
+        """W_K^(S) = sum_q |rho_Kq|^2 over q = -2S..2S for K = 0..2S, which
+        the rule above makes |rho_K0|^2 + 2 sum_{q>0} |rho_Kq|^2."""
+        half = np.abs(self.rho) ** 2
         return half[:, 0] + 2.0 * np.sum(half[:, 1:], axis=1)
 
 
@@ -64,12 +64,6 @@ def stretched_cg(two_s: int) -> np.ndarray:
         for k in range(two_s + 1)
     ]
     return np.exp(log_c) * math.sqrt(two_s + 1)
-
-
-def _with_negative_orders(rho: np.ndarray) -> np.ndarray:
-    """rho[K, q + 2S] of a Hermitian block from rho[K, q >= 0]: rho_{K,-q} = (-1)^q rho*_Kq."""
-    q = np.arange(len(rho) - 1, 0, -1)  # 2S, ..., 1
-    return np.concatenate(((-1.0) ** q * np.conj(rho[:, q]), rho), axis=1)
 
 
 def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpectrum:
@@ -91,7 +85,7 @@ def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpec
     for q in range(two_s + 1):
         rho[q:, q] = np.array(_legendre_rows(q, two_s, grid.theta)) @ f[q]
     rho *= (math.sqrt(block.dim / FOUR_PI) / stretched_cg(two_s))[:, None]
-    return MultipoleSpectrum(block.spin, _with_negative_orders(rho))
+    return MultipoleSpectrum(rho)
 
 
 # largest |Gram - 1| entry a Clebsch-Gordan table may show before it is refused
@@ -149,50 +143,36 @@ def _cg_recursion(two_s: int, i_out: np.ndarray, q: np.ndarray) -> np.ndarray:
     return table
 
 
-class CGTable(NamedTuple):
-    """Clebsch-Gordan table of spin S = two_s/2 in diagonal-major order.
-
-    values[K, c] = <S m_out; S -m_in | K, m_out - m_in> on the m-descending
-    basis (m = S - i) for the pair (i_out, i_in) of column c.  The columns run
-    over q = i_in - i_out = m_out - m_in from 0 to 2S (`_with_negative_orders`
-    gives q < 0) and, within one q, over ascending i_out, the order of
-    `polar.diagonal_order`: `starts[q]` is the first column of order q and
-    `pairs[c]` = i_out (2S+1) + i_in the flat index of column c in a
-    (2S+1)^2 block.
-    """
-
-    values: np.ndarray
-    pairs: np.ndarray
-    starts: np.ndarray
-
-
-def cg_table_deviation(table: CGTable) -> float:
+def cg_table_deviation(table: np.ndarray) -> float:
     """Largest entry of |G_q - 1| over the orders q, where G_q is the Gram
     matrix over K of the table's q segment; nan if any entry is."""
-    bounds = [*table.starts, table.values.shape[1]]
+    bounds = [*diagonal_order(len(table)).starts, table.shape[1]]
     devs = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        cols = table.values[:, start:stop]
+        cols = table[:, start:stop]
         devs.append(np.max(np.abs(cols.T @ cols - np.eye(stop - start))))
     return float(np.max(devs))
 
 
 @lru_cache(maxsize=None)
-def cg_table(two_s: int) -> CGTable:
-    """Read-only diagonal-major Clebsch-Gordan table of spin S = two_s/2,
-    built once per spin and refused with ValueError unless orthonormal to
-    CG_TABLE_TOL."""
+def cg_table(two_s: int) -> np.ndarray:
+    """Read-only Clebsch-Gordan table of spin S = two_s/2, built once per spin
+    and refused with ValueError unless orthonormal to CG_TABLE_TOL.
+
+    table[K, c] = <S m_out; S -m_in | K, m_out - m_in> on the m-descending
+    basis (m = S - i) for the pair (i_out, i_in) of entry c of
+    `polar.diagonal_order(2S+1)`: the orders q = i_in - i_out = m_out - m_in
+    from 0 to 2S, each by ascending i_out.
+    """
     order = diagonal_order(two_s + 1)
-    values = _cg_recursion(two_s, order.i_out, order.i_in - order.i_out)
-    table = CGTable(values, order.pairs, order.starts)
+    table = _cg_recursion(two_s, order.i_out, order.i_in - order.i_out)
     deviation = cg_table_deviation(table)
     if not deviation <= CG_TABLE_TOL:
         raise ValueError(
             f"Clebsch-Gordan table of S={two_s / 2:g} is not orthonormal: "
             f"deviation {deviation:.2e} exceeds {CG_TABLE_TOL:g}"
         )
-    for array in table:
-        array.setflags(write=False)
+    table.setflags(write=False)
     return table
 
 
@@ -206,11 +186,11 @@ def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:
     one segmented sum for every K and q >= 0.  Normalization matches the
     quadrature route exactly (the dual-route test anchors both conventions).
     """
-    table = cg_table(block.photon_number)
+    order = diagonal_order(block.dim)
     signed = block.block * (-1.0) ** np.arange(block.dim)  # (-1)^(S - m_in)
-    column = signed.ravel()[table.pairs]
-    rho = np.add.reduceat(table.values * column, table.starts, axis=1)  # [K, q >= 0]
-    return MultipoleSpectrum(block.spin, _with_negative_orders(rho))
+    column = signed.ravel()[order.pairs]
+    rho = np.add.reduceat(cg_table(block.photon_number) * column, order.starts, axis=1)
+    return MultipoleSpectrum(rho)
 
 
 def aggregate_weights(terms) -> np.ndarray:

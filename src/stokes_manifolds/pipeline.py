@@ -223,15 +223,17 @@ def _check_cutoffs(config: RunConfig, model: NoiseModel, alphas):
 
 
 def _dedupe(alphas):
-    """The amplitudes less those printed (`_fmt`) like an earlier one, which
-    would share its rows and manifest key; + 0.0 folds -0.0 into 0.0."""
+    """The amplitudes as floats, less those printed (`_fmt`) like an earlier
+    one, which would share its rows and manifest key; + 0.0 folds -0.0 into
+    0.0, so no row, key, message or stdout line reads "-0"."""
     seen = {}
     for a in alphas:
-        text = _fmt(float(a) + 0.0)
+        value = float(a) + 0.0
+        text = _fmt(value)
         if text in seen:
             warnings.warn(f"duplicate alpha {a} removed from sweep", stacklevel=3)
             continue
-        seen[text] = a
+        seen[text] = value
     return tuple(seen.values())
 
 

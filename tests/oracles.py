@@ -34,7 +34,7 @@ from stokes_manifolds.fock import (
 )
 from stokes_manifolds.multipole import cg_table
 from stokes_manifolds.pipeline import RunConfig, run_sweep
-from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock
+from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock, diagonal_order
 from stokes_manifolds.render import (
     BACKGROUND,
     _axis_view_angles,
@@ -204,15 +204,15 @@ def _cg_doubled(tj1, tm1, tj2, tm2, tj, tm):
 
 
 def natural_cg_table(two_s):
-    """The q >= 0 table `cg_table(two_s)` scattered back through its column
-    order to C[K, i_out, i_in] = <S m_out; S -m_in | K, m_out - m_in>, with
-    the entries i_in < i_out from the index reversal
+    """The q >= 0 table `cg_table(two_s)` scattered back through
+    `diagonal_order(2S+1).pairs` to
+    C[K, i_out, i_in] = <S m_out; S -m_in | K, m_out - m_in>, with the
+    entries i_in < i_out from the index reversal
     <S -m1; S -m2 | K -M> = (-1)^(2S-K) <S m1; S m2 | K M>, which maps
     (i_out, i_in) to (2S - i_out, 2S - i_in)."""
-    table = cg_table(two_s)
     dim = two_s + 1
     natural = np.zeros((dim, dim * dim))
-    natural[:, table.pairs] = table.values
+    natural[:, diagonal_order(dim).pairs] = cg_table(two_s)
     natural = natural.reshape(dim, dim, dim)
     lower = np.tril(np.ones((dim, dim), dtype=bool), -1)  # i_in < i_out
     sign = (-1.0) ** (two_s - np.arange(dim))[:, None, None]

@@ -156,6 +156,27 @@ class TestSweep:
         assert list(manifest["trace_deficit"]) == ["1"]
         assert manifest["alphas"] == [1.0]
 
+    def test_negative_zero_alpha_reads_as_zero(self, tmp_path):
+        # alpha -0.0 writes the rows, manifest keys and warnings of alpha 0,
+        # not "-0"; cutoff 12 loses enough trace to warn
+        emit = ("squeezing_csv", "photon_csv", "multipole_csv")
+        manifests = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for name, alpha in (("neg", -0.0), ("pos", 0.0)):
+                report = run_sweep(RunConfig(**{**FAST, "alphas": (alpha,), "emit": emit}))
+                manifests.append(emit_figure_tables(report, tmp_path / name))
+        messages = [str(w.message) for w in caught]
+        assert any("of the trace at alpha=0.0" in m for m in messages), messages
+        assert not any("alpha=-0" in m for m in messages), messages  # not the "e-06"
+        names = sorted(p.name for p in (tmp_path / "pos").glob("*.csv"))
+        assert names == ["fig3a.csv", "fig3b.csv", "fig3c.csv", "fig3d.csv"]
+        for name in names:
+            assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes()
+        neg, pos = manifests
+        assert neg["alphas"] == pos["alphas"] and neg["trace_deficit"] == pos["trace_deficit"]
+        assert list(neg["trace_deficit"]) == ["0"]
+
     def test_default_run_warns_nothing(self):
         # the largest trace deficit of the default sweep is 8.5e-9
         with warnings.catch_warnings():
