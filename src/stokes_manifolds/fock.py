@@ -35,10 +35,11 @@ def lowering_operator(dim: int) -> np.ndarray:
 
 
 def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
-    dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+    adjoint = mat.conj().T
+    dev = np.max(np.abs(mat - adjoint)) if mat.size else 0.0
     if not dev < HERMITICITY_TOL:  # a NaN deviation fails too
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + adjoint)
 
 
 def _unitary_exp(h: np.ndarray) -> np.ndarray:

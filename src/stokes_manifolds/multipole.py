@@ -187,8 +187,7 @@ def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:
     quadrature route exactly (the dual-route test anchors both conventions).
     """
     order = diagonal_order(block.dim)
-    signed = block.block * (-1.0) ** np.arange(block.dim)  # (-1)^(S - m_in)
-    column = signed.ravel()[order.pairs]
+    column = (block.block * order.signs).ravel()[order.pairs]  # signed by (-1)^(S - m_in)
     rho = np.add.reduceat(cg_table(block.photon_number) * column, order.starts, axis=1)
     return MultipoleSpectrum(rho)
 

@@ -10,8 +10,6 @@ deterministic, so identical configs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -291,19 +289,48 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(header, rows, path: Path) -> str:
-    """A figure table through csv.writer; returns the SHA-256 of the bytes
-    written."""
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return write_text([text.getvalue()], path)
+# Figure-table lines as csv.writer printed them over `_fmt`: fields joined by
+# commas, "\r\n" line ends, floats as %.12g and ints as %d.  No field needs
+# quoting: the formatted numbers and the mode names hold no comma, quote or
+# line break.
+FIG3A_HEADER = "alpha,S,N,P_S,mean_x,mean_y,mean_z,gamma_min,xi2,xi2_dB,mode\r\n"
+FIG3A_ROW = "%.12g,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\r\n"  # after "alpha,"
+FIG3B_HEADER = "alpha,N,P_N\r\n"
+FIG3C_HEADER = "alpha,xi2,xi2_dB,analytic_estimate,mode\r\n"
+FIG3C_ROW = "%.12g,%.12g,%.12g,%s\r\n"  # after "alpha,"
+FIG3D_HEADER = "alpha,S,K,W_K\r\n"
+NUMBERED_ROW = "%d,%.12g\r\n"  # "N,P_N" of fig3b and "K,W_K" of fig3d
+
+
+def _fig3a_text(res: AlphaResult) -> str:
+    """The fig3a lines of one amplitude: one per reported spin > 0 manifold."""
+    values = []
+    for s in res.manifold_summaries:
+        n = round(2 * s.spin)  # the sector holds N = 0, 1, ... in order
+        values += (s.spin, n, res.sector.blocks[n].weight, *s.mean.tolist(),
+                   s.gamma_min, s.xi2, s.xi2_db, s.mode)
+    return (_fmt(res.alpha) + "," + FIG3A_ROW) * len(res.manifold_summaries) % tuple(values)
+
+
+def _numbered_text(prefix: str, numbers, values: list) -> str:
+    """The lines `prefix` + "k,v" for k, v in zip(numbers, values), with the
+    prefix written once into the template."""
+    return (prefix + NUMBERED_ROW) * len(values) % tuple(
+        itertools.chain.from_iterable(zip(numbers, values)))
+
+
+def _fig3d_text(res: AlphaResult) -> str:
+    """The fig3d lines of one amplitude: each manifold's W_K, then the total's."""
+    alpha = _fmt(res.alpha) + ","
+    return "".join(
+        _numbered_text(alpha + _fmt(spin) + ",", range(len(weights)), weights.tolist())
+        for spin, weights in (*res.manifold_multipoles, ("total", res.aggregated_weights))
+    )
 
 
 def _q_csv_rows(grid) -> list[str]:
     """Per theta row of the grid, the lines `theta,phi,weight,%.12g\r\n` with
-    the grid fields printed as `_write_csv` prints them.  The weights are
+    the grid fields printed as the figure tables print floats.  The weights are
     constant along a theta row, so only n_theta + n_phi grid values are
     formatted."""
     theta = ["%.12g" % x for x in grid.theta.tolist()]
@@ -339,39 +366,20 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
         files[name] = write(*args, outdir / name)
 
     if "squeezing_csv" in emit:
-        rows = []
-        for res in report.results:
-            for s in res.manifold_summaries:
-                n = round(2 * s.spin)  # the sector holds N = 0, 1, ... in order
-                rows.append(
-                    (res.alpha, s.spin, n, res.sector.blocks[n].weight, *s.mean,
-                     s.gamma_min, s.xi2, s.xi2_db, s.mode)
-                )
-        put("fig3a.csv", _write_csv,
-            ["alpha", "S", "N", "P_S", "mean_x", "mean_y", "mean_z",
-             "gamma_min", "xi2", "xi2_dB", "mode"],
-            rows)
-        rows = [
-            (res.alpha, res.total.xi2, res.total.xi2_db,
-             res.analytic_estimate, res.total.mode)
-            for res in report.results
-        ]
-        put("fig3c.csv", _write_csv, ["alpha", "xi2", "xi2_dB", "analytic_estimate", "mode"], rows)
+        put("fig3a.csv", write_text, [FIG3A_HEADER, *map(_fig3a_text, report.results)])
+        put("fig3c.csv", write_text, [FIG3C_HEADER, *(
+            _fmt(res.alpha) + "," + FIG3C_ROW % (res.total.xi2, res.total.xi2_db,
+                                                 res.analytic_estimate, res.total.mode)
+            for res in report.results)])
 
     if "photon_csv" in emit:
-        rows = [
-            (res.alpha, b.photon_number, b.weight)
-            for res in report.results
-            for b in res.sector.blocks
-        ]
-        put("fig3b.csv", _write_csv, ["alpha", "N", "P_N"], rows)
+        put("fig3b.csv", write_text, [FIG3B_HEADER, *(
+            _numbered_text(_fmt(res.alpha) + ",", [b.photon_number for b in res.sector.blocks],
+                           [b.weight for b in res.sector.blocks])
+            for res in report.results)])
 
     if "multipole_csv" in emit:
-        rows = []
-        for res in report.results:
-            for spin, weights in (*res.manifold_multipoles, ("total", res.aggregated_weights)):
-                rows.extend((res.alpha, spin, k, w) for k, w in enumerate(weights))
-        put("fig3d.csv", _write_csv, ["alpha", "S", "K", "W_K"], rows)
+        put("fig3d.csv", write_text, [FIG3D_HEADER, *map(_fig3d_text, report.results)])
 
     if emit & {"q_csv", "heatmaps"}:
         grid = build_quadrature_grid(report.grid_l)

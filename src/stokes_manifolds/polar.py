@@ -82,25 +82,47 @@ class PolarizationSector:
 
 
 class DiagonalOrder(NamedTuple):
-    """The upper triangle of a dim x dim block in diagonal-major order: by
-    q = i_in - i_out from 0 to dim - 1, then by ascending i_out.  Entry c is
-    block[i_out[c], i_in[c]], at flat index `pairs[c]` = i_out dim + i_in, and
-    `starts[q]` is the first entry of diagonal q."""
+    """Read-only arrays of a dim x dim block, dim = 2S + 1, that depend on its
+    size alone.
+
+    The upper triangle in diagonal-major order: by q = i_in - i_out from 0 to
+    dim - 1, then by ascending i_out.  Entry c is block[i_out[c], i_in[c]], at
+    flat index `pairs[c]` = i_out dim + i_in, and `starts[q]` is the first
+    entry of diagonal q.
+
+    The spin ladders of the m-descending basis m_i = S - i, each of length
+    O(dim): `m` and `m2` = m_i^2; with c_i = sqrt(S(S+1) - m_i(m_i+1)),
+    `c` = c_i and `zc` = (2 m_i + 1) c_i for i >= 1 (the weights of diagonal
+    -1) and `cc` = c_i c_{i-1} for i >= 2 (diagonal -2); and `signs` =
+    (-1)^i = (-1)^(S - m_i).
+    """
 
     i_out: np.ndarray
     i_in: np.ndarray
     pairs: np.ndarray
     starts: np.ndarray
+    m: np.ndarray
+    m2: np.ndarray
+    c: np.ndarray
+    zc: np.ndarray
+    cc: np.ndarray
+    signs: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def diagonal_order(dim: int) -> DiagonalOrder:
-    """Read-only diagonal-major index of a dim x dim block, built once per size."""
+    """The per-size arrays of a dim x dim block, built once per size."""
     q = np.repeat(np.arange(dim), np.arange(dim, 0, -1))  # dim - q entries on diagonal q
     starts = np.searchsorted(q, np.arange(dim))
     i_out = np.arange(len(q)) - starts[q]
     i_in = i_out + q
-    order = DiagonalOrder(i_out, i_in, i_out * dim + i_in, starts)
+    spin = (dim - 1) / 2.0
+    m = spin - np.arange(dim)
+    c = np.sqrt(spin * (spin + 1) - m * (m + 1))
+    order = DiagonalOrder(
+        i_out, i_in, i_out * dim + i_in, starts, m, m**2, c[1:],
+        (2 * m[1:] + 1) * c[1:], c[2:] * c[1:-1], (-1.0) ** np.arange(dim),
+    )
     for array in order:
         array.setflags(write=False)
     return order
@@ -122,14 +144,15 @@ def parse_manifolds(rho_h: ModeState, rho_v: ModeState, max_spin: float) -> Pola
 
     Each block is gathered straight from the two modes,
     block_N[i, j] = rho_H[n_i, n_j] rho_V[N - n_i, N - n_j] with n_i = N - i,
-    so the two-mode matrix is never formed.  Every gathered manifold lies
+    so the two-mode matrix is never formed: block N is the product of a
+    reversed slice of rho_H and a slice of rho_V.  Every gathered manifold lies
     inside both mode cutoffs, so every block is complete.
     """
     blocks = []
     for n_total in range(report_photons(max_spin, rho_h.cutoff, rho_v.cutoff) + 1):
-        n_h = np.arange(n_total, -1, -1)  # m descending
-        n_v = n_total - n_h
-        block = rho_h.entries[np.ix_(n_h, n_h)] * rho_v.entries[np.ix_(n_v, n_v)]
+        # n_i = N - i runs down from N in rho_H while N - n_i = i runs up in rho_V
+        block = (rho_h.entries[n_total::-1, n_total::-1]
+                 * rho_v.entries[:n_total + 1, :n_total + 1])
         weight = float(np.real(np.trace(block)))
         if weight > WEIGHT_FLOOR:
             blocks.append(ManifoldBlock(n_total / 2.0, weight, block / weight))
@@ -158,12 +181,23 @@ def _block_template(dim: int) -> str:
     return "[\n    " + ",\n    ".join([row] * dim) + "\n   ]"
 
 
+def _finite_texts(values: np.ndarray) -> list:
+    """The float repr of each finite value, computed once per distinct
+    magnitude (a Hermitian block holds each |x| twice); the sign is put back
+    from np.signbit, so -0.0 prints as "-0.0"."""
+    magnitudes, inverse = np.unique(np.abs(values).view(np.int64), return_inverse=True)
+    texts = list(map(repr, magnitudes.view(float).tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return table[inverse + len(texts) * np.signbit(values)].tolist()
+
+
 def _manifold_text(i: int, b: ManifoldBlock) -> str:
     """The text of manifold number i in the dump, with its leading separator."""
     values = np.ascontiguousarray(b.block).view(float).ravel()
-    fields = tuple(values.tolist())
-    if not np.isfinite(values).all():
-        fields = tuple(map(json.dumps, fields))
+    if np.isfinite(values).all():
+        fields = tuple(_finite_texts(values))
+    else:
+        fields = tuple(map(json.dumps, values.tolist()))
     return (
         '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'
         '   "negligible": %s,\n   "truncated": %s\n  }'

@@ -1,6 +1,6 @@
 import pytest
 
-from stokes_manifolds import fock, multipole
+from stokes_manifolds import fock, multipole, polar
 
 
 @pytest.fixture
@@ -30,3 +30,12 @@ def fresh_fock_caches():
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def fresh_size_arrays():
+    """The per-size block arrays of `polar.diagonal_order`, emptied before and
+    after, so the code under test builds them."""
+    polar.diagonal_order.cache_clear()
+    yield
+    polar.diagonal_order.cache_clear()

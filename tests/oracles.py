@@ -6,9 +6,9 @@ closed-form Clebsch-Gordan sum, and the pure-loss channel as dense Kraus
 products.  Closed forms that only the tests evaluate live here too: the mean
 photon number of one mode and the total-state xi^2 of the pure Gaussian model.
 The writers the package replaced with faster ones are kept as the byte and
-pixel references: the sector dump through `json.dump`, the foliation drawn
-one ring at a time from the full map of each manifold, and the heatmaps
-sampled pixel by pixel.  So are the per-block forms of the two stacked per-manifold
+pixel references: the figure tables through `csv.writer`, the sector dump
+through `json.dump`, the foliation drawn one ring at a time from the full map
+of each manifold, and the heatmaps sampled pixel by pixel.  So are the per-block forms of the two stacked per-manifold
 reports: the multipoles as one Clebsch-Gordan diagonal matvec per order q, and
 the Stokes variance minimised one block at a time.  The total Stokes summary
 the package takes from the two modes is kept as the sum over every manifold
@@ -17,6 +17,8 @@ it, displaced before the loss, where the package displaces one shared lossy
 core by sqrt(eta) alpha.
 """
 
+import csv
+import io
 import json
 import math
 from functools import lru_cache
@@ -342,6 +344,46 @@ def direct_synthesis(model, alpha, cutoff):
 
 
 # -- writers the package replaced -----------------------------------------------
+
+def csv_writer_table(header, rows) -> bytes:
+    """A table through csv.writer, each float printed with %.12g and any
+    other field with str."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]
+                     for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def csv_figure_tables(report) -> dict:
+    """fig3a-fig3d of a run report, name -> bytes, from one row tuple per
+    line through `csv_writer_table`."""
+    fig3a = [
+        (res.alpha, s.spin, round(2 * s.spin), res.sector.blocks[round(2 * s.spin)].weight,
+         *s.mean, s.gamma_min, s.xi2, s.xi2_db, s.mode)
+        for res in report.results for s in res.manifold_summaries
+    ]
+    fig3b = [(res.alpha, b.photon_number, b.weight)
+             for res in report.results for b in res.sector.blocks]
+    fig3c = [(res.alpha, res.total.xi2, res.total.xi2_db, res.analytic_estimate, res.total.mode)
+             for res in report.results]
+    fig3d = [
+        (res.alpha, spin, k, w)
+        for res in report.results
+        for spin, weights in (*res.manifold_multipoles, ("total", res.aggregated_weights))
+        for k, w in enumerate(weights)
+    ]
+    return {
+        "fig3a.csv": csv_writer_table(
+            ["alpha", "S", "N", "P_S", "mean_x", "mean_y", "mean_z",
+             "gamma_min", "xi2", "xi2_dB", "mode"], fig3a),
+        "fig3b.csv": csv_writer_table(["alpha", "N", "P_N"], fig3b),
+        "fig3c.csv": csv_writer_table(
+            ["alpha", "xi2", "xi2_dB", "analytic_estimate", "mode"], fig3c),
+        "fig3d.csv": csv_writer_table(["alpha", "S", "K", "W_K"], fig3d),
+    }
+
 
 def json_dump_sector(sector, path):
     """The sector dump as nested lists through json.dump(indent=1, sort_keys=True)."""

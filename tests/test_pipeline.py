@@ -22,23 +22,32 @@ import numpy as np
 import pytest
 
 import stokes_manifolds
-from stokes_manifolds import cli, fock, invariants, multipole, pipeline, render, sphere
+from stokes_manifolds import cli, fock, invariants, multipole, pipeline, polar, render, sphere
 from stokes_manifolds.cli import main
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
-from stokes_manifolds.polar import parse_manifolds
+from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, parse_manifolds
+from stokes_manifolds.stokes import (
+    MODE_FULL,
+    MODE_PERP,
+    MODE_UNDEFINED,
+    StokesSummary,
+    _undefined_summary,
+)
 from stokes_manifolds.sphere import SphereGrid, build_quadrature_grid, husimi_total
 from stokes_manifolds.pipeline import (
     DEFAULT_ALPHAS,
     EMIT_CHOICES,
+    AlphaResult,
     ConfigError,
     NumericalGuardError,
     RunConfig,
+    RunReport,
     emit_figure_tables,
     parse_config,
     run_sweep,
 )
 
-from oracles import default_ladder_blocks, full_block
+from oracles import csv_figure_tables, csv_writer_table, default_ladder_blocks, full_block
 
 FAST = {
     "alphas": (0.0, 1.13),
@@ -316,6 +325,8 @@ class TestComputedOnce:
         "photon_number_distribution", "photon_distribution",
         # folded into dump_sector, parse_manifolds and render_foliation
         "sector_to_json_dict", "weight_floor", "_silhouette_angles",
+        # the figure tables print from row templates; csv.writer is the oracle's
+        "_write_csv", "csv",
     ])
     def test_removed_names_stay_unbound(self, name):
         assert _src_bindings(name) == []
@@ -447,7 +458,7 @@ class TestEmission:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_float_csv_bytes_match_csv_writer(self, tmp_path):
-        # the Q-CSV writer must print what csv.writer over _fmt printed, grid
+        # the Q-CSV writer must print what csv.writer over %.12g printed, grid
         # fields and values alike
         values = [0.0, -0.0, 1e-300, 1.0, 0.1234567890125, 999999999999.5,
                   123456789012.0, 1234567890123.0, 1e-5, 1e-4, -2.5e17, math.pi,
@@ -468,7 +479,7 @@ class TestEmission:
         grid = build_quadrature_grid(report.grid_l)
         q = husimi_total(report.results[1].sector, grid, report.config.resolved_s_report_max)
         rows = np.stack([*grid.mesh(), grid.weights, q.values], axis=-1).reshape(-1, 4)
-        want = _csv_writer_text(["theta", "phi", "weight", "value"], rows.tolist())
+        want = csv_writer_table(["theta", "phi", "weight", "value"], rows.tolist())
         assert (outdir / "q_total_alpha1.csv").read_bytes() == want
 
     def test_q_csv_peak_memory(self, tmp_path):
@@ -484,34 +495,79 @@ class TestEmission:
             tracemalloc.stop()
         assert peak <= 4.9e6, peak
 
-    def test_determinism(self, tmp_path):
+    def test_determinism(self, tmp_path, fresh_size_arrays):
+        # the first sweep builds every per-size array, the repeat reads them
         config = RunConfig(**FAST)
-        dirs = []
+        dirs, built = [], []
         for name in ("a", "b"):
             sub = tmp_path / name
             report = run_sweep(config)
             emit_figure_tables(report, sub)
             dirs.append(sub)
+            built.append(polar.diagonal_order.cache_info().misses)
+        assert built[0] > 0 and built[1] == built[0]
         files_a = sorted(p.name for p in dirs[0].iterdir())
         files_b = sorted(p.name for p in dirs[1].iterdir())
         assert files_a == files_b
         for name in files_a:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_figure_tables_match_csv_writer(self, tmp_path):
+        # the row templates print what csv.writer over %.12g printed, on the
+        # paper's default study
+        report = run_sweep(RunConfig(emit=("squeezing_csv", "photon_csv", "multipole_csv")))
+        emit_figure_tables(report, tmp_path)
+        for name, want in csv_figure_tables(report).items():
+            assert (tmp_path / name).read_bytes() == want, name
+
+    def test_figure_tables_match_csv_writer_on_edge_values(self, tmp_path):
+        report = _edge_report()
+        emit_figure_tables(report, tmp_path)
+        tables = csv_figure_tables(report)
+        for name, want in tables.items():
+            assert (tmp_path / name).read_bytes() == want, name
+        text = b"".join(tables.values()).decode()
+        assert {"nan", "inf", "-inf", "-0", "1e-300", "1e+12", "4.94065645841e-324",
+                "total", MODE_UNDEFINED} <= set(re.split("[,\r\n]+", text))
+        assert "\r\n-0,1," in text  # alpha -0.0 and spin 1.0
+
+
+def _edge_report() -> RunReport:
+    """A CSV-only report whose rows hold every float %.12g spells apart
+    (nan, +-inf, -0.0, the extremes and a half that rounds up), spin 1.0
+    (printed 1), the total's rows and the undefined mode."""
+    edge = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 999999999999.5, 5e-324]
+    sector = PolarizationSector(tuple(
+        ManifoldBlock(n / 2.0, w, np.zeros((n + 1, n + 1), dtype=complex), negligible=True)
+        for n, w in enumerate([0.25, *edge])
+    ))
+    summaries = (
+        StokesSummary(0.5, np.array(edge[:3]), np.zeros((3, 3)), math.inf,
+                      np.array([0.0, 0.0, 1.0]), -math.inf, MODE_PERP),
+        StokesSummary(1.0, np.array(edge[3:6]), np.zeros((3, 3)), -0.0,
+                      np.array([1.0, 0.0, 0.0]), 5e-324, MODE_FULL),
+        _undefined_summary(1.5),
+    )
+    results = tuple(
+        AlphaResult(
+            alpha=alpha, sector=sector, manifold_summaries=summaries, total=total,
+            manifold_multipoles=((0.5, np.array(edge[:2])), (1.0, np.array(edge))),
+            aggregated_weights=np.array(edge[::-1]), analytic_estimate=estimate,
+            trace_deficit=0.0,
+        )
+        for alpha, total, estimate in [
+            (-0.0, _undefined_summary(0.0), math.nan),
+            (999999999999.5, summaries[1], 1e-300),
+        ]
+    )
+    config = RunConfig(emit=("squeezing_csv", "photon_csv", "multipole_csv"))
+    return RunReport(config=config, results=results, grid_l=config.resolved_grid_l)
+
 
 def _grid_of(theta, phi, row_weights):
     """A SphereGrid with the given nodes and a weight per theta row."""
     theta, phi, w = (np.array(x, dtype=float) for x in (theta, phi, row_weights))
     return SphereGrid(theta, phi, np.repeat(w[:, None], len(phi), axis=1), exactness=0)
-
-
-def _csv_writer_text(header, rows) -> bytes:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([pipeline._fmt(v) for v in row])
-    return buf.getvalue().encode("utf-8")
 
 
 def _assert_q_csv_matches_csv_writer(tmp_path, grid, amplitudes):
@@ -522,7 +578,7 @@ def _assert_q_csv_matches_csv_writer(tmp_path, grid, amplitudes):
         rows = [(th, ph, grid.weights[a, b], values[a, b])
                 for a, th in enumerate(grid.theta.tolist())
                 for b, ph in enumerate(grid.phi.tolist())]
-        assert path.read_bytes() == _csv_writer_text(["theta", "phi", "weight", "value"], rows)
+        assert path.read_bytes() == csv_writer_table(["theta", "phi", "weight", "value"], rows)
 
 
 class TestCli:

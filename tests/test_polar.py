@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import full_block, json_dump_sector
+from oracles import dense_moments, full_block, json_dump_sector, spin_matrices
 from stokes_manifolds import polar
 from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.polar import (
     ManifoldBlock,
     PolarizationSector,
+    diagonal_order,
     dump_sector,
     parse_manifolds,
 )
+from stokes_manifolds.stokes import _moments
 
 
 def number_state(n, cutoff):
@@ -102,6 +104,45 @@ class TestParsing:
         assert [b.photon_number for b in sector.reported(0.0)] == []
 
 
+class TestSizeArrays:
+    def test_cached_arrays_refuse_writes(self, fresh_size_arrays):
+        order = diagonal_order(6)
+        for name, array in order._asdict().items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 25])
+    def test_ladders_match_dense_spin_matrices(self, fresh_size_arrays, dim):
+        spin = (dim - 1) / 2.0
+        sx, sy, sz = spin_matrices(spin)
+        m = np.diagonal(sz).real
+        c = np.diagonal(sx + 1j * sy, 1).real  # S+ |m_i> = c_i |m_i + 1>, i >= 1
+        order = diagonal_order(dim)
+        assert np.array_equal(order.m, m) and np.array_equal(order.m2, m**2)
+        assert np.allclose(order.c, c, rtol=0, atol=1e-13)
+        assert np.allclose(order.zc, (2 * m[1:] + 1) * c, rtol=0, atol=1e-12)
+        assert np.allclose(order.cc, c[1:] * c[:-1], rtol=0, atol=1e-12)
+        assert np.array_equal(order.signs, (-1.0) ** (spin - m))
+
+    def test_parse_after_other_cutoffs(self, fresh_size_arrays):
+        # the arrays cached while a (24, 24) sector is parsed and summarised
+        # serve a (30, 20) sector of the same block sizes unchanged
+        model = NoiseModel(3.6, 4.4, 0.85)
+        first = parse_manifolds(synthesize_mode(model, 1.13, 24), synthesize_mode(model, 0.0, 24), 12.0)
+        for b in first.reported():
+            _moments(b)
+        rho_h, rho_v = synthesize_mode(model, 2.31, 30), synthesize_mode(model, 0.0, 20)
+        sector = parse_manifolds(rho_h, rho_v, 10.0)
+        assert [b.photon_number for b in sector.blocks] == list(range(21))
+        for b in sector.blocks:
+            want = full_block(rho_h, rho_v, b.photon_number)
+            weight = float(np.real(np.trace(want)))
+            assert np.array_equal(b.block, want if b.negligible else want / weight)
+        for b in sector.reported():
+            for got, want in zip(_moments(b), dense_moments(b)):
+                assert np.max(np.abs(got - want)) < 1e-12
+
+
 class TestBlockValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="block must be"):
@@ -182,6 +223,24 @@ class TestDumpSectorBytes:
         blocks = _odd_blocks()
         blocks[1] = ManifoldBlock(1.5, math.nan, blocks[1].block, negligible=True)
         _assert_dump_matches_json(PolarizationSector(tuple(blocks)), tmp_path)
+
+    def test_signed_zeros_subnormals_and_conjugate_pairs(self, tmp_path):
+        # each distinct magnitude is formatted once and its sign put back:
+        # -0.0 in imaginary parts, the smallest subnormal, and the exact
+        # conjugate pairs of a Hermitian block
+        block = np.array([
+            [0.5, complex(5e-324, -0.0), complex(0.1, 0.2)],
+            [complex(5e-324, 0.0), 0.25, complex(-1e-300, -0.0)],
+            [complex(0.1, -0.2), complex(-1e-300, 0.0), 0.25],
+        ])
+        hermitian = ManifoldBlock(1.0, 0.5, block)
+        imag = hermitian.block.imag
+        assert (np.signbit(imag) & (imag == 0.0)).any()  # a -0.0 survives the Hermitian check
+        negligible = ManifoldBlock(1.5, 5e-324, np.full((4, 4), complex(-5e-324, -0.0)),
+                                   negligible=True)
+        _assert_dump_matches_json(PolarizationSector((hermitian, negligible)), tmp_path)
+        text = (tmp_path / "dump_sector.json").read_text()
+        assert "-0.0" in text and "-5e-324" in text and "-1e-300" in text
 
     def test_no_blocks(self, tmp_path):
         _assert_dump_matches_json(PolarizationSector(()), tmp_path)
