@@ -35,10 +35,14 @@ def lowering_operator(dim: int) -> np.ndarray:
 
 
 def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
-    adjoint = mat.conj().T
-    dev = np.max(np.abs(mat - adjoint)) if mat.size else 0.0
-    if not dev < HERMITICITY_TOL:  # a NaN deviation fails too
-        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+    """The Hermitian part 0.5 (M + M^dag) of a matrix, or of each matrix of a
+    stack (..., d, d).  A ValueError names the largest |M - M^dag| of the
+    first matrix whose deviation is not below HERMITICITY_TOL, so a NaN fails."""
+    adjoint = mat.conj().swapaxes(-1, -2)
+    dev = np.abs(mat - adjoint).max(axis=(-2, -1), initial=0.0)
+    bad = ~(dev < HERMITICITY_TOL)
+    if bad.any():
+        raise ValueError(f"{what} is not Hermitian (max deviation {dev[bad][0]:.3e})")
     return 0.5 * (mat + adjoint)
 
 

@@ -50,10 +50,16 @@ class MultipoleSpectrum:
 
     @property
     def weights(self) -> np.ndarray:
-        """W_K^(S) = sum_q |rho_Kq|^2 over q = -2S..2S for K = 0..2S, which
-        the rule above makes |rho_K0|^2 + 2 sum_{q>0} |rho_Kq|^2."""
-        half = np.abs(self.rho) ** 2
-        return half[:, 0] + 2.0 * np.sum(half[:, 1:], axis=1)
+        """W_K^(S) for K = 0..2S, by `spectrum_weights`."""
+        return spectrum_weights(self.rho)
+
+
+def spectrum_weights(rho: np.ndarray) -> np.ndarray:
+    """W_K^(S) = sum_q |rho_Kq|^2 over q = -2S..2S for K = 0..2S of the q >= 0
+    multipoles rho[..., K, q] of one block or of a stack; the rule
+    rho_{K,-q} = (-1)^q conj(rho_Kq) makes it |rho_K0|^2 + 2 sum_{q>0} |rho_Kq|^2."""
+    half = np.abs(rho) ** 2
+    return half[..., 0] + 2.0 * np.sum(half[..., 1:], axis=-1)
 
 
 def stretched_cg(two_s: int) -> np.ndarray:
@@ -176,28 +182,57 @@ def cg_table(two_s: int) -> np.ndarray:
     return table
 
 
-def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:
-    """Multipoles as rho_Kq = Tr(T_Kq^dag rho) with trace-orthonormal tensors
+# bytes of the complex products one step of `multipole_stack` forms, give or
+# take one q segment
+CONTRACTION_BYTES = 1 << 20
+
+
+def _segment_runs(order, count: int) -> list[tuple[int, int]]:
+    """[first, last) runs of the q segments of `order` that `multipole_stack`
+    contracts at once for `count` blocks: all of them when their product with
+    the blocks fits in CONTRACTION_BYTES, else runs of about that many bytes
+    of columns, cut where a segment starts."""
+    dim, columns = len(order.starts), len(order.pairs)
+    width = CONTRACTION_BYTES // (16 * count * dim)
+    if width >= columns:
+        return [(0, dim)]
+    firsts = np.unique(np.searchsorted(order.starts, np.arange(0, columns, max(width, 1)),
+                                       "right") - 1).tolist()
+    return list(zip(firsts, [*firsts[1:], dim]))
+
+
+def multipole_stack(two_s: int, blocks: np.ndarray) -> np.ndarray:
+    """Multipoles rho[n, K, q], q >= 0, of a stack (n, 2S+1, 2S+1) of spin-S
+    blocks as rho_Kq = Tr(T_Kq^dag rho) with trace-orthonormal tensors
     T_Kq[m_out, m_in] = (-1)^(S-m_in) <S m_out; S -m_in | K q>.
 
-    T_Kq is nonzero only on the diagonal m_out - m_in = q, so the block is
+    T_Kq is nonzero only on the diagonal m_out - m_in = q, so each block is
     gathered once, signed, in the table's column order, and rho_Kq is the sum
-    of the table row K times that column over the q segment: one product and
-    one segmented sum for every K and q >= 0.  Normalization matches the
-    quadrature route exactly (the dual-route test anchors both conventions).
+    of the table row K times that column over the q segment.  The segments
+    are taken a run at a time (`_segment_runs`): one product of the run's
+    table columns with every block's, and one segmented sum, so the memory
+    held stays near CONTRACTION_BYTES whatever the stack, and each sum
+    adds the same numbers in the same order as for a block alone.
+    Normalization matches the quadrature route exactly (the dual-route test
+    anchors both conventions).
     """
-    order = diagonal_order(block.dim)
-    column = (block.block * order.signs).ravel()[order.pairs]  # signed by (-1)^(S - m_in)
-    rho = np.add.reduceat(cg_table(block.photon_number) * column, order.starts, axis=1)
-    return MultipoleSpectrum(rho)
+    dim = two_s + 1
+    rho = np.zeros((len(blocks), dim, dim), dtype=complex)
+    if not len(blocks):
+        return rho
+    order = diagonal_order(dim)
+    table = cg_table(two_s)
+    # each block signed by (-1)^(S - m_in), in the table's column order
+    columns = (blocks * order.signs).reshape(len(blocks), -1)[:, order.pairs]
+    bounds = [*order.starts.tolist(), len(order.pairs)]
+    for first, last in _segment_runs(order, len(blocks)):
+        start, stop = bounds[first], bounds[last]
+        rho[:, :, first:last] = np.add.reduceat(
+            table[:, start:stop] * columns[:, None, start:stop],
+            order.starts[first:last] - start, axis=2)
+    return rho
 
 
-def aggregate_weights(terms) -> np.ndarray:
-    """Aggregated W_K: sum of P_S W_K^(S) over (P_S, W^(S)) pairs, in the
-    order given; K runs from 0 to the largest 2S."""
-    if not terms:
-        return np.zeros(1)
-    total = np.zeros(max(len(w) for _, w in terms))
-    for weight, w in terms:
-        total[: len(w)] += weight * w
-    return total
+def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:
+    """The multipoles of one block: `multipole_stack` on a stack of one."""
+    return MultipoleSpectrum(multipole_stack(block.photon_number, block.block[None])[0])

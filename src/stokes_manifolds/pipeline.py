@@ -21,15 +21,23 @@ from pathlib import Path
 import numpy as np
 
 from .fock import NoiseModel, synthesize_mode
-from .multipole import aggregate_weights, multipoles_algebraic
-from .polar import PolarizationSector, dump_sector, parse_manifolds, report_photons, write_text
+from .multipole import multipole_stack, spectrum_weights
+from .polar import (
+    PolarizationSector,
+    dump_sector,
+    gather_manifolds,
+    report_photons,
+    sectors,
+    write_text,
+)
 from .render import render_foliation, render_heatmap, write_ppm
 from .sphere import build_quadrature_grid, husimi_total
 from .stokes import (
     StokesSummary,
-    manifold_stokes_summary,
+    moment_stack,
     quadrature_estimate_xi2,
-    total_stokes_summary,
+    stokes_summaries,
+    total_moments,
 )
 
 EMIT_CHOICES = (
@@ -236,51 +244,79 @@ def _dedupe(alphas):
 
 
 def run_sweep(config: RunConfig) -> RunReport:
-    """Synthesize, parse, and analyze the state at every requested amplitude."""
+    """Synthesize the V mode and every H mode, then analyze all amplitudes
+    together (`_analyze`)."""
     efficiency = config.efficiency if config.apply_loss else 1.0
     model = NoiseModel(config.squeezing_db, config.antisqueezing_db, efficiency)
     alphas = _dedupe(config.alphas)
     _check_cutoffs(config, model, alphas)
     rho_v = synthesize_mode(model, 0.0, config.cutoff_v)
-    results = []
+    modes, deficits = [], []
     for alpha in alphas:
-        results.append(_analyze_alpha(config, model, rho_v, alpha))
-    return RunReport(config=config, results=tuple(results), grid_l=config.resolved_grid_l)
-
-
-def _analyze_alpha(config: RunConfig, model: NoiseModel, rho_v, alpha) -> AlphaResult:
-    """One amplitude of the sweep, past the guards of `_check_cutoffs`."""
-    rho_h = synthesize_mode(model, alpha, config.cutoff_h)
-    deficit = 1.0 - rho_h.trace * rho_v.trace
-    if deficit > TRACE_DEFICIT_WARN:
-        warnings.warn(
-            f"cutoffs ({config.cutoff_h}, {config.cutoff_v}) lose {deficit:.3g} "
-            f"of the trace at alpha={alpha}, above {TRACE_DEFICIT_WARN:g}; "
-            "a larger cutoff is recommended",
-            stacklevel=3,
-        )
-    sector = parse_manifolds(rho_h, rho_v, config.resolved_s_report_max)
-    reported = sector.reported()
+        rho_h = synthesize_mode(model, alpha, config.cutoff_h)
+        deficit = 1.0 - rho_h.trace * rho_v.trace
+        if deficit > TRACE_DEFICIT_WARN:
+            warnings.warn(
+                f"cutoffs ({config.cutoff_h}, {config.cutoff_v}) lose {deficit:.3g} "
+                f"of the trace at alpha={alpha}, above {TRACE_DEFICIT_WARN:g}; "
+                "a larger cutoff is recommended",
+                stacklevel=2,
+            )
+        modes.append(rho_h)
+        deficits.append(deficit)
+    top = report_photons(config.resolved_s_report_max, config.cutoff_h, config.cutoff_v)
     try:
-        total = total_stokes_summary(rho_h, rho_v)
-        spectra = [multipoles_algebraic(block).weights for block in reported]
-        summaries = manifold_stokes_summary([b for b in reported if b.spin != 0])
+        analyses = _analyze(modes, rho_v, top)
     except ValueError as exc:
         raise NumericalGuardError(str(exc)) from exc
-    return AlphaResult(
-        alpha=float(alpha),
-        sector=sector,
-        manifold_summaries=tuple(summaries),
-        total=total,
-        manifold_multipoles=tuple(
-            (block.spin, weights) for block, weights in zip(reported, spectra) if block.spin != 0
-        ),
-        aggregated_weights=aggregate_weights(
-            [(block.weight, weights) for block, weights in zip(reported, spectra)]
-        ),
-        analytic_estimate=quadrature_estimate_xi2(abs(alpha), model.squeeze_parameter),
-        trace_deficit=deficit,
+    results = tuple(
+        AlphaResult(alpha=alpha, **analysis, trace_deficit=deficit,
+                    analytic_estimate=quadrature_estimate_xi2(abs(alpha), model.squeeze_parameter))
+        for alpha, analysis, deficit in zip(alphas, analyses, deficits)
     )
+    return RunReport(config=config, results=results, grid_l=config.resolved_grid_l)
+
+
+def _analyze(modes, rho_v, top: int) -> list[dict]:
+    """The sector, Stokes summaries and multipole spectra of each H mode with
+    rho_V, layer-major: each manifold size N = 0..top is gathered, checked and
+    taken through its Stokes moments and multipoles for every amplitude at
+    once, and the variances of every manifold and total are minimised as one
+    stack.  No step depends on how many amplitudes share it."""
+    count = len(modes)
+    h = np.stack([rho_h.entries for rho_h in modes])
+    layers, spins, owners, means, seconds = [], [], [], [], []
+    multipoles = [[] for _ in modes]
+    aggregated = np.zeros((count, top + 1))
+    length = np.ones(count, dtype=int)  # of each aggregated spectrum: 1 + the top reported N
+    for n in range(top + 1):
+        layer = gather_manifolds(h, rho_v.entries, n)
+        layers.append(layer)
+        live = np.flatnonzero(layer.live)
+        if not live.size:
+            continue
+        weights = spectrum_weights(multipole_stack(n, layer.blocks))
+        aggregated[live, :n + 1] += layer.weights[live, None] * weights
+        length[live] = n + 1
+        if n:
+            mean, second = moment_stack(n, layer.blocks)
+            means.append(mean)
+            seconds.append(second)
+            spins += [n / 2.0] * len(live)
+            owners += live.tolist()
+            for a, w in zip(live.tolist(), weights):
+                multipoles[a].append((n / 2.0, w))
+    total_spins, total_mean, total_second = total_moments(modes, rho_v)
+    summaries = stokes_summaries(spins + total_spins, np.concatenate([*means, total_mean]),
+                                 np.concatenate([*seconds, total_second]))
+    manifold = [[] for _ in modes]
+    for a, summary in zip(owners, summaries):
+        manifold[a].append(summary)
+    return [
+        dict(sector=sector, manifold_summaries=tuple(manifold[a]), total=summaries[len(owners) + a],
+             manifold_multipoles=tuple(multipoles[a]), aggregated_weights=aggregated[a, :length[a]])
+        for a, sector in enumerate(sectors(layers, count))
+    ]
 
 
 def _fmt(x) -> str:

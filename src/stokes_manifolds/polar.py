@@ -23,12 +23,36 @@ from .fock import ModeState, _require_hermitian
 WEIGHT_FLOOR = 1e-12
 
 
+def check_blocks(spin: float, blocks: np.ndarray, negligible: bool = False) -> np.ndarray:
+    """The one check of manifold blocks, on a stack (n, dim, dim) of blocks of
+    one spin S: 2S a non-negative integer, dim = 2S + 1 and, unless the blocks
+    are `negligible`, each Hermitian to HERMITICITY_TOL with unit trace to
+    1e-10.  Returns the Hermitian parts (the stack itself when negligible); a
+    ValueError names the first block that fails, a NaN included.
+    """
+    two_s = round(2 * spin)
+    if abs(2 * spin - two_s) > 1e-9 or two_s < 0:
+        raise ValueError(f"spin must be a non-negative half-integer, got {spin}")
+    dim = two_s + 1
+    if blocks.shape[1:] != (dim, dim):
+        raise ValueError(f"block must be {dim}x{dim}, got {blocks.shape[1:]}")
+    if negligible:
+        return blocks
+    blocks = _require_hermitian(blocks, "ManifoldBlock")
+    trace = np.trace(blocks, axis1=1, axis2=2).real
+    bad = ~(np.abs(trace - 1.0) <= 1e-10)  # a NaN trace fails too
+    if bad.any():
+        raise ValueError(f"block trace {trace[bad][0]} is not 1")
+    return blocks
+
+
 @dataclass(frozen=True)
 class ManifoldBlock:
     """Unit-trace block of the spin-S manifold with its probability weight.
 
     `negligible` marks weights below the floor, which stay unnormalized and
-    are excluded from squeezing and multipole reports.
+    are excluded from squeezing and multipole reports.  The block is checked
+    by `check_blocks` as a stack of one.
     """
 
     spin: float
@@ -37,20 +61,18 @@ class ManifoldBlock:
     negligible: bool = False
 
     def __post_init__(self):
-        block = np.asarray(self.block, dtype=complex)
-        two_s = round(2 * self.spin)
-        if abs(2 * self.spin - two_s) > 1e-9 or two_s < 0:
-            raise ValueError(f"spin must be a non-negative half-integer, got {self.spin}")
-        dim = two_s + 1
-        if block.shape != (dim, dim):
-            raise ValueError(f"block must be {dim}x{dim}, got {block.shape}")
-        if not self.negligible:
-            block = _require_hermitian(block, "ManifoldBlock")
-            tr = np.real(np.trace(block))
-            if not abs(tr - 1.0) <= 1e-10:  # a NaN trace fails too
-                raise ValueError(f"block trace {tr} is not 1")
+        block = np.asarray(self.block, dtype=complex)[None]
+        block = check_blocks(self.spin, block, self.negligible)[0]
         block.setflags(write=False)
         object.__setattr__(self, "block", block)
+
+    @classmethod
+    def _checked(cls, spin: float, weight: float, block: np.ndarray, negligible: bool = False):
+        """A block that `check_blocks` has passed, read-only, built without
+        checking it again."""
+        self = object.__new__(cls)
+        self.__dict__.update(spin=spin, weight=weight, block=block, negligible=negligible)
+        return self
 
     @property
     def photon_number(self) -> int:
@@ -138,27 +160,67 @@ def report_photons(max_spin: float, cutoff_h: int, cutoff_v: int) -> int:
     return top
 
 
-def parse_manifolds(rho_h: ModeState, rho_v: ModeState, max_spin: float) -> PolarizationSector:
-    """Extract the blocks N = 0..2 max_spin of the block-diagonal polarization
-    sector of the product state rho_H (x) rho_V.
+class ManifoldLayer(NamedTuple):
+    """Manifold N of every amplitude of a sweep, from `gather_manifolds`:
+    the weights P_N (n,), the mask of those above WEIGHT_FLOOR, the blocks
+    above it normalised and checked (live, dim, dim), and the blocks below it
+    as gathered (n - live, dim, dim), both read-only."""
 
-    Each block is gathered straight from the two modes,
+    photons: int
+    weights: np.ndarray
+    live: np.ndarray
+    blocks: np.ndarray
+    negligible: np.ndarray
+
+
+def gather_manifolds(h: np.ndarray, v: np.ndarray, n_total: int) -> ManifoldLayer:
+    """Manifold N of rho_H (x) rho_V for every H mode of the stack h
+    (n, cutoff_H + 1, cutoff_H + 1) with the V mode's entries v, N no larger
+    than either cutoff.
+
+    Block N is gathered straight from the two modes,
     block_N[i, j] = rho_H[n_i, n_j] rho_V[N - n_i, N - n_j] with n_i = N - i,
-    so the two-mode matrix is never formed: block N is the product of a
-    reversed slice of rho_H and a slice of rho_V.  Every gathered manifold lies
-    inside both mode cutoffs, so every block is complete.
+    so the two-mode matrix is never formed: a reversed slice of each H mode
+    times one slice of rho_V.  Its trace is the weight P_N; the blocks above
+    the weight floor are divided by it and checked as one stack.
     """
-    blocks = []
-    for n_total in range(report_photons(max_spin, rho_h.cutoff, rho_v.cutoff) + 1):
-        # n_i = N - i runs down from N in rho_H while N - n_i = i runs up in rho_V
-        block = (rho_h.entries[n_total::-1, n_total::-1]
-                 * rho_v.entries[:n_total + 1, :n_total + 1])
-        weight = float(np.real(np.trace(block)))
-        if weight > WEIGHT_FLOOR:
-            blocks.append(ManifoldBlock(n_total / 2.0, weight, block / weight))
-        else:
-            blocks.append(ManifoldBlock(n_total / 2.0, max(weight, 0.0), block, negligible=True))
-    return PolarizationSector(tuple(blocks))
+    # n_i = N - i runs down from N in rho_H while N - n_i = i runs up in rho_V
+    raw = h[:, n_total::-1, n_total::-1] * v[:n_total + 1, :n_total + 1]
+    weights = np.trace(raw, axis1=1, axis2=2).real
+    live = weights > WEIGHT_FLOOR
+    blocks = check_blocks(n_total / 2.0, raw[live] / weights[live, None, None])
+    # no copy when every block is negligible: past the reported range a copy
+    # per size left freed holes in the heap, about 120 MB of peak RSS in a
+    # cutoff-160 run
+    negligible = raw if not live.any() else raw[~live]
+    blocks.setflags(write=False)
+    negligible.setflags(write=False)
+    return ManifoldLayer(n_total, weights, live, blocks, negligible)
+
+
+def sectors(layers, count: int) -> list[PolarizationSector]:
+    """The sector of each of `count` amplitudes from its blocks in the layers
+    N = 0, 1, ... of one sweep, each block a view of the layer's checked
+    arrays."""
+    columns = [[] for _ in range(count)]
+    for layer in layers:
+        spin = layer.photons / 2.0
+        blocks, negligible = iter(layer.blocks), iter(layer.negligible)
+        for column, weight, live in zip(columns, layer.weights.tolist(), layer.live.tolist()):
+            column.append(ManifoldBlock._checked(spin, weight, next(blocks)) if live else
+                          ManifoldBlock._checked(spin, max(weight, 0.0), next(negligible), True))
+    return [PolarizationSector(tuple(column)) for column in columns]
+
+
+def parse_manifolds(rho_h: ModeState, rho_v: ModeState, max_spin: float) -> PolarizationSector:
+    """The blocks N = 0..2 max_spin of the block-diagonal polarization sector
+    of the product state rho_H (x) rho_V: `gather_manifolds` on a stack of one
+    H mode.  Every gathered manifold lies inside both mode cutoffs, so every
+    block is complete.
+    """
+    top = report_photons(max_spin, rho_h.cutoff, rho_v.cutoff)
+    h = rho_h.entries[None]
+    return sectors([gather_manifolds(h, rho_v.entries, n) for n in range(top + 1)], 1)[0]
 
 
 def write_text(pieces, path) -> str:

@@ -50,17 +50,32 @@ def _undefined_summary(spin: float) -> StokesSummary:
                          math.nan, MODE_UNDEFINED)
 
 
-def _pick_direction(values, vectors):
-    """Smallest eigenvalue with a deterministic eigenvector choice on ties."""
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
-    gamma_min = float(values[0])
-    candidates = [vectors[:, i] for i in range(len(values)) if values[i] <= gamma_min + tol]
-    best = max(candidates, key=lambda v: tuple(np.abs(v)))
-    # fix overall sign for reproducible reports
-    lead = np.argmax(np.abs(best) > 1e-12)
-    if best[lead].real < 0:
-        best = -best
-    return gamma_min, np.real(best)
+def _pick_directions(values: np.ndarray, vectors: np.ndarray):
+    """Smallest eigenvalue of each of n rows and its eigenvector, chosen the
+    same way on ties.
+
+    values (n, k) ascend and column i of vectors (n, k, k) belongs to values
+    [:, i].  The eigenvalues within 1e-12 max(1, max |lambda|) of a row's
+    smallest tie; of the tied columns the row takes the one whose |components|
+    are largest in lexicographic order, the first of equals, so an untied row
+    takes column 0.  The sign makes the first component above 1e-12 in
+    magnitude positive, for reproducible reports.
+    """
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
+    tied = values <= values[:, :1] + tol[:, None]
+    pick = np.zeros(len(values), dtype=int)
+    rows = np.flatnonzero(tied[:, 1:].any(axis=1))
+    if rows.size:
+        alive = tied[rows]
+        for component in np.abs(vectors[rows]).swapaxes(0, 1):  # (rows, columns) each
+            size = np.where(alive, component, -np.inf)
+            alive &= size == size.max(axis=1, keepdims=True)
+        pick[rows] = np.argmax(alive, axis=1)
+    every = np.arange(len(values))
+    best = vectors[every, :, pick]
+    lead = np.argmax(np.abs(best) > 1e-12, axis=1)
+    best[best[every, lead] < 0] *= -1.0
+    return values[:, 0], best
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -76,7 +91,7 @@ def _minimize_variance(gamma: np.ndarray, mean: np.ndarray, spin_scale: np.ndarr
     exceeds DIRECTION_EPS of its scale is minimised over the plane
     perpendicular to the mean, spanned by u = mhat x e and v = mhat x u with e
     the axis least aligned with mhat; every other row over the whole space.
-    Each mode is one stacked eigh.
+    Each mode is one stacked eigh and one `_pick_directions`.
     """
     norm = _norms(mean)
     perp = norm / spin_scale > DIRECTION_EPS
@@ -92,37 +107,40 @@ def _minimize_variance(gamma: np.ndarray, mean: np.ndarray, spin_scale: np.ndarr
     v = np.cross(mhat, u)
     basis = np.stack([u, v], axis=2)
     reduced = basis.swapaxes(1, 2) @ gamma[rows] @ basis
-    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.swapaxes(1, 2)))
-    for i, val, vec, b in zip(rows, values, vectors, basis):
-        gamma_min[i], w = _pick_direction(val, vec)
-        direction[i] = b @ w
+    gamma_min[rows], w = _pick_directions(
+        *np.linalg.eigh(0.5 * (reduced + reduced.swapaxes(1, 2))))
+    direction[rows] = (basis @ w[:, :, None])[:, :, 0]
 
     rows = np.flatnonzero(~perp)
     full = gamma[rows]
-    values, vectors = np.linalg.eigh(0.5 * (full + full.swapaxes(1, 2)))
-    for i, val, vec in zip(rows, values, vectors):
-        gamma_min[i], direction[i] = _pick_direction(val, vec)
+    gamma_min[rows], direction[rows] = _pick_directions(
+        *np.linalg.eigh(0.5 * (full + full.swapaxes(1, 2))))
     return gamma_min.tolist(), direction, [MODE_PERP if p else MODE_FULL for p in perp]
 
 
 def _stokes_moments(casimir, sz, sz2, s_plus, zs_plus, s_plus2):
-    """Mean Stokes vector and symmetrised second moments <{S_k, S_l}>/2 from
-    <S(S+1)>, <Sz>, <Sz^2>, <S+>, <{Sz, S+}> and <S+^2>, with
+    """Mean Stokes vectors (n, 3) and symmetrised second moments
+    <{S_k, S_l}>/2 (n, 3, 3) from the n values each of <S(S+1)>, <Sz>,
+    <Sz^2>, <S+>, <{Sz, S+}> and <S+^2>, with
     <Sx> + i<Sy> = <S+>, <{Sz, Sx}> + i<{Sz, Sy}> = <{Sz, S+}>,
     <Sx^2 + Sy^2> = <S(S+1)> - <Sz^2>, <Sx^2 - Sy^2> = Re<S+^2> and
     <{Sx, Sy}> = Im<S+^2>."""
     perp = casimir - sz2
-    mean = np.array([s_plus.real, s_plus.imag, sz])
-    second = 0.5 * np.array([
-        [perp + s_plus2.real, s_plus2.imag, zs_plus.real],
-        [s_plus2.imag, perp - s_plus2.real, zs_plus.imag],
-        [zs_plus.real, zs_plus.imag, 2.0 * sz2],
-    ])
+    mean = np.stack([s_plus.real, s_plus.imag, sz], axis=-1)
+    second = np.empty(mean.shape + (3,))
+    second[:, 0, 0] = perp + s_plus2.real
+    second[:, 1, 1] = perp - s_plus2.real
+    second[:, 2, 2] = 2.0 * sz2
+    second[:, 0, 1] = second[:, 1, 0] = s_plus2.imag
+    second[:, 0, 2] = second[:, 2, 0] = zs_plus.real
+    second[:, 1, 2] = second[:, 2, 1] = zs_plus.imag
+    second *= 0.5
     return mean, second
 
 
-def _moments(block: ManifoldBlock):
-    """Mean Stokes vector and symmetrised second moments of one block.
+def moment_stack(two_s: int, blocks: np.ndarray):
+    """Mean Stokes vectors (n, 3) and symmetrised second moments (n, 3, 3) of
+    a stack (n, 2S+1, 2S+1) of spin-S blocks.
 
     On the basis m_i = S - i the raising operator is S+ |m_i> = c_i |m_i + 1>,
     c_i = sqrt(S(S+1) - m_i(m_i+1)), so every moment sits on the block's
@@ -132,93 +150,129 @@ def _moments(block: ManifoldBlock):
         <S+^2> = sum_i c_i c_{i-1} rho[i, i-2],
 
     with the weights m_i, m_i^2, c_i, (2 m_i + 1) c_i and c_i c_{i-1} read
-    from the block size's cached `diagonal_order`.
+    from the block size's cached `diagonal_order`.  Each sum is one dot
+    product per block (np.vecdot), so a block's moments do not depend on the
+    stack it is in.
     """
-    rho = block.block
-    spin = block.spin
-    ladder = diagonal_order(block.dim)
-    p = np.diagonal(rho).real
-    lower = np.diagonal(rho, -1)
+    spin = two_s / 2.0
+    ladder = diagonal_order(two_s + 1)
+    p = np.diagonal(blocks, 0, 1, 2).real
+    lower = np.diagonal(blocks, -1, 1, 2)
     return _stokes_moments(
-        spin * (spin + 1), p @ ladder.m, p @ ladder.m2, lower @ ladder.c,
-        lower @ ladder.zc, np.diagonal(rho, -2) @ ladder.cc,
+        spin * (spin + 1), np.vecdot(p, ladder.m), np.vecdot(p, ladder.m2),
+        np.vecdot(ladder.c, lower), np.vecdot(ladder.zc, lower),
+        np.vecdot(ladder.cc, np.diagonal(blocks, -2, 1, 2)),
     )
 
 
-def _summaries(spins, mean: np.ndarray, second: np.ndarray) -> list[StokesSummary]:
+def _moments(block: ManifoldBlock):
+    """Mean Stokes vector and symmetrised second moments of one block:
+    `moment_stack` on a stack of one."""
+    mean, second = moment_stack(block.photon_number, block.block[None])
+    return mean[0], second[0]
+
+
+def stokes_summaries(spins, mean: np.ndarray, second: np.ndarray) -> list[StokesSummary]:
     """Summary of each row of n means (n, 3) and second moments (n, 3, 3) at
-    the given spins, with xi^2 = 4 gamma_min / N, N = 2S."""
+    the given spins, with xi^2 = 4 gamma_min / N, N = 2S, and the variances of
+    every row of spin > 0 minimised as one stack; a row of spin 0 (the vacuum
+    manifold, or a total with no manifold above the weight floor) gives the
+    undefined summary."""
+    spins = list(spins)
     gamma = second - mean[:, :, None] * mean[:, None, :]
-    gamma_min, direction, mode = _minimize_variance(gamma, mean, np.array(spins))
-    return [StokesSummary(s, mean[i], gamma[i], gamma_min[i], direction[i],
-                          4.0 * gamma_min[i] / (2.0 * s), mode[i]) for i, s in enumerate(spins)]
+    rows = [i for i, s in enumerate(spins) if s != 0]
+    gamma_min, direction, mode = _minimize_variance(
+        gamma[rows], mean[rows], np.array([spins[i] for i in rows]))
+    summaries = [_undefined_summary(0.0) if s == 0 else None for s in spins]
+    for k, i in enumerate(rows):
+        s = spins[i]
+        summaries[i] = StokesSummary(s, mean[i], gamma[i], gamma_min[k], direction[k],
+                                     4.0 * gamma_min[k] / (2.0 * s), mode[k])
+    return summaries
 
 
 def manifold_stokes_summary(blocks) -> list[StokesSummary]:
     """Mean Stokes vector, covariance and squeezing degree of each manifold
-    block, in order, with the variances of all spin > 0 blocks minimised as
-    one stack; a spin-0 block gives the undefined summary."""
+    block, in order: `moment_stack` on a stack of one per block, and one
+    `stokes_summaries`; a spin-0 block gives the undefined summary."""
     if any(b.negligible for b in blocks):
         raise ValueError("negligible block excluded from squeezing reports")
-    spun = [b for b in blocks if b.spin != 0]
-    moments = [_moments(b) for b in spun]
+    moments = [_moments(b) for b in blocks]
     mean = np.array([m for m, _ in moments]).reshape(-1, 3)
     second = np.array([s for _, s in moments]).reshape(-1, 3, 3)
-    summaries = iter(_summaries([b.spin for b in spun], mean, second))
-    return [_undefined_summary(0.0) if b.spin == 0 else next(summaries) for b in blocks]
+    return stokes_summaries([b.spin for b in blocks], mean, second)
 
 
 def _ladder_diagonal(entries: np.ndarray, k: int) -> np.ndarray:
     """<n| rho a^dag^k |n> for k >= 0 and <n| rho a^|k| |n> for k < 0 over
-    n = 0..cutoff: diagonal k of rho times sqrt((i+1)...(i+|k|)), i = 0, 1, ..."""
-    i = np.arange(len(entries) - abs(k))
+    n = 0..cutoff, of a mode or of each mode of a stack (..., c+1, c+1):
+    diagonal k of rho times sqrt((i+1)...(i+|k|)), i = 0, 1, ..."""
+    size = entries.shape[-1]
+    i = np.arange(size - abs(k))
     steps = i[:, None] + np.arange(1, abs(k) + 1)
-    values = np.diagonal(entries, k) * np.sqrt(np.prod(steps, axis=1))
-    return np.pad(values, (max(-k, 0), max(k, 0)))[:len(entries)]
+    values = np.diagonal(entries, k, -2, -1) * np.sqrt(np.prod(steps, axis=1))
+    return np.pad(values, [(0, 0)] * (values.ndim - 1) + [(max(-k, 0), max(k, 0))])
 
 
-def total_stokes_summary(rho_h: ModeState, rho_v: ModeState) -> StokesSummary:
-    """Squeezing of the whole state rho_H (x) rho_V, with the variance
-    normalized by the mean photon number.  Every Stokes operator keeps N fixed,
-    so under the Schwinger map S+ = a_H^dag a_V, Sz = (n_H - n_V)/2 each moment
-    of manifold N, times P_N, is a convolution (f * g)[N] = sum_n f[n] g[N - n]
-    of mode diagonals: P_N = (p_H * p_V)[N] and <S+^k>_N = (h_k * v_k)[N], with
-    p the photon-number distributions, h_k[n] = <n|rho_H a^dag^k|n> and
-    v_k[n] = <n|rho_V a^k|n>; <{Sz, S+}> = <S+ (2 Sz + 1)>, <Sz> and <Sz^2>
-    weight these by n_H - n_V.
+def _windows(g: np.ndarray, size: int) -> np.ndarray:
+    """W[..., N, n] = g[..., N - n] for N < size + len(g) - 1 and n < size,
+    zero where N - n falls outside g: a view of one padded, reversed copy of
+    g, so each full convolution (f * g)[N] of an f of length `size` is the
+    dot product of f with row N."""
+    padded = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(size - 1, size - 1)])[..., ::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(padded, size, axis=-1)[..., ::-1, :]
+
+
+def total_moments(modes, rho_v: ModeState):
+    """(spins, means (n, 3), second moments (n, 3, 3)) of each whole state
+    rho_H (x) rho_V over n H modes that share rho_V, the spin being half the
+    mean photon number, for `stokes_summaries`.  Every Stokes operator keeps
+    N fixed, so under the Schwinger map S+ = a_H^dag a_V, Sz = (n_H - n_V)/2
+    each moment of manifold N, times P_N, is a convolution
+    (f * g)[N] = sum_n f[n] g[N - n] of mode diagonals: P_N = (p_H * p_V)[N]
+    and <S+^k>_N = (h_k * v_k)[N], with p the photon-number distributions,
+    h_k[n] = <n|rho_H a^dag^k|n> and v_k[n] = <n|rho_V a^k|n>;
+    <{Sz, S+}> = <S+ (2 Sz + 1)>, <Sz> and <Sz^2> weight these by n_H - n_V.
+    The ten convolutions of every H mode are dot products with windows onto
+    the shared V diagonals.
     """
-    captured = rho_h.trace * rho_v.trace
-    if captured <= 0.5:
-        raise ValueError(f"the modes keep only {captured:.6f} of the state, "
-                         "not more than 0.5; raise the cutoff")
-    n_h, n_v = np.arange(rho_h.cutoff + 1), np.arange(rho_v.cutoff + 1)
-    p_h, p_v = np.diagonal(rho_h.entries).real, np.diagonal(rho_v.entries).real
-    weight = np.convolve(p_h, p_v)
-    photons = np.arange(len(weight))
+    for rho_h in modes:
+        captured = rho_h.trace * rho_v.trace
+        if captured <= 0.5:
+            raise ValueError(f"the modes keep only {captured:.6f} of the state, "
+                             "not more than 0.5; raise the cutoff")
+    h = np.stack([rho_h.entries for rho_h in modes])
+    n_h, n_v = np.arange(h.shape[-1]), np.arange(rho_v.cutoff + 1)
+    p_h, p_v = np.diagonal(h, 0, 1, 2).real, np.diagonal(rho_v.entries).real
+    h1, v1 = _ladder_diagonal(h, 1), _ladder_diagonal(rho_v.entries, -1)
+    f = np.stack([p_h, n_h * p_h, p_h, n_h**2 * p_h, n_h * p_h, p_h,
+                  h1, (n_h + 1) * h1, h1, _ladder_diagonal(h, 2)], axis=1)
+    g = np.stack([p_v, p_v, n_v * p_v, p_v, n_v * p_v, n_v**2 * p_v,
+                  v1, v1, n_v * v1, _ladder_diagonal(rho_v.entries, -2)])
+    conv = np.vecdot(f.conj()[:, :, None, :], _windows(g, len(n_h)))  # (n, 10, N)
+    weight = conv[:, 0].real
+    photons = np.arange(weight.shape[1])
     # The manifolds a block-by-block total summed: N > 0 above the weight
     # floor.  Item 4 of ROADMAP.md drops the floor, which moves xi^2 by up to
     # 5.9e-10 relative and xi2_dB by 2.6e-9 absolute at the default study, so
     # it needs a re-pin of the benchmark references.
-    keep = (photons > 0) & (weight > WEIGHT_FLOOR)
-    if not keep.any():
-        return _undefined_summary(0.0)
-
-    def total(f, g):
-        return np.convolve(f, g)[keep].sum()
-
-    h1, v1 = _ladder_diagonal(rho_h.entries, 1), _ladder_diagonal(rho_v.entries, -1)
-    spin = photons[keep] / 2.0
+    keep = ((photons > 0) & (weight > WEIGHT_FLOOR)).astype(float)
+    kept = weight * keep
+    t = np.vecdot(keep[:, None, :], conv[:, 1:])  # sum over kept N of each convolution
+    spin = photons / 2.0
     mean, second = _stokes_moments(
-        weight[keep] @ (spin * (spin + 1)),
-        0.5 * (total(n_h * p_h, p_v) - total(p_h, n_v * p_v)),
-        0.25 * (total(n_h**2 * p_h, p_v) - 2.0 * total(n_h * p_h, n_v * p_v)
-                + total(p_h, n_v**2 * p_v)),
-        total(h1, v1),
-        total((n_h + 1) * h1, v1) - total(h1, n_v * v1),
-        total(_ladder_diagonal(rho_h.entries, 2), _ladder_diagonal(rho_v.entries, -2)),
+        np.vecdot(kept, spin * (spin + 1)),
+        0.5 * (t[:, 0].real - t[:, 1].real),
+        0.25 * (t[:, 2].real - 2.0 * t[:, 3].real + t[:, 4].real),
+        t[:, 5], t[:, 6] - t[:, 7], t[:, 8],
     )
-    mean_photons = float(weight[keep] @ photons[keep])
-    return _summaries([mean_photons / 2.0], mean[None], second[None])[0]
+    return (np.vecdot(kept, photons) / 2.0).tolist(), mean, second
+
+
+def total_stokes_summary(rho_h: ModeState, rho_v: ModeState) -> StokesSummary:
+    """Squeezing of the whole state rho_H (x) rho_V, with the variance
+    normalized by the mean photon number: `total_moments` on a stack of one."""
+    return stokes_summaries(*total_moments([rho_h], rho_v))[0]
 
 
 def quadrature_estimate_xi2(alpha: float, r: float) -> float:

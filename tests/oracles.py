@@ -8,9 +8,11 @@ photon number of one mode and the total-state xi^2 of the pure Gaussian model.
 The writers the package replaced with faster ones are kept as the byte and
 pixel references: the figure tables through `csv.writer`, the sector dump
 through `json.dump`, the foliation drawn one ring at a time from the full map
-of each manifold, and the heatmaps sampled pixel by pixel.  So are the per-block forms of the two stacked per-manifold
-reports: the multipoles as one Clebsch-Gordan diagonal matvec per order q, and
-the Stokes variance minimised one block at a time.  The total Stokes summary
+of each manifold, and the heatmaps sampled pixel by pixel.  So are the
+per-block forms of what a sweep computes for every amplitude at once: the
+multipoles as one Clebsch-Gordan diagonal matvec per order q, the aggregated
+W_K summed one block at a time, and the Stokes variance minimised one block
+at a time with the scalar eigenvector tie rule.  The total Stokes summary
 the package takes from the two modes is kept as the sum over every manifold
 block, each gathered in full.  Each mode is synthesised as the model states
 it, displaced before the loss, where the package displaces one shared lossy
@@ -52,7 +54,6 @@ from stokes_manifolds.stokes import (
     StokesSummary,
     _minimize_variance,
     _moments,
-    _pick_direction,
     _undefined_summary,
 )
 
@@ -237,6 +238,21 @@ def multipoles_loop(block):
     return rho
 
 
+def pick_direction_single(values, vectors):
+    """Smallest eigenvalue of one eigh with a deterministic eigenvector
+    choice on ties: of the columns within 1e-12 max(1, max |lambda|) of the
+    smallest, the lexicographically largest |column|, the first of equals,
+    signed so its first component above 1e-12 in magnitude is positive."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    gamma_min = float(values[0])
+    candidates = [vectors[:, i] for i in range(len(values)) if values[i] <= gamma_min + tol]
+    best = max(candidates, key=lambda v: tuple(np.abs(v)))
+    lead = np.argmax(np.abs(best) > 1e-12)
+    if best[lead].real < 0:
+        best = -best
+    return gamma_min, np.real(best)
+
+
 def minimize_variance_single(gamma, mean, spin_scale):
     """Smallest variance of one (3, 3) covariance: over the plane perpendicular
     to an appreciable mean, else over the whole space."""
@@ -251,10 +267,10 @@ def minimize_variance_single(gamma, mean, spin_scale):
         basis = np.stack([u, v], axis=1)
         reduced = basis.T @ gamma @ basis
         values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
-        gamma_min, w = _pick_direction(values, vectors)
+        gamma_min, w = pick_direction_single(values, vectors)
         return gamma_min, basis @ w, MODE_PERP
     values, vectors = np.linalg.eigh(0.5 * (gamma + gamma.T))
-    gamma_min, direction = _pick_direction(values, vectors)
+    gamma_min, direction = pick_direction_single(values, vectors)
     return gamma_min, direction, MODE_FULL
 
 
@@ -269,6 +285,17 @@ def stokes_summary_single(block):
     gamma_min, direction, mode = minimize_variance_single(gamma, mean, block.spin)
     xi2 = 4.0 * gamma_min / block.photon_number
     return StokesSummary(block.spin, mean, gamma, gamma_min, direction, xi2, mode)
+
+
+def aggregate_weights(terms):
+    """Aggregated W_K: sum of P_S W_K^(S) over (P_S, W^(S)) pairs, in the
+    order given, one block at a time; K runs from 0 to the largest 2S."""
+    if not terms:
+        return np.zeros(1)
+    total = np.zeros(max(len(w) for _, w in terms))
+    for weight, w in terms:
+        total[: len(w)] += weight * w
+    return total
 
 
 # -- the total Stokes summary block by block -----------------------------------

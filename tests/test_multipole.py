@@ -11,9 +11,9 @@ from sympy import Rational
 from stokes_manifolds import multipole
 from stokes_manifolds.multipole import (
     CG_TABLE_TOL,
-    aggregate_weights,
     cg_table,
     cg_table_deviation,
+    multipole_stack,
     multipoles_algebraic,
     multipoles_integral,
     stretched_cg,
@@ -29,6 +29,7 @@ from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, diagonal_o
 from stokes_manifolds.sphere import FOUR_PI, build_quadrature_grid
 
 from oracles import (
+    aggregate_weights,
     clebsch_gordan,
     default_ladder_blocks,
     multipoles_loop,
@@ -215,6 +216,41 @@ class TestClebschGordanTable:
             cg_table.cache_clear()
         assert largest < dim**3 * 8, largest
         assert held <= 1.05 * columns * dim * 8, held
+
+
+class TestStackedContraction:
+    def test_peak_below_one_block_product(self):
+        # eight blocks at 2S = 96 are contracted a run of q segments at a
+        # time: the peak stays below the (K x P) complex product that one
+        # block alone would form, 7.4 MB
+        two_s, count = 96, 8
+        dim = two_s + 1
+        rng = np.random.default_rng(61)
+        blocks = np.array([random_block(two_s / 2.0, rng).block for _ in range(count)])
+        multipole_stack(two_s, blocks[:1])  # the table and size arrays, cached
+        tracemalloc.start()
+        try:
+            rho = multipole_stack(two_s, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * (dim * (dim + 1) // 2) * 16, peak
+        for block, got in zip(blocks, rho):
+            alone = multipoles_algebraic(ManifoldBlock(two_s / 2.0, 1.0, block))
+            assert np.array_equal(got, alone.rho)
+
+    @pytest.mark.parametrize("count", [1, 3, 40])
+    def test_runs_cover_every_segment_once(self, count):
+        for two_s in (0, 1, 7, 48, 160):
+            order = diagonal_order(two_s + 1)
+            runs = list(multipole._segment_runs(order, count))
+            assert [first for first, _ in runs] == [0, *[last for _, last in runs[:-1]]]
+            assert runs[-1][1] == two_s + 1 and all(first < last for first, last in runs)
+
+    def test_empty_stack_builds_no_table(self):
+        cg_table.cache_clear()
+        assert multipole_stack(30, np.zeros((0, 31, 31), dtype=complex)).shape == (0, 31, 31)
+        assert cg_table.cache_info().currsize == 0
 
 
 class TestSphericalHarmonics:

@@ -17,12 +17,15 @@ import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import stokes_manifolds
-from stokes_manifolds import cli, fock, invariants, multipole, pipeline, polar, render, sphere
+from stokes_manifolds import (
+    cli, fock, invariants, multipole, pipeline, polar, render, sphere, stokes,
+)
 from stokes_manifolds.cli import main
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
 from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, parse_manifolds
@@ -47,7 +50,16 @@ from stokes_manifolds.pipeline import (
     run_sweep,
 )
 
-from oracles import csv_figure_tables, csv_writer_table, default_ladder_blocks, full_block
+from oracles import (
+    aggregate_weights,
+    block_sum_total,
+    csv_figure_tables,
+    csv_writer_table,
+    default_ladder_blocks,
+    full_block,
+    multipoles_loop,
+    stokes_summary_single,
+)
 
 FAST = {
     "alphas": (0.0, 1.13),
@@ -204,17 +216,19 @@ class TestSweep:
             assert np.trace(full_block(rho, rho, n)).real < 1e-12
 
     def test_sweep_parses_report_range_only(self, monkeypatch):
-        # each amplitude is parsed up to S_report_max and no further; a range
-        # past either mode cutoff is refused
-        spins = []
+        # each manifold size up to S_report_max is gathered once, for every
+        # amplitude at once, and no further; a range past either mode cutoff
+        # is refused
+        sizes = []
 
-        def parse(rho_h, rho_v, max_spin, _original=pipeline.parse_manifolds):
-            spins.append(max_spin)
-            return _original(rho_h, rho_v, max_spin)
+        def gather(h, v, n_total, _original=pipeline.gather_manifolds):
+            sizes.append((n_total, len(h)))
+            return _original(h, v, n_total)
 
-        monkeypatch.setattr(pipeline, "parse_manifolds", parse)
+        monkeypatch.setattr(pipeline, "gather_manifolds", gather)
         run_sweep(RunConfig(**FAST))
-        assert spins == [FAST["s_report_max"]] * len(FAST["alphas"])
+        top = int(2 * FAST["s_report_max"])
+        assert sizes == [(n, len(FAST["alphas"])) for n in range(top + 1)]
         model = NoiseModel(3.6, 4.4, 0.85)
         wide, narrow = synthesize_mode(model, 1.13, 12), synthesize_mode(model, 0.0, 10)
         assert len(parse_manifolds(wide, narrow, 5.0).blocks) == 11
@@ -308,9 +322,50 @@ class TestComputedOnce:
         assert len(modes) == len(DEFAULT_ALPHAS) + 1
 
     def test_multipoles_once_per_reported_block(self, monkeypatch):
-        calls = _record_calls(monkeypatch, "multipoles_algebraic", [pipeline, multipole])
+        # one contraction per manifold size, over exactly the reported blocks
+        # of that size, each once
+        stacks = []
+
+        def contract(two_s, blocks, _original=pipeline.multipole_stack):
+            stacks.append((two_s, blocks))
+            return _original(two_s, blocks)
+
+        monkeypatch.setattr(pipeline, "multipole_stack", contract)
         report = run_sweep(RunConfig(**FAST))
-        assert Counter(map(id, calls)) == _reported_block_ids(report)
+        sizes = [two_s for two_s, _ in stacks]
+        assert sizes == list(range(int(2 * FAST["s_report_max"]) + 1))
+        for two_s, blocks in stacks:
+            reported = [b.block for res in report.results
+                        for b in res.sector.reported() if b.photon_number == two_s]
+            assert len(blocks) == len(reported)
+            for got, want in zip(blocks, reported):
+                assert np.shares_memory(got, want) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["gather_manifolds", "moment_stack", "multipole_stack",
+                                      "total_moments", "stokes_summaries"])
+    def test_layer_calls_do_not_grow_with_amplitudes(self, monkeypatch, name):
+        # each layer runs once per manifold size (or once per sweep) however
+        # many amplitudes share it
+        counts = []
+        for alphas in (LADDER[2:3], LADDER):
+            calls = _record_calls(monkeypatch, name, [pipeline])
+            run_sweep(RunConfig(alphas=alphas, emit=()))
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] == {"gather_manifolds": 25, "multipole_stack": 25,
+                                          "moment_stack": 24}.get(name, 1)
+
+    @pytest.mark.parametrize("module, name", [
+        (polar, "parse_manifolds"), (multipole, "multipoles_algebraic"),
+        (stokes, "manifold_stokes_summary"), (stokes, "total_stokes_summary"),
+        (stokes, "_moments"),
+    ])
+    def test_sweep_makes_no_per_block_call(self, monkeypatch, module, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} called by the sweep")
+
+        monkeypatch.setattr(module, name, refuse)
+        run_sweep(RunConfig(alphas=LADDER, emit=()))
 
     def test_tables_need_no_scalar_clebsch_gordan(self):
         multipole.cg_table.cache_clear()
@@ -340,6 +395,106 @@ class TestComputedOnce:
         emit_figure_tables(report, tmp_path)
         assert maps == []
         assert Counter(map(id, rows)) == _reported_block_ids(report)
+
+
+LADDER = (0.0, 0.31, 0.57, 0.88, 1.13, 1.62, 2.0, 2.31)
+
+
+def _gap(got, want) -> float:
+    """Largest |got - want| over the largest |want|, 0 where both vanish."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0)
+    return float(np.max(np.abs(got - want), initial=0.0) / scale) if scale else float(
+        np.max(np.abs(got), initial=0.0))
+
+
+def _summary_gap(got: StokesSummary, want: StokesSummary) -> float:
+    """The largest relative gap of the Stokes fields; the mean vector's is
+    taken relative to the spin, its natural scale, since a mean near 0 is a
+    difference of moments near S."""
+    assert got.mode == want.mode
+    return max(_gap(got.mean, want.mean) * np.max(np.abs(want.mean)) / max(want.spin, 1e-300),
+               *(_gap(getattr(got, f), getattr(want, f))
+                 for f in ("spin", "gamma", "gamma_min", "direction", "xi2")))
+
+
+class TestLayerMajorSweep:
+    """A sweep analyses every amplitude at once, one manifold size at a time;
+    each amplitude's results match the per-block oracles and do not depend on
+    the others in the sweep."""
+
+    @pytest.mark.parametrize("cutoffs", [(24, 24), (48, 48), (30, 20)], ids=str)
+    @pytest.mark.parametrize("alphas", [LADDER[4:5], DEFAULT_ALPHAS, LADDER], ids=len)
+    def test_matches_per_block_oracles(self, monkeypatch, alphas, cutoffs):
+        contracted = []
+
+        def contract(two_s, blocks, _original=pipeline.multipole_stack):
+            rho = _original(two_s, blocks)
+            contracted.append((two_s, blocks, rho))
+            return rho
+
+        monkeypatch.setattr(pipeline, "multipole_stack", contract)
+        cutoff_h, cutoff_v = cutoffs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # (30, 20) loses trace at 2.31
+            report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff_h, cutoff_v=cutoff_v))
+        model = NoiseModel(3.6, 4.4, 0.85)
+        rho_v = synthesize_mode(model, 0.0, cutoff_v)
+        negligible = 0
+        for res in report.results:
+            rho_h = synthesize_mode(model, res.alpha, cutoff_h)
+            for b in res.sector.blocks:
+                want = full_block(rho_h, rho_v, b.photon_number)
+                weight = float(np.trace(want).real)
+                negligible += b.negligible
+                assert abs(b.weight - max(weight, 0.0)) <= 1e-15
+                assert np.max(np.abs(b.block - (want if b.negligible else want / weight))) <= 1e-15
+            reported = res.sector.reported()
+            spectra = [np.sum(np.abs(multipoles_loop(b)) ** 2, axis=1) for b in reported]
+            assert [s for s, _ in res.manifold_multipoles] == [b.spin for b in reported if b.spin]
+            for (_, got), want in zip(res.manifold_multipoles, spectra[1:]):
+                assert np.max(np.abs(got - want)) <= 1e-15
+            want = aggregate_weights([(b.weight, w) for b, w in zip(reported, spectra)])
+            assert np.max(np.abs(res.aggregated_weights - want)) <= 1e-15
+            spun = [b for b in reported if b.spin]
+            assert len(res.manifold_summaries) == len(spun)
+            for got, b in zip(res.manifold_summaries, spun):
+                assert _summary_gap(got, stokes_summary_single(b)) <= 1e-13, b.spin
+            assert _summary_gap(res.total, block_sum_total(rho_h, rho_v)) <= 1e-13, res.alpha
+        # only cutoff 48 reports manifolds below the weight floor; (30, 20)
+        # reports none, but its totals sum manifolds that straddle a cutoff
+        assert (negligible > 0) == (cutoffs == (48, 48))
+        for two_s, blocks, rho in contracted:
+            for block, got in zip(blocks, rho):
+                want = multipoles_loop(ManifoldBlock(two_s / 2.0, 1.0, block))[:, two_s:]
+                assert np.max(np.abs(got - want)) <= 1e-15, two_s
+
+    def test_amplitude_alone_as_in_ladder(self):
+        # --alpha 0.57 alone against the default ladder
+        alone = run_sweep(RunConfig(alphas=(0.57,))).results[0]
+        ladder = next(r for r in run_sweep(RunConfig()).results if r.alpha == 0.57)
+        for got, want in zip(alone.sector.blocks, ladder.sector.blocks):
+            assert got.weight == want.weight and _gap(got.block, want.block) <= 1e-14
+        for (s1, w1), (s2, w2) in zip(alone.manifold_multipoles, ladder.manifold_multipoles,
+                                      strict=True):
+            assert s1 == s2 and _gap(w1, w2) <= 1e-14
+        assert _gap(alone.aggregated_weights, ladder.aggregated_weights) <= 1e-14
+        for got, want in zip(alone.manifold_summaries, ladder.manifold_summaries, strict=True):
+            assert _summary_gap(got, want) <= 1e-14
+        assert _summary_gap(alone.total, ladder.total) <= 1e-14
+
+    def test_deficit_warnings_in_sweep_order(self):
+        # one per amplitude, in sweep order, pointing at the caller
+        alphas = (1.13, 0.0, 0.57)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_sweep(RunConfig(alphas=alphas, cutoff_h=4, cutoff_v=4))
+        assert [str(w.message) for w in caught] == [
+            f"cutoffs (4, 4) lose {res.trace_deficit:.3g} of the trace at alpha={res.alpha}, "
+            "above 1e-06; a larger cutoff is recommended" for res in report.results]
+        assert [res.alpha for res in report.results] == list(alphas)
+        assert {(w.category, w.filename) for w in caught} == {(UserWarning, __file__)}
 
 
 @pytest.fixture(scope="module")
@@ -714,6 +869,49 @@ class TestCli:
         assert code == 2
         assert "numerical guard" in err and "not orthonormal" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["nan", "non-Hermitian", "trace"])
+    def test_bad_block_guard_exit(self, tmp_path, capsys, monkeypatch, kind):
+        # one amplitude's H mode, changed past ModeState's check, gives one bad
+        # manifold among good ones; the run stops with that block's message
+        # as a numerical guard, before any file is written
+        model = NoiseModel(3.6, 4.4, 0.85)
+        v = synthesize_mode(model, 0.0, 8).entries
+        n_total, entries = 3, synthesize_mode(model, 0.57, 8).entries.copy()
+        if kind == "nan":
+            entries[1, 3] = math.nan
+        elif kind == "non-Hermitian":
+            entries[1, 3] += 1e-3
+        else:  # P_2 cancels to 2e-11, and the normalised trace misses 1 by 4.8e-7
+            n_total = 2
+            entries[2, 2] = -(entries[1, 1].real * v[1, 1].real
+                              + entries[0, 0].real * v[2, 2].real) / v[0, 0].real * (1 - 4e-10)
+        entries.setflags(write=False)
+        block = full_block(SimpleNamespace(cutoff=8, entries=entries),
+                           SimpleNamespace(cutoff=8, entries=v), n_total)
+        block = block / np.trace(block).real
+        dev = np.max(np.abs(block - block.conj().T))
+        trace = np.trace(block).real
+        if kind == "trace":
+            assert dev == 0.0 and abs(trace - 1.0) > 1e-10
+            message = f"block trace {trace} is not 1"
+        else:
+            message = f"ManifoldBlock is not Hermitian (max deviation {dev:.3e})"
+        synthesize = pipeline.synthesize_mode
+
+        def spoiled(model, alpha, cutoff):
+            state = synthesize(model, alpha, cutoff)
+            if alpha == 0.57:
+                object.__setattr__(state, "entries", entries)
+            return state
+
+        monkeypatch.setattr(pipeline, "synthesize_mode", spoiled)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(["run", "--alpha", "0,0.57,1.13", "--cutoff", "8", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"numerical guard: {message}\n"
 
     def test_reported_time_covers_emission(self, tmp_path, monkeypatch, capsys):
         emit = cli.emit_figure_tables

@@ -8,9 +8,11 @@ from oracles import dense_moments, full_block, json_dump_sector, spin_matrices
 from stokes_manifolds import polar
 from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
+from stokes_manifolds.invariants import random_block
 from stokes_manifolds.polar import (
     ManifoldBlock,
     PolarizationSector,
+    check_blocks,
     diagonal_order,
     dump_sector,
     parse_manifolds,
@@ -170,6 +172,56 @@ class TestBlockValidation:
         block = np.diag([1.0, math.nan]).astype(complex)
         with pytest.raises(ValueError, match="trace nan is not 1"):
             ManifoldBlock(0.5, 1.0, block)
+
+
+def _spoil(kind, block):
+    """A copy of a unit-trace spin-1/2 block made NaN, non-Hermitian, or of
+    trace 0.7, with the message a ManifoldBlock of it alone is refused with."""
+    bad = block.copy()
+    if kind == "nan":
+        bad[0, 1] = math.nan
+        return bad, "ManifoldBlock is not Hermitian (max deviation nan)"
+    if kind == "non-Hermitian":
+        bad[0, 1] += 1e-6
+        return bad, "ManifoldBlock is not Hermitian (max deviation 1.000e-06)"
+    return np.diag([0.35, 0.35]).astype(complex), "block trace 0.7 is not 1"
+
+
+class TestStackValidation:
+    """`check_blocks` on a stack refuses one bad block among good ones with
+    the message that block alone earns."""
+
+    @pytest.mark.parametrize("kind", ["nan", "non-Hermitian", "trace"])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_one_bad_block(self, kind, position):
+        rng = np.random.default_rng(53)
+        stack = np.array([random_block(0.5, rng).block for _ in range(5)])
+        bad, message = _spoil(kind, stack[position])
+        with pytest.raises(ValueError) as alone:
+            ManifoldBlock(0.5, 1.0, bad)
+        assert str(alone.value) == message
+        stack[position] = bad
+        with pytest.raises(ValueError) as stacked:
+            check_blocks(0.5, stack)
+        assert str(stacked.value) == message
+
+    def test_returns_hermitian_parts(self):
+        rng = np.random.default_rng(59)
+        stack = np.array([random_block(1.5, rng).block for _ in range(3)])
+        stack[1, 0, 1] += 1e-13  # within the tolerance
+        got = check_blocks(1.5, stack)
+        assert np.array_equal(got, 0.5 * (stack + stack.conj().swapaxes(1, 2)))
+        for block, want in zip(got, stack):
+            assert np.array_equal(ManifoldBlock(1.5, 1.0, want).block, block)
+
+    def test_negligible_stack_unchecked(self):
+        stack = np.full((3, 2, 2), complex(math.nan, 1.0))
+        assert check_blocks(0.5, stack, negligible=True) is stack
+        with pytest.raises(ValueError, match="block must be 2x2, got \\(3, 3\\)"):
+            check_blocks(0.5, np.zeros((3, 3, 3)), negligible=True)
+
+    def test_empty_stack(self):
+        assert check_blocks(1.0, np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
 
 
 class TestJsonDump:

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
 from stokes_manifolds.invariants import random_block, spin_half_xi2_gap
-from stokes_manifolds.pipeline import DEFAULT_ALPHAS
+from stokes_manifolds.pipeline import DEFAULT_ALPHAS, RunConfig, run_sweep
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
 from stokes_manifolds.stokes import (
     MODE_FULL,
     MODE_PERP,
     MODE_UNDEFINED,
     _moments,
+    _pick_directions,
     manifold_stokes_summary,
     quadrature_estimate_xi2,
     total_stokes_summary,
@@ -25,6 +26,7 @@ from oracles import (
     dense_moments,
     gaussian_total_xi2,
     minimize_variance_single,
+    pick_direction_single,
     rotation_matrix,
     spin_matrices,
     stokes_summary_single,
@@ -204,6 +206,57 @@ class TestStackedSummaries:
         gamma_min, direction, mode = minimize_variance_single(total.gamma, total.mean, total.spin)
         assert total.mode == mode and total.gamma_min == gamma_min
         assert total.direction.tobytes() == direction.tobytes()
+
+
+class TestTieRule:
+    """The stacked eigenvector choice against the scalar rule, row by row and
+    bit for bit, on exact and rounding-level ties."""
+
+    @staticmethod
+    def _check(gamma):
+        values, vectors = np.linalg.eigh(0.5 * (gamma + gamma.swapaxes(1, 2)))
+        gamma_min, best = _pick_directions(values, vectors)
+        picked, flipped = set(), 0
+        for i in range(len(gamma)):
+            want_min, want = pick_direction_single(values[i], vectors[i])
+            assert gamma_min[i] == want_min and best[i].tobytes() == want.tobytes(), i
+            column = next(j for j in range(len(want))
+                          if np.array_equal(np.abs(vectors[i][:, j]), np.abs(want)))
+            picked.add(column)
+            flipped += not np.array_equal(vectors[i][:, column], want)
+        return picked, flipped
+
+    def test_full_space(self):
+        # an isotropic covariance (a three-fold tie), exact two-fold ties on
+        # each axis pair, the same rotated, where eigh returns an arbitrary
+        # basis of the tied space, and the full-space rows of an alpha = 0
+        # sweep, whose S = 1/2 row ties three ways
+        rng = np.random.default_rng(41)
+        exact = [0.7 * np.eye(3), np.diag([0.3, 0.3, 0.9]), np.diag([0.9, 0.3, 0.3]),
+                 np.diag([0.3, 0.9, 0.3])]
+        rotated = [q @ np.diag(d) @ q.T
+                   for q in (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(20))
+                   for d in ([0.3, 0.3, 0.9], [0.5, 0.5, 0.5], [0.2, 0.6, 0.6])]
+        sweep = run_sweep(RunConfig(alphas=(0.0,)))
+        rows = [s.gamma for s in sweep.results[0].manifold_summaries if s.mode == MODE_FULL]
+        assert len(rows) == 24
+        picked, flipped = self._check(np.array(exact + rotated + rows))
+        assert picked == {0, 1, 2} and flipped > 0  # the tie rule chose, not column 0
+
+    def test_plane(self):
+        # the 2 x 2 reduced covariances of perpendicular rows: exact and
+        # rotated two-fold ties, and distinct values
+        rng = np.random.default_rng(43)
+        turns = [np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+                 for t in rng.uniform(0, 2 * math.pi, 20)]
+        gamma = np.array([0.4 * np.eye(2), np.diag([0.4, 0.9])]
+                         + [r @ np.diag(d) @ r.T for r in turns for d in ([0.4, 0.4], [0.4, 0.9])])
+        picked, flipped = self._check(gamma)
+        assert picked == {0, 1} and flipped > 0
+
+    def test_empty_stack(self):
+        gamma_min, best = _pick_directions(np.zeros((0, 3)), np.zeros((0, 3, 3)))
+        assert gamma_min.shape == (0,) and best.shape == (0, 3)
 
 
 class TestTotalSummary:
