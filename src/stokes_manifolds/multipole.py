@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polar import ManifoldBlock, diagonal_order
+from .polar import ManifoldBlock, diagonal_order, diagonal_sums
 from .sphere import FOUR_PI, SphereGrid, husimi_fourier
 
 
@@ -182,55 +182,20 @@ def cg_table(two_s: int) -> np.ndarray:
     return table
 
 
-# bytes of the complex products one step of `multipole_stack` forms, give or
-# take one q segment
-CONTRACTION_BYTES = 1 << 20
-
-
-def _segment_runs(order, count: int) -> list[tuple[int, int]]:
-    """[first, last) runs of the q segments of `order` that `multipole_stack`
-    contracts at once for `count` blocks: all of them when their product with
-    the blocks fits in CONTRACTION_BYTES, else runs of about that many bytes
-    of columns, cut where a segment starts."""
-    dim, columns = len(order.starts), len(order.pairs)
-    width = CONTRACTION_BYTES // (16 * count * dim)
-    if width >= columns:
-        return [(0, dim)]
-    firsts = np.unique(np.searchsorted(order.starts, np.arange(0, columns, max(width, 1)),
-                                       "right") - 1).tolist()
-    return list(zip(firsts, [*firsts[1:], dim]))
-
-
 def multipole_stack(two_s: int, blocks: np.ndarray) -> np.ndarray:
     """Multipoles rho[n, K, q], q >= 0, of a stack (n, 2S+1, 2S+1) of spin-S
     blocks as rho_Kq = Tr(T_Kq^dag rho) with trace-orthonormal tensors
     T_Kq[m_out, m_in] = (-1)^(S-m_in) <S m_out; S -m_in | K q>.
 
-    T_Kq is nonzero only on the diagonal m_out - m_in = q, so each block is
-    gathered once, signed, in the table's column order, and rho_Kq is the sum
-    of the table row K times that column over the q segment.  The segments
-    are taken a run at a time (`_segment_runs`): one product of the run's
-    table columns with every block's, and one segmented sum, so the memory
-    held stays near CONTRACTION_BYTES whatever the stack, and each sum
-    adds the same numbers in the same order as for a block alone.
+    T_Kq is nonzero only on the diagonal m_out - m_in = q, so rho_Kq is one
+    `polar.diagonal_sums` of the signed blocks against `cg_table(2S)`.
     Normalization matches the quadrature route exactly (the dual-route test
     anchors both conventions).
     """
-    dim = two_s + 1
-    rho = np.zeros((len(blocks), dim, dim), dtype=complex)
     if not len(blocks):
-        return rho
-    order = diagonal_order(dim)
-    table = cg_table(two_s)
-    # each block signed by (-1)^(S - m_in), in the table's column order
-    columns = (blocks * order.signs).reshape(len(blocks), -1)[:, order.pairs]
-    bounds = [*order.starts.tolist(), len(order.pairs)]
-    for first, last in _segment_runs(order, len(blocks)):
-        start, stop = bounds[first], bounds[last]
-        rho[:, :, first:last] = np.add.reduceat(
-            table[:, start:stop] * columns[:, None, start:stop],
-            order.starts[first:last] - start, axis=2)
-    return rho
+        return np.zeros((0, two_s + 1, two_s + 1), dtype=complex)
+    # each block signed by (-1)^(S - m_in)
+    return diagonal_sums(blocks * diagonal_order(two_s + 1).signs, cg_table(two_s))
 
 
 def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:

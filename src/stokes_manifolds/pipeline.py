@@ -31,7 +31,7 @@ from .polar import (
     write_text,
 )
 from .render import render_foliation, render_heatmap, write_ppm
-from .sphere import build_quadrature_grid, husimi_total
+from .sphere import build_quadrature_grid, husimi_totals
 from .stokes import (
     StokesSummary,
     moment_stack,
@@ -348,20 +348,19 @@ def _fig3a_text(res: AlphaResult) -> str:
     return (_fmt(res.alpha) + "," + FIG3A_ROW) * len(res.manifold_summaries) % tuple(values)
 
 
-def _numbered_text(prefix: str, numbers, values: list) -> str:
-    """The lines `prefix` + "k,v" for k, v in zip(numbers, values), with the
-    prefix written once into the template."""
-    return (prefix + NUMBERED_ROW) * len(values) % tuple(
-        itertools.chain.from_iterable(zip(numbers, values)))
+def _numbered_text(rows) -> str:
+    """The lines prefix + "k,v" for each (prefix, values) of `rows` and each
+    k, v in enumerate(values), from one template filled once."""
+    rows = list(rows)
+    return "".join((prefix + NUMBERED_ROW) * len(values) for prefix, values in rows) % tuple(
+        x for _, values in rows for pair in enumerate(values) for x in pair)
 
 
 def _fig3d_text(res: AlphaResult) -> str:
     """The fig3d lines of one amplitude: each manifold's W_K, then the total's."""
     alpha = _fmt(res.alpha) + ","
-    return "".join(
-        _numbered_text(alpha + _fmt(spin) + ",", range(len(weights)), weights.tolist())
-        for spin, weights in (*res.manifold_multipoles, ("total", res.aggregated_weights))
-    )
+    return _numbered_text((alpha + _fmt(spin) + ",", weights.tolist()) for spin, weights
+                          in (*res.manifold_multipoles, ("total", res.aggregated_weights)))
 
 
 def _q_csv_rows(grid) -> list[str]:
@@ -409,9 +408,9 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
             for res in report.results)])
 
     if "photon_csv" in emit:
+        # the sector holds N = 0, 1, ... in order
         put("fig3b.csv", write_text, [FIG3B_HEADER, *(
-            _numbered_text(_fmt(res.alpha) + ",", [b.photon_number for b in res.sector.blocks],
-                           [b.weight for b in res.sector.blocks])
+            _numbered_text([(_fmt(res.alpha) + ",", [b.weight for b in res.sector.blocks])])
             for res in report.results)])
 
     if "multipole_csv" in emit:
@@ -420,8 +419,7 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
     if emit & {"q_csv", "heatmaps"}:
         grid = build_quadrature_grid(report.grid_l)
         q_rows = _q_csv_rows(grid) if "q_csv" in emit else None
-        for i, res in enumerate(report.results):
-            q = husimi_total(res.sector, grid)
+        for i, q in enumerate(husimi_totals([res.sector for res in report.results], grid)):
             if "q_csv" in emit:
                 put(f"q_total_alpha{i}.csv", _write_q_csv, q_rows, q.values)
             if "heatmaps" in emit:

@@ -150,6 +150,43 @@ def diagonal_order(dim: int) -> DiagonalOrder:
     return order
 
 
+# bytes of the complex products one step of `diagonal_sums` forms, give or
+# take one q segment
+CONTRACTION_BYTES = 1 << 20
+
+
+def _segment_runs(order: DiagonalOrder, count: int, rows: int) -> list[tuple[int, int]]:
+    """[first, last) runs of the q segments of `order` that `diagonal_sums`
+    contracts at once for `count` blocks and a table of `rows` rows: runs of
+    about CONTRACTION_BYTES of products, cut where a segment starts."""
+    width = max(CONTRACTION_BYTES // (16 * count * rows), 1)
+    if width >= len(order.pairs):
+        return [(0, len(order.starts))]
+    firsts = np.unique(np.searchsorted(order.starts, np.arange(0, len(order.pairs), width),
+                                       "right") - 1).tolist()
+    return list(zip(firsts, [*firsts[1:], len(order.starts)]))
+
+
+def diagonal_sums(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sums[n, r, q] = sum_c table[r, c] block_n[i_out[c], i_in[c]] over the
+    entries c of diagonal q of `diagonal_order(dim)`, for a non-empty stack
+    (n, dim, dim) of blocks and a real (rows, entries) table.  Each block's
+    upper triangle is gathered once; each run of q segments (`_segment_runs`)
+    is one product and one `reduceat`, so about CONTRACTION_BYTES are held
+    whatever the stack or the table, and each sum adds the same numbers in the
+    same order as for a block alone."""
+    count, dim = len(blocks), blocks.shape[-1]
+    order = diagonal_order(dim)
+    columns = blocks.reshape(count, -1)[:, order.pairs]
+    bounds = [*order.starts.tolist(), len(order.pairs)]
+    sums = np.empty((count, len(table), dim), dtype=complex)
+    for first, last in _segment_runs(order, count, len(table)):
+        start, stop = bounds[first], bounds[last]
+        np.add.reduceat(table[:, start:stop] * columns[:, None, start:stop],
+                        order.starts[first:last] - start, axis=2, out=sums[:, :, first:last])
+    return sums
+
+
 def report_photons(max_spin: float, cutoff_h: int, cutoff_v: int) -> int:
     """Largest photon number N = 2S of a report up to S = max_spin; a
     ValueError if it passes either mode cutoff."""

@@ -47,6 +47,12 @@ _PALETTE = np.vstack([COLORMAP, BACKGROUND])
 _PALETTE.setflags(write=False)
 
 
+def _color_index(values: np.ndarray, span) -> np.ndarray:
+    """The colormap entry of each value, 255 values/span clipped to [0, 255] and
+    truncated: a value that ties the span exactly may land on 254 or 255."""
+    return np.clip(values / span * 255.0, 0.0, 255.0).astype(np.intp)
+
+
 def apply_colormap(values: np.ndarray, vmin: float = 0.0, vmax: float | None = None) -> np.ndarray:
     """Map an array of floats to RGB through the fixed table.
 
@@ -57,10 +63,7 @@ def apply_colormap(values: np.ndarray, vmin: float = 0.0, vmax: float | None = N
     if vmax is None:
         vmax = float(values.max()) if values.size else 1.0
     span = vmax - vmin
-    if span <= 0.0:
-        idx = np.zeros(values.shape, dtype=np.intp)
-    else:
-        idx = np.clip((values - vmin) / span * 255.0, 0.0, 255.0).astype(np.intp)
+    idx = _color_index(values - vmin, span) if span > 0.0 else np.zeros(values.shape, np.intp)
     return np.take(COLORMAP, idx, axis=0)
 
 
@@ -212,7 +215,7 @@ def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
         # apply_colormap(vals, vmax=max or 1.0) per ring; a ring whose maximum is
         # not positive has no positive sample, so a span of 1 maps it to index 0
         span = np.where(vmax > 0.0, vmax, 1.0)
-        index[pixels] = np.clip(vals / span[ring] * 255.0, 0.0, 255.0)
+        index[pixels] = _color_index(vals, span[ring])
     return np.take(_PALETTE, index, axis=0).reshape(side, side, 3)
 
 

@@ -11,14 +11,14 @@ so Q^(S) of a Hermitian block is an azimuthal Fourier series,
     Q^(S)(theta, phi) = Re sum_{q>=0} (2 - delta_q0) e^{i q phi} F_q(theta),
     F_q(theta) = sum_i rho[i, i+q] c_i(theta) c_{i+q}(theta).
 
-The rows F_q of a block take one gather of its upper triangle in
-diagonal-major order and one segmented sum, O((2S+1)^2 n_theta) on the n_theta
-Gauss nodes; no (2S+1) x n_theta x n_phi amplitude table is formed.  A
-manifold map adds one (n_theta x 2S+1)(2S+1 x n_phi) product with the
+The rows F_q of a stack of blocks of one size are the contraction that gives
+the multipoles, `polar.diagonal_sums`, against the table c_i c_{i+q} on the
+n_theta Gauss nodes; no (2S+1) x n_theta x n_phi amplitude table is formed.
+A manifold map adds one (n_theta x 2S+1)(2S+1 x n_phi) product with the
 e^{i q phi} table.  The total Q is linear in the rows, so it sums the weighted
-rows of every reported manifold first and makes one such product for the
-whole sector; of the manifold maps it keeps only the one equator row that the
-ring foliation draws.
+rows of every reported manifold first, one size at a time for every sector,
+and makes one such product per sector; of the manifold maps it keeps only
+the one equator row that the ring foliation draws.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polar import ManifoldBlock, PolarizationSector, diagonal_order
+from .polar import ManifoldBlock, PolarizationSector, diagonal_order, diagonal_sums
 
 FOUR_PI = 4.0 * math.pi
 
@@ -83,18 +83,6 @@ def build_quadrature_grid(degree: int) -> SphereGrid:
     return SphereGrid(theta, phi, weights, degree)
 
 
-def _coherent_magnitudes(two_j: int, theta: np.ndarray) -> np.ndarray:
-    """The real, phi-free factors c_i(theta) of the amplitudes <S, m|S, n>,
-    i = S - m, with shape (2S+1,) + theta.shape."""
-    k = np.arange(two_j + 1)
-    log_fact = np.array([math.lgamma(n + 1) for n in range(two_j + 1)])
-    log_binom = log_fact[two_j] - log_fact[two_j - k] - log_fact[k]
-    k = k.reshape((-1,) + (1,) * np.ndim(theta))
-    # exponents S + m = 2S - i and S - m = i
-    return (np.exp(0.5 * log_binom).reshape(k.shape)
-            * np.cos(theta / 2.0) ** (two_j - k) * np.sin(theta / 2.0) ** k)
-
-
 def equator_node(grid: SphereGrid) -> int:
     """Index of the grid's theta node nearest to the equator, theta = pi/2."""
     return int(nearest_theta_node(grid.theta, 0.5 * math.pi))
@@ -130,33 +118,38 @@ class QFunction:
         return float(self.grid.integrate(self.values))
 
 
+def _coherent_products(two_j: int, grid: SphereGrid) -> np.ndarray:
+    """The table c_i(theta) c_{i+q}(theta) of the real factors c_i of the
+    amplitudes <S, m_i|S, n>, a row per theta node of the grid and a column
+    per entry (i, i+q) of `polar.diagonal_order`."""
+    if grid.exactness < 2 * two_j:  # the bandwidth of |<S,m|S,n>|^2 products
+        raise ValueError(f"grid exactness {grid.exactness} too coarse for S={two_j / 2}; "
+                         f"need >= {2 * two_j}")
+    k = np.arange(two_j + 1)
+    log_fact = np.array([math.lgamma(n + 1) for n in range(two_j + 1)])
+    half = grid.theta[:, None] / 2.0
+    # c[t, i] = c_i(theta_t), with the exponents S + m = 2S - i and S - m = i
+    c = (np.exp(0.5 * (log_fact[two_j] - log_fact[two_j - k] - log_fact[k]))
+         * np.cos(half) ** (two_j - k) * np.sin(half) ** k)
+    order = diagonal_order(two_j + 1)
+    table = c[:, order.i_out]
+    table *= c[:, order.i_in]
+    return table
+
+
 def husimi_fourier(block: ManifoldBlock, grid: SphereGrid) -> np.ndarray:
     """Rows F_q(theta) = sum_i rho[i, i+q] c_i(theta) c_{i+q}(theta) for
-    q = 0..2S on the grid's theta nodes, shape (2S+1, n_theta): one gather of
-    the block's upper triangle in diagonal-major order and one segmented sum
-    over each diagonal."""
-    needed = 2 * block.photon_number  # bandwidth of |<S,m|S,n>|^2 products
-    if grid.exactness < needed:
-        raise ValueError(
-            f"grid exactness {grid.exactness} too coarse for S={block.spin}; need >= {needed}"
-        )
-    c = _coherent_magnitudes(block.photon_number, grid.theta)  # (2S+1, n_theta)
-    order = diagonal_order(block.dim)
-    products = c[order.i_out]
-    products *= c[order.i_in]
-    terms = block.block.ravel()[order.pairs][:, None] * products
-    return np.add.reduceat(terms, order.starts, axis=0)
+    q = 0..2S on the grid's theta nodes, shape (2S+1, n_theta): the
+    `polar.diagonal_sums` of a stack of one against the coherent products."""
+    return diagonal_sums(block.block[None], _coherent_products(block.photon_number, grid))[0].T
 
 
-def _fourier_sum(f: np.ndarray, waves: np.ndarray) -> np.ndarray:
-    """Re sum_q e^{iq phi} f[q] for each column of f, one row of n_phi values
-    per column: one product with the e^{iq phi} table `waves`."""
-    return f.real.T @ waves.real - f.imag.T @ waves.imag
-
-
-def _waves(orders: int, phi: np.ndarray) -> np.ndarray:
-    """The table e^{iq phi} for q = 0..orders-1, shape (orders, n_phi)."""
-    return np.exp(1j * np.outer(np.arange(orders), phi))
+def _fourier_sums(phi: np.ndarray, *fs: np.ndarray) -> list:
+    """Re sum_q e^{iq phi} f[q] for each column of each f, one row of values at
+    the phi nodes per column: one product with the table e^{iq phi},
+    q < len(f), built once for all the f, which have the same length."""
+    waves = np.exp(1j * np.outer(np.arange(len(fs[0])), phi))
+    return [f.real.T @ waves.real - f.imag.T @ waves.imag for f in fs]
 
 
 def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
@@ -164,31 +157,42 @@ def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
     azimuthal Fourier series Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta)."""
     f = husimi_fourier(block, grid)
     f[1:] *= 2.0  # the q < 0 diagonals are the conjugates of the q > 0 ones
-    return QFunction(grid, _fourier_sum(f, _waves(block.dim, grid.phi)), spin=block.spin)
+    return QFunction(grid, _fourier_sums(grid.phi, f)[0], spin=block.spin)
+
+
+def husimi_totals(sectors, grid: SphereGrid, max_spin: float | None = None):
+    """The total Q of each sector in turn (`husimi_total`).  The rows
+    G_q(theta) = sum_S P_S (2S+1)/(4 pi) (2 - delta_q0) F_q^S(theta) of every
+    sector are summed first, a size at a time: one table of coherent products
+    and one stack of every sector's reported block of that size.  Each map, one
+    product of G with the e^{iq phi} table, is formed as it is taken, so one
+    is held at a time; the rows at the equator node give its `equator`."""
+    reported = [sector.reported(max_spin) for sector in sectors]
+    totals = [np.zeros((max((b.dim for b in blocks), default=1), grid.n_theta), dtype=complex)
+              for blocks in reported]
+    equators = [np.zeros((len(g), len(blocks)), dtype=complex)
+                for g, blocks in zip(totals, reported)]
+    sizes = {}
+    for a, blocks in enumerate(reported):
+        for i, b in enumerate(blocks):
+            sizes.setdefault(b.dim, []).append((a, i, b))
+    eq = equator_node(grid)
+    for dim, members in sorted(sizes.items()):
+        rows = diagonal_sums(np.stack([b.block for _, _, b in members]),
+                             _coherent_products(dim - 1, grid))  # [n, theta, q]
+        rows[:, :, 1:] *= 2.0  # the q < 0 diagonals are the conjugates of the q > 0 ones
+        for (a, i, b), f in zip(members, rows):
+            equators[a][:dim, i] = f[eq]
+            f *= b.weight * (dim / FOUR_PI)
+            totals[a][:dim] += f.T
+    for g, equator, blocks in zip(totals, equators, reported):
+        values, equator = _fourier_sums(grid.phi, g, equator)
+        yield QFunction(grid, values, spins=tuple(b.spin for b in blocks), equator=equator)
 
 
 def husimi_total(sector: PolarizationSector, grid: SphereGrid,
                  max_spin: float | None = None) -> QFunction:
-    """Intensity-free Q of the whole polarization sector.
-
-    Q(n) = sum_S P_S (2S+1)/(4 pi) Q^(S)(n) over the reported manifolds, so the
-    integral equals the captured probability of those manifolds.  The Fourier
-    rows of the manifolds are summed first,
-    G_q(theta) = sum_S P_S (2S+1)/(4 pi) (2 - delta_q0) F_q^S(theta), and the
-    map is one product of G with the e^{iq phi} table.  The manifolds' rows at
-    the equator node give the result's `equator`.
-    """
-    blocks = sector.reported(max_spin)
-    orders = max((b.dim for b in blocks), default=1)
-    eq = equator_node(grid)
-    total = np.zeros((orders, grid.n_theta), dtype=complex)
-    equator = np.zeros((orders, len(blocks)), dtype=complex)
-    for i, b in enumerate(blocks):
-        f = husimi_fourier(b, grid)
-        f[1:] *= 2.0
-        equator[: b.dim, i] = f[:, eq]
-        f *= b.weight * (b.dim / FOUR_PI)
-        total[: b.dim] += f
-    waves = _waves(orders, grid.phi)
-    return QFunction(grid, _fourier_sum(total, waves), spins=tuple(b.spin for b in blocks),
-                     equator=_fourier_sum(equator, waves))
+    """Intensity-free Q of the whole polarization sector, Q(n) =
+    sum_S P_S (2S+1)/(4 pi) Q^(S)(n) over the reported manifolds, so the
+    integral equals their captured probability: `husimi_totals` of one."""
+    return next(husimi_totals([sector], grid, max_spin))

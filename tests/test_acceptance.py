@@ -40,7 +40,7 @@ from stokes_manifolds.invariants import (
 from stokes_manifolds.multipole import multipoles_algebraic
 from stokes_manifolds.pipeline import RunConfig, emit_figure_tables, run_sweep
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
-from stokes_manifolds.sphere import build_quadrature_grid
+from stokes_manifolds.sphere import build_quadrature_grid, husimi_total
 from stokes_manifolds.stokes import (
     MODE_FULL,
     MODE_PERP,
@@ -323,7 +323,8 @@ def test_criterion_07_husimi_normalization(default_report):
     worst_total = 0.0
     worst_manifold = 0.0
     for res in default_report.results:
-        worst_total = np.maximum(worst_total, husimi_total_gap(res.sector, grid, s_max)[0])
+        q = husimi_total(res.sector, grid, s_max)
+        worst_total = np.maximum(worst_total, husimi_total_gap(res.sector, q)[0])
         for b in res.sector.reported(s_max):
             worst_manifold = np.maximum(worst_manifold, husimi_manifold_gap(b, grid)[0])
     ok = worst_total < 1e-8 and worst_manifold < 1e-8

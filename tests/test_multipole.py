@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Rational
 
-from stokes_manifolds import multipole
+from stokes_manifolds import multipole, polar
 from stokes_manifolds.multipole import (
     CG_TABLE_TOL,
     cg_table,
@@ -241,11 +241,14 @@ class TestStackedContraction:
 
     @pytest.mark.parametrize("count", [1, 3, 40])
     def test_runs_cover_every_segment_once(self, count):
+        # the runs of the one contraction, against a Clebsch-Gordan table
+        # (2S + 1 rows) and against Husimi products on an L 4S grid
         for two_s in (0, 1, 7, 48, 160):
             order = diagonal_order(two_s + 1)
-            runs = list(multipole._segment_runs(order, count))
-            assert [first for first, _ in runs] == [0, *[last for _, last in runs[:-1]]]
-            assert runs[-1][1] == two_s + 1 and all(first < last for first, last in runs)
+            for rows in (two_s + 1, 4 * two_s + 1):
+                runs = list(polar._segment_runs(order, count, rows))
+                assert [first for first, _ in runs] == [0, *[last for _, last in runs[:-1]]]
+                assert runs[-1][1] == two_s + 1 and all(first < last for first, last in runs)
 
     def test_empty_stack_builds_no_table(self):
         cg_table.cache_clear()

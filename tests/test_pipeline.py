@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -15,7 +16,6 @@ import sys
 import time
 import tracemalloc
 import warnings
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -302,9 +302,22 @@ def _src_bindings(name):
     return found
 
 
-def _reported_block_ids(report):
-    s_max = report.config.resolved_s_report_max
-    return Counter(id(b) for res in report.results for b in res.sector.reported(s_max))
+def _src_attribute_uses(attribute):
+    """`module.function` for each use of an attribute named `attribute` in
+    the package's source, by the innermost function around it
+    (`module.<module>` outside every function)."""
+    uses = []
+    for path in sorted(Path(stokes_manifolds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == attribute:
+                owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                uses.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    return uses
+
+
+LADDER = (0.0, 0.31, 0.57, 0.88, 1.13, 1.62, 2.0, 2.31)
 
 
 class TestComputedOnce:
@@ -386,18 +399,39 @@ class TestComputedOnce:
     def test_removed_names_stay_unbound(self, name):
         assert _src_bindings(name) == []
 
+    def test_reduceat_in_one_function(self):
+        # multipoles and Husimi rows share one diagonal contraction
+        assert _src_attribute_uses("reduceat") == ["polar.diagonal_sums"]
+
     def test_emission_makes_no_manifold_map(self, monkeypatch, tmp_path):
-        # the total sums Fourier rows and keeps the equator rows the foliation
-        # draws, so no per-manifold map is built; each block's rows once
+        # the totals sum Fourier rows and keep the equator rows the foliation
+        # draws, so no per-manifold map is built; no block is contracted on
+        # its own: each reported size is one stack of every amplitude's
+        # reported blocks of that size, in spin order
         report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
         maps = _record_calls(monkeypatch, "husimi_manifold", [sphere, render, pipeline])
         rows = _record_calls(monkeypatch, "husimi_fourier", [sphere])
+        stacks = _record_calls(monkeypatch, "diagonal_sums", [sphere])
         emit_figure_tables(report, tmp_path)
-        assert maps == []
-        assert Counter(map(id, rows)) == _reported_block_ids(report)
+        assert maps == [] and rows == []
+        reported = [b for res in report.results for b in res.sector.reported()]
+        sizes = sorted({b.dim for b in reported})
+        assert [stack.shape[-1] for stack in stacks] == sizes
+        for stack in stacks:
+            want = [b.block for b in reported if b.dim == stack.shape[-1]]
+            assert np.array_equal(stack, np.stack(want))
 
-
-LADDER = (0.0, 0.31, 0.57, 0.88, 1.13, 1.62, 2.0, 2.31)
+    @pytest.mark.parametrize("alphas", [LADDER[2:3], DEFAULT_ALPHAS], ids=len)
+    def test_husimi_products_once_per_size(self, monkeypatch, tmp_path, alphas):
+        # one Husimi call per emission builds each reported size's coherent
+        # products once, however many amplitudes share it
+        report = run_sweep(RunConfig(alphas=alphas, emit=("q_csv", "heatmaps")))
+        totals = _record_calls(monkeypatch, "husimi_totals", [pipeline])
+        built = _record_calls(monkeypatch, "_coherent_products", [sphere])
+        emit_figure_tables(report, tmp_path)
+        assert len(totals) == 1
+        sizes = {b.photon_number for res in report.results for b in res.sector.reported()}
+        assert sorted(built) == sorted(sizes) and len(sizes) == 25
 
 
 def _gap(got, want) -> float:
@@ -927,6 +961,45 @@ class TestCli:
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("wrote 2 files") and line.endswith("s"), line
         assert float(line.rsplit(" in ", 1)[1][:-1]) >= 0.3, line
+
+    def test_zero_efficiency_prints_undefined_totals(self, tmp_path, capsys):
+        # eta 0 leaves only the vacuum manifold: fig3a has no row and every
+        # total is undefined, while analytic_estimate ignores eta (README,
+        # Outputs)
+        code = main(["run", "--eta", "0", "--emit", "squeezing_csv", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "fig3a.csv").read_bytes() == pipeline.FIG3A_HEADER.encode()
+        assert (tmp_path / "fig3c.csv").read_bytes() == (
+            pipeline.FIG3C_HEADER + "0,nan,nan,0,undefined\r\n"
+            "0.57,nan,nan,0.467339370734,undefined\r\n"
+            "1.13,nan,nan,0.579347712577,undefined\r\n"
+            "2.31,nan,nan,0.617788008835,undefined\r\n").encode()
+        assert capsys.readouterr().out.count("xi2_total=nan (+nan dB)") == 4
+
+    def test_truncated_total_exits_zero(self, tmp_path):
+        # alpha 4.9 passes the mean-photon guard at cutoff 24 but loses 0.126
+        # of the trace: one warning and exit 0, a total 16 % off the one at
+        # cutoff 40, and fig3a rows that agree with it (README, Outputs)
+        tables = {}
+        for cutoff in (24, 40):
+            out = tmp_path / str(cutoff)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["run", "--alpha", "4.9", "--cutoff", str(cutoff),
+                             "--emit", "squeezing_csv", "--out", str(out)])
+            assert code == 0
+            messages = [str(w.message) for w in caught]
+            assert len(messages) == (cutoff == 24), messages
+            assert all("lose 0.126 of the trace at alpha=4.9" in m for m in messages)
+            tables[cutoff] = [list(csv.reader(io.StringIO((out / name).read_text())))[1:]
+                              for name in ("fig3a.csv", "fig3c.csv")]
+        xi2 = {cutoff: float(tables[cutoff][1][0][1]) for cutoff in tables}
+        assert abs(xi2[24] - 0.651466774916) < 1e-9 and abs(xi2[40] - 0.561947) < 1e-6
+        rows_24, rows_40 = tables[24][0], tables[40][0]
+        assert [row[1] for row in rows_24] == [row[1] for row in rows_40[:len(rows_24)]]
+        for low, high in zip(rows_24, rows_40):
+            for field in (3, 6, 7, 8):  # P_S, mean_z, gamma_min, xi2
+                assert abs(float(low[field]) / float(high[field]) - 1.0) < 1e-9, (low, field)
 
     def test_one_truncation_warning_per_amplitude(self, tmp_path):
         # the only truncation warning names the user's cutoffs, never the

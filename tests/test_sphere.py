@@ -16,8 +16,10 @@ from stokes_manifolds.sphere import (
     FOUR_PI,
     build_quadrature_grid,
     equator_node,
+    husimi_fourier,
     husimi_manifold,
     husimi_total,
+    husimi_totals,
 )
 
 from oracles import default_ladder_blocks, default_ladder_sectors, rotation_matrix
@@ -214,9 +216,9 @@ class TestHusimiTotal:
             synthesize_mode(model, 1.13, 12), synthesize_mode(model, 0.0, 12), 6.0
         )
         grid = build_quadrature_grid(24)
-        assert husimi_total_gap(sector, grid)[0] < 1e-10
+        assert husimi_total_gap(sector, husimi_total(sector, grid))[0] < 1e-10
         # a narrower max_spin sums the reported manifolds up to it
-        assert husimi_total_gap(sector, grid, max_spin=4.0)[0] < 1e-10
+        assert husimi_total_gap(sector, husimi_total(sector, grid, max_spin=4.0))[0] < 1e-10
         assert len(husimi_total(sector, grid, max_spin=4.0).spins) < len(sector.reported())
 
     @pytest.mark.parametrize("grid_l", [48, 96])
@@ -227,8 +229,8 @@ class TestHusimiTotal:
         eq = equator_node(grid)
         assert grid.theta[eq] == 0.5 * math.pi
         for sector in default_ladder_sectors(24):
-            assert husimi_parts_gap(sector, grid)[0] < 1e-14
             q = husimi_total(sector, grid)
+            assert husimi_parts_gap(sector, q)[0] < 1e-14
             blocks = sector.reported()
             assert q.spins == tuple(b.spin for b in blocks)
             assert q.equator.shape == (len(blocks), grid.n_phi)
@@ -241,7 +243,38 @@ class TestHusimiTotal:
         blocks = [random_block(n / 2.0, rng) for n in range(9)]
         sector = PolarizationSector(tuple(ManifoldBlock(b.spin, 1.0 / 9, b.block)
                                           for b in blocks))
-        assert husimi_parts_gap(sector, build_quadrature_grid(16))[0] < 1e-14
+        assert husimi_parts_gap(sector, husimi_total(sector, build_quadrature_grid(16)))[0] < 1e-14
+
+    @pytest.mark.parametrize("grid_l", [48, 96])
+    def test_totals_match_each_sector_alone(self, grid_l):
+        # one call contracts every sector's blocks of a size as one stack;
+        # each total is the one its sector alone gives, bit for bit
+        grid = build_quadrature_grid(grid_l)
+        ladder = default_ladder_sectors(24)
+        together = list(husimi_totals(ladder, grid))
+        assert len(together) == len(ladder)
+        for sector, q in zip(ladder, together):
+            alone = husimi_total(sector, grid)
+            assert q.spins == alone.spins
+            assert np.array_equal(q.values, alone.values)
+            assert np.array_equal(q.equator, alone.equator)
+
+    def test_rows_peak_memory(self):
+        # the rows of one block at 2S = 96 on L 192 peaked at 22.5 MB when the
+        # block's whole complex (entries x n_theta) product was formed; now
+        # the real (n_theta x entries) coherent products, 7.3 MB, and one
+        # gathered factor of that size are the largest arrays held, and the
+        # contraction takes about CONTRACTION_BYTES more
+        grid = build_quadrature_grid(192)
+        block = random_block(48.0, np.random.default_rng(13))
+        husimi_fourier(block, grid)  # the per-size arrays, cached
+        tracemalloc.start()
+        try:
+            husimi_fourier(block, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
     def test_peak_memory_holds_no_manifold_maps(self):
         # summing 25 full (97 x 193) manifold maps peaked at 4.2 MB
