@@ -112,8 +112,8 @@ def default_suite() -> list[tuple[str, float, float]]:
     config = report.config
     grid = build_quadrature_grid(report.grid_l)
     blocks = [b for res in report.results for b in res.sector.reported()]
-    sectors = [res.sector for res in report.results]
-    totals = list(zip(sectors, husimi_totals(sectors, grid)))  # each Q once
+    totals = list(zip([res.sector for res in report.results],
+                      husimi_totals(report.layers, grid)))  # each Q once
     sizes = sorted({b.photon_number for b in blocks})
     top = sizes[-1]
     rng = np.random.default_rng(20240817)

@@ -201,6 +201,7 @@ class RunReport:
     config: RunConfig
     results: tuple
     grid_l: int
+    layers: tuple  # the sweep's `polar.ManifoldLayer`s, whose arrays the sectors view
 
 
 def _check_cutoffs(config: RunConfig, model: NoiseModel, alphas):
@@ -266,7 +267,7 @@ def run_sweep(config: RunConfig) -> RunReport:
         deficits.append(deficit)
     top = report_photons(config.resolved_s_report_max, config.cutoff_h, config.cutoff_v)
     try:
-        analyses = _analyze(modes, rho_v, top)
+        layers, analyses = _analyze(modes, rho_v, top)
     except ValueError as exc:
         raise NumericalGuardError(str(exc)) from exc
     results = tuple(
@@ -274,12 +275,12 @@ def run_sweep(config: RunConfig) -> RunReport:
                     analytic_estimate=quadrature_estimate_xi2(abs(alpha), model.squeeze_parameter))
         for alpha, analysis, deficit in zip(alphas, analyses, deficits)
     )
-    return RunReport(config=config, results=results, grid_l=config.resolved_grid_l)
+    return RunReport(config=config, results=results, grid_l=config.resolved_grid_l, layers=layers)
 
 
-def _analyze(modes, rho_v, top: int) -> list[dict]:
-    """The sector, Stokes summaries and multipole spectra of each H mode with
-    rho_V, layer-major: each manifold size N = 0..top is gathered, checked and
+def _analyze(modes, rho_v, top: int) -> tuple[tuple, list[dict]]:
+    """The layers N = 0..top, and the sector, Stokes summaries and multipole
+    spectra of each H mode with rho_V, layer-major: each layer is gathered, checked and
     taken through its Stokes moments and multipoles for every amplitude at
     once, and the variances of every manifold and total are minimised as one
     stack.  No step depends on how many amplitudes share it."""
@@ -312,7 +313,7 @@ def _analyze(modes, rho_v, top: int) -> list[dict]:
     manifold = [[] for _ in modes]
     for a, summary in zip(owners, summaries):
         manifold[a].append(summary)
-    return [
+    return tuple(layers), [
         dict(sector=sector, manifold_summaries=tuple(manifold[a]), total=summaries[len(owners) + a],
              manifold_multipoles=tuple(multipoles[a]), aggregated_weights=aggregated[a, :length[a]])
         for a, sector in enumerate(sectors(layers, count))
@@ -419,7 +420,7 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
     if emit & {"q_csv", "heatmaps"}:
         grid = build_quadrature_grid(report.grid_l)
         q_rows = _q_csv_rows(grid) if "q_csv" in emit else None
-        for i, q in enumerate(husimi_totals([res.sector for res in report.results], grid)):
+        for i, q in enumerate(husimi_totals(report.layers, grid)):
             if "q_csv" in emit:
                 put(f"q_total_alpha{i}.csv", _write_q_csv, q_rows, q.values)
             if "heatmaps" in emit:

@@ -16,9 +16,9 @@ the multipoles, `polar.diagonal_sums`, against the table c_i c_{i+q} on the
 n_theta Gauss nodes; no (2S+1) x n_theta x n_phi amplitude table is formed.
 A manifold map adds one (n_theta x 2S+1)(2S+1 x n_phi) product with the
 e^{i q phi} table.  The total Q is linear in the rows, so it sums the weighted
-rows of every reported manifold first, one size at a time for every sector,
-and makes one such product per sector; of the manifold maps it keeps only
-the one equator row that the ring foliation draws.
+rows of each sweep layer's live blocks first and makes one such product per
+amplitude; of the manifold maps it keeps only the equator row that the ring
+foliation draws.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polar import ManifoldBlock, PolarizationSector, diagonal_order, diagonal_sums
+from .polar import ManifoldBlock, ManifoldLayer, PolarizationSector, diagonal_order, diagonal_sums
 
 FOUR_PI = 4.0 * math.pi
 
@@ -160,39 +160,38 @@ def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
     return QFunction(grid, _fourier_sums(grid.phi, f)[0], spin=block.spin)
 
 
-def husimi_totals(sectors, grid: SphereGrid, max_spin: float | None = None):
-    """The total Q of each sector in turn (`husimi_total`).  The rows
-    G_q(theta) = sum_S P_S (2S+1)/(4 pi) (2 - delta_q0) F_q^S(theta) of every
-    sector are summed first, a size at a time: one table of coherent products
-    and one stack of every sector's reported block of that size.  Each map, one
-    product of G with the e^{iq phi} table, is formed as it is taken, so one
-    is held at a time; the rows at the equator node give its `equator`."""
-    reported = [sector.reported(max_spin) for sector in sectors]
-    totals = [np.zeros((max((b.dim for b in blocks), default=1), grid.n_theta), dtype=complex)
-              for blocks in reported]
-    equators = [np.zeros((len(g), len(blocks)), dtype=complex)
-                for g, blocks in zip(totals, reported)]
-    sizes = {}
-    for a, blocks in enumerate(reported):
-        for i, b in enumerate(blocks):
-            sizes.setdefault(b.dim, []).append((a, i, b))
+def husimi_totals(layers, grid: SphereGrid, max_spin: float | None = None):
+    """The total Q of each amplitude of a sweep's `ManifoldLayer`s N = 0, 1, ...
+    The rows G_q(theta) = sum_S P_S (2S+1)/(4 pi) (2 - delta_q0) F_q^S(theta)
+    are summed first, a layer at a time: one table of coherent products and one
+    `diagonal_sums` of the layer's live blocks as stored.  Each map, one product
+    of G with the e^{iq phi} table, is formed as it is taken, one at a time."""
+    reported = np.array([layer.live & (max_spin is None or layer.photons / 2.0 <= max_spin + 1e-9)
+                         for layer in layers])  # [layer, amplitude], as `sector.reported`
+    photons = np.array([layer.photons for layer in layers])
+    dims = np.where(reported, photons[:, None] + 1, 1).max(axis=0)  # rows of each total
+    totals = np.zeros((len(dims), dims.max(), grid.n_theta), dtype=complex)
+    equators = np.zeros((len(dims), dims.max(), len(layers)), dtype=complex)
     eq = equator_node(grid)
-    for dim, members in sorted(sizes.items()):
-        rows = diagonal_sums(np.stack([b.block for _, _, b in members]),
-                             _coherent_products(dim - 1, grid))  # [n, theta, q]
-        rows[:, :, 1:] *= 2.0  # the q < 0 diagonals are the conjugates of the q > 0 ones
-        for (a, i, b), f in zip(members, rows):
-            equators[a][:dim, i] = f[eq]
-            f *= b.weight * (dim / FOUR_PI)
-            totals[a][:dim] += f.T
-    for g, equator, blocks in zip(totals, equators, reported):
-        values, equator = _fourier_sums(grid.phi, g, equator)
-        yield QFunction(grid, values, spins=tuple(b.spin for b in blocks), equator=equator)
+    for j, (layer, live) in enumerate(zip(layers, reported)):
+        if live.any():
+            dim = layer.photons + 1
+            rows = diagonal_sums(layer.blocks, _coherent_products(layer.photons, grid))
+            rows[:, :, 1:] *= 2.0  # [n, theta, q]; the q < 0 diagonals conjugate the q > 0 ones
+            equators[live, :dim, j] = rows[:, eq]
+            rows *= (layer.weights[live] * (dim / FOUR_PI))[:, None, None]
+            totals[live, :dim] += rows.transpose(0, 2, 1)
+    for g, e, dim, mask in zip(totals, equators, dims, reported.T):
+        values, equator = _fourier_sums(grid.phi, g[:dim], np.ascontiguousarray(e[:dim, mask]))
+        yield QFunction(grid, values, spins=tuple((photons[mask] / 2.0).tolist()), equator=equator)
 
 
 def husimi_total(sector: PolarizationSector, grid: SphereGrid,
                  max_spin: float | None = None) -> QFunction:
-    """Intensity-free Q of the whole polarization sector, Q(n) =
-    sum_S P_S (2S+1)/(4 pi) Q^(S)(n) over the reported manifolds, so the
-    integral equals their captured probability: `husimi_totals` of one."""
-    return next(husimi_totals([sector], grid, max_spin))
+    """Intensity-free Q of the whole polarization sector, sum_S P_S (2S+1)/(4 pi)
+    Q^(S)(n) over the reported manifolds, so the integral equals their captured
+    probability: `husimi_totals` of its blocks, each a layer of one."""
+    layers = [ManifoldLayer(b.photon_number, np.array([b.weight]), np.array([not b.negligible]),
+                            *np.split(b.block[None], [int(not b.negligible)]))
+              for b in sector.blocks]
+    return next(husimi_totals(layers, grid, max_spin))

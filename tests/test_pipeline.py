@@ -423,15 +423,19 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("alphas", [LADDER[2:3], DEFAULT_ALPHAS], ids=len)
     def test_husimi_products_once_per_size(self, monkeypatch, tmp_path, alphas):
-        # one Husimi call per emission builds each reported size's coherent
-        # products once, however many amplitudes share it
+        # one Husimi call per emission builds each layer's coherent products
+        # once and contracts its live blocks as stored, however many
+        # amplitudes share it
         report = run_sweep(RunConfig(alphas=alphas, emit=("q_csv", "heatmaps")))
         totals = _record_calls(monkeypatch, "husimi_totals", [pipeline])
         built = _record_calls(monkeypatch, "_coherent_products", [sphere])
+        stacks = _record_calls(monkeypatch, "diagonal_sums", [sphere])
         emit_figure_tables(report, tmp_path)
-        assert len(totals) == 1
-        sizes = {b.photon_number for res in report.results for b in res.sector.reported()}
-        assert sorted(built) == sorted(sizes) and len(sizes) == 25
+        assert totals == [report.layers]
+        live = [layer for layer in report.layers if layer.live.any()]
+        assert built == [layer.photons for layer in live] and len(live) == 25
+        assert len(stacks) == len(live)
+        assert all(stack is layer.blocks for stack, layer in zip(stacks, live))
 
 
 def _gap(got, want) -> float:
@@ -750,7 +754,7 @@ def _edge_report() -> RunReport:
         ]
     )
     config = RunConfig(emit=("squeezing_csv", "photon_csv", "multipole_csv"))
-    return RunReport(config=config, results=results, grid_l=config.resolved_grid_l)
+    return RunReport(config=config, results=results, grid_l=config.resolved_grid_l, layers=())
 
 
 def _grid_of(theta, phi, row_weights):

@@ -11,6 +11,7 @@ from stokes_manifolds.invariants import (
     husimi_total_gap,
     random_block,
 )
+from stokes_manifolds.pipeline import DEFAULT_ALPHAS, RunConfig, run_sweep
 from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, parse_manifolds
 from stokes_manifolds.sphere import (
     FOUR_PI,
@@ -245,19 +246,45 @@ class TestHusimiTotal:
                                           for b in blocks))
         assert husimi_parts_gap(sector, husimi_total(sector, build_quadrature_grid(16)))[0] < 1e-14
 
-    @pytest.mark.parametrize("grid_l", [48, 96])
-    def test_totals_match_each_sector_alone(self, grid_l):
-        # one call contracts every sector's blocks of a size as one stack;
-        # each total is the one its sector alone gives, bit for bit
+    @pytest.mark.parametrize("grid_l, cutoff, alphas, max_spin", [
+        (48, 24, DEFAULT_ALPHAS, None), (48, 24, DEFAULT_ALPHAS, 4.0),
+        (48, 48, DEFAULT_ALPHAS, 4.0), (96, 24, DEFAULT_ALPHAS, None),
+        (96, 48, DEFAULT_ALPHAS, None), (96, 48, DEFAULT_ALPHAS, 4.0),
+        # alpha 7 is negligible below N = 11 and alpha 0 above N = 31
+        (80, 100, (0.0, 7.0), 20.0),
+    ])
+    def test_totals_match_each_sector_alone(self, grid_l, cutoff, alphas, max_spin):
+        # one call contracts each layer's live blocks as one stack; each
+        # amplitude's total is the one its sector alone gives, bit for bit
+        # and each equator row is its manifold map's
+        report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff))
         grid = build_quadrature_grid(grid_l)
-        ladder = default_ladder_sectors(24)
-        together = list(husimi_totals(ladder, grid))
-        assert len(together) == len(ladder)
-        for sector, q in zip(ladder, together):
-            alone = husimi_total(sector, grid)
-            assert q.spins == alone.spins
+        together = list(husimi_totals(report.layers, grid, max_spin))
+        assert len(together) == len(report.results)
+        for res, q in zip(report.results, together):
+            alone = husimi_total(res.sector, grid, max_spin)
+            blocks = res.sector.reported(max_spin)
+            assert q.spins == alone.spins == tuple(b.spin for b in blocks)
             assert np.array_equal(q.values, alone.values)
             assert np.array_equal(q.equator, alone.equator)
+            for row, block in zip(q.equator, blocks, strict=True):
+                want = husimi_manifold(block, grid).values[equator_node(grid)]
+                assert np.max(np.abs(row - want)) < 1e-15, block.spin
+
+    def test_totals_read_no_sector(self, monkeypatch):
+        # the layers alone give every amplitude's total
+        report = run_sweep(RunConfig())
+        grid = build_quadrature_grid(report.grid_l)
+        want = [husimi_total(res.sector, grid) for res in report.results]
+
+        def refuse(*args):
+            raise AssertionError("a sector was read")
+
+        monkeypatch.setattr(PolarizationSector, "reported", refuse)
+        got = list(husimi_totals(report.layers, grid))
+        assert [q.spins for q in got] == [q.spins for q in want]
+        for q, alone in zip(got, want):
+            assert np.array_equal(q.values, alone.values)
 
     def test_rows_peak_memory(self):
         # the rows of one block at 2S = 96 on L 192 peaked at 22.5 MB when the
