@@ -29,7 +29,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polar import ManifoldBlock, ManifoldLayer, PolarizationSector, diagonal_order, diagonal_sums
+from .polar import (
+    CONTRACTION_BYTES,
+    ManifoldBlock,
+    ManifoldLayer,
+    PolarizationSector,
+    diagonal_order,
+    diagonal_sums,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -133,7 +140,9 @@ def _coherent_products(two_j: int, grid: SphereGrid) -> np.ndarray:
          * np.cos(half) ** (two_j - k) * np.sin(half) ** k)
     order = diagonal_order(two_j + 1)
     table = c[:, order.i_out]
-    table *= c[:, order.i_in]
+    step = max(CONTRACTION_BYTES // (8 * len(c)), 1)  # c_{i+q} gathered a run at a time
+    for start in range(0, len(order.i_in), step):
+        table[:, start:start + step] *= c[:, order.i_in[start:start + step]]
     return table
 
 

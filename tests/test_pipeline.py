@@ -18,6 +18,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -680,13 +681,25 @@ class TestEmission:
         # with one row template) peaked at 4.9 MB for one L 96 table
         grid = build_quadrature_grid(96)
         values = np.random.default_rng(7).random((grid.n_theta, grid.n_phi))
+        pipeline._q_csv_rows.cache_clear()  # the templates are built in the window
         tracemalloc.start()
         try:
-            pipeline._write_q_csv(pipeline._q_csv_rows(grid), values, tmp_path / "q.csv")
+            pipeline._write_q_csv(pipeline._q_csv_rows(96), values, tmp_path / "q.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4.9e6, peak
+
+    def test_q_csv_templates_built_once_per_grid(self, tmp_path):
+        # every table of every emit on one grid shares its templates, and
+        # only the grid last drawn on keeps them
+        report = run_sweep(RunConfig(alphas=(0.0, 1.13), emit=("q_csv",)))
+        pipeline._q_csv_rows.cache_clear()
+        for name in ("a", "b"):
+            emit_figure_tables(report, tmp_path / name)
+        info = pipeline._q_csv_rows.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(report.results) - 1)
+        assert info.maxsize == 1
 
     def test_determinism(self, tmp_path, fresh_size_arrays):
         # the first sweep builds every per-size array, the repeat reads them
@@ -764,7 +777,9 @@ def _grid_of(theta, phi, row_weights):
 
 
 def _assert_q_csv_matches_csv_writer(tmp_path, grid, amplitudes):
-    lines = pipeline._q_csv_rows(grid)
+    # the templates built for `grid`, as for the quadrature grid of a degree
+    with mock.patch.object(pipeline, "build_quadrature_grid", lambda degree: grid):
+        lines = pipeline._q_csv_rows.__wrapped__(grid.exactness)
     for i, values in enumerate(amplitudes):
         path = tmp_path / f"q{i}.csv"
         pipeline._write_q_csv(lines, values, path)
@@ -1045,6 +1060,19 @@ class TestCli:
             f"worst {value:.2e}, bound 1e-12"]
         assert err == f"1 of {out.count(chr(10))} checks failed\n"
 
+    def test_default_run_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # byte identity holds at a fixed BLAS thread count; the default
+        # config's files also keep their bytes from one thread to two, while
+        # at cutoff 48 some move at roundoff level
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = _run_python(["-m", "stokes_manifolds.cli", "run", "--out", str(out)],
+                               OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            files.append(json.loads((out / "manifest.json").read_text())["files"])
+        assert len(files[0]) == 32 and files[0] == files[1]
+
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: with scipy's import blocked,
         # `check` and a small run still succeed
@@ -1063,13 +1091,14 @@ class TestCli:
         assert (out / "manifest.json").exists()
 
 
-def _run_python(args):
-    """A fresh interpreter that imports this package, run on `args`."""
+def _run_python(args, **env):
+    """A fresh interpreter that imports this package, run on `args` with the
+    environment variables `env` added."""
     src = str(Path(stokes_manifolds.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        env={**os.environ, "PYTHONPATH": path, **env}, timeout=300,
     )
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stokes_manifolds import sphere
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
 from stokes_manifolds.invariants import (
     husimi_manifold_gap,
@@ -15,6 +16,7 @@ from stokes_manifolds.pipeline import DEFAULT_ALPHAS, RunConfig, run_sweep
 from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, parse_manifolds
 from stokes_manifolds.sphere import (
     FOUR_PI,
+    _coherent_products,
     build_quadrature_grid,
     equator_node,
     husimi_fourier,
@@ -246,30 +248,30 @@ class TestHusimiTotal:
                                           for b in blocks))
         assert husimi_parts_gap(sector, husimi_total(sector, build_quadrature_grid(16)))[0] < 1e-14
 
-    @pytest.mark.parametrize("grid_l, cutoff, alphas, max_spin", [
-        (48, 24, DEFAULT_ALPHAS, None), (48, 24, DEFAULT_ALPHAS, 4.0),
-        (48, 48, DEFAULT_ALPHAS, 4.0), (96, 24, DEFAULT_ALPHAS, None),
-        (96, 48, DEFAULT_ALPHAS, None), (96, 48, DEFAULT_ALPHAS, 4.0),
-        # alpha 7 is negligible below N = 11 and alpha 0 above N = 31
-        (80, 100, (0.0, 7.0), 20.0),
-    ])
-    def test_totals_match_each_sector_alone(self, grid_l, cutoff, alphas, max_spin):
+    @pytest.mark.parametrize("grid_l", [48, 96])
+    def test_totals_match_each_sector_alone(self, grid_l):
         # one call contracts each layer's live blocks as one stack; each
-        # amplitude's total is the one its sector alone gives, bit for bit
-        # and each equator row is its manifold map's
-        report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff))
+        # amplitude's total is the one its sector alone gives, bit for bit,
+        # and each equator row is its manifold map's.  The widest report the
+        # grid takes is S <= L/4; at cutoff 100, alpha 7 is negligible below
+        # N = 11 and alpha 0 above N = 31
         grid = build_quadrature_grid(grid_l)
-        together = list(husimi_totals(report.layers, grid, max_spin))
-        assert len(together) == len(report.results)
-        for res, q in zip(report.results, together):
-            alone = husimi_total(res.sector, grid, max_spin)
-            blocks = res.sector.reported(max_spin)
-            assert q.spins == alone.spins == tuple(b.spin for b in blocks)
-            assert np.array_equal(q.values, alone.values)
-            assert np.array_equal(q.equator, alone.equator)
-            for row, block in zip(q.equator, blocks, strict=True):
-                want = husimi_manifold(block, grid).values[equator_node(grid)]
-                assert np.max(np.abs(row - want)) < 1e-15, block.spin
+        for alphas, cutoff, max_spins in [(DEFAULT_ALPHAS, 24, (None, 4.0)),
+                                          (DEFAULT_ALPHAS, 48, (grid_l / 4, 4.0)),
+                                          ((0.0, 7.0), 100, (grid_l / 4,))]:
+            report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff))
+            for max_spin in max_spins:
+                together = list(husimi_totals(report.layers, grid, max_spin))
+                assert len(together) == len(report.results)
+                for res, q in zip(report.results, together):
+                    alone = husimi_total(res.sector, grid, max_spin)
+                    blocks = res.sector.reported(max_spin)
+                    assert q.spins == alone.spins == tuple(b.spin for b in blocks)
+                    assert np.array_equal(q.values, alone.values)
+                    assert np.array_equal(q.equator, alone.equator)
+                    for row, block in zip(q.equator, blocks, strict=True):
+                        want = husimi_manifold(block, grid).values[equator_node(grid)]
+                        assert np.max(np.abs(row - want)) < 1e-15, (cutoff, block.spin)
 
     def test_totals_read_no_sector(self, monkeypatch):
         # the layers alone give every amplitude's total
@@ -286,12 +288,34 @@ class TestHusimiTotal:
         for q, alone in zip(got, want):
             assert np.array_equal(q.values, alone.values)
 
+    def test_coherent_products_peak_memory(self):
+        # the gathered c_i and a whole second table of c_{i+q} peaked at
+        # 67.4 MB at 2S = 160 on L 320; now c_{i+q} is gathered about
+        # CONTRACTION_BYTES at a time next to the 33.5 MB table
+        grid = build_quadrature_grid(320)
+        _coherent_products(160, grid)  # the per-size arrays, cached
+        tracemalloc.start()
+        try:
+            _coherent_products(160, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 37e6, peak
+
+    def test_coherent_products_same_bits_in_runs(self, monkeypatch):
+        # at L 96 the 1225 entries of 2S = 48 are one run; seven at a time
+        # they give the same bits
+        grid = build_quadrature_grid(96)
+        whole = _coherent_products(48, grid)
+        monkeypatch.setattr(sphere, "CONTRACTION_BYTES", 8 * grid.n_theta * 7)
+        assert np.array_equal(_coherent_products(48, grid), whole)
+
     def test_rows_peak_memory(self):
         # the rows of one block at 2S = 96 on L 192 peaked at 22.5 MB when the
         # block's whole complex (entries x n_theta) product was formed; now
-        # the real (n_theta x entries) coherent products, 7.3 MB, and one
-        # gathered factor of that size are the largest arrays held, and the
-        # contraction takes about CONTRACTION_BYTES more
+        # the real (n_theta x entries) coherent products, 7.3 MB, are the
+        # largest array held, and their second factor and the contraction
+        # each take about CONTRACTION_BYTES more
         grid = build_quadrature_grid(192)
         block = random_block(48.0, np.random.default_rng(13))
         husimi_fourier(block, grid)  # the per-size arrays, cached
