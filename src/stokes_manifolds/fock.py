@@ -53,9 +53,16 @@ def _unitary_exp(h: np.ndarray) -> np.ndarray:
     return (vectors * np.exp(-1j * values)) @ vectors.conj().T
 
 
+def _float_or_complex(values) -> np.ndarray:
+    """The values as a float64 array if they are real, complex128 if not."""
+    values = np.asarray(values)
+    return values.astype(np.result_type(values.dtype, float), copy=False)
+
+
 @dataclass(frozen=True)
 class ModeState:
-    """Single-mode density matrix rho_{n n'} on photon numbers 0..cutoff."""
+    """Single-mode density matrix rho_{n n'} on photon numbers 0..cutoff,
+    float64 if its entries are real and complex128 if not."""
 
     cutoff: int
     entries: np.ndarray
@@ -63,7 +70,7 @@ class ModeState:
     def __post_init__(self):
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = _float_or_complex(self.entries)
         dim = self.cutoff + 1
         if entries.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {entries.shape}")
@@ -192,7 +199,7 @@ def loss_channel(state: ModeState, eta: float) -> ModeState:
         return state
     dim = state.cutoff + 1
     rho = state.entries
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=rho.dtype)
     if eta == 0.0:
         out[0, 0] = state.trace
         return ModeState(state.cutoff, out)
@@ -225,7 +232,18 @@ def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState
     each mode is one displacement of the lossy core, built once per (model,
     padded cutoff).  The padded result is cropped, so the truncation deficit
     sits in the trace, and 1 - trace is the one measure of a too-small cutoff.
+
+    For a real alpha the state is real in exact arithmetic, and the mode is
+    the float64 real part of the same complex product; a ValueError refuses
+    it if the imaginary part dropped reaches HERMITICITY_TOL.
     """
     pad = padded_cutoff(cutoff)
     disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad)[: cutoff + 1]
-    return ModeState(cutoff, disp @ _lossy_core(model, pad) @ disp.conj().T)
+    rho = disp @ _lossy_core(model, pad) @ disp.conj().T
+    if complex(alpha).imag == 0:
+        dropped = np.abs(rho.imag).max()
+        if not dropped < HERMITICITY_TOL:
+            raise ValueError(f"the mode at real alpha={alpha} has an imaginary part "
+                             f"of {dropped:.3e}, not below {HERMITICITY_TOL:g}")
+        rho = rho.real
+    return ModeState(cutoff, rho)

@@ -42,9 +42,10 @@ def _legendre_rows(m: int, max_degree: int, theta) -> list:
 
 @dataclass(frozen=True)
 class MultipoleSpectrum:
-    """Complex multipoles of one manifold: rho[K, q] for K = 0..2S and the
-    orders q = 0..2S, zero where q > K.  A Hermitian block fixes the negative
-    orders as rho_{K,-q} = (-1)^q conj(rho_Kq), so they are not stored."""
+    """Multipoles of one manifold: rho[K, q] for K = 0..2S and the orders
+    q = 0..2S, zero where q > K; the algebraic route keeps a real block's
+    real.  A Hermitian block fixes the negative orders as
+    rho_{K,-q} = (-1)^q conj(rho_Kq), so they are not stored."""
 
     rho: np.ndarray
 
@@ -162,16 +163,19 @@ def cg_table_deviation(table: np.ndarray) -> float:
 
 @lru_cache(maxsize=None)
 def cg_table(two_s: int) -> np.ndarray:
-    """Read-only Clebsch-Gordan table of spin S = two_s/2, built once per spin
-    and refused with ValueError unless orthonormal to CG_TABLE_TOL.
+    """Read-only signed Clebsch-Gordan table of spin S = two_s/2, built once
+    per spin and refused with ValueError unless orthonormal to CG_TABLE_TOL.
 
-    table[K, c] = <S m_out; S -m_in | K, m_out - m_in> on the m-descending
-    basis (m = S - i) for the pair (i_out, i_in) of entry c of
-    `polar.diagonal_order(2S+1)`: the orders q = i_in - i_out = m_out - m_in
-    from 0 to 2S, each by ascending i_out.
+    table[K, c] = (-1)^(S - m_in) <S m_out; S -m_in | K, m_out - m_in> on the
+    m-descending basis (m = S - i, so the sign is (-1)^i_in) for the pair
+    (i_out, i_in) of entry c of `polar.diagonal_order(2S+1)`: the orders
+    q = i_in - i_out = m_out - m_in from 0 to 2S, each by ascending i_out.
+    The sign flips whole columns, so the Gram matrices are those of the
+    unsigned table.
     """
     order = diagonal_order(two_s + 1)
     table = _cg_recursion(two_s, order.i_out, order.i_in - order.i_out)
+    table *= order.signs[order.i_in]
     deviation = cg_table_deviation(table)
     if not deviation <= CG_TABLE_TOL:
         raise ValueError(
@@ -188,14 +192,13 @@ def multipole_stack(two_s: int, blocks: np.ndarray) -> np.ndarray:
     T_Kq[m_out, m_in] = (-1)^(S-m_in) <S m_out; S -m_in | K q>.
 
     T_Kq is nonzero only on the diagonal m_out - m_in = q, so rho_Kq is one
-    `polar.diagonal_sums` of the signed blocks against `cg_table(2S)`.
-    Normalization matches the quadrature route exactly (the dual-route test
-    anchors both conventions).
+    `polar.diagonal_sums` of the blocks against the signed `cg_table(2S)`,
+    real for real blocks.  Normalization matches the quadrature route exactly
+    (the dual-route test anchors both conventions).
     """
     if not len(blocks):
-        return np.zeros((0, two_s + 1, two_s + 1), dtype=complex)
-    # each block signed by (-1)^(S - m_in)
-    return diagonal_sums(blocks * diagonal_order(two_s + 1).signs, cg_table(two_s))
+        return np.zeros((0, two_s + 1, two_s + 1), dtype=np.result_type(blocks, float))
+    return diagonal_sums(blocks, cg_table(two_s))
 
 
 def multipoles_algebraic(block: ManifoldBlock) -> MultipoleSpectrum:

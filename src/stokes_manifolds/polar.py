@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import ModeState, _require_hermitian
+from .fock import ModeState, _float_or_complex, _require_hermitian
 
 WEIGHT_FLOOR = 1e-12
 
@@ -27,8 +27,9 @@ def check_blocks(spin: float, blocks: np.ndarray, negligible: bool = False) -> n
     """The one check of manifold blocks, on a stack (n, dim, dim) of blocks of
     one spin S: 2S a non-negative integer, dim = 2S + 1 and, unless the blocks
     are `negligible`, each Hermitian to HERMITICITY_TOL with unit trace to
-    1e-10.  Returns the Hermitian parts (the stack itself when negligible); a
-    ValueError names the first block that fails, a NaN included.
+    1e-10.  Returns the Hermitian parts (the stack itself when negligible), of
+    the stack's dtype; a ValueError names the first block that fails, a NaN
+    included.
     """
     two_s = round(2 * spin)
     if abs(2 * spin - two_s) > 1e-9 or two_s < 0:
@@ -52,7 +53,8 @@ class ManifoldBlock:
 
     `negligible` marks weights below the floor, which stay unnormalized and
     are excluded from squeezing and multipole reports.  The block is checked
-    by `check_blocks` as a stack of one.
+    by `check_blocks` as a stack of one, and held as float64 if it is real,
+    complex128 if not.
     """
 
     spin: float
@@ -61,7 +63,7 @@ class ManifoldBlock:
     negligible: bool = False
 
     def __post_init__(self):
-        block = np.asarray(self.block, dtype=complex)[None]
+        block = _float_or_complex(self.block)[None]
         block = check_blocks(self.spin, block, self.negligible)[0]
         block.setflags(write=False)
         object.__setattr__(self, "block", block)
@@ -150,8 +152,8 @@ def diagonal_order(dim: int) -> DiagonalOrder:
     return order
 
 
-# bytes of the complex products one step of `diagonal_sums` forms, give or
-# take one q segment
+# bytes of the products one step of `diagonal_sums` forms, give or take one
+# q segment (counted as complex, whatever the dtype)
 CONTRACTION_BYTES = 1 << 20
 
 
@@ -162,24 +164,27 @@ def _segment_runs(order: DiagonalOrder, count: int, rows: int) -> list[tuple[int
     width = max(CONTRACTION_BYTES // (16 * count * rows), 1)
     if width >= len(order.pairs):
         return [(0, len(order.starts))]
-    firsts = np.unique(np.searchsorted(order.starts, np.arange(0, len(order.pairs), width),
-                                       "right") - 1).tolist()
+    # the segment of each width-th entry, ascending; the first of each run of
+    # equals starts a run (np.unique would import numpy.ma)
+    firsts = np.searchsorted(order.starts, np.arange(0, len(order.pairs), width), "right") - 1
+    firsts = firsts[np.diff(firsts, prepend=-1) > 0].tolist()
     return list(zip(firsts, [*firsts[1:], len(order.starts)]))
 
 
 def diagonal_sums(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sums[n, r, q] = sum_c table[r, c] block_n[i_out[c], i_in[c]] over the
     entries c of diagonal q of `diagonal_order(dim)`, for a non-empty stack
-    (n, dim, dim) of blocks and a real (rows, entries) table.  Each block's
-    upper triangle is gathered once; each run of q segments (`_segment_runs`)
-    is one product and one `reduceat`, so about CONTRACTION_BYTES are held
-    whatever the stack or the table, and each sum adds the same numbers in the
-    same order as for a block alone."""
+    (n, dim, dim) of blocks and a real (rows, entries) table, of the dtype
+    `np.result_type(blocks, table)`.  Each block's upper triangle is gathered
+    once; each run of q segments (`_segment_runs`) is one product and one
+    `reduceat`, so about CONTRACTION_BYTES are held whatever the stack or the
+    table, and each sum adds the same numbers in the same order as for a
+    block alone."""
     count, dim = len(blocks), blocks.shape[-1]
     order = diagonal_order(dim)
     columns = blocks.reshape(count, -1)[:, order.pairs]
     bounds = [*order.starts.tolist(), len(order.pairs)]
-    sums = np.empty((count, len(table), dim), dtype=complex)
+    sums = np.empty((count, len(table), dim), dtype=np.result_type(blocks, table))
     for first, last in _segment_runs(order, count, len(table)):
         start, stop = bounds[first], bounds[last]
         np.add.reduceat(table[:, start:stop] * columns[:, None, start:stop],
@@ -219,7 +224,8 @@ def gather_manifolds(h: np.ndarray, v: np.ndarray, n_total: int) -> ManifoldLaye
     block_N[i, j] = rho_H[n_i, n_j] rho_V[N - n_i, N - n_j] with n_i = N - i,
     so the two-mode matrix is never formed: a reversed slice of each H mode
     times one slice of rho_V.  Its trace is the weight P_N; the blocks above
-    the weight floor are divided by it and checked as one stack.
+    the weight floor are divided by it and checked as one stack.  The blocks
+    are real if both modes are.
     """
     # n_i = N - i runs down from N in rho_H while N - n_i = i runs up in rho_V
     raw = h[:, n_total::-1, n_total::-1] * v[:n_total + 1, :n_total + 1]
@@ -291,8 +297,9 @@ def _finite_texts(values: np.ndarray) -> list:
 
 
 def _manifold_text(i: int, b: ManifoldBlock) -> str:
-    """The text of manifold number i in the dump, with its leading separator."""
-    values = np.ascontiguousarray(b.block).view(float).ravel()
+    """The text of manifold number i in the dump, with its leading separator;
+    a real block prints 0.0 as each imaginary part."""
+    values = np.ascontiguousarray(b.block, dtype=complex).view(float).ravel()
     if np.isfinite(values).all():
         fields = tuple(_finite_texts(values))
     else:

@@ -207,15 +207,16 @@ def _cg_doubled(tj1, tm1, tj2, tm2, tj, tm):
 
 
 def natural_cg_table(two_s):
-    """The q >= 0 table `cg_table(two_s)` scattered back through
-    `diagonal_order(2S+1).pairs` to
+    """The q >= 0 table `cg_table(two_s)`, its sign (-1)^i_in taken off, scattered
+    back through `diagonal_order(2S+1).pairs` to
     C[K, i_out, i_in] = <S m_out; S -m_in | K, m_out - m_in>, with the
     entries i_in < i_out from the index reversal
     <S -m1; S -m2 | K -M> = (-1)^(2S-K) <S m1; S m2 | K M>, which maps
     (i_out, i_in) to (2S - i_out, 2S - i_in)."""
     dim = two_s + 1
+    order = diagonal_order(dim)
     natural = np.zeros((dim, dim * dim))
-    natural[:, diagonal_order(dim).pairs] = cg_table(two_s)
+    natural[:, order.pairs] = cg_table(two_s) * (-1.0) ** order.i_in
     natural = natural.reshape(dim, dim, dim)
     lower = np.tril(np.ones((dim, dim), dtype=bool), -1)  # i_in < i_out
     sign = (-1.0) ** (two_s - np.arange(dim))[:, None, None]
@@ -302,13 +303,15 @@ def aggregate_weights(terms):
 
 def full_block(rho_h, rho_v, n_total):
     """Manifold N of rho_H (x) rho_V gathered in full, (N+1) x (N+1) and
-    unnormalised, with zero rows and columns for basis states past a cutoff."""
+    unnormalised, with zero rows and columns for basis states past a cutoff,
+    real if both modes are."""
     ch, cv = rho_h.cutoff, rho_v.cutoff
     n_h = np.arange(n_total, -1, -1)  # m descending
     n_v = n_total - n_h
     pos = np.nonzero((n_h <= ch) & (n_v <= cv))[0]
     h, v = n_h[pos], n_v[pos]
-    block = np.zeros((n_total + 1, n_total + 1), dtype=complex)
+    block = np.zeros((n_total + 1, n_total + 1),
+                     dtype=np.result_type(rho_h.entries, rho_v.entries))
     block[np.ix_(pos, pos)] = rho_h.entries[np.ix_(h, h)] * rho_v.entries[np.ix_(v, v)]
     return block
 

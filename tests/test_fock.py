@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
+from stokes_manifolds import fock
 from stokes_manifolds.fock import (
     ModeState,
     NoiseModel,
@@ -195,6 +196,28 @@ class TestThermalAndLoss:
 
 
 class TestSynthesis:
+    @pytest.mark.parametrize("cutoff", [24, 48, 160])
+    def test_real_alpha_gives_real_part(self, cutoff):
+        # a real alpha keeps the real part of the complex product bit for bit
+        # and drops an imaginary part of roundoff size
+        model = NoiseModel(3.6, 4.4, 0.85)
+        pad = padded_cutoff(cutoff)
+        core = fock._lossy_core(model, pad)
+        for alpha in (0.0, 2.31, 7.0):
+            disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad)[: cutoff + 1]
+            rho = disp @ core @ disp.conj().T
+            state = synthesize_mode(model, alpha, cutoff)
+            assert state.entries.dtype == np.float64
+            assert np.array_equal(state.entries, 0.5 * (rho.real + rho.real.T))
+            assert np.abs(rho.imag).max() < 1e-15
+
+    def test_complex_alpha_stays_complex(self):
+        model = NoiseModel(3.6, 4.4, 0.85)
+        state = synthesize_mode(model, 1.13j, 24)
+        assert state.entries.dtype == np.complex128 and np.abs(state.entries.imag).max() > 0.1
+        rotated = synthesize_mode(model, 1.13 + 0j, 24)
+        assert rotated.entries.dtype == np.float64  # the value decides, not the type
+
     def test_coherent_state_limit(self):
         model = NoiseModel(0.0, 0.0, 1.0)
         state = synthesize_mode(model, 1.3, 30)

@@ -107,12 +107,14 @@ def _column(table, i_out, i_in):
 
 
 def _entry(table, k, i_out, i_in):
-    """C[K, i_out, i_in] of a q >= 0 table; a pair with i_in < i_out is read at
-    (2S - i_out, 2S - i_in) by <S -m1; S -m2 | K -M> = (-1)^(2S-K) <S m1; S m2 | K M>."""
+    """C[K, i_out, i_in] of a q >= 0 table that holds (-1)^i_in C, as `cg_table`
+    does; a pair with i_in < i_out is read at (2S - i_out, 2S - i_in) by
+    <S -m1; S -m2 | K -M> = (-1)^(2S-K) <S m1; S m2 | K M>."""
     two_s = len(table) - 1
     if i_in >= i_out:
-        return table[k, _column(table, i_out, i_in)]
-    return (-1.0) ** (two_s - k) * table[k, _column(table, two_s - i_out, two_s - i_in)]
+        return (-1.0) ** i_in * table[k, _column(table, i_out, i_in)]
+    return ((-1.0) ** (two_s - k + two_s - i_in)
+            * table[k, _column(table, two_s - i_out, two_s - i_in)])
 
 
 class TestClebschGordanTable:
@@ -158,6 +160,16 @@ class TestClebschGordanTable:
                 sympy_cg.CG(spin, spin - i_out, spin, i_in - spin, k, i_in - i_out).doit()
             )
             assert abs(_entry(table, k, i_out, i_in) - want) < 1e-12
+
+    @pytest.mark.parametrize("two_s", [1, 4, 24, 96])
+    def test_table_holds_sign_of_column(self, two_s):
+        # the sign (-1)^(S - m_in) = (-1)^i_in of T_Kq is a factor of the
+        # whole column, exact in every bit, and flips no |Gram - 1| entry
+        order = diagonal_order(two_s + 1)
+        unsigned = multipole._cg_recursion(two_s, order.i_out, order.i_in - order.i_out)
+        table = cg_table(two_s)
+        assert np.array_equal(table, unsigned * (-1.0) ** order.i_in)
+        assert cg_table_deviation(table) == cg_table_deviation(unsigned)
 
     def test_large_spin_passes_guard(self):
         # the Racah sum this table replaced was off by 50 here
@@ -239,6 +251,25 @@ class TestStackedContraction:
             alone = multipoles_algebraic(ManifoldBlock(two_s / 2.0, 1.0, block))
             assert np.array_equal(got, alone.rho)
 
+    def test_stack_not_copied(self):
+        # the signs live in the cached table, so no signed copy of the stack
+        # is held: eight complex blocks at 2S = 96 peaked at 5.27 MB with one
+        # and 4.07 MB without; real blocks hold half the bytes
+        two_s, count = 96, 8
+        rng = np.random.default_rng(61)
+        blocks = np.array([random_block(two_s / 2.0, rng).block for _ in range(count)])
+        peaks = []
+        for stack in (blocks, np.ascontiguousarray(blocks.real)):
+            multipole_stack(two_s, stack[:1])  # the table and size arrays, cached
+            tracemalloc.start()
+            try:
+                multipole_stack(two_s, stack)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 4.5e6, peaks
+        assert peaks[1] < 0.55 * peaks[0], peaks
+
     @pytest.mark.parametrize("count", [1, 3, 40])
     def test_runs_cover_every_segment_once(self, count):
         # the runs of the one contraction, against a Clebsch-Gordan table
@@ -248,6 +279,12 @@ class TestStackedContraction:
             for rows in (two_s + 1, 4 * two_s + 1):
                 runs = list(polar._segment_runs(order, count, rows))
                 assert [first for first, _ in runs] == [0, *[last for _, last in runs[:-1]]]
+                # the runs np.unique gave, without its numpy.ma import
+                width = max(polar.CONTRACTION_BYTES // (16 * count * rows), 1)
+                if width < len(order.pairs):
+                    firsts = np.unique(np.searchsorted(
+                        order.starts, np.arange(0, len(order.pairs), width), "right") - 1)
+                    assert [first for first, _ in runs] == firsts.tolist()
                 assert runs[-1][1] == two_s + 1 and all(first < last for first, last in runs)
 
     def test_empty_stack_builds_no_table(self):

@@ -57,6 +57,7 @@ from oracles import (
     csv_figure_tables,
     csv_writer_table,
     default_ladder_blocks,
+    dense_moments,
     full_block,
     multipoles_loop,
     stokes_summary_single,
@@ -543,6 +544,92 @@ def emitted(tmp_path_factory):
     report = run_sweep(config)
     manifest = emit_figure_tables(report, outdir)
     return outdir, report, manifest
+
+
+class TestRealStates:
+    """A real alpha gives a float64 mode, and the layers, multipoles, Stokes
+    moments and Husimi rows keep that dtype; a complex alpha from the library
+    keeps complex128 through the same functions."""
+
+    def test_default_run_is_float64(self, monkeypatch):
+        modes = []
+
+        def recording(model, alpha, cutoff):
+            modes.append(synthesize_mode(model, alpha, cutoff))
+            return modes[-1]
+
+        monkeypatch.setattr(pipeline, "synthesize_mode", recording)
+        report = run_sweep(RunConfig())
+        assert len(modes) == 5 and all(m.entries.dtype == np.float64 for m in modes)
+        for layer in report.layers:
+            assert layer.blocks.dtype == layer.negligible.dtype == np.float64
+            if len(layer.blocks):
+                assert multipole.multipole_stack(layer.photons, layer.blocks).dtype == np.float64
+                mean, second = stokes.moment_stack(layer.photons, layer.blocks)
+                assert not mean[:, 1].any() and not second[:, 0, 1].any()  # <S_y> by type
+        for res in report.results:
+            assert res.total.mean[1] == 0.0
+            assert all(b.block.dtype == np.float64 for b in res.sector.blocks)
+        grid = build_quadrature_grid(report.grid_l)
+        block = report.results[-1].sector.blocks[12]
+        assert sphere.husimi_fourier(block, grid).dtype == np.float64
+        for q in sphere.husimi_totals(report.layers, grid):
+            assert q.values.dtype == q.equator.dtype == np.float64
+
+    def test_complex_alpha_stays_complex(self):
+        # the same kernels take a complex H mode, and agree with the dense
+        # oracles on its blocks; the real V mode stays float64
+        model = NoiseModel(3.6, 4.4, 0.85)
+        v = synthesize_mode(model, 0.0, 12)
+        h = synthesize_mode(model, 0.6 + 0.8j, 12)
+        assert h.entries.dtype == np.complex128 and v.entries.dtype == np.float64
+        layers = [polar.gather_manifolds(h.entries[None], v.entries, n) for n in range(7)]
+        for layer in layers[2:]:
+            n = layer.photons
+            assert layer.blocks.dtype == np.complex128
+            block = ManifoldBlock(n / 2.0, layer.weights[0], layer.blocks[0])
+            rho = multipole.multipole_stack(n, layer.blocks)[0]
+            assert rho.dtype == np.complex128 and np.abs(rho.imag).max() > 1e-6
+            assert np.abs(rho - multipoles_loop(block)[:, n:]).max() < 1e-12
+            mean, second = stokes.moment_stack(n, layer.blocks)
+            assert abs(second[0, 0, 1]) > 1e-6  # Im<S+^2> / 2
+            for got, want in zip((mean[0], second[0]), dense_moments(block)):
+                assert np.abs(got - want).max() < 1e-12
+        assert stokes.total_moments([h], v)[2].dtype == np.float64
+        q = next(sphere.husimi_totals(layers, build_quadrature_grid(24)))
+        captured = sum(layer.weights[0] for layer in layers)
+        assert q.values.dtype == np.float64 and abs(q.integral() - captured) < 1e-12
+
+    def test_imaginary_part_refused(self, tmp_path, capsys, monkeypatch):
+        # a core with a Hermitian imaginary part of 1e-9 gives a mode that is
+        # not real at a real alpha: refused before any file is written
+        core = fock._lossy_core
+
+        def tilted(model, pad):
+            rho = core(model, pad).copy()
+            rho[0, 1] += 1e-9j
+            rho[1, 0] -= 1e-9j
+            return rho
+
+        monkeypatch.setattr(fock, "_lossy_core", tilted)
+        with pytest.raises(ValueError, match="imaginary part of 1.000e-09"):
+            synthesize_mode(NoiseModel(3.6, 4.4, 0.85), 0.0, 12)
+        assert synthesize_mode(NoiseModel(3.6, 4.4, 0.85), 1.13j, 12).entries.dtype == complex
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out)]) == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "numerical guard: the mode at real alpha=0.0 has an imaginary part of "
+            "1.000e-09, not below 1e-12\n")
+
+    def test_printed_zeros(self, emitted):
+        outdir, report, _ = emitted
+        with open(outdir / "fig3a.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and {r["mean_y"] for r in rows} == {"0"}
+        for i in range(len(report.results)):
+            dump = json.loads((outdir / f"sector_alpha{i}.json").read_text())
+            imag = [pair[1] for m in dump["manifolds"] for row in m["block"] for pair in row]
+            assert len(imag) > 100 and all(math.copysign(1.0, x) == 1.0 == x + 1.0 for x in imag)
 
 
 class TestEmission:
@@ -1089,6 +1176,22 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "exit codes 0 0", proc.stdout
         assert (out / "manifest.json").exists()
+
+    def test_husimi_emit_leaves_numpy_ma_out(self, tmp_path):
+        # np.unique without return_inverse imports numpy.ma (9-18 ms in a
+        # fresh process); an L 96 Husimi emit, whose contraction runs are
+        # narrower than a layer, needs none of it
+        script = (
+            "import sys\n"
+            "from stokes_manifolds import pipeline\n"
+            f"config = pipeline.RunConfig(grid_l=96, emit=('q_csv',), out_dir={str(tmp_path)!r})\n"
+            "pipeline.emit_figure_tables(pipeline.run_sweep(config), config.out_dir)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        proc = _run_python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+        assert (tmp_path / "q_total_alpha3.csv").exists()
 
 
 def _run_python(args, **env):

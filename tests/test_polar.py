@@ -158,6 +158,16 @@ class TestBlockValidation:
         with pytest.raises(ValueError, match="half-integer"):
             ManifoldBlock(0.3, 1.0, np.eye(2, dtype=complex))
 
+    def test_dtype_follows_input(self):
+        # a real block is held as float64, a complex one as complex128, even
+        # with no imaginary part
+        real = ManifoldBlock(0.5, 1.0, [[1, 0], [0, 0]])
+        assert real.block.dtype == np.float64
+        assert ManifoldBlock(0.5, 1.0, np.eye(2, dtype=np.float32) / 2).block.dtype == np.float64
+        assert ManifoldBlock(0.5, 1.0, np.eye(2, dtype=complex) / 2).block.dtype == np.complex128
+        assert ModeState(1, [[0.5, 0.5], [0.5, 0.5]]).entries.dtype == np.float64
+        assert ModeState(1, [[0.5, 0.5j], [-0.5j, 0.5]]).entries.dtype == np.complex128
+
     @pytest.mark.parametrize("index", [(0, 1), (1, 1)])
     def test_rejects_nan_entry(self, index):
         block = np.diag([0.5, 0.5]).astype(complex)  # unit trace
