@@ -332,53 +332,38 @@ def _fmt(x) -> str:
 # Figure-table lines as csv.writer printed them over `_fmt`: fields joined by
 # commas, "\r\n" line ends, floats as %.12g and ints as %d.  No field needs
 # quoting: the formatted numbers and the mode names hold no comma, quote or
-# line break.  Each amplitude's lines are one template, joined from cached
-# pieces per manifold size and filled by one % over a flat tuple of floats.
+# line break.
 FIG3A_HEADER = "alpha,S,N,P_S,mean_x,mean_y,mean_z,gamma_min,xi2,xi2_dB,mode\r\n"
+FIG3A_ROW = "%.12g,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\r\n"  # after "alpha,"
 FIG3B_HEADER = "alpha,N,P_N\r\n"
 FIG3C_HEADER = "alpha,xi2,xi2_dB,analytic_estimate,mode\r\n"
 FIG3C_ROW = "%.12g,%.12g,%.12g,%s\r\n"  # after "alpha,"
 FIG3D_HEADER = "alpha,S,K,W_K\r\n"
-
-
-@lru_cache(maxsize=None)
-def _fig3a_fields(photons: int) -> str:
-    """The fields "S,N," of manifold N, then a %.12g for each of P_S, the
-    three means, gamma_min, xi2 and xi2_dB, each with its comma."""
-    return "%.12g,%d," % (photons / 2.0, photons) + "%.12g," * 7
+NUMBERED_ROW = "%d,%.12g\r\n"  # "N,P_N" of fig3b and "K,W_K" of fig3d
 
 
 def _fig3a_text(res: AlphaResult) -> str:
     """The fig3a lines of one amplitude: one per reported spin > 0 manifold."""
-    alpha = _fmt(res.alpha) + ","
-    lines, numbers = [], []
+    values = []
     for s in res.manifold_summaries:
         n = round(2 * s.spin)  # the sector holds N = 0, 1, ... in order
-        lines.append(alpha + _fig3a_fields(n) + s.mode + "\r\n")
-        numbers += (res.sector.blocks[n].weight, *s.mean.tolist(), s.gamma_min, s.xi2, s.xi2_db)
-    return "".join(lines) % tuple(numbers)
-
-
-@lru_cache(maxsize=None)
-def _numbered_lines(length: int) -> str:
-    """The lines "k,%.12g\r\n" for k < length, each after a NUL that stands
-    for the line's prefix."""
-    return "".join(["\0%d,%%.12g\r\n" % k for k in range(length)])
+        values += (s.spin, n, res.sector.blocks[n].weight, *s.mean.tolist(),
+                   s.gamma_min, s.xi2, s.xi2_db, s.mode)
+    return (_fmt(res.alpha) + "," + FIG3A_ROW) * len(res.manifold_summaries) % tuple(values)
 
 
 def _numbered_text(rows) -> str:
     """The lines prefix + "k,v" for each (prefix, values) of `rows` and each
     k, v in enumerate(values), from one template filled once."""
     rows = list(rows)
-    template = "".join([_numbered_lines(len(values)).replace("\0", prefix)
-                        for prefix, values in rows])
-    return template % tuple(np.concatenate([values for _, values in rows]).tolist())
+    return "".join((prefix + NUMBERED_ROW) * len(values) for prefix, values in rows) % tuple(
+        x for _, values in rows for pair in enumerate(values) for x in pair)
 
 
 def _fig3d_text(res: AlphaResult) -> str:
     """The fig3d lines of one amplitude: each manifold's W_K, then the total's."""
     alpha = _fmt(res.alpha) + ","
-    return _numbered_text((alpha + _fmt(spin) + ",", weights) for spin, weights
+    return _numbered_text((alpha + _fmt(spin) + ",", weights.tolist()) for spin, weights
                           in (*res.manifold_multipoles, ("total", res.aggregated_weights)))
 
 

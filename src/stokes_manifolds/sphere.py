@@ -14,12 +14,11 @@ so Q^(S) of a Hermitian block is an azimuthal Fourier series,
 The rows F_q of a stack of blocks of one size are the contraction that gives
 the multipoles, `polar.diagonal_sums`, against the table c_i c_{i+q} on the
 n_theta Gauss nodes; no (2S+1) x n_theta x n_phi amplitude table is formed.
-A manifold map sums the series over q at each node, in order.  The total Q is
-linear in the rows, so it sums the weighted rows of each sweep layer's live
-blocks first and makes one (n_theta x 2S+1)(2S+1 x n_phi) product with the
-e^{i q phi} table per amplitude; of the manifold maps it keeps only the
-equator row that the ring foliation draws, summed as the map sums it.  The
-rows are real for a real block.
+A manifold map multiplies each theta node's row of F by the e^{i q phi} table.
+The total Q is linear in the rows, so it sums the weighted rows of each sweep
+layer's live blocks first and forms one such map per amplitude; of the
+manifold maps it keeps only the equator row that the ring foliation draws.
+The rows are real for a real block.
 """
 
 from __future__ import annotations
@@ -154,78 +153,63 @@ def husimi_fourier(block: ManifoldBlock, grid: SphereGrid) -> np.ndarray:
     return diagonal_sums(block.block[None], _coherent_products(block.photon_number, grid))[0].T
 
 
-def _waves(count: int, phi: np.ndarray) -> np.ndarray:
-    """The table e^{iq phi} at the phi nodes, a row per order q < count."""
-    return np.exp(1j * np.outer(np.arange(count), phi))
+def _waves(count: int, phi: np.ndarray) -> tuple:
+    """The tables cos(q phi) and sin(q phi) at the phi nodes, a row per
+    order q < count."""
+    angles = np.outer(np.arange(count), phi)
+    return np.cos(angles), np.sin(angles)
 
 
-def _fourier_sums(f: np.ndarray, waves: np.ndarray) -> np.ndarray:
+def _fourier_sums(f: np.ndarray, waves: tuple) -> np.ndarray:
     """Re sum_q e^{iq phi} f[q] for each column of f, one row of values at the
-    phi nodes per column: one product with the real part of the `_waves`
-    table, and for a complex f one more with its imaginary part."""
-    values = f.real.T @ waves.real[:len(f)]
+    phi nodes per column, from the rows q < len(f) of the `_waves` tables.
+    Each column is its own vector-matrix product with the cosines, and for a
+    complex f one more with the sines, so a row's bits depend only on its
+    column: a manifold's equator row in a total is, bit for bit, that row of
+    its map."""
+    cos, sin = (table[:len(f)] for table in waves)
+    values = (np.ascontiguousarray(f.real.T)[:, None] @ cos)[:, 0]
     if np.iscomplexobj(f):
-        values -= f.imag.T @ waves.imag[:len(f)]
+        values -= (np.ascontiguousarray(f.imag.T)[:, None] @ sin)[:, 0]
     return values
-
-
-def _ring_sums(f: np.ndarray, waves: np.ndarray) -> np.ndarray:
-    """`_fourier_sums` with each value summed over q in order, the terms of a
-    run of columns at a time, about CONTRACTION_BYTES / 4 of them.  A value
-    then has the same bits whatever other columns share the call and whatever
-    zero rows pad f; a BLAS product's bits follow the operands' shapes.  So a
-    manifold's equator row in a total is, bit for bit, that row of its map."""
-    waves = waves[:len(f), None]
-    out = np.empty((f.shape[1], waves.shape[-1]))
-    step = max(CONTRACTION_BYTES // (32 * waves.size), 1)
-    for start in range(0, len(out), step):
-        cols = f[:, start:start + step, None]
-        terms = cols.real * waves.real
-        if np.iscomplexobj(f):
-            terms -= cols.imag * waves.imag
-        np.add.reduce(terms, axis=0, out=out[start:start + step])
-    return out
 
 
 def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
     """Q^(S)(n) = <S, n| rho |S, n> over the grid nodes, summed as the
-    azimuthal Fourier series Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta)
-    by `_ring_sums`."""
+    azimuthal Fourier series Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta)."""
     f = husimi_fourier(block, grid)
     f[1:] *= 2.0  # the q < 0 diagonals are the conjugates of the q > 0 ones
-    return QFunction(grid, _ring_sums(f, _waves(len(f), grid.phi)), spin=block.spin)
+    return QFunction(grid, _fourier_sums(f, _waves(len(f), grid.phi)), spin=block.spin)
 
 
 def husimi_totals(layers, grid: SphereGrid, max_spin: float | None = None):
     """The total Q of each amplitude of a sweep's `ManifoldLayer`s N = 0, 1, ...
     The rows G_q(theta) = sum_S P_S (2S+1)/(4 pi) (2 - delta_q0) F_q^S(theta)
     are summed first, a layer at a time: one table of coherent products and one
-    `diagonal_sums` of the layer's live blocks as stored.  Each map, one product
-    of G with the e^{iq phi} table built once for all, is formed as it is
-    taken, one at a time; its equator rows are summed by `_ring_sums`, as the
-    manifold maps are.  The rows, and so the totals and equator rows, are real
-    if every layer is."""
+    `diagonal_sums` of the layer's live blocks as stored, whose equator rows
+    are summed as their maps would be.  Each map, the `_fourier_sums` of G, is
+    formed as it is taken, one at a time.  The rows, and so the totals, are
+    real if every layer is."""
     reported = np.array([layer.live & (max_spin is None or layer.photons / 2.0 <= max_spin + 1e-9)
                          for layer in layers])  # [layer, amplitude], as `sector.reported`
     photons = np.array([layer.photons for layer in layers])
     dims = np.where(reported, photons[:, None] + 1, 1).max(axis=0)  # rows of each total
     dtype = np.result_type(float, *{layer.blocks.dtype for layer in layers})
     totals = np.zeros((len(dims), dims.max(), grid.n_theta), dtype=dtype)
-    equators = np.zeros((len(dims), dims.max(), len(layers)), dtype=dtype)
+    equators = np.zeros((len(dims), len(layers), grid.n_phi))
+    waves = _waves(dims.max(), grid.phi)
     eq = equator_node(grid)
     for j, (layer, live) in enumerate(zip(layers, reported)):
         if live.any():
             dim = layer.photons + 1
             rows = diagonal_sums(layer.blocks, _coherent_products(layer.photons, grid))
             rows[:, :, 1:] *= 2.0  # [n, theta, q]; the q < 0 diagonals conjugate the q > 0 ones
-            equators[live, :dim, j] = rows[:, eq]
+            equators[live, j] = _fourier_sums(rows[:, eq].T, waves)
             rows *= (layer.weights[live] * (dim / FOUR_PI))[:, None, None]
             totals[live, :dim] += rows.transpose(0, 2, 1)
-    waves = _waves(dims.max(), grid.phi)
     for g, e, dim, mask in zip(totals, equators, dims, reported.T):
         yield QFunction(grid, _fourier_sums(g[:dim], waves),
-                        spins=tuple((photons[mask] / 2.0).tolist()),
-                        equator=_ring_sums(e[:dim, mask], waves))
+                        spins=tuple((photons[mask] / 2.0).tolist()), equator=e[mask])
 
 
 def husimi_total(sector: PolarizationSector, grid: SphereGrid,
