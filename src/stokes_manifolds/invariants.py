@@ -83,6 +83,15 @@ def loss_trace_gap(state, eta: float) -> tuple[float, float]:
     return abs(loss_channel(state, eta).trace - state.trace), 1e-12
 
 
+def stokes_route_gap(blocks, summaries) -> tuple[float, float]:
+    """Largest relative gap in gamma_min and xi^2 between `moment_stack` on
+    each block and the sweep's summary of its manifold, from the mode
+    diagonals; one `manifold_stokes_summary` of all the blocks."""
+    return max((max(abs(s.gamma_min / w.gamma_min - 1), abs(s.xi2 / w.xi2 - 1))
+                for s, w in zip(summaries, manifold_stokes_summary(blocks), strict=True)),
+               default=0.0), 1e-12
+
+
 def spin_half_xi2_gap(block: ManifoldBlock) -> tuple[float, float]:
     """|xi^2 - 1| of an S = 1/2 block, which no state can squeeze."""
     return abs(manifold_stokes_summary([block])[0].xi2 - 1.0), 1e-12
@@ -103,17 +112,18 @@ def _worst(name: str, pairs) -> tuple[str, float, float]:
 
 def default_suite() -> list[tuple[str, float, float]]:
     """(name, worst value, bound) of each invariant on what
-    `run_sweep(RunConfig())` reports: every reported block on the run's grid,
-    every Clebsch-Gordan table the run uses, and the loss channel at the
-    run's padded size and efficiency.  A real
-    alpha gives real blocks, so the multipole routes also meet random complex
-    blocks with 2S <= 4."""
+    `run_sweep(RunConfig())` reports: every reported block on the run's grid
+    and against its manifold's Stokes summary, every Clebsch-Gordan table the
+    run uses, and the loss channel at the run's padded size and efficiency.
+    A real alpha gives real blocks, so the multipole routes also meet random
+    complex blocks with 2S <= 4."""
     report = run_sweep(RunConfig())
     config = report.config
     grid = build_quadrature_grid(report.grid_l)
     blocks = [b for res in report.results for b in res.sector.reported()]
     totals = list(zip([res.sector for res in report.results],
                       husimi_totals(report.layers, grid)))  # each Q once
+    summaries = [s for res in report.results for s in res.manifold_summaries]
     sizes = sorted({b.photon_number for b in blocks})
     top = sizes[-1]
     rng = np.random.default_rng(20240817)
@@ -140,4 +150,6 @@ def default_suite() -> list[tuple[str, float, float]]:
                [loss_trace_gap(thermal_state(0.7, pad), config.efficiency)]),
         _worst(f"one-photon manifold xi2 = 1, {len(report.results)} amplitudes",
                (spin_half_xi2_gap(res.sector.blocks[1]) for res in report.results)),
+        _worst(f"Stokes moments of the mode diagonals against moment_stack, {len(summaries)} "
+               "reported blocks", [stokes_route_gap([b for b in blocks if b.spin], summaries)]),
     ]

@@ -1,13 +1,13 @@
 """Configuration, orchestration, and file emission for the analysis sweep.
 
 A sweep synthesizes the V mode once and one H mode per coherent amplitude (only
-the H mode is displaced), parses each product state into polarization
-manifolds, and writes figure-data tables, sector dumps, Q-function grids, and
-heatmap rasters.  All floating
-point output is printed with 12 significant digits and every run is
-deterministic, so identical configs run at the same BLAS thread count produce
-byte-identical files.  Across thread counts, BLAS products may round
-differently: at cutoff 48 some fields move at roundoff level.
+the H mode is displaced), takes each product state's weights P_N and Stokes
+moments from the mode diagonals, parses it into polarization-manifold blocks
+only for an emit that reads them, and writes figure-data tables, sector dumps,
+Q-function grids and heatmap rasters.  Floats print with 12 significant digits
+and every run is deterministic, so identical configs at the same BLAS thread
+count give byte-identical files; across thread counts, BLAS products may round
+differently (at cutoff 48 some fields move at roundoff level).
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from .polar import (
 )
 from .render import render_foliation, render_heatmap, write_ppm
 from .sphere import build_quadrature_grid, husimi_totals
-from .stokes import (
-    StokesSummary,
-    moment_stack,
-    quadrature_estimate_xi2,
-    stokes_summaries,
-    total_moments,
-)
+from .stokes import StokesSummary, diagonal_moments, quadrature_estimate_xi2, stokes_summaries
 
 EMIT_CHOICES = (
     "squeezing_csv",
@@ -51,6 +45,8 @@ EMIT_CHOICES = (
     "q_csv",
     "heatmaps",
 )
+# the emits that read the manifold blocks, which a sweep gathers only for them
+BLOCK_EMITS = {"multipole_csv", "q_csv", "heatmaps", "sector_json"}
 
 DEFAULT_ALPHAS = (0.0, 0.57, 1.13, 2.31)
 # amplitudes with published reference data; others are flagged in the manifest
@@ -186,11 +182,14 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 @dataclass(frozen=True)
 class AlphaResult:
-    """Everything computed for one coherent amplitude.  `sector` holds the
-    manifolds up to S_report_max; the total is taken from the two modes."""
+    """Everything computed for one coherent amplitude: P_N for N = 0..2 S_max
+    and the summaries of the manifolds N > 0 above the weight floor and of the
+    total, from the mode diagonals.  The sector and the multipole spectra are
+    None and empty unless an emit reads them (`_analyze`)."""
 
     alpha: float
-    sector: PolarizationSector
+    manifold_weights: np.ndarray
+    sector: PolarizationSector | None
     manifold_summaries: tuple
     total: StokesSummary
     manifold_multipoles: tuple  # (spin, weights array) pairs
@@ -204,7 +203,7 @@ class RunReport:
     config: RunConfig
     results: tuple
     grid_l: int
-    layers: tuple  # the sweep's `polar.ManifoldLayer`s, whose arrays the sectors view
+    layers: tuple  # the `polar.ManifoldLayer`s the sectors view, () if no emit reads a block
 
 
 def _check_cutoffs(config: RunConfig, model: NoiseModel, alphas):
@@ -270,7 +269,7 @@ def run_sweep(config: RunConfig) -> RunReport:
                 )
             modes.append(rho_h)
             deficits.append(deficit)
-        layers, analyses = _analyze(modes, rho_v, top)
+        layers, analyses = _analyze(modes, rho_v, top, set(config.emit))
     except ValueError as exc:
         raise NumericalGuardError(str(exc)) from exc
     results = tuple(
@@ -281,46 +280,47 @@ def run_sweep(config: RunConfig) -> RunReport:
     return RunReport(config=config, results=results, grid_l=config.resolved_grid_l, layers=layers)
 
 
-def _analyze(modes, rho_v, top: int) -> tuple[tuple, list[dict]]:
-    """The layers N = 0..top, and the sector, Stokes summaries and multipole
-    spectra of each H mode with rho_V, layer-major: each layer is gathered,
-    checked and taken through its Stokes moments and multipoles for every
-    amplitude at once, and the variances of every manifold and total are
-    minimised as one stack.  No step depends on how many amplitudes share it."""
+def _analyze(modes, rho_v, top: int, emit) -> tuple[tuple, list[dict]]:
+    """P_N and the Stokes summaries of each H mode with rho_V from the mode
+    diagonals, minimised as one stack; for an emit in BLOCK_EMITS the layers
+    N = 0..top, each gathered for every amplitude at once, and the sectors;
+    for `multipole_csv` the spectra.  No step depends on the amplitude count."""
     count = len(modes)
-    h = np.stack([rho_h.entries for rho_h in modes])
-    layers, spins, owners, means, seconds = [], [], [], [], []
-    multipoles = [[] for _ in modes]
-    aggregated = np.zeros((count, top + 1))
-    length = np.ones(count, dtype=int)  # of each aggregated spectrum: 1 + the top reported N
-    for n in range(top + 1):
-        layer = gather_manifolds(h, rho_v.entries, n)
-        layers.append(layer)
-        live = np.flatnonzero(layer.live)
+    weights, live, *moments = diagonal_moments(modes, rho_v, top)
+    summaries = stokes_summaries(*moments)
+    layers, multipoles, aggregated = (), [()] * count, [np.zeros(0)] * count
+    if emit & BLOCK_EMITS:
+        h = np.stack([rho_h.entries for rho_h in modes])
+        layers = tuple(gather_manifolds(h, rho_v.entries, n, weights[:, n], live[:, n])
+                       for n in range(top + 1))
+    if "multipole_csv" in emit:
+        multipoles, aggregated = _spectra(layers, count)
+    ends = np.cumsum(live[:, 1:top + 1].sum(axis=1)).tolist()  # of each amplitude's rows
+    return layers, [
+        dict(manifold_weights=weights[a, :top + 1], sector=sector,
+             manifold_summaries=tuple(summaries[start:end]), total=summaries[ends[-1] + a],
+             manifold_multipoles=multipoles[a], aggregated_weights=aggregated[a])
+        for a, (sector, start, end) in enumerate(zip(
+            sectors(layers, count) if layers else [None] * count, [0, *ends], ends))
+    ]
+
+
+def _spectra(layers, count: int) -> tuple[list, list]:
+    """Each amplitude's (spin, W_K) of its live manifolds N > 0 and its
+    sum_N P_N W_K^(N), from one `multipole_stack` of each layer."""
+    multipoles = [[] for _ in range(count)]
+    aggregated = np.zeros((count, len(layers)))
+    for layer in layers:
+        n, live = layer.photons, np.flatnonzero(layer.live)
         if not live.size:
             continue
         weights = spectrum_weights(multipole_stack(n, layer.blocks))
         aggregated[live, :n + 1] += layer.weights[live, None] * weights
-        length[live] = n + 1
         if n:
-            mean, second = moment_stack(n, layer.blocks)
-            means.append(mean)
-            seconds.append(second)
-            spins += [n / 2.0] * len(live)
-            owners += live.tolist()
             for a, w in zip(live.tolist(), weights):
                 multipoles[a].append((n / 2.0, w))
-    total_spins, total_mean, total_second = total_moments(modes, rho_v)
-    summaries = stokes_summaries(spins + total_spins, np.concatenate([*means, total_mean]),
-                                 np.concatenate([*seconds, total_second]))
-    manifold = [[] for _ in modes]
-    for a, summary in zip(owners, summaries):
-        manifold[a].append(summary)
-    return tuple(layers), [
-        dict(sector=sector, manifold_summaries=tuple(manifold[a]), total=summaries[len(owners) + a],
-             manifold_multipoles=tuple(multipoles[a]), aggregated_weights=aggregated[a, :length[a]])
-        for a, sector in enumerate(sectors(layers, count))
-    ]
+    return ([tuple(m) for m in multipoles],  # each sum up to K = 2S of the top live S
+            [aggregated[a, :len(m[-1][1]) if m else 1] for a, m in enumerate(multipoles)])
 
 
 def _fmt(x) -> str:
@@ -346,8 +346,8 @@ def _fig3a_text(res: AlphaResult) -> str:
     """The fig3a lines of one amplitude: one per reported spin > 0 manifold."""
     values = []
     for s in res.manifold_summaries:
-        n = round(2 * s.spin)  # the sector holds N = 0, 1, ... in order
-        values += (s.spin, n, res.sector.blocks[n].weight, *s.mean.tolist(),
+        n = round(2 * s.spin)
+        values += (s.spin, n, res.manifold_weights[n], *s.mean.tolist(),
                    s.gamma_min, s.xi2, s.xi2_db, s.mode)
     return (_fmt(res.alpha) + "," + FIG3A_ROW) * len(res.manifold_summaries) % tuple(values)
 
@@ -415,9 +415,8 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
             for res in report.results)])
 
     if "photon_csv" in emit:
-        # the sector holds N = 0, 1, ... in order
         put("fig3b.csv", write_text, [FIG3B_HEADER, *(
-            _numbered_text([(_fmt(res.alpha) + ",", [b.weight for b in res.sector.blocks])])
+            _numbered_text([(_fmt(res.alpha) + ",", res.manifold_weights.tolist())])
             for res in report.results)])
 
     if "multipole_csv" in emit:

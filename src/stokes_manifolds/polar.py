@@ -202,6 +202,25 @@ def report_photons(max_spin: float, cutoff_h: int, cutoff_v: int) -> int:
     return top
 
 
+def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(f * g)[..., N] = sum_n f[..., n] g[..., N - n] along the last axes, the
+    others broadcast: f dotted with row N of windows onto one padded, reversed
+    copy of g, so each N sums alike whatever else is convolved with it."""
+    size = f.shape[-1]
+    padded = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(size - 1, size - 1)])[..., ::-1].copy()
+    windows = np.lib.stride_tricks.sliding_window_view(padded, size, axis=-1)[..., ::-1, :]
+    return np.vecdot(f.conj()[..., None, :], windows)
+
+
+def photon_weights(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one P_N: (p_H * p_V)[N] of the photon-number distributions of each
+    H mode of the stack h with the V mode's entries v, over every N the
+    cutoffs hold, roundoff below 0 clamped to 0, and its mask P_N > WEIGHT_FLOOR."""
+    p_h = np.diagonal(h, 0, 1, 2).real.copy()  # contiguous: a strided dot sums otherwise
+    weights = np.maximum(convolve(p_h, np.diagonal(v).real), 0.0)
+    return weights, weights > WEIGHT_FLOOR
+
+
 class ManifoldLayer(NamedTuple):
     """Manifold N of every amplitude of a sweep, from `gather_manifolds`:
     the weights P_N (n,), the mask of those above WEIGHT_FLOOR, the blocks
@@ -215,22 +234,20 @@ class ManifoldLayer(NamedTuple):
     negligible: np.ndarray
 
 
-def gather_manifolds(h: np.ndarray, v: np.ndarray, n_total: int) -> ManifoldLayer:
+def gather_manifolds(h: np.ndarray, v: np.ndarray, n_total: int,
+                     weights: np.ndarray, live: np.ndarray) -> ManifoldLayer:
     """Manifold N of rho_H (x) rho_V for every H mode of the stack h
     (n, cutoff_H + 1, cutoff_H + 1) with the V mode's entries v, N no larger
-    than either cutoff.
+    than either cutoff, with its weights P_N (n,) and mask from `photon_weights`.
 
     Block N is gathered straight from the two modes,
-    block_N[i, j] = rho_H[n_i, n_j] rho_V[N - n_i, N - n_j] with n_i = N - i,
-    so the two-mode matrix is never formed: a reversed slice of each H mode
-    times one slice of rho_V.  Its trace is the weight P_N; the blocks above
-    the weight floor are divided by it and checked as one stack.  The blocks
-    are real if both modes are.
+    block_N[i, j] = rho_H[n_i, n_j] rho_V[N - n_i, N - n_j] with n_i = N - i:
+    a reversed slice of each H mode times one slice of rho_V.  The live blocks
+    are divided by P_N and checked as one stack, so their unit trace
+    cross-checks P_N.  The blocks are real if both modes are.
     """
     # n_i = N - i runs down from N in rho_H while N - n_i = i runs up in rho_V
     raw = h[:, n_total::-1, n_total::-1] * v[:n_total + 1, :n_total + 1]
-    weights = np.trace(raw, axis1=1, axis2=2).real
-    live = weights > WEIGHT_FLOOR
     blocks = check_blocks(n_total / 2.0, raw[live] / weights[live, None, None])
     # no copy when every block is negligible: past the reported range a copy
     # per size left freed holes in the heap, about 120 MB of peak RSS in a
@@ -250,20 +267,22 @@ def sectors(layers, count: int) -> list[PolarizationSector]:
         spin = layer.photons / 2.0
         blocks, negligible = iter(layer.blocks), iter(layer.negligible)
         for column, weight, live in zip(columns, layer.weights.tolist(), layer.live.tolist()):
-            column.append(ManifoldBlock._checked(spin, weight, next(blocks)) if live else
-                          ManifoldBlock._checked(spin, max(weight, 0.0), next(negligible), True))
+            column.append(ManifoldBlock._checked(spin, weight, next(blocks if live else negligible),
+                                                 not live))
     return [PolarizationSector(tuple(column)) for column in columns]
 
 
 def parse_manifolds(rho_h: ModeState, rho_v: ModeState, max_spin: float) -> PolarizationSector:
     """The blocks N = 0..2 max_spin of the block-diagonal polarization sector
-    of the product state rho_H (x) rho_V: `gather_manifolds` on a stack of one
-    H mode.  Every gathered manifold lies inside both mode cutoffs, so every
-    block is complete.
+    of the product state rho_H (x) rho_V: `photon_weights` and
+    `gather_manifolds` on a stack of one H mode.  Every gathered manifold lies
+    inside both mode cutoffs, so every block is complete.
     """
     top = report_photons(max_spin, rho_h.cutoff, rho_v.cutoff)
     h = rho_h.entries[None]
-    return sectors([gather_manifolds(h, rho_v.entries, n) for n in range(top + 1)], 1)[0]
+    weights, live = photon_weights(h, rho_v.entries)
+    return sectors([gather_manifolds(h, rho_v.entries, n, weights[:, n], live[:, n])
+                    for n in range(top + 1)], 1)[0]
 
 
 def write_text(pieces, path) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import ModeState
-from .polar import WEIGHT_FLOOR, ManifoldBlock, diagonal_order
+from .polar import ManifoldBlock, convolve, diagonal_order, photon_weights
 
 DIRECTION_EPS = 1e-6
 
@@ -214,27 +214,18 @@ def _ladder_diagonal(entries: np.ndarray, k: int) -> np.ndarray:
     return np.pad(values, [(0, 0)] * (values.ndim - 1) + [(max(-k, 0), max(k, 0))])
 
 
-def _windows(g: np.ndarray, size: int) -> np.ndarray:
-    """W[..., N, n] = g[..., N - n] for N < size + len(g) - 1 and n < size,
-    zero where N - n falls outside g: a view of one padded, reversed copy of
-    g, so each full convolution (f * g)[N] of an f of length `size` is the
-    dot product of f with row N."""
-    padded = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(size - 1, size - 1)])[..., ::-1].copy()
-    return np.lib.stride_tricks.sliding_window_view(padded, size, axis=-1)[..., ::-1, :]
-
-
-def total_moments(modes, rho_v: ModeState):
-    """(spins, means (n, 3), second moments (n, 3, 3)) of each whole state
-    rho_H (x) rho_V over n H modes that share rho_V, the spin being half the
-    mean photon number, for `stokes_summaries`.  Every Stokes operator keeps
-    N fixed, so under the Schwinger map S+ = a_H^dag a_V, Sz = (n_H - n_V)/2
-    each moment of manifold N, times P_N, is a convolution
-    (f * g)[N] = sum_n f[n] g[N - n] of mode diagonals: P_N = (p_H * p_V)[N]
-    and <S+^k>_N = (h_k * v_k)[N], with p the photon-number distributions,
-    h_k[n] = <n|rho_H a^dag^k|n> and v_k[n] = <n|rho_V a^k|n>;
-    <{Sz, S+}> = <S+ (2 Sz + 1)>, <Sz> and <Sz^2> weight these by n_H - n_V.
-    The ten convolutions of every H mode are dot products with windows onto
-    the shared V diagonals.
+def diagonal_moments(modes, rho_v: ModeState, top: int = 0):
+    """(weights, live, spins, means (r, 3), second moments (r, 3, 3)) of
+    rho_H (x) rho_V for n H modes that share rho_V, from the mode diagonals:
+    `photon_weights`, then for `stokes_summaries` a row per manifold
+    N = 1..top above the weight floor, amplitude-major, and one per whole
+    state, at half its mean photon number.  Every Stokes operator keeps N
+    fixed, so under the Schwinger map S+ = a_H^dag a_V, Sz = (n_H - n_V)/2
+    each moment of manifold N, times P_N, is a convolution of mode diagonals:
+    <S+^k>_N P_N = (h_k * v_k)[N], h_k[n] = <n|rho_H a^dag^k|n> and
+    v_k[n] = <n|rho_V a^k|n>; <{Sz, S+}> = <S+ (2 Sz + 1)>, <Sz> and <Sz^2>
+    weight the photon-number distributions by n_H - n_V.  A manifold's row
+    is its nine convolutions over P_N; a whole state's, their sum.
     """
     for rho_h in modes:
         captured = rho_h.trace * rho_v.trace
@@ -242,37 +233,40 @@ def total_moments(modes, rho_v: ModeState):
             raise ValueError(f"the modes keep only {captured:.6f} of the state, "
                              "not more than 0.5; raise the cutoff")
     h = np.stack([rho_h.entries for rho_h in modes])
+    weights, live = photon_weights(h, rho_v.entries)
     n_h, n_v = np.arange(h.shape[-1]), np.arange(rho_v.cutoff + 1)
     p_h, p_v = np.diagonal(h, 0, 1, 2).real, np.diagonal(rho_v.entries).real
     h1, v1 = _ladder_diagonal(h, 1), _ladder_diagonal(rho_v.entries, -1)
-    f = np.stack([p_h, n_h * p_h, p_h, n_h**2 * p_h, n_h * p_h, p_h,
+    f = np.stack([n_h * p_h, p_h, n_h**2 * p_h, n_h * p_h, p_h,
                   h1, (n_h + 1) * h1, h1, _ladder_diagonal(h, 2)], axis=1)
-    g = np.stack([p_v, p_v, n_v * p_v, p_v, n_v * p_v, n_v**2 * p_v,
+    g = np.stack([p_v, n_v * p_v, p_v, n_v * p_v, n_v**2 * p_v,
                   v1, v1, n_v * v1, _ladder_diagonal(rho_v.entries, -2)])
-    conv = np.vecdot(f.conj()[:, :, None, :], _windows(g, len(n_h)))  # (n, 10, N)
-    weight = conv[:, 0].real
-    photons = np.arange(weight.shape[1])
+    conv = convolve(f, g)  # (n, 9, M)
+    photons = np.arange(weights.shape[1])
     # The manifolds a block-by-block total summed: N > 0 above the weight
     # floor.  Item 4 of ROADMAP.md drops the floor, which moves xi^2 by up to
     # 5.9e-10 relative and xi2_dB by 2.6e-9 absolute at the default study, so
     # it needs a re-pin of the benchmark references.
-    keep = ((photons > 0) & (weight > WEIGHT_FLOOR)).astype(float)
-    kept = weight * keep
-    t = np.vecdot(keep[:, None, :], conv[:, 1:])  # sum over kept N of each convolution
+    keep = live & (photons > 0)
+    kept = weights * keep
+    owner, n = np.nonzero(keep[:, :top + 1])
+    c = np.concatenate([conv[owner, :, n] / weights[owner, n, None],
+                        np.vecdot(keep[:, None, :].astype(float), conv)])  # (r, 9)
     spin = photons / 2.0
     mean, second = _stokes_moments(
-        np.vecdot(kept, spin * (spin + 1)),
-        0.5 * (t[:, 0].real - t[:, 1].real),
-        0.25 * (t[:, 2].real - 2.0 * t[:, 3].real + t[:, 4].real),
-        t[:, 5], t[:, 6] - t[:, 7], t[:, 8],
+        np.concatenate([spin[n] * (spin[n] + 1), np.vecdot(kept, spin * (spin + 1))]),
+        0.5 * (c[:, 0].real - c[:, 1].real),
+        0.25 * (c[:, 2].real - 2.0 * c[:, 3].real + c[:, 4].real),
+        c[:, 5], c[:, 6] - c[:, 7], c[:, 8],
     )
-    return (np.vecdot(kept, photons) / 2.0).tolist(), mean, second
+    spins = [*spin[n].tolist(), *(np.vecdot(kept, photons) / 2.0).tolist()]
+    return weights, live, spins, mean, second
 
 
 def total_stokes_summary(rho_h: ModeState, rho_v: ModeState) -> StokesSummary:
     """Squeezing of the whole state rho_H (x) rho_V, with the variance
-    normalized by the mean photon number: `total_moments` on a stack of one."""
-    return stokes_summaries(*total_moments([rho_h], rho_v))[0]
+    normalized by the mean photon number: `diagonal_moments` on a stack of one."""
+    return stokes_summaries(*diagonal_moments([rho_h], rho_v)[2:])[0]
 
 
 def quadrature_estimate_xi2(alpha: float, r: float) -> float:

@@ -390,12 +390,12 @@ def csv_figure_tables(report) -> dict:
     """fig3a-fig3d of a run report, name -> bytes, from one row tuple per
     line through `csv_writer_table`."""
     fig3a = [
-        (res.alpha, s.spin, round(2 * s.spin), res.sector.blocks[round(2 * s.spin)].weight,
+        (res.alpha, s.spin, round(2 * s.spin), res.manifold_weights[round(2 * s.spin)],
          *s.mean, s.gamma_min, s.xi2, s.xi2_db, s.mode)
         for res in report.results for s in res.manifold_summaries
     ]
-    fig3b = [(res.alpha, b.photon_number, b.weight)
-             for res in report.results for b in res.sector.blocks]
+    fig3b = [(res.alpha, n, weight)
+             for res in report.results for n, weight in enumerate(res.manifold_weights)]
     fig3c = [(res.alpha, res.total.xi2, res.total.xi2_db, res.analytic_estimate, res.total.mode)
              for res in report.results]
     fig3d = [

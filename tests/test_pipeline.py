@@ -223,9 +223,9 @@ class TestSweep:
         # is refused
         sizes = []
 
-        def gather(h, v, n_total, _original=pipeline.gather_manifolds):
+        def gather(h, v, n_total, *weights, _original=pipeline.gather_manifolds):
             sizes.append((n_total, len(h)))
-            return _original(h, v, n_total)
+            return _original(h, v, n_total, *weights)
 
         monkeypatch.setattr(pipeline, "gather_manifolds", gather)
         run_sweep(RunConfig(**FAST))
@@ -240,10 +240,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("s_max", [5.0, 5.3, 0.5])
     def test_results_keep_only_report_range(self, s_max):
-        config = RunConfig(**{**FAST, "s_report_max": s_max, "emit": ()})
+        config = RunConfig(**{**FAST, "s_report_max": s_max, "emit": ("sector_json",)})
         for res in run_sweep(config).results:
             numbers = [b.photon_number for b in res.sector.blocks]
             assert numbers == list(range(int(2 * s_max) + 1))
+            assert len(res.manifold_weights) == len(numbers)
 
     def test_report_fields_finite(self):
         report = run_sweep(RunConfig(**FAST))
@@ -357,30 +358,33 @@ class TestComputedOnce:
                 assert np.shares_memory(got, want) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["gather_manifolds", "moment_stack", "multipole_stack",
-                                      "total_moments", "stokes_summaries"])
+                                      "diagonal_moments", "stokes_summaries"])
     def test_layer_calls_do_not_grow_with_amplitudes(self, monkeypatch, name):
         # each layer runs once per manifold size (or once per sweep) however
-        # many amplitudes share it
+        # many amplitudes share it; the manifold moments come from the mode
+        # diagonals, so no block's moments are taken
         counts = []
         for alphas in (LADDER[2:3], LADDER):
-            calls = _record_calls(monkeypatch, name, [pipeline])
-            run_sweep(RunConfig(alphas=alphas, emit=()))
+            calls = _record_calls(monkeypatch, name, [pipeline, stokes])
+            run_sweep(RunConfig(alphas=alphas, emit=("multipole_csv",)))
             counts.append(len(calls))
             monkeypatch.undo()
         assert counts[0] == counts[1] == {"gather_manifolds": 25, "multipole_stack": 25,
-                                          "moment_stack": 24}.get(name, 1)
+                                          "moment_stack": 0}.get(name, 1)
 
     @pytest.mark.parametrize("module, name", [
         (polar, "parse_manifolds"), (multipole, "multipoles_algebraic"),
         (stokes, "manifold_stokes_summary"), (stokes, "total_stokes_summary"),
-        (stokes, "_moments"),
+        (stokes, "_moments"), (stokes, "moment_stack"),
     ])
     def test_sweep_makes_no_per_block_call(self, monkeypatch, module, name):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{name} called by the sweep")
 
-        monkeypatch.setattr(module, name, refuse)
-        run_sweep(RunConfig(alphas=LADDER, emit=()))
+        for binding in (module, pipeline):  # and the sweep's own import, if any
+            if hasattr(binding, name):
+                monkeypatch.setattr(binding, name, refuse)
+        run_sweep(RunConfig(alphas=LADDER))
 
     def test_tables_need_no_scalar_clebsch_gordan(self):
         multipole.cg_table.cache_clear()
@@ -438,6 +442,64 @@ class TestComputedOnce:
         assert built == [layer.photons for layer in live] and len(live) == 25
         assert len(stacks) == len(live)
         assert all(stack is layer.blocks for stack, layer in zip(stacks, live))
+
+
+class TestEmitScope:
+    """The weights and Stokes summaries come from the mode diagonals; the
+    blocks are gathered only for an emit that reads them, and the multipoles
+    contracted only for `multipole_csv`."""
+
+    @staticmethod
+    def _refuse(monkeypatch, *bindings):
+        for module, name in bindings:
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called")
+
+            monkeypatch.setattr(module, name, refuse)
+
+    def test_csv_run_gathers_no_block(self, monkeypatch):
+        self._refuse(monkeypatch, (pipeline, "gather_manifolds"), (pipeline, "multipole_stack"),
+                     (multipole, "cg_table"))
+        report = run_sweep(RunConfig(alphas=LADDER, emit=("squeezing_csv", "photon_csv")))
+        assert report.layers == ()
+        for res in report.results:
+            assert res.sector is None and res.manifold_multipoles == ()
+            assert res.aggregated_weights.shape == (0,) and len(res.manifold_weights) == 25
+
+    def test_husimi_run_contracts_no_multipole(self, monkeypatch, tmp_path):
+        self._refuse(monkeypatch, (pipeline, "multipole_stack"))
+        report = run_sweep(RunConfig(alphas=(0.0, 1.13), s_report_max=5.0, grid_l=20,
+                                     emit=("q_csv", "heatmaps")))
+        assert len(report.layers) == 11
+        for res in report.results:
+            assert len(res.sector.blocks) == 11 and res.manifold_multipoles == ()
+        emit_figure_tables(report, tmp_path)
+
+    def test_figure_tables_do_not_depend_on_emit(self, tmp_path):
+        # fig3a-c read the same P_N and summaries whether or not blocks are
+        # gathered
+        for name, emit in (("csv", ("squeezing_csv", "photon_csv")), ("all", EMIT_CHOICES)):
+            emit_figure_tables(run_sweep(RunConfig(emit=emit)), tmp_path / name)
+        for name in ("fig3a.csv", "fig3b.csv", "fig3c.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    def test_weights_match_blocks(self):
+        # P_N of the figure tables is the sectors' weight, and the summaries
+        # are those of the live blocks N > 0
+        for res in run_sweep(RunConfig(alphas=LADDER)).results:
+            assert res.manifold_weights.tolist() == [b.weight for b in res.sector.blocks]
+            spins = [b.spin for b in res.sector.reported() if b.spin]
+            assert [s.spin for s in res.manifold_summaries] == spins
+
+    def test_no_negative_photon_weight(self, tmp_path):
+        # 44 of P_0..P_160 sum to below 0 by roundoff at alpha 7; they print 0
+        config = RunConfig(alphas=(7.0,), cutoff_h=160, cutoff_v=160, emit=("photon_csv",))
+        report = run_sweep(config)
+        weights = report.results[0].manifold_weights
+        assert len(weights) == 161 and not (weights < 0).any() and not np.signbit(weights).any()
+        emit_figure_tables(report, tmp_path)
+        rows = (tmp_path / "fig3b.csv").read_text().splitlines()[1:]
+        assert len(rows) == 161 and not any(row.split(",")[2].startswith("-") for row in rows)
 
 
 def _gap(got, want) -> float:
@@ -583,7 +645,9 @@ class TestRealStates:
         v = synthesize_mode(model, 0.0, 12)
         h = synthesize_mode(model, 0.6 + 0.8j, 12)
         assert h.entries.dtype == np.complex128 and v.entries.dtype == np.float64
-        layers = [polar.gather_manifolds(h.entries[None], v.entries, n) for n in range(7)]
+        weights, live = polar.photon_weights(h.entries[None], v.entries)
+        layers = [polar.gather_manifolds(h.entries[None], v.entries, n, weights[:, n], live[:, n])
+                  for n in range(7)]
         for layer in layers[2:]:
             n = layer.photons
             assert layer.blocks.dtype == np.complex128
@@ -595,7 +659,7 @@ class TestRealStates:
             assert abs(second[0, 0, 1]) > 1e-6  # Im<S+^2> / 2
             for got, want in zip((mean[0], second[0]), dense_moments(block)):
                 assert np.abs(got - want).max() < 1e-12
-        assert stokes.total_moments([h], v)[2].dtype == np.float64
+        assert stokes.diagonal_moments([h], v)[3].dtype == np.float64
         q = next(sphere.husimi_totals(layers, build_quadrature_grid(24)))
         captured = sum(layer.weights[0] for layer in layers)
         assert q.values.dtype == np.float64 and abs(q.integral() - captured) < 1e-12
@@ -828,12 +892,9 @@ class TestEmission:
 def _edge_report() -> RunReport:
     """A CSV-only report whose rows hold every float %.12g spells apart
     (nan, +-inf, -0.0, the extremes and a half that rounds up), spin 1.0
-    (printed 1), the total's rows and the undefined mode."""
+    (printed 1), the total's rows and the undefined mode; the tables read no
+    sector."""
     edge = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 999999999999.5, 5e-324]
-    sector = PolarizationSector(tuple(
-        ManifoldBlock(n / 2.0, w, np.zeros((n + 1, n + 1), dtype=complex), negligible=True)
-        for n, w in enumerate([0.25, *edge])
-    ))
     summaries = (
         StokesSummary(0.5, np.array(edge[:3]), np.zeros((3, 3)), math.inf,
                       np.array([0.0, 0.0, 1.0]), -math.inf, MODE_PERP),
@@ -843,7 +904,8 @@ def _edge_report() -> RunReport:
     )
     results = tuple(
         AlphaResult(
-            alpha=alpha, sector=sector, manifold_summaries=summaries, total=total,
+            alpha=alpha, manifold_weights=np.array([0.25, *edge]), sector=None,
+            manifold_summaries=summaries, total=total,
             manifold_multipoles=((0.5, np.array(edge[:2])), (1.0, np.array(edge))),
             aggregated_weights=np.array(edge[::-1]), analytic_estimate=estimate,
             trace_deficit=0.0,
@@ -1022,14 +1084,13 @@ class TestCli:
             entries[1, 3] = math.nan
         elif kind == "non-Hermitian":
             entries[1, 3] += 1e-3
-        else:  # P_2 cancels to 2e-11, and the normalised trace misses 1 by 4.8e-7
-            n_total = 2
-            entries[2, 2] = -(entries[1, 1].real * v[1, 1].real
-                              + entries[0, 0].real * v[2, 2].real) / v[0, 0].real * (1 - 4e-10)
+        else:  # P_3 cancels to 1.1e-11, and the block's trace over it misses 1 by 4.8e-7
+            entries[3, 3] = -sum(entries[j, j] * v[3 - j, 3 - j] for j in range(3)) / v[0, 0] * (
+                1 - 4e-10)
         entries.setflags(write=False)
         block = full_block(SimpleNamespace(cutoff=8, entries=entries),
                            SimpleNamespace(cutoff=8, entries=v), n_total)
-        block = block / np.trace(block).real
+        block = block / polar.photon_weights(entries[None], v)[0][0, n_total]
         dev = np.max(np.abs(block - block.conj().T))
         trace = np.trace(block).real
         if kind == "trace":
@@ -1127,10 +1188,15 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "all 9 checks passed" in out and "FAIL" not in out
+        assert "all 10 checks passed" in out and "FAIL" not in out
         blocks = len(default_ladder_blocks(24))  # what run_sweep(RunConfig()) reports
         line = f"[ok] scaled dual-route multipoles, {blocks} reported blocks on grid L 48: worst "
         assert blocks == 100 and RunConfig().resolved_grid_l == 48 and line in out, out
+        # the tenth line: the 96 reported manifolds N > 0 of the two Stokes routes
+        tenth = out.splitlines()[9]
+        assert tenth.startswith("[ok] Stokes moments of the mode diagonals against moment_stack, "
+                                "96 reported blocks: worst "), out
+        assert float(tenth.split("worst ")[1].split(",")[0]) <= 1e-12
 
     def test_check_guard_exit(self, capsys, corrupt_cg_tables):
         assert main(["check"]) == 2

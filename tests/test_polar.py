@@ -10,6 +10,7 @@ from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS
 from stokes_manifolds.invariants import random_block
 from stokes_manifolds.polar import (
+    WEIGHT_FLOOR,
     ManifoldBlock,
     PolarizationSector,
     check_blocks,
@@ -75,9 +76,25 @@ class TestParsing:
             n_h = np.arange(b.photon_number, -1, -1)
             flat = n_h * (cutoff_v + 1) + b.photon_number - n_h
             want = dense[np.ix_(flat, flat)]
-            weight = float(np.real(np.trace(want)))
-            assert b.weight == max(weight, 0.0)
-            assert np.array_equal(b.block, want if b.negligible else want / weight)
+            # P_N is the convolution of the photon-number distributions, the
+            # trace summed in another order
+            weight = max(float(np.real(np.trace(want))), 0.0)
+            assert abs(b.weight - weight) <= 1e-15 * max(weight, WEIGHT_FLOOR)
+            assert np.array_equal(b.block, want if b.negligible else want / b.weight)
+
+    @pytest.mark.parametrize("alpha, cutoff", [(1.13, 24), (7.0, 160)])
+    def test_photon_weights_are_the_convolution(self, alpha, cutoff):
+        # P_N = (p_H * p_V)[N] over every N the cutoffs hold, roundoff below 0
+        # clamped to 0, and the sector's blocks carry exactly those weights
+        model = NoiseModel(3.6, 4.4, 0.85)
+        rho_h, rho_v = synthesize_mode(model, alpha, cutoff), synthesize_mode(model, 0.0, cutoff)
+        weights, live = polar.photon_weights(rho_h.entries[None], rho_v.entries)
+        want = np.convolve(np.diag(rho_h.entries), np.diag(rho_v.entries))
+        assert weights.shape == (1, 2 * cutoff + 1) and (weights >= 0.0).all()
+        assert np.abs(weights[0] - np.maximum(want, 0.0)).max() <= 1e-15
+        assert np.array_equal(live[0], weights[0] > WEIGHT_FLOOR)
+        sector = parse_manifolds(rho_h, rho_v, cutoff / 2.0)
+        assert [b.weight for b in sector.blocks] == weights[0, :cutoff + 1].tolist()
 
     def test_weights_sum_to_trace(self):
         # the report range N <= 12 and the fully gathered blocks past it hold
@@ -138,8 +155,7 @@ class TestSizeArrays:
         assert [b.photon_number for b in sector.blocks] == list(range(21))
         for b in sector.blocks:
             want = full_block(rho_h, rho_v, b.photon_number)
-            weight = float(np.real(np.trace(want)))
-            assert np.array_equal(b.block, want if b.negligible else want / weight)
+            assert np.array_equal(b.block, want if b.negligible else want / b.weight)
         for b in sector.reported():
             for got, want in zip(_moments(b), dense_moments(b)):
                 assert np.max(np.abs(got - want)) < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokes_manifolds.fock import NoiseModel, synthesize_mode
-from stokes_manifolds.invariants import random_block, spin_half_xi2_gap
+from stokes_manifolds.invariants import random_block, spin_half_xi2_gap, stokes_route_gap
 from stokes_manifolds.pipeline import DEFAULT_ALPHAS, RunConfig, run_sweep
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
 from stokes_manifolds.stokes import (
@@ -74,6 +75,24 @@ class TestDiagonalMoments:
     def test_default_ladder(self, cutoff):
         for block in default_ladder_blocks(cutoff):
             assert _moment_gap(block) < 1e-12, block.spin
+
+
+class TestStokesRoutes:
+    """The sweep's manifold summaries, from the mode diagonals, against
+    `moment_stack` on the gathered blocks (`invariants.stokes_route_gap`)."""
+
+    @pytest.mark.parametrize("alphas, cutoff", [(DEFAULT_ALPHAS, 24), (DEFAULT_ALPHAS, 48),
+                                                ((0.0, 2.31, 7.0), 160)])
+    def test_routes_agree(self, alphas, cutoff):
+        config = RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff, emit=("sector_json",))
+        results = run_sweep(config).results
+        blocks = [b for res in results for b in res.sector.reported() if b.spin]
+        summaries = [s for res in results for s in res.manifold_summaries]
+        gap, bound = stokes_route_gap(blocks, summaries)
+        assert gap <= bound and len(blocks) == len(summaries)
+        i = len(summaries) // 2  # one xi^2 a thousand times the bound off is found
+        summaries[i] = dataclasses.replace(summaries[i], xi2=summaries[i].xi2 * (1 + 1e-9))
+        assert stokes_route_gap(blocks, summaries)[0] > 1e-10
 
 
 class TestManifoldSummary:
