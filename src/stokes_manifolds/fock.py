@@ -146,20 +146,25 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     D(|alpha|) with the phases diag(e^{i n arg alpha}) on both sides.  D(0) is
     the exact identity.
     """
+    return _displacement_rows(alpha, cutoff, cutoff)
+
+
+def _displacement_rows(alpha: complex, cutoff: int, top: int) -> np.ndarray:
+    """Rows 0..top of `displacement_matrix(alpha, cutoff)`, top <= cutoff: the
+    eigenbasis is cropped before the product, so only the entries kept are
+    multiplied, each the same dot product as in the whole matrix."""
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    dim = padded_cutoff(cutoff) + 1
     alpha = complex(alpha)
     if alpha == 0:
-        full = np.eye(dim, dtype=complex)
-    else:
-        values, vectors = _displacement_eigenbasis(dim)
-        t = alpha.real if alpha.imag == 0 else abs(alpha)
-        full = (vectors * np.exp(-1j * t * values)) @ vectors.conj().T
-        if alpha.imag != 0:
-            phase = np.exp(1j * np.angle(alpha) * np.arange(dim))
-            full = phase[:, None] * full * phase.conj()
-    return full[: cutoff + 1, : cutoff + 1]
+        return np.eye(top + 1, cutoff + 1, dtype=complex)
+    values, vectors = _displacement_eigenbasis(padded_cutoff(cutoff) + 1)
+    t = alpha.real if alpha.imag == 0 else abs(alpha)
+    part = (vectors[:top + 1] * np.exp(-1j * t * values)) @ vectors[:cutoff + 1].conj().T
+    if alpha.imag != 0:
+        phase = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))
+        part = phase[:top + 1, None] * part * phase.conj()
+    return part
 
 
 def squeeze_matrix(r: complex, cutoff: int) -> np.ndarray:
@@ -238,7 +243,7 @@ def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState
     it if the imaginary part dropped reaches HERMITICITY_TOL.
     """
     pad = padded_cutoff(cutoff)
-    disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad)[: cutoff + 1]
+    disp = _displacement_rows(math.sqrt(model.efficiency) * alpha, pad, cutoff)
     rho = disp @ _lossy_core(model, pad) @ disp.conj().T
     if complex(alpha).imag == 0:
         dropped = np.abs(rho.imag).max()

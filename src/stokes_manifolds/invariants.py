@@ -122,7 +122,8 @@ def default_suite() -> list[tuple[str, float, float]]:
     grid = build_quadrature_grid(report.grid_l)
     blocks = [b for res in report.results for b in res.sector.reported()]
     totals = list(zip([res.sector for res in report.results],
-                      husimi_totals(report.layers, grid)))  # each Q once
+                      husimi_totals(report.layers, len(report.results), grid)))  # each Q once
+    halves = [b for b in blocks if b.spin == 0.5]  # one per sector that holds S = 1/2
     summaries = [s for res in report.results for s in res.manifold_summaries]
     sizes = sorted({b.photon_number for b in blocks})
     top = sizes[-1]
@@ -148,8 +149,8 @@ def default_suite() -> list[tuple[str, float, float]]:
                (husimi_manifold_gap(b, grid) for b in blocks)),
         _worst(f"loss channel trace, thermal state on {pad + 1} levels at eta {config.efficiency}",
                [loss_trace_gap(thermal_state(0.7, pad), config.efficiency)]),
-        _worst(f"one-photon manifold xi2 = 1, {len(report.results)} amplitudes",
-               (spin_half_xi2_gap(res.sector.blocks[1]) for res in report.results)),
+        _worst(f"one-photon manifold xi2 = 1, {len(halves)} amplitudes",
+               map(spin_half_xi2_gap, halves)),
         _worst(f"Stokes moments of the mode diagonals against moment_stack, {len(summaries)} "
                "reported blocks", [stokes_route_gap([b for b in blocks if b.spin], summaries)]),
     ]

@@ -184,8 +184,9 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
 class AlphaResult:
     """Everything computed for one coherent amplitude: P_N for N = 0..2 S_max
     and the summaries of the manifolds N > 0 above the weight floor and of the
-    total, from the mode diagonals.  The sector and the multipole spectra are
-    None and empty unless an emit reads them (`_analyze`)."""
+    total, from the mode diagonals.  The sector (the manifolds above the
+    floor) and the multipole spectra are None and empty unless an emit reads
+    them (`_analyze`)."""
 
     alpha: float
     manifold_weights: np.ndarray
@@ -200,10 +201,14 @@ class AlphaResult:
 
 @dataclass(frozen=True)
 class RunReport:
+    """The sweep's results, one per amplitude, and the `polar.ManifoldLayer`s
+    that their sectors view: one per N <= 2 S_max at which some amplitude is
+    above the weight floor, in increasing N, and () if no emit reads a block."""
+
     config: RunConfig
     results: tuple
     grid_l: int
-    layers: tuple  # the `polar.ManifoldLayer`s the sectors view, () if no emit reads a block
+    layers: tuple
 
 
 def _check_cutoffs(config: RunConfig, model: NoiseModel, alphas):
@@ -283,16 +288,19 @@ def run_sweep(config: RunConfig) -> RunReport:
 def _analyze(modes, rho_v, top: int, emit) -> tuple[tuple, list[dict]]:
     """P_N and the Stokes summaries of each H mode with rho_V from the mode
     diagonals, minimised as one stack; for an emit in BLOCK_EMITS the layers
-    N = 0..top, each gathered for every amplitude at once, and the sectors;
-    for `multipole_csv` the spectra.  No step depends on the amplitude count."""
+    of the N <= top at which some amplitude is above the weight floor, each
+    gathered for every amplitude live at N at once, and the sectors; for
+    `multipole_csv` the spectra.  No step depends on the amplitude count."""
     count = len(modes)
     weights, live, *moments = diagonal_moments(modes, rho_v, top)
     summaries = stokes_summaries(*moments)
-    layers, multipoles, aggregated = (), [()] * count, [np.zeros(0)] * count
+    layers, parsed = (), [None] * count
+    multipoles, aggregated = [()] * count, [np.zeros(0)] * count
     if emit & BLOCK_EMITS:
         h = np.stack([rho_h.entries for rho_h in modes])
         layers = tuple(gather_manifolds(h, rho_v.entries, n, weights[:, n], live[:, n])
-                       for n in range(top + 1))
+                       for n in np.flatnonzero(live[:, :top + 1].any(axis=0)).tolist())
+        parsed = sectors(layers, count)
     if "multipole_csv" in emit:
         multipoles, aggregated = _spectra(layers, count)
     ends = np.cumsum(live[:, 1:top + 1].sum(axis=1)).tolist()  # of each amplitude's rows
@@ -300,22 +308,19 @@ def _analyze(modes, rho_v, top: int, emit) -> tuple[tuple, list[dict]]:
         dict(manifold_weights=weights[a, :top + 1], sector=sector,
              manifold_summaries=tuple(summaries[start:end]), total=summaries[ends[-1] + a],
              manifold_multipoles=multipoles[a], aggregated_weights=aggregated[a])
-        for a, (sector, start, end) in enumerate(zip(
-            sectors(layers, count) if layers else [None] * count, [0, *ends], ends))
+        for a, (sector, start, end) in enumerate(zip(parsed, [0, *ends], ends))
     ]
 
 
 def _spectra(layers, count: int) -> tuple[list, list]:
-    """Each amplitude's (spin, W_K) of its live manifolds N > 0 and its
+    """Each amplitude's (spin, W_K) of its manifolds N > 0 and its
     sum_N P_N W_K^(N), from one `multipole_stack` of each layer."""
     multipoles = [[] for _ in range(count)]
-    aggregated = np.zeros((count, len(layers)))
+    aggregated = np.zeros((count, layers[-1].photons + 1 if layers else 1))  # K <= top live N
     for layer in layers:
         n, live = layer.photons, np.flatnonzero(layer.live)
-        if not live.size:
-            continue
         weights = spectrum_weights(multipole_stack(n, layer.blocks))
-        aggregated[live, :n + 1] += layer.weights[live, None] * weights
+        aggregated[live, :n + 1] += layer.weights[:, None] * weights
         if n:
             for a, w in zip(live.tolist(), weights):
                 multipoles[a].append((n / 2.0, w))
@@ -357,7 +362,8 @@ def _numbered_text(rows) -> str:
     k, v in enumerate(values), from one template filled once."""
     rows = list(rows)
     return "".join((prefix + NUMBERED_ROW) * len(values) for prefix, values in rows) % tuple(
-        x for _, values in rows for pair in enumerate(values) for x in pair)
+        itertools.chain.from_iterable(itertools.chain.from_iterable(
+            enumerate(values) for _, values in rows)))
 
 
 def _fig3d_text(res: AlphaResult) -> str:
@@ -424,7 +430,7 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
 
     if emit & {"q_csv", "heatmaps"}:
         grid = build_quadrature_grid(report.grid_l)
-        for i, q in enumerate(husimi_totals(report.layers, grid)):
+        for i, q in enumerate(husimi_totals(report.layers, len(report.results), grid)):
             if "q_csv" in emit:
                 put(f"q_total_alpha{i}.csv", _write_q_csv, _q_csv_rows(report.grid_l), q.values)
             if "heatmaps" in emit:

@@ -23,13 +23,12 @@ from .fock import ModeState, _float_or_complex, _require_hermitian
 WEIGHT_FLOOR = 1e-12
 
 
-def check_blocks(spin: float, blocks: np.ndarray, negligible: bool = False) -> np.ndarray:
+def check_blocks(spin: float, blocks: np.ndarray) -> np.ndarray:
     """The one check of manifold blocks, on a stack (n, dim, dim) of blocks of
-    one spin S: 2S a non-negative integer, dim = 2S + 1 and, unless the blocks
-    are `negligible`, each Hermitian to HERMITICITY_TOL with unit trace to
-    1e-10.  Returns the Hermitian parts (the stack itself when negligible), of
-    the stack's dtype; a ValueError names the first block that fails, a NaN
-    included.
+    one spin S: 2S a non-negative integer, dim = 2S + 1, and each block
+    Hermitian to HERMITICITY_TOL with unit trace to 1e-10.  Returns the
+    Hermitian parts, of the stack's dtype; a ValueError names the first block
+    that fails, a NaN included.
     """
     two_s = round(2 * spin)
     if abs(2 * spin - two_s) > 1e-9 or two_s < 0:
@@ -37,8 +36,6 @@ def check_blocks(spin: float, blocks: np.ndarray, negligible: bool = False) -> n
     dim = two_s + 1
     if blocks.shape[1:] != (dim, dim):
         raise ValueError(f"block must be {dim}x{dim}, got {blocks.shape[1:]}")
-    if negligible:
-        return blocks
     blocks = _require_hermitian(blocks, "ManifoldBlock")
     trace = np.trace(blocks, axis1=1, axis2=2).real
     bad = ~(np.abs(trace - 1.0) <= 1e-10)  # a NaN trace fails too
@@ -51,29 +48,25 @@ def check_blocks(spin: float, blocks: np.ndarray, negligible: bool = False) -> n
 class ManifoldBlock:
     """Unit-trace block of the spin-S manifold with its probability weight.
 
-    `negligible` marks weights below the floor, which stay unnormalized and
-    are excluded from squeezing and multipole reports.  The block is checked
-    by `check_blocks` as a stack of one, and held as float64 if it is real,
-    complex128 if not.
+    The block is checked by `check_blocks` as a stack of one, and held as
+    float64 if it is real, complex128 if not.
     """
 
     spin: float
     weight: float
     block: np.ndarray
-    negligible: bool = False
 
     def __post_init__(self):
-        block = _float_or_complex(self.block)[None]
-        block = check_blocks(self.spin, block, self.negligible)[0]
+        block = check_blocks(self.spin, _float_or_complex(self.block)[None])[0]
         block.setflags(write=False)
         object.__setattr__(self, "block", block)
 
     @classmethod
-    def _checked(cls, spin: float, weight: float, block: np.ndarray, negligible: bool = False):
+    def _checked(cls, spin: float, weight: float, block: np.ndarray):
         """A block that `check_blocks` has passed, read-only, built without
         checking it again."""
         self = object.__new__(cls)
-        self.__dict__.update(spin=spin, weight=weight, block=block, negligible=negligible)
+        self.__dict__.update(spin=spin, weight=weight, block=block)
         return self
 
     @property
@@ -87,22 +80,20 @@ class ManifoldBlock:
 
 @dataclass(frozen=True)
 class PolarizationSector:
-    """Blocks for S = 0, 1/2, 1, ... with their weights P_S."""
+    """The manifold blocks of a state in increasing spin, each with its weight
+    P_S; a parsed sector holds only the manifolds above WEIGHT_FLOOR, so its
+    spins may skip values (a pure alpha = 0 state has only even N)."""
 
     blocks: tuple[ManifoldBlock, ...]
 
     def __post_init__(self):
         spins = [b.spin for b in self.blocks]
-        if any(b - a != 0.5 for a, b in zip(spins, spins[1:])):
-            raise ValueError("block spins must increase in steps of 1/2")
+        if any(b <= a for a, b in zip(spins, spins[1:])):
+            raise ValueError("block spins must increase")
 
     def reported(self, max_spin: float | None = None) -> tuple[ManifoldBlock, ...]:
-        """Blocks that enter reports: above the weight floor and (optionally)
-        no larger than max_spin."""
-        return tuple(
-            b for b in self.blocks
-            if not b.negligible and (max_spin is None or b.spin <= max_spin + 1e-9)
-        )
+        """The blocks no larger than max_spin, every block if it is None."""
+        return tuple(b for b in self.blocks if max_spin is None or b.spin <= max_spin + 1e-9)
 
 
 class DiagonalOrder(NamedTuple):
@@ -222,67 +213,63 @@ def photon_weights(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class ManifoldLayer(NamedTuple):
-    """Manifold N of every amplitude of a sweep, from `gather_manifolds`:
-    the weights P_N (n,), the mask of those above WEIGHT_FLOOR, the blocks
-    above it normalised and checked (live, dim, dim), and the blocks below it
-    as gathered (n - live, dim, dim), both read-only."""
+    """Manifold N of the amplitudes of a sweep that are live at N, from
+    `gather_manifolds`: their weights P_N (live,), the mask (n,) of the
+    amplitudes whose P_N is above WEIGHT_FLOOR, and their blocks divided by P_N
+    and checked (live, dim, dim), read-only."""
 
     photons: int
     weights: np.ndarray
     live: np.ndarray
     blocks: np.ndarray
-    negligible: np.ndarray
 
 
 def gather_manifolds(h: np.ndarray, v: np.ndarray, n_total: int,
                      weights: np.ndarray, live: np.ndarray) -> ManifoldLayer:
-    """Manifold N of rho_H (x) rho_V for every H mode of the stack h
-    (n, cutoff_H + 1, cutoff_H + 1) with the V mode's entries v, N no larger
-    than either cutoff, with its weights P_N (n,) and mask from `photon_weights`.
+    """Manifold N of rho_H (x) rho_V for the H modes of the stack h
+    (n, cutoff_H + 1, cutoff_H + 1) that are live at N, with the V mode's
+    entries v, N no larger than either cutoff, from the weights P_N (n,) and
+    mask of `photon_weights`.  No block below the weight floor is gathered.
 
     Block N is gathered straight from the two modes,
     block_N[i, j] = rho_H[n_i, n_j] rho_V[N - n_i, N - n_j] with n_i = N - i:
-    a reversed slice of each H mode times one slice of rho_V.  The live blocks
-    are divided by P_N and checked as one stack, so their unit trace
-    cross-checks P_N.  The blocks are real if both modes are.
+    a reversed slice of each live H mode times one slice of rho_V.  The
+    blocks are divided by P_N and checked as one stack, so their unit trace
+    cross-checks P_N.  They are real if both modes are.
     """
     # n_i = N - i runs down from N in rho_H while N - n_i = i runs up in rho_V
-    raw = h[:, n_total::-1, n_total::-1] * v[:n_total + 1, :n_total + 1]
-    blocks = check_blocks(n_total / 2.0, raw[live] / weights[live, None, None])
-    # no copy when every block is negligible: past the reported range a copy
-    # per size left freed holes in the heap, about 120 MB of peak RSS in a
-    # cutoff-160 run
-    negligible = raw if not live.any() else raw[~live]
+    raw = h[live, n_total::-1, n_total::-1] * v[:n_total + 1, :n_total + 1]
+    weights = weights[live]
+    blocks = check_blocks(n_total / 2.0, raw / weights[:, None, None])
     blocks.setflags(write=False)
-    negligible.setflags(write=False)
-    return ManifoldLayer(n_total, weights, live, blocks, negligible)
+    return ManifoldLayer(n_total, weights, live, blocks)
 
 
 def sectors(layers, count: int) -> list[PolarizationSector]:
-    """The sector of each of `count` amplitudes from its blocks in the layers
-    N = 0, 1, ... of one sweep, each block a view of the layer's checked
+    """The sector of each of `count` amplitudes from the layers of one sweep,
+    in increasing N: its live blocks, each a view of the layer's checked
     arrays."""
     columns = [[] for _ in range(count)]
     for layer in layers:
         spin = layer.photons / 2.0
-        blocks, negligible = iter(layer.blocks), iter(layer.negligible)
-        for column, weight, live in zip(columns, layer.weights.tolist(), layer.live.tolist()):
-            column.append(ManifoldBlock._checked(spin, weight, next(blocks if live else negligible),
-                                                 not live))
+        for a, weight, block in zip(np.flatnonzero(layer.live).tolist(), layer.weights.tolist(),
+                                    layer.blocks):
+            columns[a].append(ManifoldBlock._checked(spin, weight, block))
     return [PolarizationSector(tuple(column)) for column in columns]
 
 
 def parse_manifolds(rho_h: ModeState, rho_v: ModeState, max_spin: float) -> PolarizationSector:
-    """The blocks N = 0..2 max_spin of the block-diagonal polarization sector
-    of the product state rho_H (x) rho_V: `photon_weights` and
-    `gather_manifolds` on a stack of one H mode.  Every gathered manifold lies
-    inside both mode cutoffs, so every block is complete.
+    """The blocks above WEIGHT_FLOOR among N = 0..2 max_spin of the
+    block-diagonal polarization sector of the product state rho_H (x) rho_V:
+    `photon_weights`, then `gather_manifolds` at each live N, on a stack of
+    one H mode.  Every gathered manifold lies inside both mode cutoffs, so
+    every block is complete.
     """
     top = report_photons(max_spin, rho_h.cutoff, rho_v.cutoff)
     h = rho_h.entries[None]
     weights, live = photon_weights(h, rho_v.entries)
     return sectors([gather_manifolds(h, rho_v.entries, n, weights[:, n], live[:, n])
-                    for n in range(top + 1)], 1)[0]
+                    for n in np.flatnonzero(live[0, :top + 1]).tolist()], 1)[0]
 
 
 def write_text(pieces, path) -> str:
@@ -325,18 +312,18 @@ def _manifold_text(i: int, b: ManifoldBlock) -> str:
         fields = tuple(map(json.dumps, values.tolist()))
     return (
         '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'
-        '   "negligible": %s,\n   "truncated": %s\n  }'
+        '   "negligible": false,\n   "truncated": false\n  }'
         % (",\n  " if i else "[\n  ", b.photon_number, json.dumps(b.weight),
-           json.dumps(b.spin), _block_template(b.dim) % fields,
-           json.dumps(b.negligible), "false")
+           json.dumps(b.spin), _block_template(b.dim) % fields)
     )
 
 
 def dump_sector(sector: PolarizationSector, path) -> str:
-    """JSON dump: the summed weight, then per manifold S the weight and the
-    block as nested [re, im] pairs in m-descending order.  Every parsed block
-    is complete, so "truncated", kept for readers of earlier dumps, is false.
-    Returns the SHA-256 of the bytes written.
+    """JSON dump: the summed weight of the listed manifolds, then per manifold
+    S the weight and the block as nested [re, im] pairs in m-descending order.
+    A parsed sector holds only complete blocks above the weight floor, so
+    "negligible" and "truncated", kept for readers of earlier dumps, are
+    false.  Returns the SHA-256 of the bytes written.
 
     The text is what json.dump(..., indent=1, sort_keys=True) prints, built from
     a template per block size: finite numbers print as float repr, which is what

@@ -182,30 +182,30 @@ def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
     return QFunction(grid, _fourier_sums(f, _waves(len(f), grid.phi)), spin=block.spin)
 
 
-def husimi_totals(layers, grid: SphereGrid, max_spin: float | None = None):
-    """The total Q of each amplitude of a sweep's `ManifoldLayer`s N = 0, 1, ...
-    The rows G_q(theta) = sum_S P_S (2S+1)/(4 pi) (2 - delta_q0) F_q^S(theta)
-    are summed first, a layer at a time: one table of coherent products and one
-    `diagonal_sums` of the layer's live blocks as stored, whose equator rows
-    are summed as their maps would be.  Each map, the `_fourier_sums` of G, is
-    formed as it is taken, one at a time.  The rows, and so the totals, are
-    real if every layer is."""
+def husimi_totals(layers, count: int, grid: SphereGrid, max_spin: float | None = None):
+    """The total Q of each of `count` amplitudes from a sweep's `ManifoldLayer`s
+    in increasing N.  The rows G_q(theta) = sum_S P_S (2S+1)/(4 pi)
+    (2 - delta_q0) F_q^S(theta) are summed first, a layer at a time: one table
+    of coherent products and one `diagonal_sums` of the layer's blocks as
+    stored, whose equator rows are summed as their maps would be.  Each map,
+    the `_fourier_sums` of G, is formed as it is taken, one at a time.  The
+    rows, and so the totals, are real if every layer is."""
     reported = np.array([layer.live & (max_spin is None or layer.photons / 2.0 <= max_spin + 1e-9)
-                         for layer in layers])  # [layer, amplitude], as `sector.reported`
-    photons = np.array([layer.photons for layer in layers])
-    dims = np.where(reported, photons[:, None] + 1, 1).max(axis=0)  # rows of each total
+                         for layer in layers], dtype=bool).reshape(len(layers), count)
+    photons = np.array([layer.photons for layer in layers], dtype=int)
+    dims = np.where(reported, photons[:, None] + 1, 1).max(axis=0, initial=1)  # rows of each total
     dtype = np.result_type(float, *{layer.blocks.dtype for layer in layers})
-    totals = np.zeros((len(dims), dims.max(), grid.n_theta), dtype=dtype)
-    equators = np.zeros((len(dims), len(layers), grid.n_phi))
+    totals = np.zeros((count, dims.max(), grid.n_theta), dtype=dtype)
+    equators = np.zeros((count, len(layers), grid.n_phi))
     waves = _waves(dims.max(), grid.phi)
     eq = equator_node(grid)
     for j, (layer, live) in enumerate(zip(layers, reported)):
-        if live.any():
+        if live.any():  # then every block of the layer is reported
             dim = layer.photons + 1
             rows = diagonal_sums(layer.blocks, _coherent_products(layer.photons, grid))
             rows[:, :, 1:] *= 2.0  # [n, theta, q]; the q < 0 diagonals conjugate the q > 0 ones
             equators[live, j] = _fourier_sums(rows[:, eq].T, waves)
-            rows *= (layer.weights[live] * (dim / FOUR_PI))[:, None, None]
+            rows *= (layer.weights * (dim / FOUR_PI))[:, None, None]
             totals[live, :dim] += rows.transpose(0, 2, 1)
     for g, e, dim, mask in zip(totals, equators, dims, reported.T):
         yield QFunction(grid, _fourier_sums(g[:dim], waves),
@@ -215,9 +215,8 @@ def husimi_totals(layers, grid: SphereGrid, max_spin: float | None = None):
 def husimi_total(sector: PolarizationSector, grid: SphereGrid,
                  max_spin: float | None = None) -> QFunction:
     """Intensity-free Q of the whole polarization sector, sum_S P_S (2S+1)/(4 pi)
-    Q^(S)(n) over the reported manifolds, so the integral equals their captured
-    probability: `husimi_totals` of its blocks, each a layer of one."""
-    layers = [ManifoldLayer(b.photon_number, np.array([b.weight]), np.array([not b.negligible]),
-                            *np.split(b.block[None], [int(not b.negligible)]))
+    Q^(S)(n) over its manifolds (up to max_spin), so the integral equals their
+    captured probability: `husimi_totals` of its blocks, each a layer of one."""
+    layers = [ManifoldLayer(b.photon_number, np.array([b.weight]), np.array([True]), b.block[None])
               for b in sector.blocks]
-    return next(husimi_totals(layers, grid, max_spin))
+    return next(husimi_totals(layers, 1, grid, max_spin))

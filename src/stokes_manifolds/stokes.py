@@ -195,8 +195,6 @@ def manifold_stokes_summary(blocks) -> list[StokesSummary]:
     """Mean Stokes vector, covariance and squeezing degree of each manifold
     block, in order: `moment_stack` on a stack of one per block, and one
     `stokes_summaries`; a spin-0 block gives the undefined summary."""
-    if any(b.negligible for b in blocks):
-        raise ValueError("negligible block excluded from squeezing reports")
     moments = [_moments(b) for b in blocks]
     mean = np.array([m for m, _ in moments]).reshape(-1, 3)
     second = np.array([s for _, s in moments]).reshape(-1, 3, 3)

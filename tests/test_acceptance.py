@@ -39,7 +39,7 @@ from stokes_manifolds.invariants import (
 )
 from stokes_manifolds.multipole import multipoles_algebraic
 from stokes_manifolds.pipeline import RunConfig, emit_figure_tables, run_sweep
-from stokes_manifolds.polar import ManifoldBlock, parse_manifolds
+from stokes_manifolds.polar import ManifoldBlock, parse_manifolds, photon_weights
 from stokes_manifolds.sphere import build_quadrature_grid, husimi_total
 from stokes_manifolds.stokes import (
     MODE_FULL,
@@ -137,10 +137,12 @@ def pure_report():
 def test_criterion_01_parity_law():
     start = time.perf_counter()
     model = NoiseModel(PURE_DB, PURE_DB, 1.0)
-    sector = parse_manifolds(
-        synthesize_mode(model, 0.0, 32), synthesize_mode(model, 0.0, 32), 16.0
-    )
-    worst = float(np.max([b.weight for b in sector.blocks if b.photon_number % 2 == 1]))
+    rho = synthesize_mode(model, 0.0, 32)
+    sector = parse_manifolds(rho, rho, 16.0)
+    # the odd-N weights are those the parse leaves out as below the floor
+    weights = photon_weights(rho.entries[None], rho.entries)[0][0, :33]
+    worst = float(np.max(weights[1::2]))
+    assert not any(b.photon_number % 2 for b in sector.blocks)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 5.0
     line = _verdict(1, ok, f"max odd-N weight {worst:.3e}, {elapsed:.2f}s")
@@ -157,7 +159,8 @@ def test_criterion_02_one_photon_no_squeezing(default_report, pure_report):
     worst = 0.0
     counted = 0
     for res in matrix:
-        # a negligible one-photon manifold (pure alpha=0 parity) has no summary
+        # a one-photon manifold below the weight floor (pure alpha=0 parity)
+        # has no summary
         s = next((x for x in res.manifold_summaries if x.spin == 0.5), None)
         if s is None:
             continue

@@ -211,6 +211,31 @@ class TestSynthesis:
             assert np.array_equal(state.entries, 0.5 * (rho.real + rho.real.T))
             assert np.abs(rho.imag).max() < 1e-15
 
+    @pytest.mark.parametrize("cutoff", [24, 48, 160])
+    def test_cropped_product_keeps_bits(self, cutoff):
+        # the displacement is multiplied only for the rows 0..cutoff and the
+        # columns 0..pad it keeps; the mode is the one the whole padded
+        # product, cropped after it, gives, bit for bit
+        pad = padded_cutoff(cutoff)
+        values, vectors = fock._displacement_eigenbasis(padded_cutoff(pad) + 1)
+        for eta in (0.3, 0.85, 1.0):
+            model = NoiseModel(3.6, 4.4, eta)
+            core = fock._lossy_core(model, pad)
+            for alpha in (-1.2, 0.57, 2.31, 7.0, 0.6 + 0.8j):
+                if model.mean_photons(alpha) > cutoff:
+                    continue
+                beta = math.sqrt(eta) * alpha
+                t = abs(beta) if isinstance(beta, complex) else beta
+                whole = (vectors * np.exp(-1j * t * values)) @ vectors.conj().T
+                if isinstance(beta, complex):
+                    phase = np.exp(1j * np.angle(beta) * np.arange(len(values)))
+                    whole = phase[:, None] * whole * phase.conj()
+                assert np.array_equal(displacement_matrix(beta, pad), whole[:pad + 1, :pad + 1])
+                disp = whole[:cutoff + 1, :pad + 1]
+                rho = disp @ core @ disp.conj().T
+                want = ModeState(cutoff, rho.real if np.isrealobj(alpha) else rho).entries
+                assert np.array_equal(synthesize_mode(model, alpha, cutoff).entries, want)
+
     def test_complex_alpha_stays_complex(self):
         model = NoiseModel(3.6, 4.4, 0.85)
         state = synthesize_mode(model, 1.13j, 24)

@@ -471,8 +471,7 @@ class TestAggregation:
         b1 = random_block(0.5, rng)
         block_a = ManifoldBlock(0.5, 0.25, b1.block)
         block_b = ManifoldBlock(1.0, 0.75, random_block(1.0, rng).block)
-        filler = ManifoldBlock(0.0, 0.0, np.zeros((1, 1), dtype=complex), negligible=True)
-        sector = PolarizationSector((filler, block_a, block_b))
+        sector = PolarizationSector((block_a, block_b))
         got = aggregate_weights(
             [(b.weight, multipoles_algebraic(b).weights) for b in sector.reported()]
         )

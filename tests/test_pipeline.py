@@ -207,13 +207,13 @@ class TestSweep:
             run_sweep(RunConfig())
 
     def test_pure_alpha0_odd_manifolds_negligible(self):
-        # every N: the parsed report range, then the blocks past it in full
+        # every N: the parsed report range holds no odd N, whose P_N are below
+        # the floor, then the blocks past it in full
         rho = synthesize_mode(NoiseModel(3.6, 3.6, 1.0), 0.0, 16)
         sector = parse_manifolds(rho, rho, 8.0)
-        assert len(sector.blocks) == 17
-        for b in sector.blocks:
-            if b.photon_number % 2 == 1:
-                assert b.weight < 1e-12
+        assert [b.photon_number for b in sector.blocks] == list(range(0, 17, 2))
+        weights, _ = polar.photon_weights(rho.entries[None], rho.entries)
+        assert (weights[0, 1:17:2] <= polar.WEIGHT_FLOOR).all()
         for n in range(17, 33, 2):
             assert np.trace(full_block(rho, rho, n)).real < 1e-12
 
@@ -502,6 +502,92 @@ class TestEmitScope:
         assert len(rows) == 161 and not any(row.split(",")[2].startswith("-") for row in rows)
 
 
+
+def _live_photons(alpha, cutoff):
+    """The N <= cutoff whose P_N is above the weight floor, at alpha with the
+    default noise model."""
+    model = NoiseModel(3.6, 4.4, 0.85)
+    rho_h, rho_v = synthesize_mode(model, alpha, cutoff), synthesize_mode(model, 0.0, cutoff)
+    return np.flatnonzero(polar.photon_weights(rho_h.entries[None], rho_v.entries)[1][0, :cutoff + 1])
+
+
+class TestLiveManifolds:
+    """A block above the weight floor is the only kind of block a sweep
+    gathers, keeps and dumps."""
+
+    @pytest.mark.parametrize("alphas, cutoff", [((7.0,), 80), (DEFAULT_ALPHAS, 48)])
+    def test_gathers_only_live_manifolds(self, monkeypatch, alphas, cutoff):
+        sizes = []
+
+        def gather(h, v, n_total, *weights, _original=pipeline.gather_manifolds):
+            sizes.append(n_total)
+            return _original(h, v, n_total, *weights)
+
+        monkeypatch.setattr(pipeline, "gather_manifolds", gather)
+        report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff,
+                                     emit=("sector_json",)))
+        live = sorted({n for a in alphas for n in _live_photons(a, cutoff).tolist()})
+        assert sizes == live and len(live) < cutoff + 1
+        assert [layer.photons for layer in report.layers] == live
+
+    def test_no_block_below_floor(self):
+        report = run_sweep(RunConfig(cutoff_h=48, cutoff_v=48, emit=("sector_json",)))
+        for layer in report.layers:
+            assert len(layer.weights) == len(layer.blocks) == np.count_nonzero(layer.live) > 0
+            assert (layer.weights > polar.WEIGHT_FLOOR).all()
+        for res in report.results:
+            assert all(b.weight > polar.WEIGHT_FLOOR for b in res.sector.blocks)
+            assert len(res.sector.blocks) < 49
+
+    def test_blocks_of_wide_ladder_at_cutoff_160(self):
+        # alpha = 0, 0.5, ..., 7 held 162 MB of blocks below the floor beside
+        # 6.5 MB of live ones
+        alphas = tuple(0.5 * k for k in range(15))
+        report = run_sweep(RunConfig(alphas=alphas, cutoff_h=160, cutoff_v=160,
+                                     emit=("sector_json",)))
+        held = sum(a.nbytes for layer in report.layers for a in layer if isinstance(a, np.ndarray))
+        assert held < 10e6, held
+
+    def test_sector_json_lists_live_manifolds(self, tmp_path):
+        report = run_sweep(RunConfig(cutoff_h=48, cutoff_v=48, emit=("sector_json",)))
+        emit_figure_tables(report, tmp_path)
+        for i, res in enumerate(report.results):
+            dump = json.loads((tmp_path / f"sector_alpha{i}.json").read_text())
+            live = _live_photons(res.alpha, 48)
+            assert [m["N"] for m in dump["manifolds"]] == live.tolist()
+            assert [m["P"] for m in dump["manifolds"]] == res.manifold_weights[live].tolist()
+            assert dump["captured"] == float(sum(res.manifold_weights[live].tolist()))
+            assert all(m["negligible"] is m["truncated"] is False for m in dump["manifolds"])
+
+    def test_no_live_manifold_in_report_range(self, tmp_path):
+        # at alpha 7, P_0 and P_1 are below the floor: no block is gathered,
+        # the sector is empty and the total Q is zero, with exit 0
+        out = tmp_path / "out"
+        doc = {"alphas": [7.0], "cutoff_h": 80, "cutoff_v": 80, "s_report_max": 0.5}
+        assert main(["run", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+        dump = json.loads((out / "sector_alpha0.json").read_text())
+        assert dump == {"captured": 0.0, "manifolds": []}
+        assert (out / "fig3d.csv").read_bytes() == b"alpha,S,K,W_K\r\n7,total,0,0\r\n"
+        values = [float(row.split(",")[3]) for row in
+                  (out / "q_total_alpha0.csv").read_text().splitlines()[1:]]
+        assert len(values) == 15 and not any(values)
+
+    def test_spin_half_check_reads_by_spin(self, monkeypatch):
+        # at alpha 7, P_1 is below the floor, so its sector has no S = 1/2
+        # block, and the line reads only the S = 1/2 block of the other
+        read = []
+
+        def gap(block, _original=invariants.spin_half_xi2_gap):
+            read.append(block)
+            return _original(block)
+
+        monkeypatch.setattr(invariants, "spin_half_xi2_gap", gap)
+        monkeypatch.setattr(invariants, "RunConfig", lambda: RunConfig(
+            alphas=(7.0, 1.13), cutoff_h=80, cutoff_v=80, s_report_max=6.0))
+        line = next(row for row in invariants.default_suite() if row[0].startswith("one-photon"))
+        assert line[0] == "one-photon manifold xi2 = 1, 1 amplitudes" and line[1] <= line[2]
+        assert [(b.spin, b.weight > polar.WEIGHT_FLOOR) for b in read] == [(0.5, True)]
+
 def _gap(got, want) -> float:
     """Largest |got - want| over the largest |want|, 0 where both vanish."""
     got, want = np.asarray(got), np.asarray(want)
@@ -546,12 +632,16 @@ class TestLayerMajorSweep:
         negligible = 0
         for res in report.results:
             rho_h = synthesize_mode(model, res.alpha, cutoff_h)
+            weights, live = polar.photon_weights(rho_h.entries[None], rho_v.entries)
+            live = live[0, :len(res.manifold_weights)]
+            negligible += np.count_nonzero(~live)
+            assert [b.photon_number for b in res.sector.blocks] == np.flatnonzero(live).tolist()
+            assert [b.weight for b in res.sector.blocks] == weights[0][:len(live)][live].tolist()
             for b in res.sector.blocks:
                 want = full_block(rho_h, rho_v, b.photon_number)
                 weight = float(np.trace(want).real)
-                negligible += b.negligible
-                assert abs(b.weight - max(weight, 0.0)) <= 1e-15
-                assert np.max(np.abs(b.block - (want if b.negligible else want / weight))) <= 1e-15
+                assert abs(b.weight - weight) <= 1e-15
+                assert np.max(np.abs(b.block - want / weight)) <= 1e-15
             reported = res.sector.reported()
             spectra = [np.sum(np.abs(multipoles_loop(b)) ** 2, axis=1) for b in reported]
             assert [s for s, _ in res.manifold_multipoles] == [b.spin for b in reported if b.spin]
@@ -564,8 +654,9 @@ class TestLayerMajorSweep:
             for got, b in zip(res.manifold_summaries, spun):
                 assert _summary_gap(got, stokes_summary_single(b)) <= 1e-13, b.spin
             assert _summary_gap(res.total, block_sum_total(rho_h, rho_v)) <= 1e-13, res.alpha
-        # only cutoff 48 reports manifolds below the weight floor; (30, 20)
-        # reports none, but its totals sum manifolds that straddle a cutoff
+        # only cutoff 48 has manifolds below the weight floor in its report
+        # range; (30, 20) has none, but its totals sum manifolds that straddle
+        # a cutoff
         assert (negligible > 0) == (cutoffs == (48, 48))
         for two_s, blocks, rho in contracted:
             for block, got in zip(blocks, rho):
@@ -624,7 +715,7 @@ class TestRealStates:
         report = run_sweep(RunConfig())
         assert len(modes) == 5 and all(m.entries.dtype == np.float64 for m in modes)
         for layer in report.layers:
-            assert layer.blocks.dtype == layer.negligible.dtype == np.float64
+            assert layer.blocks.dtype == np.float64
             if len(layer.blocks):
                 assert multipole.multipole_stack(layer.photons, layer.blocks).dtype == np.float64
                 mean, second = stokes.moment_stack(layer.photons, layer.blocks)
@@ -633,9 +724,9 @@ class TestRealStates:
             assert res.total.mean[1] == 0.0
             assert all(b.block.dtype == np.float64 for b in res.sector.blocks)
         grid = build_quadrature_grid(report.grid_l)
-        block = report.results[-1].sector.blocks[12]
+        block = next(b for b in report.results[-1].sector.blocks if b.photon_number == 12)
         assert sphere.husimi_fourier(block, grid).dtype == np.float64
-        for q in sphere.husimi_totals(report.layers, grid):
+        for q in sphere.husimi_totals(report.layers, len(report.results), grid):
             assert q.values.dtype == q.equator.dtype == np.float64
 
     def test_complex_alpha_stays_complex(self):
@@ -660,7 +751,7 @@ class TestRealStates:
             for got, want in zip((mean[0], second[0]), dense_moments(block)):
                 assert np.abs(got - want).max() < 1e-12
         assert stokes.diagonal_moments([h], v)[3].dtype == np.float64
-        q = next(sphere.husimi_totals(layers, build_quadrature_grid(24)))
+        q = next(sphere.husimi_totals(layers, 1, build_quadrature_grid(24)))
         captured = sum(layer.weights[0] for layer in layers)
         assert q.values.dtype == np.float64 and abs(q.integral() - captured) < 1e-12
 

@@ -63,15 +63,16 @@ class TestParsing:
         [(a, 24, 24) for a in DEFAULT_ALPHAS] + [(5.0, 55, 20)],
     )
     def test_blocks_equal_kronecker_gather(self, alpha, cutoff_h, cutoff_v):
-        # the blocks N <= min(cutoff) cut out of the dense n_H-major two-mode
-        # matrix, bit for bit
+        # the blocks N <= min(cutoff) above the weight floor cut out of the
+        # dense n_H-major two-mode matrix, bit for bit
         model = NoiseModel(3.6, 4.4, 0.85)
         rho_h = synthesize_mode(model, alpha, cutoff_h)
         rho_v = synthesize_mode(model, 0.0, cutoff_v)
         dense = np.kron(rho_h.entries, rho_v.entries)
         top = min(cutoff_h, cutoff_v)
         sector = parse_manifolds(rho_h, rho_v, top / 2.0)
-        assert [b.photon_number for b in sector.blocks] == list(range(top + 1))
+        _, live = polar.photon_weights(rho_h.entries[None], rho_v.entries)
+        assert [b.photon_number for b in sector.blocks] == np.flatnonzero(live[0, :top + 1]).tolist()
         for b in sector.blocks:
             n_h = np.arange(b.photon_number, -1, -1)
             flat = n_h * (cutoff_v + 1) + b.photon_number - n_h
@@ -80,12 +81,13 @@ class TestParsing:
             # trace summed in another order
             weight = max(float(np.real(np.trace(want))), 0.0)
             assert abs(b.weight - weight) <= 1e-15 * max(weight, WEIGHT_FLOOR)
-            assert np.array_equal(b.block, want if b.negligible else want / b.weight)
+            assert np.array_equal(b.block, want / b.weight)
 
     @pytest.mark.parametrize("alpha, cutoff", [(1.13, 24), (7.0, 160)])
     def test_photon_weights_are_the_convolution(self, alpha, cutoff):
         # P_N = (p_H * p_V)[N] over every N the cutoffs hold, roundoff below 0
-        # clamped to 0, and the sector's blocks carry exactly those weights
+        # clamped to 0, and the sector's blocks carry exactly those above the
+        # weight floor
         model = NoiseModel(3.6, 4.4, 0.85)
         rho_h, rho_v = synthesize_mode(model, alpha, cutoff), synthesize_mode(model, 0.0, cutoff)
         weights, live = polar.photon_weights(rho_h.entries[None], rho_v.entries)
@@ -94,7 +96,8 @@ class TestParsing:
         assert np.abs(weights[0] - np.maximum(want, 0.0)).max() <= 1e-15
         assert np.array_equal(live[0], weights[0] > WEIGHT_FLOOR)
         sector = parse_manifolds(rho_h, rho_v, cutoff / 2.0)
-        assert [b.weight for b in sector.blocks] == weights[0, :cutoff + 1].tolist()
+        kept = weights[0, :cutoff + 1][live[0, :cutoff + 1]]
+        assert [b.weight for b in sector.blocks] == kept.tolist()
 
     def test_weights_sum_to_trace(self):
         # the report range N <= 12 and the fully gathered blocks past it hold
@@ -109,19 +112,27 @@ class TestParsing:
 
     def test_blocks_unit_trace(self):
         for b in default_sector().blocks:
-            if not b.negligible:
-                assert abs(np.trace(b.block).real - 1.0) < 1e-10
+            assert abs(np.trace(b.block).real - 1.0) < 1e-10
 
-    def test_negligible_blocks_flagged(self):
+    def test_negligible_blocks_absent(self):
         sector = parse_manifolds(number_state(0, 3), number_state(0, 3), 1.5)
-        assert not sector.blocks[0].negligible
-        assert all(b.negligible for b in sector.blocks[1:])
+        assert [(b.photon_number, b.weight) for b in sector.blocks] == [(0, 1.0)]
 
     def test_reported_excludes_negligible(self):
         sector = parse_manifolds(number_state(0, 3), number_state(1, 3), 1.5)
         assert [b.photon_number for b in sector.reported()] == [1]
         assert [b.photon_number for b in sector.reported(0.0)] == []
 
+
+    def test_spins_increase_with_gaps(self):
+        # the live manifolds of a sector may skip spins; a repeated or a
+        # decreasing spin is refused
+        rng = np.random.default_rng(61)
+        half, one, three = (random_block(s, rng) for s in (0.5, 1.0, 3.0))
+        assert PolarizationSector((half, three)).reported(1.0) == (half,)
+        for blocks in ((half, half), (one, half), (half, three, one)):
+            with pytest.raises(ValueError, match="block spins must increase"):
+                PolarizationSector(blocks)
 
 class TestSizeArrays:
     def test_cached_arrays_refuse_writes(self, fresh_size_arrays):
@@ -155,7 +166,7 @@ class TestSizeArrays:
         assert [b.photon_number for b in sector.blocks] == list(range(21))
         for b in sector.blocks:
             want = full_block(rho_h, rho_v, b.photon_number)
-            assert np.array_equal(b.block, want if b.negligible else want / b.weight)
+            assert np.array_equal(b.block, want / b.weight)
         for b in sector.reported():
             for got, want in zip(_moments(b), dense_moments(b)):
                 assert np.max(np.abs(got - want)) < 1e-12
@@ -240,12 +251,6 @@ class TestStackValidation:
         for block, want in zip(got, stack):
             assert np.array_equal(ManifoldBlock(1.5, 1.0, want).block, block)
 
-    def test_negligible_stack_unchecked(self):
-        stack = np.full((3, 2, 2), complex(math.nan, 1.0))
-        assert check_blocks(0.5, stack, negligible=True) is stack
-        with pytest.raises(ValueError, match="block must be 2x2, got \\(3, 3\\)"):
-            check_blocks(0.5, np.zeros((3, 3, 3)), negligible=True)
-
     def test_empty_stack(self):
         assert check_blocks(1.0, np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
 
@@ -272,16 +277,17 @@ def _assert_dump_matches_json(sector, tmp_path):
 
 
 def _odd_blocks():
-    """A block with a zero row, then negligible blocks (no Hermitian check)
-    holding every float json spells differently or prints at the edge of repr."""
+    """A block with a zero row, then blocks at or below the weight floor built
+    unchecked (`ManifoldBlock._checked`), holding every float json spells
+    differently or prints at the edge of repr."""
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e22, -1e22, 0.1]
     half = np.diag([0.5, 0.5, 0.0]).astype(complex)
     blocks = [ManifoldBlock(1.0, 0.75, half)]
     for two_s in (3, 4):
         dim = two_s + 1
         block = np.resize(special, 2 * dim * dim).view(complex).reshape(dim, dim)
-        blocks.append(ManifoldBlock(two_s / 2.0, 0.0, block, negligible=True))
-    blocks.append(ManifoldBlock(2.5, 5e-324, np.full((6, 6), complex(-0.0, 1e16)), negligible=True))
+        blocks.append(ManifoldBlock._checked(two_s / 2.0, 0.0, block))
+    blocks.append(ManifoldBlock._checked(2.5, 5e-324, np.full((6, 6), complex(-0.0, 1e16))))
     return blocks
 
 
@@ -291,7 +297,7 @@ class TestDumpSectorBytes:
     @pytest.mark.parametrize("cutoff", [24, 48])
     @pytest.mark.parametrize("alpha", DEFAULT_ALPHAS)
     def test_default_ladder(self, tmp_path, cutoff, alpha):
-        # the report range a run dumps, negligible manifolds included
+        # the manifolds above the weight floor a run dumps
         _assert_dump_matches_json(default_sector(alpha, cutoff), tmp_path)
 
     def test_truncated_and_negligible_blocks(self, tmp_path):
@@ -299,7 +305,7 @@ class TestDumpSectorBytes:
 
     def test_non_finite_weight(self, tmp_path):
         blocks = _odd_blocks()
-        blocks[1] = ManifoldBlock(1.5, math.nan, blocks[1].block, negligible=True)
+        blocks[1] = ManifoldBlock._checked(1.5, math.nan, blocks[1].block)
         _assert_dump_matches_json(PolarizationSector(tuple(blocks)), tmp_path)
 
     def test_signed_zeros_subnormals_and_conjugate_pairs(self, tmp_path):
@@ -314,9 +320,8 @@ class TestDumpSectorBytes:
         hermitian = ManifoldBlock(1.0, 0.5, block)
         imag = hermitian.block.imag
         assert (np.signbit(imag) & (imag == 0.0)).any()  # a -0.0 survives the Hermitian check
-        negligible = ManifoldBlock(1.5, 5e-324, np.full((4, 4), complex(-5e-324, -0.0)),
-                                   negligible=True)
-        _assert_dump_matches_json(PolarizationSector((hermitian, negligible)), tmp_path)
+        subnormal = ManifoldBlock._checked(1.5, 5e-324, np.full((4, 4), complex(-5e-324, -0.0)))
+        _assert_dump_matches_json(PolarizationSector((hermitian, subnormal)), tmp_path)
         text = (tmp_path / "dump_sector.json").read_text()
         assert "-0.0" in text and "-5e-324" in text and "-1e-300" in text
 

@@ -261,7 +261,7 @@ class TestHusimiTotal:
                                           ((0.0, 7.0), 100, (grid_l / 4,))]:
             report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff))
             for max_spin in max_spins:
-                together = list(husimi_totals(report.layers, grid, max_spin))
+                together = list(husimi_totals(report.layers, len(alphas), grid, max_spin))
                 assert len(together) == len(report.results)
                 for res, q in zip(report.results, together):
                     alone = husimi_total(res.sector, grid, max_spin)
@@ -283,7 +283,7 @@ class TestHusimiTotal:
             raise AssertionError("a sector was read")
 
         monkeypatch.setattr(PolarizationSector, "reported", refuse)
-        got = list(husimi_totals(report.layers, grid))
+        got = list(husimi_totals(report.layers, len(report.results), grid))
         assert [q.spins for q in got] == [q.spins for q in want]
         for q, alone in zip(got, want):
             assert np.array_equal(q.values, alone.values)
