@@ -14,7 +14,7 @@ from . import multipole
 from .fock import loss_channel, padded_cutoff, thermal_state
 from .pipeline import RunConfig, run_sweep
 from .polar import ManifoldBlock
-from .sphere import FOUR_PI, build_quadrature_grid, husimi_manifold, husimi_totals
+from .sphere import FOUR_PI, build_quadrature_grid, husimi_manifold
 from .stokes import manifold_stokes_summary
 
 
@@ -86,8 +86,11 @@ def loss_trace_gap(state, eta: float) -> tuple[float, float]:
 def stokes_route_gap(blocks, summaries) -> tuple[float, float]:
     """Largest relative gap in gamma_min and xi^2 between `moment_stack` on
     each block and the sweep's summary of its manifold, from the mode
-    diagonals; one `manifold_stokes_summary` of all the blocks."""
-    return max((max(abs(s.gamma_min / w.gamma_min - 1), abs(s.xi2 / w.xi2 - 1))
+    diagonals; one `manifold_stokes_summary` of all the blocks.  Each gap is
+    relative to max(|block value|, 1 % of its shot-noise value: S/2 for
+    gamma_min, 1 for xi^2), so a roundoff 0 (pure squeezed vacuum) is safe."""
+    return max((max(abs(s.gamma_min - w.gamma_min) / max(abs(w.gamma_min), 0.005 * w.spin),
+                    abs(s.xi2 - w.xi2) / max(abs(w.xi2), 0.01))
                 for s, w in zip(summaries, manifold_stokes_summary(blocks), strict=True)),
                default=0.0), 1e-12
 
@@ -121,8 +124,7 @@ def default_suite() -> list[tuple[str, float, float]]:
     config = report.config
     grid = build_quadrature_grid(report.grid_l)
     blocks = [b for res in report.results for b in res.sector.reported()]
-    totals = list(zip([res.sector for res in report.results],
-                      husimi_totals(report.layers, len(report.results), grid)))  # each Q once
+    totals = [(res.sector, res.q) for res in report.results]  # the sweep's one Husimi call
     halves = [b for b in blocks if b.spin == 0.5]  # one per sector that holds S = 1/2
     summaries = [s for res in report.results for s in res.manifold_summaries]
     sizes = sorted({b.photon_number for b in blocks})

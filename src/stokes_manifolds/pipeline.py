@@ -2,8 +2,9 @@
 
 A sweep synthesizes the V mode once and one H mode per coherent amplitude (only
 the H mode is displaced), takes each product state's weights P_N and Stokes
-moments from the mode diagonals, parses it into polarization-manifold blocks
-only for an emit that reads them, and writes figure-data tables, sector dumps,
+moments from the mode diagonals, and, only for an emit that reads them, parses
+it into polarization-manifold blocks and forms their multipoles and total
+Husimi Q.  Emission only renders and writes figure-data tables, sector dumps,
 Q-function grids and heatmap rasters.  Floats print with 12 significant digits
 and every run is deterministic, so identical configs at the same BLAS thread
 count give byte-identical files; across thread counts, BLAS products may round
@@ -34,7 +35,7 @@ from .polar import (
     write_text,
 )
 from .render import render_foliation, render_heatmap, write_ppm
-from .sphere import build_quadrature_grid, husimi_totals
+from .sphere import QFunction, build_quadrature_grid, husimi_totals
 from .stokes import StokesSummary, diagonal_moments, quadrature_estimate_xi2, stokes_summaries
 
 EMIT_CHOICES = (
@@ -185,8 +186,8 @@ class AlphaResult:
     """Everything computed for one coherent amplitude: P_N for N = 0..2 S_max
     and the summaries of the manifolds N > 0 above the weight floor and of the
     total, from the mode diagonals.  The sector (the manifolds above the
-    floor) and the multipole spectra are None and empty unless an emit reads
-    them (`_analyze`)."""
+    floor), the multipole spectra and the total Husimi Q `q` are None, empty
+    and None unless an emit reads them (`_analyze`)."""
 
     alpha: float
     manifold_weights: np.ndarray
@@ -195,20 +196,21 @@ class AlphaResult:
     total: StokesSummary
     manifold_multipoles: tuple  # (spin, weights array) pairs
     aggregated_weights: np.ndarray
+    q: QFunction | None
     analytic_estimate: float
     trace_deficit: float
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """The sweep's results, one per amplitude, and the `polar.ManifoldLayer`s
-    that their sectors view: one per N <= 2 S_max at which some amplitude is
-    above the weight floor, in increasing N, and () if no emit reads a block."""
+    """The sweep's results, one per amplitude."""
 
     config: RunConfig
     results: tuple
-    grid_l: int
-    layers: tuple
+
+    @property
+    def grid_l(self) -> int:
+        return self.config.resolved_grid_l
 
 
 def _check_cutoffs(config: RunConfig, model: NoiseModel, alphas):
@@ -258,7 +260,6 @@ def run_sweep(config: RunConfig) -> RunReport:
     model = NoiseModel(config.squeezing_db, config.antisqueezing_db, efficiency)
     alphas = _dedupe(config.alphas)
     _check_cutoffs(config, model, alphas)
-    top = report_photons(config.resolved_s_report_max, config.cutoff_h, config.cutoff_v)
     try:
         rho_v = synthesize_mode(model, 0.0, config.cutoff_v)
         modes, deficits = [], []
@@ -274,7 +275,7 @@ def run_sweep(config: RunConfig) -> RunReport:
                 )
             modes.append(rho_h)
             deficits.append(deficit)
-        layers, analyses = _analyze(modes, rho_v, top, set(config.emit))
+        analyses = _analyze(modes, rho_v, config)
     except ValueError as exc:
         raise NumericalGuardError(str(exc)) from exc
     results = tuple(
@@ -282,19 +283,21 @@ def run_sweep(config: RunConfig) -> RunReport:
                     analytic_estimate=quadrature_estimate_xi2(abs(alpha), model.squeeze_parameter))
         for alpha, analysis, deficit in zip(alphas, analyses, deficits)
     )
-    return RunReport(config=config, results=results, grid_l=config.resolved_grid_l, layers=layers)
+    return RunReport(config=config, results=results)
 
 
-def _analyze(modes, rho_v, top: int, emit) -> tuple[tuple, list[dict]]:
+def _analyze(modes, rho_v, config: RunConfig) -> list[dict]:
     """P_N and the Stokes summaries of each H mode with rho_V from the mode
     diagonals, minimised as one stack; for an emit in BLOCK_EMITS the layers
-    of the N <= top at which some amplitude is above the weight floor, each
-    gathered for every amplitude live at N at once, and the sectors; for
-    `multipole_csv` the spectra.  No step depends on the amplitude count."""
-    count = len(modes)
+    of the N <= 2 S_max at which some amplitude is above the weight floor,
+    each gathered for every amplitude live at N at once, and the sectors; for
+    `multipole_csv` the spectra; for `q_csv` or `heatmaps` the total Q of
+    each (`husimi_totals`).  No step depends on the amplitude count."""
+    count, emit = len(modes), set(config.emit)
+    top = report_photons(config.resolved_s_report_max, config.cutoff_h, config.cutoff_v)
     weights, live, *moments = diagonal_moments(modes, rho_v, top)
     summaries = stokes_summaries(*moments)
-    layers, parsed = (), [None] * count
+    layers, parsed, totals = (), [None] * count, [None] * count
     multipoles, aggregated = [()] * count, [np.zeros(0)] * count
     if emit & BLOCK_EMITS:
         h = np.stack([rho_h.entries for rho_h in modes])
@@ -303,12 +306,14 @@ def _analyze(modes, rho_v, top: int, emit) -> tuple[tuple, list[dict]]:
         parsed = sectors(layers, count)
     if "multipole_csv" in emit:
         multipoles, aggregated = _spectra(layers, count)
+    if emit & {"q_csv", "heatmaps"}:
+        totals = husimi_totals(layers, count, build_quadrature_grid(config.resolved_grid_l))
     ends = np.cumsum(live[:, 1:top + 1].sum(axis=1)).tolist()  # of each amplitude's rows
-    return layers, [
+    return [
         dict(manifold_weights=weights[a, :top + 1], sector=sector,
              manifold_summaries=tuple(summaries[start:end]), total=summaries[ends[-1] + a],
-             manifold_multipoles=multipoles[a], aggregated_weights=aggregated[a])
-        for a, (sector, start, end) in enumerate(zip(parsed, [0, *ends], ends))
+             manifold_multipoles=multipoles[a], aggregated_weights=aggregated[a], q=q)
+        for a, (sector, q, start, end) in enumerate(zip(parsed, totals, [0, *ends], ends))
     ]
 
 
@@ -428,17 +433,15 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
     if "multipole_csv" in emit:
         put("fig3d.csv", write_text, [FIG3D_HEADER, *map(_fig3d_text, report.results)])
 
-    if emit & {"q_csv", "heatmaps"}:
-        grid = build_quadrature_grid(report.grid_l)
-        for i, q in enumerate(husimi_totals(report.layers, len(report.results), grid)):
-            if "q_csv" in emit:
-                put(f"q_total_alpha{i}.csv", _write_q_csv, _q_csv_rows(report.grid_l), q.values)
-            if "heatmaps" in emit:
-                for view in ("equirectangular", "x", "y", "z"):
-                    name = "equirect" if view == "equirectangular" else f"view_{view}"
-                    put(f"q_total_alpha{i}_{name}.ppm", write_ppm,
-                        render_heatmap(q, view, config.raster_shape))
-                put(f"foliation_alpha{i}_view_z.ppm", write_ppm, render_foliation(q))
+    for i, res in enumerate(report.results):
+        if "q_csv" in emit:
+            put(f"q_total_alpha{i}.csv", _write_q_csv, _q_csv_rows(report.grid_l), res.q.values)
+        if "heatmaps" in emit:
+            for view in ("equirectangular", "x", "y", "z"):
+                name = "equirect" if view == "equirectangular" else f"view_{view}"
+                put(f"q_total_alpha{i}_{name}.ppm", write_ppm,
+                    render_heatmap(res.q, view, config.raster_shape))
+            put(f"foliation_alpha{i}_view_z.ppm", write_ppm, render_foliation(res.q))
 
     if "sector_json" in emit:
         for i, res in enumerate(report.results):

@@ -306,10 +306,7 @@ def _manifold_text(i: int, b: ManifoldBlock) -> str:
     """The text of manifold number i in the dump, with its leading separator;
     a real block prints 0.0 as each imaginary part."""
     values = np.ascontiguousarray(b.block, dtype=complex).view(float).ravel()
-    if np.isfinite(values).all():
-        fields = tuple(_finite_texts(values))
-    else:
-        fields = tuple(map(json.dumps, values.tolist()))
+    fields = tuple(_finite_texts(values))
     return (
         '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'
         '   "negligible": false,\n   "truncated": false\n  }'
@@ -326,9 +323,9 @@ def dump_sector(sector: PolarizationSector, path) -> str:
     false.  Returns the SHA-256 of the bytes written.
 
     The text is what json.dump(..., indent=1, sort_keys=True) prints, built from
-    a template per block size: finite numbers print as float repr, which is what
-    json prints, and json.dumps spells the scalar fields and the entries of any
-    block that holds NaN or an infinity.  It is written one manifold at a time.
+    a template per block size: a block's numbers, finite since `check_blocks`
+    passed them, print as float repr, which is what json prints, and
+    json.dumps spells the scalar fields.  It is written one manifold at a time.
     """
     captured = float(sum(b.weight for b in sector.blocks))
     return write_text(

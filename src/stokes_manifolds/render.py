@@ -53,17 +53,16 @@ def _color_index(values: np.ndarray, span) -> np.ndarray:
     return np.clip(values / span * 255.0, 0.0, 255.0).astype(np.intp)
 
 
-def apply_colormap(values: np.ndarray, vmin: float = 0.0, vmax: float | None = None) -> np.ndarray:
-    """Map an array of floats to RGB through the fixed table.
+def apply_colormap(values: np.ndarray, vmax: float | None = None) -> np.ndarray:
+    """Map an array of floats to RGB through the fixed table, over [0, vmax].
 
-    Default normalization is per-image: vmin 0, vmax the array maximum, which
-    is the only scale recoverable for density plots normalized per figure.
+    Default normalization is per-image: vmax the array maximum, which is the
+    only scale recoverable for density plots normalized per figure.
     """
     values = np.asarray(values, dtype=float)
     if vmax is None:
         vmax = float(values.max()) if values.size else 1.0
-    span = vmax - vmin
-    idx = _color_index(values - vmin, span) if span > 0.0 else np.zeros(values.shape, np.intp)
+    idx = _color_index(values, vmax) if vmax > 0.0 else np.zeros(values.shape, np.intp)
     return np.take(COLORMAP, idx, axis=0)
 
 

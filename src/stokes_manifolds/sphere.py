@@ -15,10 +15,10 @@ The rows F_q of a stack of blocks of one size are the contraction that gives
 the multipoles, `polar.diagonal_sums`, against the table c_i c_{i+q} on the
 n_theta Gauss nodes; no (2S+1) x n_theta x n_phi amplitude table is formed.
 A manifold map multiplies each theta node's row of F by the e^{i q phi} table.
-The total Q is linear in the rows, so it sums the weighted rows of each sweep
-layer's live blocks first and forms one such map per amplitude; of the
-manifold maps it keeps only the equator row that the ring foliation draws.
-The rows are real for a real block.
+The total Q is linear in the rows, so `husimi_totals` sums the weighted rows
+of each sweep layer's live blocks first and forms one such map per amplitude;
+of the manifold maps it keeps only the equator row that the ring foliation
+draws.  The rows are real for a real block.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ def nearest_theta_node(theta_nodes: np.ndarray, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QFunction:
-    """Husimi values over a sphere grid, of one manifold (with its spin) or of
-    the total state.
+    """Husimi values over a sphere grid, of one manifold or of the total state.
 
     A total Q also holds, in `equator`, the Q^(S) of each manifold it sums on
     the grid's equator node (`equator_node`), one row of n_phi values per
@@ -117,7 +116,6 @@ class QFunction:
 
     grid: SphereGrid
     values: np.ndarray
-    spin: float | None = None
     spins: tuple = ()
     equator: np.ndarray | None = None
 
@@ -179,37 +177,35 @@ def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
     azimuthal Fourier series Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta)."""
     f = husimi_fourier(block, grid)
     f[1:] *= 2.0  # the q < 0 diagonals are the conjugates of the q > 0 ones
-    return QFunction(grid, _fourier_sums(f, _waves(len(f), grid.phi)), spin=block.spin)
+    return QFunction(grid, _fourier_sums(f, _waves(len(f), grid.phi)))
 
 
-def husimi_totals(layers, count: int, grid: SphereGrid, max_spin: float | None = None):
+def husimi_totals(layers, count: int, grid: SphereGrid) -> list[QFunction]:
     """The total Q of each of `count` amplitudes from a sweep's `ManifoldLayer`s
     in increasing N.  The rows G_q(theta) = sum_S P_S (2S+1)/(4 pi)
     (2 - delta_q0) F_q^S(theta) are summed first, a layer at a time: one table
-    of coherent products and one `diagonal_sums` of the layer's blocks as
-    stored, whose equator rows are summed as their maps would be.  Each map,
-    the `_fourier_sums` of G, is formed as it is taken, one at a time.  The
-    rows, and so the totals, are real if every layer is."""
-    reported = np.array([layer.live & (max_spin is None or layer.photons / 2.0 <= max_spin + 1e-9)
-                         for layer in layers], dtype=bool).reshape(len(layers), count)
+    of coherent products and one `diagonal_sums` of the layer's live blocks as
+    stored, whose equator rows are summed as their maps would be.  Each map is
+    the `_fourier_sums` of G.  The rows, and so the totals, are real if every
+    layer is."""
+    live = np.array([layer.live for layer in layers], dtype=bool).reshape(len(layers), count)
     photons = np.array([layer.photons for layer in layers], dtype=int)
-    dims = np.where(reported, photons[:, None] + 1, 1).max(axis=0, initial=1)  # rows of each total
+    dims = np.where(live, photons[:, None] + 1, 1).max(axis=0, initial=1)  # rows of each total
     dtype = np.result_type(float, *{layer.blocks.dtype for layer in layers})
     totals = np.zeros((count, dims.max(), grid.n_theta), dtype=dtype)
     equators = np.zeros((count, len(layers), grid.n_phi))
     waves = _waves(dims.max(), grid.phi)
     eq = equator_node(grid)
-    for j, (layer, live) in enumerate(zip(layers, reported)):
-        if live.any():  # then every block of the layer is reported
-            dim = layer.photons + 1
-            rows = diagonal_sums(layer.blocks, _coherent_products(layer.photons, grid))
-            rows[:, :, 1:] *= 2.0  # [n, theta, q]; the q < 0 diagonals conjugate the q > 0 ones
-            equators[live, j] = _fourier_sums(rows[:, eq].T, waves)
-            rows *= (layer.weights * (dim / FOUR_PI))[:, None, None]
-            totals[live, :dim] += rows.transpose(0, 2, 1)
-    for g, e, dim, mask in zip(totals, equators, dims, reported.T):
-        yield QFunction(grid, _fourier_sums(g[:dim], waves),
-                        spins=tuple((photons[mask] / 2.0).tolist()), equator=e[mask])
+    for j, (layer, mask) in enumerate(zip(layers, live)):
+        dim = layer.photons + 1
+        rows = diagonal_sums(layer.blocks, _coherent_products(layer.photons, grid))
+        rows[:, :, 1:] *= 2.0  # [n, theta, q]; the q < 0 diagonals conjugate the q > 0 ones
+        equators[mask, j] = _fourier_sums(rows[:, eq].T, waves)
+        rows *= (layer.weights * (dim / FOUR_PI))[:, None, None]
+        totals[mask, :dim] += rows.transpose(0, 2, 1)
+    return [QFunction(grid, _fourier_sums(g[:dim], waves),
+                      spins=tuple((photons[mask] / 2.0).tolist()), equator=e[mask])
+            for g, e, dim, mask in zip(totals, equators, dims, live.T)]
 
 
 def husimi_total(sector: PolarizationSector, grid: SphereGrid,
@@ -218,5 +214,5 @@ def husimi_total(sector: PolarizationSector, grid: SphereGrid,
     Q^(S)(n) over its manifolds (up to max_spin), so the integral equals their
     captured probability: `husimi_totals` of its blocks, each a layer of one."""
     layers = [ManifoldLayer(b.photon_number, np.array([b.weight]), np.array([True]), b.block[None])
-              for b in sector.blocks]
-    return next(husimi_totals(layers, 1, grid, max_spin))
+              for b in sector.reported(max_spin)]
+    return husimi_totals(layers, 1, grid)[0]

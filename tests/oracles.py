@@ -444,26 +444,27 @@ def nearest_node_sampler(q):
 
 
 def manifold_parts(sector, grid, max_spin=None):
-    """The full map of each reported manifold, `husimi_manifold` per block."""
-    return tuple(husimi_manifold(b, grid) for b in sector.reported(max_spin))
+    """(spin, full map) of each reported manifold, `husimi_manifold` per block."""
+    return tuple((b.spin, husimi_manifold(b, grid)) for b in sector.reported(max_spin))
 
 
 def foliation_loop(parts, side=256):
     """The ring foliation drawn one ring at a time from full manifold maps
-    (`manifold_parts`, in spin order): a full-plane mask per ring, the ring's
-    equator samples, and apply_colormap at the ring's own maximum."""
-    parts = [p for p in parts if p.spin > 0]
+    (`manifold_parts`, (spin, map) pairs in spin order): a full-plane mask per
+    ring, the ring's equator samples, and apply_colormap at the ring's own
+    maximum."""
+    parts = [(spin, part) for spin, part in parts if spin > 0]
     image = np.empty((side, side, 3), dtype=np.uint8)
     image[:] = BACKGROUND
     if not parts:
         return image
-    radii = np.array([math.sqrt(p.spin * (p.spin + 1.0)) for p in parts])
+    radii = np.array([math.sqrt(spin * (spin + 1.0)) for spin, _ in parts])
     radii = radii / radii.max()
     half_width = 0.45 * np.min(np.diff(radii, prepend=0.0))
     u, v = _pixel_plane(side)
     rho = np.sqrt(u * u + v * v)
     psi = np.mod(np.arctan2(v, u), 2.0 * math.pi)
-    for part, r in zip(parts, radii):
+    for (_, part), r in zip(parts, radii):
         ring = np.abs(rho - r) <= half_width
         if not ring.any():
             continue

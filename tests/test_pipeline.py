@@ -285,6 +285,19 @@ def _record_calls(monkeypatch, name, modules):
     return calls
 
 
+def _gathered_layers(monkeypatch):
+    """The `polar.ManifoldLayer` of every `gather_manifolds` call the sweep
+    makes, in call order."""
+    layers = []
+
+    def gather(*args, _original=pipeline.gather_manifolds):
+        layers.append(_original(*args))
+        return layers[-1]
+
+    monkeypatch.setattr(pipeline, "gather_manifolds", gather)
+    return layers
+
+
 def _src_bindings(name):
     """Where `name` is bound in the package: as a module global, or as an
     attribute, dataclass field or parameter of a class or function that a
@@ -401,6 +414,8 @@ class TestComputedOnce:
         "sector_to_json_dict", "weight_floor", "_silhouette_angles",
         # the figure tables print from row templates; csv.writer is the oracle's
         "_write_csv", "csv",
+        # heatmaps and rings are scaled from 0
+        "vmin",
     ])
     def test_removed_names_stay_unbound(self, name):
         assert _src_bindings(name) == []
@@ -414,10 +429,10 @@ class TestComputedOnce:
         # draws, so no per-manifold map is built; no block is contracted on
         # its own: each reported size is one stack of every amplitude's
         # reported blocks of that size, in spin order
-        report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
         maps = _record_calls(monkeypatch, "husimi_manifold", [sphere, render, pipeline])
         rows = _record_calls(monkeypatch, "husimi_fourier", [sphere])
         stacks = _record_calls(monkeypatch, "diagonal_sums", [sphere])
+        report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
         emit_figure_tables(report, tmp_path)
         assert maps == [] and rows == []
         reported = [b for res in report.results for b in res.sector.reported()]
@@ -429,19 +444,53 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("alphas", [LADDER[2:3], DEFAULT_ALPHAS], ids=len)
     def test_husimi_products_once_per_size(self, monkeypatch, tmp_path, alphas):
-        # one Husimi call per emission builds each layer's coherent products
-        # once and contracts its live blocks as stored, however many
-        # amplitudes share it
-        report = run_sweep(RunConfig(alphas=alphas, emit=("q_csv", "heatmaps")))
+        # the sweep's one Husimi call takes the layers it has just gathered,
+        # builds each layer's coherent products once and contracts its live
+        # blocks as stored, however many amplitudes share it
+        layers = _gathered_layers(monkeypatch)
         totals = _record_calls(monkeypatch, "husimi_totals", [pipeline])
         built = _record_calls(monkeypatch, "_coherent_products", [sphere])
         stacks = _record_calls(monkeypatch, "diagonal_sums", [sphere])
+        report = run_sweep(RunConfig(alphas=alphas, emit=("q_csv", "heatmaps")))
         emit_figure_tables(report, tmp_path)
-        assert totals == [report.layers]
-        live = [layer for layer in report.layers if layer.live.any()]
-        assert built == [layer.photons for layer in live] and len(live) == 25
-        assert len(stacks) == len(live)
-        assert all(stack is layer.blocks for stack, layer in zip(stacks, live))
+        assert len(totals) == 1 and all(a is b for a, b in zip(totals[0], layers, strict=True))
+        assert all(layer.live.any() for layer in layers)
+        assert built == [layer.photons for layer in layers] and len(layers) == 25
+        assert len(stacks) == len(layers)
+        assert all(stack is layer.blocks for stack, layer in zip(stacks, layers))
+        grid = build_quadrature_grid(report.grid_l)
+        assert all(res.q.grid is grid for res in report.results)
+
+    @pytest.mark.parametrize("emit", [("q_csv",), ("heatmaps",), EMIT_CHOICES,
+                                      ("sector_json", "multipole_csv")], ids=",".join)
+    def test_husimi_once_per_sweep(self, monkeypatch, emit):
+        # the totals of every amplitude come from one call for an emit that
+        # reads them, and from none otherwise
+        totals = _record_calls(monkeypatch, "husimi_totals", [pipeline])
+        report = run_sweep(RunConfig(emit=emit))
+        wanted = bool(set(emit) & {"q_csv", "heatmaps"})
+        assert len(totals) == wanted
+        assert all((res.q is not None) == wanted for res in report.results)
+
+    def test_emission_computes_no_husimi(self, monkeypatch, tmp_path):
+        # the emitter renders and writes the sweep's totals; it contracts no
+        # block and builds no coherent products
+        report = run_sweep(RunConfig(emit=EMIT_CHOICES, **FAST))
+        for module, name in [(pipeline, "husimi_totals"), (sphere, "husimi_totals"),
+                             (sphere, "_coherent_products"), (sphere, "diagonal_sums"),
+                             (polar, "diagonal_sums")]:
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called by emission")
+
+            monkeypatch.setattr(module, name, refuse)
+        manifest = emit_figure_tables(report, tmp_path)
+        assert len(manifest["files"]) == 4 + 7 * len(FAST["alphas"])  # 4 figure tables
+
+    def test_check_takes_husimi_once(self, monkeypatch):
+        # `check` reads each amplitude's total from the sweep
+        totals = _record_calls(monkeypatch, "husimi_totals", [pipeline, sphere, invariants])
+        assert all(value <= bound for _, value, bound in invariants.default_suite())
+        assert len(totals) == 1
 
 
 class TestEmitScope:
@@ -459,20 +508,21 @@ class TestEmitScope:
 
     def test_csv_run_gathers_no_block(self, monkeypatch):
         self._refuse(monkeypatch, (pipeline, "gather_manifolds"), (pipeline, "multipole_stack"),
-                     (multipole, "cg_table"))
+                     (multipole, "cg_table"), (pipeline, "husimi_totals"))
         report = run_sweep(RunConfig(alphas=LADDER, emit=("squeezing_csv", "photon_csv")))
-        assert report.layers == ()
         for res in report.results:
-            assert res.sector is None and res.manifold_multipoles == ()
+            assert res.sector is None and res.manifold_multipoles == () and res.q is None
             assert res.aggregated_weights.shape == (0,) and len(res.manifold_weights) == 25
 
     def test_husimi_run_contracts_no_multipole(self, monkeypatch, tmp_path):
         self._refuse(monkeypatch, (pipeline, "multipole_stack"))
+        layers = _gathered_layers(monkeypatch)
         report = run_sweep(RunConfig(alphas=(0.0, 1.13), s_report_max=5.0, grid_l=20,
                                      emit=("q_csv", "heatmaps")))
-        assert len(report.layers) == 11
+        assert len(layers) == 11
         for res in report.results:
             assert len(res.sector.blocks) == 11 and res.manifold_multipoles == ()
+            assert res.q.spins == tuple(b.spin for b in res.sector.blocks)
         emit_figure_tables(report, tmp_path)
 
     def test_figure_tables_do_not_depend_on_emit(self, tmp_path):
@@ -517,36 +567,39 @@ class TestLiveManifolds:
 
     @pytest.mark.parametrize("alphas, cutoff", [((7.0,), 80), (DEFAULT_ALPHAS, 48)])
     def test_gathers_only_live_manifolds(self, monkeypatch, alphas, cutoff):
-        sizes = []
-
-        def gather(h, v, n_total, *weights, _original=pipeline.gather_manifolds):
-            sizes.append(n_total)
-            return _original(h, v, n_total, *weights)
-
-        monkeypatch.setattr(pipeline, "gather_manifolds", gather)
+        layers = _gathered_layers(monkeypatch)
         report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff,
                                      emit=("sector_json",)))
         live = sorted({n for a in alphas for n in _live_photons(a, cutoff).tolist()})
-        assert sizes == live and len(live) < cutoff + 1
-        assert [layer.photons for layer in report.layers] == live
+        assert [layer.photons for layer in layers] == live and len(live) < cutoff + 1
+        for a, res in enumerate(report.results):
+            assert [b.photon_number for b in res.sector.blocks] == [
+                layer.photons for layer in layers if layer.live[a]]
 
-    def test_no_block_below_floor(self):
+    def test_no_block_below_floor(self, monkeypatch):
+        layers = _gathered_layers(monkeypatch)
         report = run_sweep(RunConfig(cutoff_h=48, cutoff_v=48, emit=("sector_json",)))
-        for layer in report.layers:
+        assert layers
+        for layer in layers:
             assert len(layer.weights) == len(layer.blocks) == np.count_nonzero(layer.live) > 0
             assert (layer.weights > polar.WEIGHT_FLOOR).all()
         for res in report.results:
             assert all(b.weight > polar.WEIGHT_FLOOR for b in res.sector.blocks)
             assert len(res.sector.blocks) < 49
 
-    def test_blocks_of_wide_ladder_at_cutoff_160(self):
+    def test_blocks_of_wide_ladder_at_cutoff_160(self, monkeypatch):
         # alpha = 0, 0.5, ..., 7 held 162 MB of blocks below the floor beside
-        # 6.5 MB of live ones
+        # 6.5 MB of live ones; the sectors view the gathered arrays
+        layers = _gathered_layers(monkeypatch)
         alphas = tuple(0.5 * k for k in range(15))
         report = run_sweep(RunConfig(alphas=alphas, cutoff_h=160, cutoff_v=160,
                                      emit=("sector_json",)))
-        held = sum(a.nbytes for layer in report.layers for a in layer if isinstance(a, np.ndarray))
+        held = sum(a.nbytes for layer in layers for a in layer if isinstance(a, np.ndarray))
         assert held < 10e6, held
+        blocks = [b.block for res in report.results for b in res.sector.blocks]
+        assert len(blocks) == sum(len(layer.blocks) for layer in layers)
+        assert all(any(np.shares_memory(block, layer.blocks) for layer in layers)
+                   for block in blocks[::50])
 
     def test_sector_json_lists_live_manifolds(self, tmp_path):
         report = run_sweep(RunConfig(cutoff_h=48, cutoff_v=48, emit=("sector_json",)))
@@ -712,9 +765,11 @@ class TestRealStates:
             return modes[-1]
 
         monkeypatch.setattr(pipeline, "synthesize_mode", recording)
+        layers = _gathered_layers(monkeypatch)
         report = run_sweep(RunConfig())
         assert len(modes) == 5 and all(m.entries.dtype == np.float64 for m in modes)
-        for layer in report.layers:
+        assert len(layers) == 25
+        for layer in layers:
             assert layer.blocks.dtype == np.float64
             if len(layer.blocks):
                 assert multipole.multipole_stack(layer.photons, layer.blocks).dtype == np.float64
@@ -726,8 +781,8 @@ class TestRealStates:
         grid = build_quadrature_grid(report.grid_l)
         block = next(b for b in report.results[-1].sector.blocks if b.photon_number == 12)
         assert sphere.husimi_fourier(block, grid).dtype == np.float64
-        for q in sphere.husimi_totals(report.layers, len(report.results), grid):
-            assert q.values.dtype == q.equator.dtype == np.float64
+        for res in report.results:
+            assert res.q.values.dtype == res.q.equator.dtype == np.float64
 
     def test_complex_alpha_stays_complex(self):
         # the same kernels take a complex H mode, and agree with the dense
@@ -751,7 +806,7 @@ class TestRealStates:
             for got, want in zip((mean[0], second[0]), dense_moments(block)):
                 assert np.abs(got - want).max() < 1e-12
         assert stokes.diagonal_moments([h], v)[3].dtype == np.float64
-        q = next(sphere.husimi_totals(layers, 1, build_quadrature_grid(24)))
+        q = sphere.husimi_totals(layers, 1, build_quadrature_grid(24))[0]
         captured = sum(layer.weights[0] for layer in layers)
         assert q.values.dtype == np.float64 and abs(q.integral() - captured) < 1e-12
 
@@ -998,7 +1053,7 @@ def _edge_report() -> RunReport:
             alpha=alpha, manifold_weights=np.array([0.25, *edge]), sector=None,
             manifold_summaries=summaries, total=total,
             manifold_multipoles=((0.5, np.array(edge[:2])), (1.0, np.array(edge))),
-            aggregated_weights=np.array(edge[::-1]), analytic_estimate=estimate,
+            aggregated_weights=np.array(edge[::-1]), q=None, analytic_estimate=estimate,
             trace_deficit=0.0,
         )
         for alpha, total, estimate in [
@@ -1007,7 +1062,7 @@ def _edge_report() -> RunReport:
         ]
     )
     config = RunConfig(emit=("squeezing_csv", "photon_csv", "multipole_csv"))
-    return RunReport(config=config, results=results, grid_l=config.resolved_grid_l, layers=())
+    return RunReport(config=config, results=results)
 
 
 def _grid_of(theta, phi, row_weights):

@@ -44,7 +44,7 @@ class TestColormap:
         assert np.array_equal(a, b)
 
     def test_constant_field_single_color(self):
-        img = apply_colormap(np.full((4, 4), 3.7), vmin=0.0, vmax=3.7)
+        img = apply_colormap(np.full((4, 4), 3.7), vmax=3.7)
         assert np.all(img == COLORMAP[255])
 
 
@@ -137,17 +137,17 @@ def default_ladder_q(grid_l):
 
 
 def parts_q(part_values, grid_l=8):
-    """Manifold maps S = 1/2, 1, ... holding the given values, and a total Q
-    whose equator rows are read off those maps."""
+    """(spin, map) of manifolds S = 1/2, 1, ... whose maps hold the given
+    values, and a total Q whose equator rows are read off those maps."""
     grid = build_quadrature_grid(grid_l)
     parts = tuple(
-        QFunction(grid, np.broadcast_to(np.asarray(v, dtype=float), (grid.n_theta, grid.n_phi)),
-                  spin=(i + 1) / 2.0)
+        ((i + 1) / 2.0,
+         QFunction(grid, np.broadcast_to(np.asarray(v, dtype=float), (grid.n_theta, grid.n_phi))))
         for i, v in enumerate(part_values)
     )
-    equator = np.stack([p.values[equator_node(grid)] for p in parts])
+    equator = np.stack([p.values[equator_node(grid)] for _, p in parts])
     total = QFunction(grid, np.zeros((grid.n_theta, grid.n_phi)),
-                      spins=tuple(p.spin for p in parts), equator=equator)
+                      spins=tuple(spin for spin, _ in parts), equator=equator)
     return total, parts
 
 

@@ -250,22 +250,27 @@ class TestHusimiTotal:
 
     @pytest.mark.parametrize("grid_l", [48, 96])
     def test_totals_match_each_sector_alone(self, grid_l):
-        # one call contracts each layer's live blocks as one stack; each
-        # amplitude's total is the one its sector alone gives, bit for bit,
-        # and each equator row is its manifold map's.  The widest report the
-        # grid takes is S <= L/4; at cutoff 100, alpha 7 is negligible below
-        # N = 11 and alpha 0 above N = 31
+        # the sweep's one call contracts each layer's live blocks as one
+        # stack; each amplitude's total is the one its sector alone gives, up
+        # to the same report range, bit for bit, and each equator row is its
+        # manifold map's.  The widest report the grid takes is S <= L/4; at
+        # cutoff 100, alpha 7 is negligible below N = 11 and alpha 0 above
+        # N = 31
         grid = build_quadrature_grid(grid_l)
         for alphas, cutoff, max_spins in [(DEFAULT_ALPHAS, 24, (None, 4.0)),
                                           (DEFAULT_ALPHAS, 48, (grid_l / 4, 4.0)),
                                           ((0.0, 7.0), 100, (grid_l / 4,))]:
-            report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff))
+            whole = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff,
+                                        emit=("sector_json",))).results
             for max_spin in max_spins:
-                together = list(husimi_totals(report.layers, len(alphas), grid, max_spin))
-                assert len(together) == len(report.results)
-                for res, q in zip(report.results, together):
-                    alone = husimi_total(res.sector, grid, max_spin)
-                    blocks = res.sector.reported(max_spin)
+                report = run_sweep(RunConfig(alphas=alphas, cutoff_h=cutoff, cutoff_v=cutoff,
+                                             s_report_max=max_spin, grid_l=grid_l,
+                                             emit=("q_csv",)))
+                assert len(report.results) == len(alphas)
+                for res, sector in zip(report.results, (w.sector for w in whole)):
+                    q, alone = res.q, husimi_total(sector, grid, max_spin)
+                    blocks = sector.reported(max_spin)
+                    assert q.grid is grid
                     assert q.spins == alone.spins == tuple(b.spin for b in blocks)
                     assert np.array_equal(q.values, alone.values)
                     assert np.array_equal(q.equator, alone.equator)
@@ -274,19 +279,26 @@ class TestHusimiTotal:
                         assert np.max(np.abs(row - want)) < 1e-15, (cutoff, block.spin)
 
     def test_totals_read_no_sector(self, monkeypatch):
-        # the layers alone give every amplitude's total
-        report = run_sweep(RunConfig())
-        grid = build_quadrature_grid(report.grid_l)
-        want = [husimi_total(res.sector, grid) for res in report.results]
-
+        # the sweep's layers alone give every amplitude's total
         def refuse(*args):
             raise AssertionError("a sector was read")
 
         monkeypatch.setattr(PolarizationSector, "reported", refuse)
-        got = list(husimi_totals(report.layers, len(report.results), grid))
-        assert [q.spins for q in got] == [q.spins for q in want]
-        for q, alone in zip(got, want):
-            assert np.array_equal(q.values, alone.values)
+        report = run_sweep(RunConfig(emit=("q_csv",)))
+        monkeypatch.undo()
+        grid = build_quadrature_grid(report.grid_l)
+        want = [husimi_total(res.sector, grid) for res in report.results]
+        assert [res.q.spins for res in report.results] == [q.spins for q in want]
+        for res, alone in zip(report.results, want):
+            assert np.array_equal(res.q.values, alone.values)
+
+    def test_totals_without_layers(self):
+        # a list of every amplitude's total, formed by the call; an amplitude
+        # with no live manifold in the report range has a zero total
+        totals = husimi_totals([], 2, build_quadrature_grid(4))
+        assert isinstance(totals, list) and len(totals) == 2
+        for q in totals:
+            assert q.spins == () and q.equator.shape == (0, 9) and not q.values.any()
 
     def test_coherent_products_peak_memory(self):
         # the gathered c_i and a whole second table of c_{i+q} peaked at

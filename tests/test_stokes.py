@@ -94,6 +94,24 @@ class TestStokesRoutes:
         summaries[i] = dataclasses.replace(summaries[i], xi2=summaries[i].xi2 * (1 + 1e-9))
         assert stokes_route_gap(blocks, summaries)[0] > 1e-10
 
+    def test_pure_squeezed_vacuum(self):
+        # squeezing = antisqueezing at eta 1 gives pure states whose even
+        # manifolds at alpha 0 have gamma_min and xi^2 of 0 up to roundoff,
+        # exactly 0.0 in the block route at S = 5 and 11: each gap is taken
+        # relative to 1 % of shot noise there, not to the roundoff value
+        config = RunConfig(alphas=(0.0, 1.13), squeezing_db=3.6, antisqueezing_db=3.6,
+                           efficiency=1.0, emit=("sector_json",))
+        results = run_sweep(config).results
+        blocks = [b for res in results for b in res.sector.reported() if b.spin]
+        summaries = [s for res in results for s in res.manifold_summaries]
+        exact = [w.spin for w in manifold_stokes_summary(blocks) if w.gamma_min == w.xi2 == 0.0]
+        assert exact == [5.0, 11.0]
+        gap, bound = stokes_route_gap(blocks, summaries)
+        assert gap <= bound and bound == 1e-12
+        i = [b.spin for b in blocks].index(11.0)  # a gamma_min 1e-9 of shot noise off is found
+        summaries[i] = dataclasses.replace(summaries[i], gamma_min=1e-9 * 11.0 / 2)
+        assert stokes_route_gap(blocks, summaries)[0] > 1e-10
+
 
 class TestManifoldSummary:
     def test_spin_half_always_unity(self):
