@@ -3,9 +3,10 @@
 Conventions: quadrature x = (a + a^dag)/sqrt(2), vacuum variance 1/2; dB values
 are 10*log10(Var/Var_vac).  The squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]
 squeezes x for real r > 0.  A mode of the model is D(sqrt(eta) alpha) applied to
-one lossy squeezed-thermal core, which is built once per model and padded size.
-Operators are exponentiated at a padded size and cropped; what a too-small
-cutoff loses shows in the mode's trace deficit, on which the sweep warns.
+one lossy squeezed-thermal core, built once per model and padded size by a
+Gaussian recurrence and the Kraus loss.  Only the displacement is exponentiated at
+a padded size and cropped; what a too-small cutoff loses shows in the mode's trace
+deficit, on which the sweep warns.
 """
 
 from __future__ import annotations
@@ -21,17 +22,7 @@ HERMITICITY_TOL = 1e-12
 
 def padded_cutoff(cutoff: int) -> int:
     """Internal cutoff used when building operators that get cropped back down."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
     return math.ceil(1.5 * cutoff) + 10
-
-
-def lowering_operator(dim: int) -> np.ndarray:
-    """Bosonic annihilation operator on a dim-dimensional number basis."""
-    a = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
 
 
 def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
@@ -44,13 +35,6 @@ def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
     if bad.any():
         raise ValueError(f"{what} is not Hermitian (max deviation {dev[bad][0]:.3e})")
     return 0.5 * (mat + adjoint)
-
-
-def _unitary_exp(h: np.ndarray) -> np.ndarray:
-    """exp(-iH) of a Hermitian H as V diag(e^{-i lambda}) V^dag from its
-    eigendecomposition, so the result is unitary by construction."""
-    values, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(-1j * values)) @ vectors.conj().T
 
 
 def _float_or_complex(values) -> np.ndarray:
@@ -131,28 +115,24 @@ class NoiseModel:
 @functools.lru_cache(maxsize=2)
 def _displacement_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of G = i(a^dag - a) on dim levels, read-only."""
-    a = lowering_operator(dim)
-    values, vectors = np.linalg.eigh(1j * (a.T - a))
+    root = np.sqrt(np.arange(1.0, dim))
+    values, vectors = np.linalg.eigh(1j * (np.diag(root, -1) - np.diag(root, 1)))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors
 
 
-def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated displacement operator D(alpha) = exp(alpha a^dag - alpha* a).
+def displacement_matrix(alpha: complex, cutoff: int, top: int | None = None) -> np.ndarray:
+    """Rows 0..top <= cutoff (all by default) of the truncated displacement
+    operator D(alpha) = exp(alpha a^dag - alpha* a) on 0..cutoff.
 
     D(t) = V diag(e^{-i t lambda}) V^dag for real t, from one cached eigh of
     G = i(a^dag - a) per padded size, cropped to 0..cutoff; a complex alpha is
     D(|alpha|) with the phases diag(e^{i n arg alpha}) on both sides.  D(0) is
-    the exact identity.
+    the exact identity.  Only the rows kept are multiplied, each entry by the
+    same dot product as in the whole matrix.
     """
-    return _displacement_rows(alpha, cutoff, cutoff)
-
-
-def _displacement_rows(alpha: complex, cutoff: int, top: int) -> np.ndarray:
-    """Rows 0..top of `displacement_matrix(alpha, cutoff)`, top <= cutoff: the
-    eigenbasis is cropped before the product, so only the entries kept are
-    multiplied, each the same dot product as in the whole matrix."""
+    top = cutoff if top is None else top
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     alpha = complex(alpha)
@@ -167,27 +147,26 @@ def _displacement_rows(alpha: complex, cutoff: int, top: int) -> np.ndarray:
     return part
 
 
-def squeeze_matrix(r: complex, cutoff: int) -> np.ndarray:
-    """Squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2], padded and cropped to 0..cutoff."""
-    if not np.isfinite(r):
-        raise ValueError("r must be finite")
-    a = lowering_operator(padded_cutoff(cutoff) + 1)
-    a2 = a @ a
-    full = _unitary_exp(0.5j * (np.conj(r) * a2 - r * a2.conj().T))
-    return full[: cutoff + 1, : cutoff + 1]
-
-
-def thermal_state(nbar: float, cutoff: int) -> ModeState:
-    """Thermal state with mean occupation nbar, diagonal geometric weights."""
-    if nbar < 0:
-        raise ValueError("nbar must be non-negative")
-    n = np.arange(cutoff + 1)
-    if nbar == 0:
-        probs = np.zeros(cutoff + 1)
-        probs[0] = 1.0
-    else:
-        probs = np.exp(n * math.log(nbar) - (n + 1) * math.log(1.0 + nbar))
-    return ModeState(cutoff, np.diag(probs.astype(complex)))
+def squeezed_thermal(r: float, nbar: float, cutoff: int) -> np.ndarray:
+    """Float64 entries of S(r) rho_th(nbar) S^dag(r) on photon numbers 0..cutoff,
+    exact at any cutoff: the Gaussian state has Sigma = V + I/2 with
+    V = a diag(e^{-2r}, e^{2r}), a = nbar + 1/2, and no mean, so its entries obey
+    sqrt(m+1) rho_{m+1,n} = A11 sqrt(m) rho_{m-1,n} + A12 sqrt(n) rho_{m,n-1} (row 0
+    alike in n) from rho_00 = 1/sqrt(det Sigma), with det Sigma = a^2 + a cosh 2r
+    + 1/4, A11 = -a sinh 2r / det Sigma and A12 = nbar (nbar + 1) / det Sigma
+    (Miatto & Quesada, Quantum 4, 366 (2020)).  Each step keeps the parity of
+    m - n, so every odd entry is exactly 0.0."""
+    if not (math.isfinite(r) and 0.0 <= nbar < math.inf):
+        raise ValueError("r must be finite and nbar finite and non-negative")
+    a = nbar + 0.5
+    det = a * a + a * math.cosh(2.0 * r) + 0.25
+    a11, a12 = -a * math.sinh(2.0 * r) / det, nbar * (nbar + 1.0) / det
+    root = np.sqrt(np.arange(cutoff + 1))
+    rho = np.zeros((cutoff + 2, cutoff + 2))  # row m = -1 (the last), column n = -1 (the first)
+    rho[0, 1::2] = np.cumprod(np.r_[1.0 / math.sqrt(det), a11 * root[1:-1:2] / root[2::2]])
+    for m in range(cutoff):
+        rho[m + 1, 1:] = (a11 * root[m] * rho[m - 1, 1:] + a12 * root * rho[m, :-1]) / root[m + 1]
+    return rho[:-1, 1:]
 
 
 def loss_channel(state: ModeState, eta: float) -> ModeState:
@@ -223,8 +202,7 @@ def loss_channel(state: ModeState, eta: float) -> ModeState:
 def _lossy_core(model: NoiseModel, pad: int) -> np.ndarray:
     """The alpha-independent part of every mode, L_eta(S rho_th S^dag) on
     photon numbers 0..pad, read-only."""
-    sq = squeeze_matrix(model.squeeze_parameter, pad)
-    rho = sq @ thermal_state(model.thermal_occupation, pad).entries @ sq.conj().T
+    rho = squeezed_thermal(model.squeeze_parameter, model.thermal_occupation, pad)
     return loss_channel(ModeState(pad, rho), model.efficiency).entries
 
 
@@ -243,7 +221,7 @@ def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState
     it if the imaginary part dropped reaches HERMITICITY_TOL.
     """
     pad = padded_cutoff(cutoff)
-    disp = _displacement_rows(math.sqrt(model.efficiency) * alpha, pad, cutoff)
+    disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad, cutoff)
     rho = disp @ _lossy_core(model, pad) @ disp.conj().T
     if complex(alpha).imag == 0:
         dropped = np.abs(rho.imag).max()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import multipole
-from .fock import loss_channel, padded_cutoff, thermal_state
+from .fock import ModeState, loss_channel, padded_cutoff, squeezed_thermal, synthesize_mode
 from .pipeline import RunConfig, run_sweep
 from .polar import ManifoldBlock
 from .sphere import FOUR_PI, build_quadrature_grid, husimi_manifold
@@ -95,6 +95,18 @@ def stokes_route_gap(blocks, summaries) -> tuple[float, float]:
                default=0.0), 1e-12
 
 
+def parity_gap(rho_v, blocks, summaries) -> tuple[float, float]:
+    """Largest |entry| at odd i - j of the Hermitian V mode and blocks, |rho_Kq| at
+    odd q of the blocks and |<S_x>|, |<S_y>| of the summaries: every such block
+    entry has a V factor at odd offset, an exact 0.0, so the bound is exactly 0."""
+    stacks = {n: np.stack([b.block for b in blocks if b.photon_number == n])
+              for n in {b.photon_number for b in blocks}}
+    gaps = [s.mean[:2] for s in summaries] + [rho_v.entries[::2, 1::2]]
+    gaps += [stack[:, ::2, 1::2] for stack in stacks.values()]
+    gaps += [multipole.multipole_stack(n, stack)[..., 1::2] for n, stack in stacks.items()]
+    return max(float(np.max(np.abs(g), initial=0.0)) for g in gaps), 0.0
+
+
 def spin_half_xi2_gap(block: ManifoldBlock) -> tuple[float, float]:
     """|xi^2 - 1| of an S = 1/2 block, which no state can squeeze."""
     return abs(manifold_stokes_summary([block])[0].xi2 - 1.0), 1e-12
@@ -150,9 +162,13 @@ def default_suite() -> list[tuple[str, float, float]]:
         _worst(f"manifold Husimi integral, {len(blocks)} reported blocks {on_grid}",
                (husimi_manifold_gap(b, grid) for b in blocks)),
         _worst(f"loss channel trace, thermal state on {pad + 1} levels at eta {config.efficiency}",
-               [loss_trace_gap(thermal_state(0.7, pad), config.efficiency)]),
+               [loss_trace_gap(ModeState(pad, squeezed_thermal(0, 0.7, pad)), config.efficiency)]),
         _worst(f"one-photon manifold xi2 = 1, {len(halves)} amplitudes",
                map(spin_half_xi2_gap, halves)),
         _worst(f"Stokes moments of the mode diagonals against moment_stack, {len(summaries)} "
                "reported blocks", [stokes_route_gap([b for b in blocks if b.spin], summaries)]),
+        _worst(f"photon-number parity zeros, V mode, {len(blocks)} reported blocks, their "
+               f"multipoles and {len(summaries)} mean Stokes vectors",
+               [parity_gap(synthesize_mode(config.noise_model, 0.0, config.cutoff_v),
+                           blocks, summaries)]),
     ]

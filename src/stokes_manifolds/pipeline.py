@@ -142,6 +142,11 @@ class RunConfig:
             return self.grid_l
         return int(math.ceil(4.0 * self.resolved_s_report_max))
 
+    @property
+    def noise_model(self) -> NoiseModel:
+        efficiency = self.efficiency if self.apply_loss else 1.0
+        return NoiseModel(self.squeezing_db, self.antisqueezing_db, efficiency)
+
     def echo(self) -> dict:
         return {
             **asdict(self),
@@ -256,8 +261,7 @@ def _dedupe(alphas):
 def run_sweep(config: RunConfig) -> RunReport:
     """Synthesize the V mode and every H mode, then analyze all amplitudes
     together (`_analyze`)."""
-    efficiency = config.efficiency if config.apply_loss else 1.0
-    model = NoiseModel(config.squeezing_db, config.antisqueezing_db, efficiency)
+    model = config.noise_model
     alphas = _dedupe(config.alphas)
     _check_cutoffs(config, model, alphas)
     try:

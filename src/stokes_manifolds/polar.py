@@ -295,7 +295,7 @@ def _block_template(dim: int) -> str:
 def _finite_texts(values: np.ndarray) -> list:
     """The float repr of each finite value, computed once per distinct
     magnitude (a Hermitian block holds each |x| twice); the sign is put back
-    from np.signbit, so -0.0 prints as "-0.0"."""
+    from np.signbit."""
     magnitudes, inverse = np.unique(np.abs(values).view(np.int64), return_inverse=True)
     texts = list(map(repr, magnitudes.view(float).tolist()))
     table = np.array(texts + ["-" + t for t in texts], dtype=object)
@@ -304,8 +304,8 @@ def _finite_texts(values: np.ndarray) -> list:
 
 def _manifold_text(i: int, b: ManifoldBlock) -> str:
     """The text of manifold number i in the dump, with its leading separator;
-    a real block prints 0.0 as each imaginary part."""
-    values = np.ascontiguousarray(b.block, dtype=complex).view(float).ravel()
+    + 0.0 folds -0.0, so every zero, and each imaginary part of a real block, is 0.0."""
+    values = np.ascontiguousarray(b.block, dtype=complex).view(float).ravel() + 0.0
     fields = tuple(_finite_texts(values))
     return (
         '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'

@@ -222,9 +222,9 @@ def diagonal_moments(modes, rho_v: ModeState, top: int = 0):
     each moment of manifold N, times P_N, is a convolution of mode diagonals:
     <S+^k>_N P_N = (h_k * v_k)[N], h_k[n] = <n|rho_H a^dag^k|n> and
     v_k[n] = <n|rho_V a^k|n>; <{Sz, S+}> = <S+ (2 Sz + 1)>, <Sz> and <Sz^2>
-    weight the photon-number distributions by n_H - n_V.  A manifold's row
-    is its nine convolutions over P_N; a whole state's, their sum.
-    """
+    weight p_H * p_V by n_H - n_V, <Sz> as (n p_H * p_V - n p_V * p_H)/2, exactly 0
+    for equal modes.  A manifold's row is its nine convolutions over P_N; a
+    whole state's, their sum."""
     for rho_h in modes:
         captured = rho_h.trace * rho_v.trace
         if captured <= 0.5:
@@ -235,11 +235,11 @@ def diagonal_moments(modes, rho_v: ModeState, top: int = 0):
     n_h, n_v = np.arange(h.shape[-1]), np.arange(rho_v.cutoff + 1)
     p_h, p_v = np.diagonal(h, 0, 1, 2).real, np.diagonal(rho_v.entries).real
     h1, v1 = _ladder_diagonal(h, 1), _ladder_diagonal(rho_v.entries, -1)
-    f = np.stack([n_h * p_h, p_h, n_h**2 * p_h, n_h * p_h, p_h,
+    f = np.stack([n_h * p_h, n_h**2 * p_h, n_h * p_h, p_h,
                   h1, (n_h + 1) * h1, h1, _ladder_diagonal(h, 2)], axis=1)
-    g = np.stack([p_v, n_v * p_v, p_v, n_v * p_v, n_v**2 * p_v,
+    g = np.stack([p_v, p_v, n_v * p_v, n_v**2 * p_v,
                   v1, v1, n_v * v1, _ladder_diagonal(rho_v.entries, -2)])
-    conv = convolve(f, g)  # (n, 9, M)
+    conv = np.concatenate([convolve(f, g), convolve(n_v * p_v, p_h)[:, None]], axis=1)
     photons = np.arange(weights.shape[1])
     # The manifolds a block-by-block total summed: N > 0 above the weight
     # floor.  Item 4 of ROADMAP.md drops the floor, which moves xi^2 by up to
@@ -253,9 +253,9 @@ def diagonal_moments(modes, rho_v: ModeState, top: int = 0):
     spin = photons / 2.0
     mean, second = _stokes_moments(
         np.concatenate([spin[n] * (spin[n] + 1), np.vecdot(kept, spin * (spin + 1))]),
-        0.5 * (c[:, 0].real - c[:, 1].real),
-        0.25 * (c[:, 2].real - 2.0 * c[:, 3].real + c[:, 4].real),
-        c[:, 5], c[:, 6] - c[:, 7], c[:, 8],
+        0.5 * (c[:, 0].real - c[:, 8].real),
+        0.25 * (c[:, 1].real - 2.0 * c[:, 2].real + c[:, 3].real),
+        c[:, 4], c[:, 5] - c[:, 6], c[:, 7],
     )
     spins = [*spin[n].tolist(), *(np.vecdot(kept, photons) / 2.0).tolist()]
     return weights, live, spins, mean, second

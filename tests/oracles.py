@@ -15,7 +15,9 @@ W_K summed one block at a time, and the Stokes variance minimised one block
 at a time with the scalar eigenvector tie rule.  The total Stokes summary
 the package takes from the two modes is kept as the sum over every manifold
 block, each gathered in full.  Each mode is synthesised as the model states
-it, displaced before the loss, where the package displaces one shared lossy
+it: the squeeze operator, exponentiated at a padded size, on a diagonal
+thermal state, displaced before the loss.  The package takes the squeezed
+thermal state from its Gaussian recurrence and displaces one shared lossy
 core by sqrt(eta) alpha.
 """
 
@@ -27,15 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from stokes_manifolds.fock import (
-    ModeState,
-    _unitary_exp,
-    loss_channel,
-    lowering_operator,
-    padded_cutoff,
-    squeeze_matrix,
-    thermal_state,
-)
+from stokes_manifolds.fock import ModeState, loss_channel, padded_cutoff
 from stokes_manifolds.multipole import cg_table
 from stokes_manifolds.pipeline import RunConfig, run_sweep
 from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock, diagonal_order
@@ -101,6 +95,54 @@ def gaussian_total_xi2(alpha, r):
     return min(var_x, var_y) / denom
 
 
+# -- operators exponentiated by eigendecomposition, and the thermal state -------
+
+def lowering_operator(dim):
+    """Bosonic annihilation operator on a dim-dimensional number basis."""
+    a = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(1, dim)
+    a[n - 1, n] = np.sqrt(n)
+    return a
+
+
+def unitary_exp(h):
+    """exp(-iH) of a Hermitian H as V diag(e^{-i lambda}) V^dag from its
+    eigendecomposition, so the result is unitary by construction."""
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(-1j * values)) @ vectors.conj().T
+
+
+def squeeze_matrix(r, cutoff):
+    """Squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2], padded and cropped to 0..cutoff."""
+    if not np.isfinite(r):
+        raise ValueError("r must be finite")
+    a = lowering_operator(padded_cutoff(cutoff) + 1)
+    a2 = a @ a
+    full = unitary_exp(0.5j * (np.conj(r) * a2 - r * a2.conj().T))
+    return full[: cutoff + 1, : cutoff + 1]
+
+
+def thermal_state(nbar, cutoff):
+    """Thermal state with mean occupation nbar, diagonal geometric weights."""
+    if nbar < 0:
+        raise ValueError("nbar must be non-negative")
+    n = np.arange(cutoff + 1)
+    if nbar == 0:
+        probs = np.zeros(cutoff + 1)
+        probs[0] = 1.0
+    else:
+        probs = np.exp(n * math.log(nbar) - (n + 1) * math.log(1.0 + nbar))
+    return ModeState(cutoff, np.diag(probs.astype(complex)))
+
+
+def padded_squeezed_thermal(r, nbar, cutoff):
+    """S(r) rho_th(nbar) S^dag(r) from the padded exponential at twice the
+    cutoff, cropped to 0..cutoff."""
+    sq = squeeze_matrix(r, 2 * cutoff)
+    rho = sq @ thermal_state(nbar, 2 * cutoff).entries @ sq.conj().T
+    return rho[: cutoff + 1, : cutoff + 1]
+
+
 # -- spin matrices ------------------------------------------------------------
 
 def spin_matrices(spin):
@@ -121,7 +163,7 @@ def rotation_matrix(spin, axis, angle):
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     sx, sy, sz = spin_matrices(spin)
-    return _unitary_exp(angle * (axis[0] * sx + axis[1] * sy + axis[2] * sz))
+    return unitary_exp(angle * (axis[0] * sx + axis[1] * sy + axis[2] * sz))
 
 
 def dense_moments(block):
@@ -364,7 +406,7 @@ def direct_synthesis(model, alpha, cutoff):
     generator on `padded_cutoff(pad) + 1` levels and cropped to the pad."""
     pad = padded_cutoff(cutoff)
     a = lowering_operator(padded_cutoff(pad) + 1)
-    disp = _unitary_exp(1j * (alpha * a.T - np.conj(alpha) * a))[: pad + 1, : pad + 1]
+    disp = unitary_exp(1j * (alpha * a.T - np.conj(alpha) * a))[: pad + 1, : pad + 1]
     unitary = disp @ squeeze_matrix(model.squeeze_parameter, pad)
     rho = unitary @ thermal_state(model.thermal_occupation, pad).entries @ unitary.conj().T
     lossy = loss_channel(ModeState(pad, rho), model.efficiency)
@@ -414,7 +456,8 @@ def csv_figure_tables(report) -> dict:
 
 
 def json_dump_sector(sector, path):
-    """The sector dump as nested lists through json.dump(indent=1, sort_keys=True)."""
+    """The sector dump as nested lists through json.dump(indent=1, sort_keys=True),
+    each -0.0 folded into 0.0 by + 0.0."""
     manifolds = [
         {
             "S": b.spin,
@@ -422,7 +465,8 @@ def json_dump_sector(sector, path):
             "P": b.weight,
             "truncated": False,
             "negligible": False,
-            "block": [[[float(z.real), float(z.imag)] for z in row] for row in b.block],
+            "block": [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in row]
+                      for row in b.block],
         }
         for b in sector.blocks
     ]

@@ -22,12 +22,12 @@ import pytest
 from scipy.special import gammaln
 
 from stokes_manifolds.fock import (
+    ModeState,
     NoiseModel,
     displacement_matrix,
     loss_channel,
-    squeeze_matrix,
+    squeezed_thermal,
     synthesize_mode,
-    thermal_state,
 )
 from stokes_manifolds.invariants import (
     dual_route_gap,
@@ -422,15 +422,15 @@ def test_criterion_10_operator_oracles():
     coherent = np.exp(n * math.log(alpha) - 0.5 * gammaln(n + 1) - 0.5 * alpha**2)
     dev_d = float(np.max(np.abs(d[:, 0] - coherent)))
 
-    sq = squeeze_matrix(r, cutoff)
+    sq = squeezed_thermal(r, 0.0, cutoff)
     squeezed = np.zeros(cutoff + 1)
     for m in range(0, cutoff + 1, 2):
         k = m // 2
         log_mag = 0.5 * gammaln(m + 1) - gammaln(k + 1) - k * math.log(2.0)
         squeezed[m] = (-math.tanh(r)) ** k * math.exp(log_mag) / math.sqrt(math.cosh(r))
-    dev_s = float(np.max(np.abs(sq[:, 0] - squeezed)))
+    dev_s = float(np.max(np.abs(sq - np.outer(squeezed, squeezed))))
 
-    state = thermal_state(0.9, 30)
+    state = ModeState(30, squeezed_thermal(0.0, 0.9, 30))
     dev_trace, _ = loss_trace_gap(state, 0.41)
     once = loss_channel(state, 0.7 * 0.6)
     twice = loss_channel(loss_channel(state, 0.7), 0.6)
@@ -440,7 +440,7 @@ def test_criterion_10_operator_oracles():
     line = _verdict(
         10,
         ok,
-        f"coherent col {dev_d:.2e}, squeezed col {dev_s:.2e}, "
+        f"coherent col {dev_d:.2e}, squeezed vacuum {dev_s:.2e}, "
         f"trace {dev_trace:.2e}, composition {dev_comp:.2e}",
     )
     assert dev_d < 1e-8, line

@@ -11,20 +11,26 @@ from stokes_manifolds import fock
 from stokes_manifolds.fock import (
     ModeState,
     NoiseModel,
-    _unitary_exp,
     displacement_matrix,
     fit_noise_parameters,
     loss_channel,
-    lowering_operator,
     padded_cutoff,
-    squeeze_matrix,
+    squeezed_thermal,
     synthesize_mode,
-    thermal_state,
 )
 from stokes_manifolds.invariants import loss_trace_gap
 from stokes_manifolds.pipeline import TRACE_DEFICIT_WARN
 
-from oracles import dense_loss, direct_synthesis, mean_photon_number
+from oracles import (
+    dense_loss,
+    direct_synthesis,
+    lowering_operator,
+    mean_photon_number,
+    padded_squeezed_thermal,
+    squeeze_matrix,
+    thermal_state,
+    unitary_exp,
+)
 
 
 def coherent_amplitudes(alpha, dim):
@@ -107,19 +113,76 @@ class TestUnitaryExp:
     def test_displacement_matches_expm(self, dim, alpha):
         a = lowering_operator(dim)
         gen = alpha * a.conj().T - alpha * a
-        assert np.max(np.abs(_unitary_exp(1j * gen) - expm(gen))) < 1e-13
+        assert np.max(np.abs(unitary_exp(1j * gen) - expm(gen))) < 1e-13
 
     @pytest.mark.parametrize("dim", [d for d, _ in SIZES])
     @pytest.mark.parametrize("r", [NoiseModel(3.6, 4.4).squeeze_parameter, 0.41])
     def test_squeeze_matches_expm(self, dim, r):
         a2 = lowering_operator(dim) @ lowering_operator(dim)
         gen = 0.5 * (r * a2 - r * a2.conj().T)
-        assert np.max(np.abs(_unitary_exp(1j * gen) - expm(gen))) < 1e-13
+        assert np.max(np.abs(unitary_exp(1j * gen) - expm(gen))) < 1e-13
 
     def test_zero_displacement_is_identity(self):
         # the route of the undisplaced V mode at the default cutoff (dim 80)
         pad = padded_cutoff(24)
         assert np.array_equal(displacement_matrix(0.0, pad), np.eye(pad + 1))
+
+
+def odd_offsets(dim):
+    return np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1
+
+
+class TestSqueezedThermal:
+    @pytest.mark.parametrize("cutoff", [24, 48, 160])
+    @pytest.mark.parametrize("sq,anti", [(3.6, 4.4), (6.0, 9.0)])
+    def test_matches_padded_oracle(self, sq, anti, cutoff):
+        model = NoiseModel(sq, anti)
+        r, nbar = model.squeeze_parameter, model.thermal_occupation
+        got = squeezed_thermal(r, nbar, cutoff)
+        assert np.abs(got - padded_squeezed_thermal(r, nbar, cutoff)).max() < 1e-13
+
+    def test_guard_limit_squeezing(self):
+        # the strongest pure squeezing whose mean photon number the guard
+        # admits at cutoff 160; the padded oracle at twice that cutoff is off
+        # by 3e-3 there, so the closed-form squeezed vacuum is the reference
+        model = NoiseModel(28.0, 28.0)
+        assert 150 < model.mean_photons(0.0) <= 160
+        r = model.squeeze_parameter
+        psi = squeezed_vacuum_amplitudes(r, 161).real
+        assert np.abs(squeezed_thermal(r, 0.0, 160) - np.outer(psi, psi)).max() < 1e-13
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 24, 160])
+    @pytest.mark.parametrize("sq,anti", [(0.0, 0.0), (3.6, 4.4), (12.0, 14.0), (0.0, 5.0)])
+    def test_odd_entries_exact_zeros(self, sq, anti, cutoff):
+        model = NoiseModel(sq, anti)
+        rho = squeezed_thermal(model.squeeze_parameter, model.thermal_occupation, cutoff)
+        assert rho.dtype == np.float64 and rho.shape == (cutoff + 1, cutoff + 1)
+        odd = rho[odd_offsets(cutoff + 1)]
+        assert not odd.any() and not np.signbit(odd).any()
+
+    def test_zero_db_is_vacuum(self):
+        want = np.zeros((25, 25))
+        want[0, 0] = 1.0
+        assert np.array_equal(squeezed_thermal(0.0, 0.0, 24), want)
+
+    @pytest.mark.parametrize("nbar", [0.05, 0.7, 3.0])
+    def test_thermal_limit(self, nbar):
+        n = np.arange(41)
+        want = np.diag(nbar**n / (1.0 + nbar) ** (n + 1))
+        assert np.abs(squeezed_thermal(0.0, nbar, 40) - want).max() < 1e-15
+
+    def test_refuses_bad_parameters(self):
+        for r, nbar in ((math.nan, 0.0), (0.3, math.inf), (0.3, -0.1)):
+            with pytest.raises(ValueError):
+                squeezed_thermal(r, nbar, 8)
+
+    def test_lossy_core_makes_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition in the lossy core")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        core = fock._lossy_core.__wrapped__(NoiseModel(3.6, 4.4, 0.85), padded_cutoff(24))
+        assert core.dtype == np.float64 and not core[odd_offsets(len(core))].any()
 
 
 class TestNoiseModel:

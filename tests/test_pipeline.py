@@ -28,7 +28,7 @@ from stokes_manifolds import (
     cli, fock, invariants, multipole, pipeline, polar, render, sphere, stokes,
 )
 from stokes_manifolds.cli import main
-from stokes_manifolds.fock import NoiseModel, synthesize_mode
+from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
 from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, parse_manifolds
 from stokes_manifolds.stokes import (
     MODE_FULL,
@@ -343,7 +343,7 @@ class TestComputedOnce:
         assert len(calls) == len(FAST["alphas"]) + 1
 
     def test_core_and_eigenbasis_built_once_per_sweep(self, monkeypatch, fresh_fock_caches):
-        squeezes = _record_calls(monkeypatch, "squeeze_matrix", [fock])
+        squeezes = _record_calls(monkeypatch, "squeezed_thermal", [fock])
         modes = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
         run_sweep(RunConfig())
         assert len(squeezes) == 1
@@ -752,6 +752,13 @@ def emitted(tmp_path_factory):
     return outdir, report, manifest
 
 
+@pytest.fixture(scope="module")
+def default_emitted(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("default")
+    report = run_sweep(RunConfig(out_dir=str(outdir)))
+    return outdir, report, emit_figure_tables(report, outdir)
+
+
 class TestRealStates:
     """A real alpha gives a float64 mode, and the layers, multipoles, Stokes
     moments and Husimi rows keep that dtype; a complex alpha from the library
@@ -816,7 +823,7 @@ class TestRealStates:
         core = fock._lossy_core
 
         def tilted(model, pad):
-            rho = core(model, pad).copy()
+            rho = core(model, pad).astype(complex)
             rho[0, 1] += 1e-9j
             rho[1, 0] -= 1e-9j
             return rho
@@ -832,14 +839,33 @@ class TestRealStates:
             "1.000e-09, not below 1e-12\n")
 
     def test_printed_zeros(self, emitted):
-        outdir, report, _ = emitted
-        with open(outdir / "fig3a.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows and {r["mean_y"] for r in rows} == {"0"}
-        for i in range(len(report.results)):
-            dump = json.loads((outdir / f"sector_alpha{i}.json").read_text())
-            imag = [pair[1] for m in dump["manifolds"] for row in m["block"] for pair in row]
-            assert len(imag) > 100 and all(math.copysign(1.0, x) == 1.0 == x + 1.0 for x in imag)
+        _assert_printed_zeros(*emitted[:2])
+
+    def test_printed_zeros_default_run(self, default_emitted):
+        _assert_printed_zeros(*default_emitted[:2])
+
+
+def _assert_printed_zeros(outdir, report):
+    """<S_x> and <S_y> print as exact zeros, so does <S_z> where the two modes
+    are one state (alpha 0), and no numeric field of any file reads -0."""
+    with open(outdir / "fig3a.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {r["mean_x"] for r in rows} == {r["mean_y"] for r in rows} == {"0"}
+    assert {r["mean_z"] for r in rows if r["alpha"] == "0"} == {"0"}
+    assert any(r["alpha"] == "0" for r in rows) and any(r["alpha"] != "0" for r in rows)
+    for i in range(len(report.results)):
+        dump = json.loads((outdir / f"sector_alpha{i}.json").read_text())
+        imag = [pair[1] for m in dump["manifolds"] for row in m["block"] for pair in row]
+        assert len(imag) > 100 and all(math.copysign(1.0, x) == 1.0 == x + 1.0 for x in imag)
+    numbers = []
+    for path in outdir.iterdir():
+        if path.suffix == ".csv":
+            with open(path, newline="") as fh:
+                numbers += [field for row in csv.reader(fh) for field in row]
+        elif path.suffix == ".json":
+            json.loads(path.read_text(), parse_float=numbers.append, parse_int=numbers.append)
+    zeros = [t for t in numbers if re.fullmatch(r"[-+]?[\d.]+(e[-+]?\d+)?", t) and float(t) == 0]
+    assert len(zeros) > 1000 and not [t for t in zeros if t.startswith("-")]
 
 
 class TestEmission:
@@ -860,7 +886,7 @@ class TestEmission:
             assert digest == hashlib.sha256((outdir / name).read_bytes()).hexdigest(), name
 
     def test_hash_taken_from_written_bytes(self, tmp_path, monkeypatch):
-        # every file is opened once, to write it; a sector dump of 0.4 MB is
+        # every file is opened once, to write it; a sector dump of 0.3 MB is
         # hashed from the pieces written
         modes = []
         builtin_open = open
@@ -870,7 +896,7 @@ class TestEmission:
             return builtin_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr("builtins.open", recording_open)
-        report = run_sweep(RunConfig(alphas=(0.0,)))
+        report = run_sweep(RunConfig(alphas=(0.0,), cutoff_h=26, cutoff_v=26))
         manifest = emit_figure_tables(report, tmp_path)
         monkeypatch.undo()
         names = sorted(name for name, _ in modes)
@@ -1334,7 +1360,7 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "all 10 checks passed" in out and "FAIL" not in out
+        assert "all 11 checks passed" in out and "FAIL" not in out
         blocks = len(default_ladder_blocks(24))  # what run_sweep(RunConfig()) reports
         line = f"[ok] scaled dual-route multipoles, {blocks} reported blocks on grid L 48: worst "
         assert blocks == 100 and RunConfig().resolved_grid_l == 48 and line in out, out
@@ -1343,6 +1369,29 @@ class TestCli:
         assert tenth.startswith("[ok] Stokes moments of the mode diagonals against moment_stack, "
                                 "96 reported blocks: worst "), out
         assert float(tenth.split("worst ")[1].split(",")[0]) <= 1e-12
+        # the eleventh: photon-number parity, whose worst value is exactly 0
+        assert out.splitlines()[10] == (
+            "[ok] photon-number parity zeros, V mode, 100 reported blocks, their multipoles "
+            "and 96 mean Stokes vectors: worst 0.00e+00, bound 0")
+
+    def test_parity_gap_finds_one_odd_entry(self):
+        config = RunConfig(**FAST)
+        report = run_sweep(config)
+        rho_v = synthesize_mode(config.noise_model, 0.0, config.cutoff_v)
+        blocks = [b for res in report.results for b in res.sector.reported()]
+        summaries = [s for res in report.results for s in res.manifold_summaries]
+        assert invariants.parity_gap(rho_v, blocks, summaries) == (0.0, 0.0)
+        i = next(k for k, b in enumerate(blocks) if b.photon_number == 6)
+        tampered = blocks[i].block.copy()
+        tampered[2, 3] = tampered[3, 2] = 1e-300
+        blocks[i] = ManifoldBlock(blocks[i].spin, blocks[i].weight, tampered)
+        assert invariants.parity_gap(rho_v, blocks, summaries)[0] == 1e-300
+        summaries[0] = dataclasses.replace(summaries[0], mean=np.array([0.0, 1e-300, 0.5]))
+        assert invariants.parity_gap(rho_v, blocks[:i], summaries)[0] == 1e-300
+        entries = rho_v.entries.copy()
+        entries[0, 1] = entries[1, 0] = -1e-300
+        tilted = ModeState(rho_v.cutoff, entries)
+        assert invariants.parity_gap(tilted, blocks[:i], summaries[1:])[0] == 1e-300
 
     def test_check_guard_exit(self, capsys, corrupt_cg_tables):
         assert main(["check"]) == 2
