@@ -3,10 +3,10 @@
 Conventions: quadrature x = (a + a^dag)/sqrt(2), vacuum variance 1/2; dB values
 are 10*log10(Var/Var_vac).  The squeeze operator S(r) = exp[(r* a^2 - r a^dag^2)/2]
 squeezes x for real r > 0.  A mode of the model is D(sqrt(eta) alpha) applied to
-one lossy squeezed-thermal core, built once per model and padded size by a
-Gaussian recurrence and the Kraus loss.  Only the displacement is exponentiated at
-a padded size and cropped; what a too-small cutoff loses shows in the mode's trace
-deficit, on which the sweep warns.
+one lossy squeezed-thermal core, built once per model at the one padded size by a
+Gaussian recurrence and the Kraus loss.  D's exact matrix elements come from
+Laguerre's recurrence, with no eigensolver; a too-small cutoff shows in the
+mode's trace deficit, on which the sweep warns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ HERMITICITY_TOL = 1e-12
 
 
 def padded_cutoff(cutoff: int) -> int:
-    """Internal cutoff used when building operators that get cropped back down."""
+    """The one padded size: the lossy core is built on 0..pad, then cropped."""
     return math.ceil(1.5 * cutoff) + 10
 
 
@@ -112,35 +112,47 @@ class NoiseModel:
         return self.efficiency * (abs(alpha) * abs(alpha) + spread - 0.5)
 
 
+DISPLACEMENT_LIMIT = 1416.0  # |beta|^2 past which D's seed e^{-|beta|^2/2} underflows
+
+
 @functools.lru_cache(maxsize=2)
-def _displacement_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of G = i(a^dag - a) on dim levels, read-only."""
-    root = np.sqrt(np.arange(1.0, dim))
-    values, vectors = np.linalg.eigh(1j * (np.diag(root, -1) - np.diag(root, 1)))
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return values, vectors
+def _laguerre_steps(top: int, cutoff: int) -> tuple[np.ndarray, ...]:
+    """Per size, read-only: the step coefficients (p, q, b) and the gather's index and sign."""
+    j, k = np.arange(top)[:, None], np.arange(cutoff + 1.0)
+    q = 1.0 / np.sqrt((j + 1.0) * (j + k + 1.0))
+    m, n = np.arange(top + 1)[:, None], np.arange(cutoff + 1)
+    arrays = ((2 * j + 1 + k) * q, q, np.sqrt(j * (j + k)) * q,
+              np.minimum(m, n) * (cutoff + 1) + np.abs(m - n),
+              np.where(n > m, (-1.0) ** (n - m), 1.0))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def displacement_matrix(alpha: complex, cutoff: int, top: int | None = None) -> np.ndarray:
-    """Rows 0..top <= cutoff (all by default) of the truncated displacement
-    operator D(alpha) = exp(alpha a^dag - alpha* a) on 0..cutoff.
-
-    D(t) = V diag(e^{-i t lambda}) V^dag for real t, from one cached eigh of
-    G = i(a^dag - a) per padded size, cropped to 0..cutoff; a complex alpha is
-    D(|alpha|) with the phases diag(e^{i n arg alpha}) on both sides.  D(0) is
-    the exact identity.  Only the rows kept are multiplied, each entry by the
-    same dot product as in the whole matrix.
-    """
+    """Rows 0..top <= cutoff (all by default), columns 0..cutoff of the exact
+    D(alpha) = exp(alpha a^dag - alpha* a) (Cahill & Glauber, PR 177, 1857 (1969)).
+    For real beta each diagonal d_j = <j+k|D|j> = sqrt(j!/(j+k)!) beta^k e^{-beta^2/2}
+    L_j^(k)(beta^2) starts at d_0 = e^{-beta^2/2} beta^k / sqrt(k!) and follows
+    sqrt((j+1)(j+k+1)) d_{j+1} = (2j+1+k-beta^2) d_j - sqrt(j(j+k)) d_{j-1}, stable
+    in j alone; <j|D|j+k> = (-1)^k d_j.  A real alpha gives float64; a complex one
+    is D(|alpha|) with the phases diag(e^{i n arg alpha}) on both sides.  D(0) is
+    the exact identity; a ValueError refuses |alpha|^2 above DISPLACEMENT_LIMIT."""
     top = cutoff if top is None else top
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
     alpha = complex(alpha)
+    beta = alpha.real if alpha.imag == 0 else abs(alpha)
+    x = beta * beta
+    if not x <= DISPLACEMENT_LIMIT:  # NaN and inf fail too
+        raise ValueError(f"alpha must be finite with |alpha|^2 = {x:.6g} <= DISPLACEMENT_LIMIT")
     if alpha == 0:
-        return np.eye(top + 1, cutoff + 1, dtype=complex)
-    values, vectors = _displacement_eigenbasis(padded_cutoff(cutoff) + 1)
-    t = alpha.real if alpha.imag == 0 else abs(alpha)
-    part = (vectors[:top + 1] * np.exp(-1j * t * values)) @ vectors[:cutoff + 1].conj().T
+        return np.eye(top + 1, cutoff + 1)
+    p, q, b, flat, sign = _laguerre_steps(top, cutoff)
+    d = np.zeros((top + 2, cutoff + 1))  # row j = -1 (the last) stays 0
+    d[0] = np.cumprod(np.r_[math.exp(-0.5 * x), beta / np.sqrt(np.arange(1.0, cutoff + 1))])
+    c = p - x * q
+    for j in range(top):
+        d[j + 1] = c[j] * d[j] - b[j] * d[j - 1]
+    part = sign * d.take(flat)
     if alpha.imag != 0:
         phase = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))
         part = phase[:top + 1, None] * part * phase.conj()
@@ -212,21 +224,9 @@ def synthesize_mode(model: NoiseModel, alpha: complex, cutoff: int) -> ModeState
 
     Pure loss commutes with displacement up to the amplitude, L_eta(D(alpha)
     s D^dag(alpha)) = D(sqrt(eta) alpha) L_eta(s) D^dag(sqrt(eta) alpha), so
-    each mode is one displacement of the lossy core, built once per (model,
-    padded cutoff).  The padded result is cropped, so the truncation deficit
-    sits in the trace, and 1 - trace is the one measure of a too-small cutoff.
-
-    For a real alpha the state is real in exact arithmetic, and the mode is
-    the float64 real part of the same complex product; a ValueError refuses
-    it if the imaginary part dropped reaches HERMITICITY_TOL.
-    """
+    each mode is D core D^dag with rows 0..cutoff of the exact D and the lossy
+    core built once per (model, pad), all float64 for a real alpha.  The core
+    is truncated at the pad, so 1 - trace measures a too-small cutoff."""
     pad = padded_cutoff(cutoff)
     disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad, cutoff)
-    rho = disp @ _lossy_core(model, pad) @ disp.conj().T
-    if complex(alpha).imag == 0:
-        dropped = np.abs(rho.imag).max()
-        if not dropped < HERMITICITY_TOL:
-            raise ValueError(f"the mode at real alpha={alpha} has an imaginary part "
-                             f"of {dropped:.3e}, not below {HERMITICITY_TOL:g}")
-        rho = rho.real
-    return ModeState(cutoff, rho)
+    return ModeState(cutoff, disp @ _lossy_core(model, pad) @ disp.conj().T)

@@ -6,9 +6,9 @@ moments from the mode diagonals, and, only for an emit that reads them, parses
 it into polarization-manifold blocks and forms their multipoles and total
 Husimi Q.  Emission only renders and writes figure-data tables, sector dumps,
 Q-function grids and heatmap rasters.  Floats print with 12 significant digits
-and every run is deterministic, so identical configs at the same BLAS thread
-count give byte-identical files; across thread counts, BLAS products may round
-differently (at cutoff 48 some fields move at roundoff level).
+and every run is deterministic, so identical configs give byte-identical files,
+at one BLAS thread and at two alike for the default config, cutoff 48 and alpha
+7 at cutoff 160 (other configs are tested at a fixed thread count).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import NoiseModel, synthesize_mode
+from .fock import DISPLACEMENT_LIMIT, NoiseModel, synthesize_mode
 from .multipole import multipole_stack, spectrum_weights
 from .polar import (
     PolarizationSector,
@@ -220,8 +220,8 @@ class RunReport:
 
 def _check_cutoffs(config: RunConfig, model: NoiseModel, alphas):
     """Every refusal a config can earn before any mode is synthesized: the
-    report range, the Q-function grid and, by the closed form, the mean photon
-    number of the V mode and of each H mode."""
+    report range, the Q-function grid, by the closed form the mean photon
+    number of the V mode and of each H mode, and each displacement's size."""
     s_max = config.resolved_s_report_max
     try:
         top = report_photons(s_max, config.cutoff_h, config.cutoff_v)
@@ -241,6 +241,10 @@ def _check_cutoffs(config: RunConfig, model: NoiseModel, alphas):
                 f"{what}'s mean photon number {mean:.4g} exceeds its cutoff {cutoff}; "
                 "a larger cutoff is needed"
             )
+        shift = (math.sqrt(model.efficiency) * amplitude) ** 2
+        if not shift <= DISPLACEMENT_LIMIT:
+            raise NumericalGuardError(f"{what}'s displacement |sqrt(eta) alpha|^2 = {shift:.6g} "
+                                      f"exceeds {DISPLACEMENT_LIMIT:g}, where D underflows")
 
 
 def _dedupe(alphas):

@@ -22,9 +22,9 @@ def corrupt_cg_tables(monkeypatch):
 
 @pytest.fixture
 def fresh_fock_caches():
-    """The lossy-core and displacement-eigenbasis caches, emptied before and
+    """The lossy-core and Laguerre-coefficient caches, emptied before and
     after, so a sweep builds both while functions patched into `fock` run."""
-    caches = (fock._lossy_core, fock._displacement_eigenbasis)
+    caches = (fock._lossy_core, fock._laguerre_steps)
     for cache in caches:
         cache.cache_clear()
     yield

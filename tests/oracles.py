@@ -18,7 +18,8 @@ block, each gathered in full.  Each mode is synthesised as the model states
 it: the squeeze operator, exponentiated at a padded size, on a diagonal
 thermal state, displaced before the loss.  The package takes the squeezed
 thermal state from its Gaussian recurrence and displaces one shared lossy
-core by sqrt(eta) alpha.
+core by sqrt(eta) alpha, with D's entries from Laguerre's recurrence; their
+closed form, evaluated in mpmath, is the displacement's oracle.
 """
 
 import csv
@@ -27,6 +28,7 @@ import json
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from stokes_manifolds.fock import ModeState, loss_channel, padded_cutoff
@@ -93,6 +95,22 @@ def gaussian_total_xi2(alpha, r):
     var_x = a2 * math.exp(-2.0 * r) + math.sinh(2.0 * r) ** 2
     var_y = a2 * math.exp(2.0 * r)
     return min(var_x, var_y) / denom
+
+
+# -- the displacement's closed form in mpmath ----------------------------------
+
+def exact_displacement(alpha, m, n, dps=50):
+    """<m|D(alpha)|n> as an mpmath number at `dps` digits, from its closed form
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): sqrt(n!/m!) alpha^(m-n)
+    e^{-|alpha|^2/2} L_n^(m-n)(|alpha|^2) for m >= n; for m < n, the same with
+    m and n swapped and alpha replaced by -alpha*, since D(alpha)^dag = D(-alpha)."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpc(alpha)
+        x = abs(a) ** 2
+        if m < n:
+            m, n, a = n, m, -mpmath.conj(a)
+        return (mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m)) * a ** (m - n)
+                * mpmath.exp(-x / 2) * mpmath.laguerre(n, m - n, x))
 
 
 # -- operators exponentiated by eigendecomposition, and the thermal state -------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from stokes_manifolds.pipeline import TRACE_DEFICIT_WARN
 from oracles import (
     dense_loss,
     direct_synthesis,
+    exact_displacement,
     lowering_operator,
     mean_photon_number,
     padded_squeezed_thermal,
@@ -31,6 +33,19 @@ from oracles import (
     thermal_state,
     unitary_exp,
 )
+
+
+def displacement_gap(d, beta, top, cutoff):
+    """Worst |D - D_exact| over rows 0..top and columns 0..cutoff of d: every
+    entry up to 50 x 50, else 120 seeded entries, the four corners and the
+    diagonal's ends."""
+    if (top + 1) * (cutoff + 1) <= 2500:
+        pairs = [(m, n) for m in range(top + 1) for n in range(cutoff + 1)]
+    else:
+        rng = np.random.default_rng(top * cutoff)
+        pairs = list(zip(rng.integers(0, top + 1, 120), rng.integers(0, cutoff + 1, 120)))
+        pairs += [(0, 0), (top, 0), (0, cutoff), (top, cutoff), (top, top)]
+    return max(abs(exact_displacement(beta, m, n) - d[m, n]) for m, n in pairs)
 
 
 def coherent_amplitudes(alpha, dim):
@@ -96,17 +111,43 @@ class TestOperators:
     def test_padding_rule(self):
         assert padded_cutoff(24) == 46
 
-    # the padded cutoffs of synthesis at cutoffs 24, 46 and 160
+    # the padded cutoffs of synthesis at cutoffs 24, 46 and 160, against the
+    # closed form: every entry at 46, a sample at 79 and 250
     @pytest.mark.parametrize("alpha", [0.57, -1.13, 2.31, 6.45, 1.3 - 0.4j])
     @pytest.mark.parametrize("cutoff", [46, 79, 250])
     def test_displacement_matches_expm(self, cutoff, alpha):
-        a = lowering_operator(padded_cutoff(cutoff) + 1)
-        want = expm(alpha * a.T - np.conj(alpha) * a)[: cutoff + 1, : cutoff + 1]
-        assert np.max(np.abs(displacement_matrix(alpha, cutoff) - want)) < 1e-13
+        d = displacement_matrix(alpha, cutoff)
+        assert displacement_gap(d, alpha, cutoff, cutoff) < 1e-13
+
+    # the largest |beta|^2 the mean-photon guard admits is the cutoff; rows
+    # 0..cutoff and columns 0..pad, as synthesis takes them, every entry at
+    # cutoff 24, a sample at 48 and 160
+    @pytest.mark.parametrize("phase", [1.0, -1.0, 0.6 + 0.8j])
+    @pytest.mark.parametrize("cutoff", [24, 48, 160])
+    def test_displacement_at_guard_limit(self, cutoff, phase):
+        assert math.isclose(NoiseModel(0.0, 0.0).mean_photons(math.sqrt(cutoff)), cutoff)
+        beta, pad = math.sqrt(cutoff) * phase, padded_cutoff(cutoff)
+        d = displacement_matrix(beta, pad, cutoff)
+        assert d.shape == (cutoff + 1, pad + 1) and np.isrealobj(d) == np.isrealobj(phase)
+        assert displacement_gap(d, beta, cutoff, pad) < 1e-13
+
+    def test_displacement_refused_where_it_underflows(self):
+        # at |beta|^2 = 1600 the seeds e^{-800} beta^k / sqrt(k!) of the small
+        # diagonals underflow, and <1600|D|1600> = 8.3959e-3 would read 0.0;
+        # at the limit, 1416, the seed e^{-708} is normal, and entries of the
+        # first rows out to column 1500 are exact
+        for alpha in (40.0, 40j, math.inf, math.nan, complex(1.0, math.nan)):
+            with pytest.raises(ValueError, match="<= DISPLACEMENT_LIMIT"):
+                displacement_matrix(alpha, 1600, 0)
+        beta = math.sqrt(fock.DISPLACEMENT_LIMIT)
+        d = displacement_matrix(beta, 1500, 2)
+        for m, n in ((0, 0), (2, 1), (1, 1500), (2, 1416), (0, 1416)):
+            assert abs(exact_displacement(beta, m, n) - d[m, n]) < 1e-13
 
 
 class TestUnitaryExp:
-    # padded sizes that runs reach: cutoff 24 (default), 90 (criterion 5b), 160
+    # the sizes at which `direct_synthesis` exponentiates D for cutoffs 24
+    # (default), 90 (criterion 5b) and 160
     SIZES = ((80, 2.31), (229, 7.0), (386, 9.0))
 
     @pytest.mark.parametrize("dim,alpha", SIZES)
@@ -123,7 +164,7 @@ class TestUnitaryExp:
         assert np.max(np.abs(unitary_exp(1j * gen) - expm(gen))) < 1e-13
 
     def test_zero_displacement_is_identity(self):
-        # the route of the undisplaced V mode at the default cutoff (dim 80)
+        # the D of the undisplaced V mode, at the default cutoff's pad
         pad = padded_cutoff(24)
         assert np.array_equal(displacement_matrix(0.0, pad), np.eye(pad + 1))
 
@@ -261,26 +302,24 @@ class TestThermalAndLoss:
 class TestSynthesis:
     @pytest.mark.parametrize("cutoff", [24, 48, 160])
     def test_real_alpha_gives_real_part(self, cutoff):
-        # a real alpha keeps the real part of the complex product bit for bit
-        # and drops an imaginary part of roundoff size
+        # a real alpha forms D and the mode in float64; the mode is the real
+        # part of the same product in complex arithmetic, to roundoff
         model = NoiseModel(3.6, 4.4, 0.85)
         pad = padded_cutoff(cutoff)
         core = fock._lossy_core(model, pad)
         for alpha in (0.0, 2.31, 7.0):
-            disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad)[: cutoff + 1]
-            rho = disp @ core @ disp.conj().T
+            disp = displacement_matrix(math.sqrt(model.efficiency) * alpha, pad, cutoff)
             state = synthesize_mode(model, alpha, cutoff)
-            assert state.entries.dtype == np.float64
-            assert np.array_equal(state.entries, 0.5 * (rho.real + rho.real.T))
-            assert np.abs(rho.imag).max() < 1e-15
+            assert disp.dtype == state.entries.dtype == np.float64
+            wide = disp.astype(complex)
+            assert np.abs(wide @ core @ wide.conj().T - state.entries).max() < 1e-15
 
     @pytest.mark.parametrize("cutoff", [24, 48, 160])
     def test_cropped_product_keeps_bits(self, cutoff):
-        # the displacement is multiplied only for the rows 0..cutoff and the
-        # columns 0..pad it keeps; the mode is the one the whole padded
-        # product, cropped after it, gives, bit for bit
+        # D is formed only for the rows 0..cutoff that the mode keeps, and
+        # they are the whole matrix's rows bit for bit; the mode is D core D^dag
+        # of those rows, bit for bit
         pad = padded_cutoff(cutoff)
-        values, vectors = fock._displacement_eigenbasis(padded_cutoff(pad) + 1)
         for eta in (0.3, 0.85, 1.0):
             model = NoiseModel(3.6, 4.4, eta)
             core = fock._lossy_core(model, pad)
@@ -288,16 +327,27 @@ class TestSynthesis:
                 if model.mean_photons(alpha) > cutoff:
                     continue
                 beta = math.sqrt(eta) * alpha
-                t = abs(beta) if isinstance(beta, complex) else beta
-                whole = (vectors * np.exp(-1j * t * values)) @ vectors.conj().T
-                if isinstance(beta, complex):
-                    phase = np.exp(1j * np.angle(beta) * np.arange(len(values)))
-                    whole = phase[:, None] * whole * phase.conj()
-                assert np.array_equal(displacement_matrix(beta, pad), whole[:pad + 1, :pad + 1])
-                disp = whole[:cutoff + 1, :pad + 1]
-                rho = disp @ core @ disp.conj().T
-                want = ModeState(cutoff, rho.real if np.isrealobj(alpha) else rho).entries
+                disp = displacement_matrix(beta, pad, cutoff)
+                assert np.array_equal(disp, displacement_matrix(beta, pad)[:cutoff + 1])
+                want = ModeState(cutoff, disp @ core @ disp.conj().T).entries
                 assert np.array_equal(synthesize_mode(model, alpha, cutoff).entries, want)
+
+    def test_small_entries_match_exact_product(self):
+        # at cutoff 48 and alpha 1.13 the entries on rows and columns <= 31
+        # reach down to 2.4e-13; each is within 1e-10 of itself from the
+        # exact D's product with the same core, in mpmath
+        model, cutoff, top = NoiseModel(3.6, 4.4, 0.85), 48, 31
+        pad = padded_cutoff(cutoff)
+        beta = math.sqrt(model.efficiency) * 1.13
+        with mpmath.workdps(50):
+            disp = [[exact_displacement(beta, m, n).real for n in range(pad + 1)]
+                    for m in range(top + 1)]
+            core = [[mpmath.mpf(v) for v in row] for row in fock._lossy_core(model, pad).tolist()]
+            right = [[mpmath.fdot(row, d) for d in disp] for row in core]  # core D^T
+            want = np.array([[float(mpmath.fdot(d, col)) for col in zip(*right)] for d in disp])
+        got = synthesize_mode(model, 1.13, cutoff).entries[:top + 1, :top + 1]
+        assert np.abs(want).min() < 1e-12
+        assert (np.abs(got - want) / np.abs(want)).max() < 1e-10
 
     def test_complex_alpha_stays_complex(self):
         model = NoiseModel(3.6, 4.4, 0.85)

@@ -342,12 +342,26 @@ class TestComputedOnce:
         run_sweep(RunConfig(**FAST))
         assert len(calls) == len(FAST["alphas"]) + 1
 
-    def test_core_and_eigenbasis_built_once_per_sweep(self, monkeypatch, fresh_fock_caches):
+    def test_core_built_once_and_no_eigensolver_in_synthesis(self, monkeypatch,
+                                                             fresh_fock_caches):
+        # the lossy core and the Laguerre coefficients are built once per
+        # sweep, and no mode calls an np.linalg eigensolver
         squeezes = _record_calls(monkeypatch, "squeezed_thermal", [fock])
-        modes = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
+        modes = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver ran in synthesis")
+
+        def synthesize(*args, _original=pipeline.synthesize_mode):
+            with monkeypatch.context() as patch:
+                for name in ("eigh", "eig", "eigvalsh"):
+                    patch.setattr(np.linalg, name, refuse)
+                modes.append(_original(*args))
+            return modes[-1]
+
+        monkeypatch.setattr(pipeline, "synthesize_mode", synthesize)
         run_sweep(RunConfig())
-        assert len(squeezes) == 1
-        assert fock._displacement_eigenbasis.cache_info().misses == 1
+        assert len(squeezes) == 1 and fock._laguerre_steps.cache_info().misses == 1
         assert len(modes) == len(DEFAULT_ALPHAS) + 1
 
     def test_multipoles_once_per_reported_block(self, monkeypatch):
@@ -817,27 +831,6 @@ class TestRealStates:
         captured = sum(layer.weights[0] for layer in layers)
         assert q.values.dtype == np.float64 and abs(q.integral() - captured) < 1e-12
 
-    def test_imaginary_part_refused(self, tmp_path, capsys, monkeypatch):
-        # a core with a Hermitian imaginary part of 1e-9 gives a mode that is
-        # not real at a real alpha: refused before any file is written
-        core = fock._lossy_core
-
-        def tilted(model, pad):
-            rho = core(model, pad).astype(complex)
-            rho[0, 1] += 1e-9j
-            rho[1, 0] -= 1e-9j
-            return rho
-
-        monkeypatch.setattr(fock, "_lossy_core", tilted)
-        with pytest.raises(ValueError, match="imaginary part of 1.000e-09"):
-            synthesize_mode(NoiseModel(3.6, 4.4, 0.85), 0.0, 12)
-        assert synthesize_mode(NoiseModel(3.6, 4.4, 0.85), 1.13j, 12).entries.dtype == complex
-        out = tmp_path / "out"
-        assert main(["run", "--out", str(out)]) == 2 and not out.exists()
-        assert capsys.readouterr().err == (
-            "numerical guard: the mode at real alpha=0.0 has an imaginary part of "
-            "1.000e-09, not below 1e-12\n")
-
     def test_printed_zeros(self, emitted):
         _assert_printed_zeros(*emitted[:2])
 
@@ -1237,6 +1230,19 @@ class TestCli:
         assert f"cutoff {cutoff};" in err and "Traceback" not in err
         assert caught == [] and calls == []
 
+    def test_displacement_underflow_guard_exit(self, tmp_path, capsys, monkeypatch):
+        # at eta 0.85, alpha 42 displaces by |beta|^2 = 1499.4, where the seeds
+        # of D's small diagonals underflow; the mean-photon guard admits it at
+        # cutoff 1600, and this one refuses it before any mode is synthesized
+        calls = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
+        out = tmp_path / "out"
+        code = main(["run", "--alpha", "42", "--cutoff", "1600", "--emit", "squeezing_csv",
+                     "--out", str(out)])
+        assert code == 2 and not out.exists() and calls == []
+        assert capsys.readouterr().err == (
+            "numerical guard: alpha=42.0: the H mode's displacement |sqrt(eta) alpha|^2 = "
+            "1499.4 exceeds 1416, where D underflows\n")
+
     def test_corrupt_cg_table_exit(self, tmp_path, capsys, corrupt_cg_tables):
         code = main(["run", "--alpha", "0", "--out", str(tmp_path), "--emit", "multipole_csv"])
         err = capsys.readouterr().err
@@ -1409,17 +1415,21 @@ class TestCli:
         assert err == f"1 of {out.count(chr(10))} checks failed\n"
 
     def test_default_run_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
-        # byte identity holds at a fixed BLAS thread count; the default
-        # config's files also keep their bytes from one thread to two, while
-        # at cutoff 48 some move at roundoff level
-        files = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            proc = _run_python(["-m", "stokes_manifolds.cli", "run", "--out", str(out)],
-                               OPENBLAS_NUM_THREADS=threads)
-            assert proc.returncode == 0, proc.stderr
-            files.append(json.loads((out / "manifest.json").read_text())["files"])
-        assert len(files[0]) == 32 and files[0] == files[1]
+        # every file keeps its bytes from one BLAS thread to two, at the
+        # default config, at cutoff 48 with every emit and at alpha 7 with
+        # cutoff 160; synthesis forms only real products, and at these
+        # configs no later stage moves a byte either
+        for argv, count in (([], 32), (["--cutoff", "48"], 32),
+                            (["--alpha", "7", "--cutoff", "160",
+                              "--emit", "squeezing_csv,multipole_csv,q_csv"], 4)):
+            files = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{len(argv)}-{threads}"
+                proc = _run_python(["-m", "stokes_manifolds.cli", "run", *argv, "--out", str(out)],
+                                   OPENBLAS_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+                files.append(json.loads((out / "manifest.json").read_text())["files"])
+            assert len(files[0]) == count and files[0] == files[1], argv
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: with scipy's import blocked,
