@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-`stokes-manifolds run` performs a sweep over coherent amplitudes and writes
-figure-data files; `stokes-manifolds check` runs a built-in invariant suite.
+`stokes-manifolds run` sweeps the coherent amplitudes and writes figure-data
+files; `stokes-manifolds check` runs `invariants.suite` on the default sweep.
 Exit codes: 0 success, 1 config error, 2 numerical guard or failed invariant,
 3 I/O failure.
 """
@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from .invariants import default_suite
+from .invariants import suite
 from .pipeline import (
     CONFIG_KEYS,
     EMIT_CHOICES,
@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(_args) -> int:
     try:
-        results = default_suite()
+        results = suite(run_sweep(parse_config()))
     except NumericalGuardError as exc:  # the default run's own guards
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 Every invariant is a function that returns `(value, bound)`; it holds when
 value <= bound, so a NaN value fails.  The tests call these functions on
-their own inputs with their own bounds, and `default_suite` evaluates them on
-what a default run reports, for `stokes-manifolds check`.
+their own inputs with their own bounds, and `suite` evaluates them on what a
+sweep reports, for `stokes-manifolds check`.
 """
 
 from __future__ import annotations
@@ -11,34 +11,30 @@ from __future__ import annotations
 import numpy as np
 
 from . import multipole
-from .fock import ModeState, loss_channel, padded_cutoff, squeezed_thermal, synthesize_mode
-from .pipeline import RunConfig, run_sweep
+from .fock import ModeState, loss_channel, padded_cutoff, squeezed_thermal
 from .polar import ManifoldBlock
 from .sphere import FOUR_PI, build_quadrature_grid, husimi_manifold
 from .stokes import manifold_stokes_summary
 
 
-def spherical_harmonic(degree: int, order: int, theta, phi) -> np.ndarray:
-    """Orthonormal Y_Kq with Condon-Shortley phase; broadcasts over angles."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if abs(order) > degree:
-        raise ValueError(f"|order| = {abs(order)} exceeds degree {degree}")
-    m = abs(order)
-    y = multipole._legendre_rows(m, degree, theta)[-1]
-    y = y * np.exp(1j * m * np.asarray(phi, dtype=float))
-    if order >= 0:
-        return y
-    return (-1.0) ** m * np.conj(y)
-
-
 def harmonic_orthonormality(grid, degrees) -> tuple[float, float]:
-    """Largest |sum_grid Y_Kq Y*_K'q' - delta| over every order of the given degrees."""
-    th, ph = grid.mesh()
-    y = np.array([spherical_harmonic(k, q, th, ph).ravel()
-                  for k in degrees for q in range(-k, k + 1)])
-    gram = (y * grid.weights.ravel()) @ y.conj().T
-    return float(np.max(np.abs(gram - np.eye(len(y))))), 1e-12
+    """Largest |sum_grid Y_Kq Y*_K'q' - delta| over every order of the given
+    degrees, on the grid's (theta, phi) mesh: Y_Kq = P_Kq(theta) e^{iq phi} and
+    Y_K,-q = (-1)^q conj(Y_Kq), with the Legendre rows formed once per order
+    on the theta nodes.  The conjugate overwrites the harmonics in place, so
+    the Gram product holds two (orders x mesh) arrays, not three."""
+    top = max(degrees)
+    legendre = [multipole._legendre_rows(m, top, grid.theta) for m in range(top + 1)]
+    phases = np.exp(1j * np.outer(np.arange(top + 1), grid.phi))
+    pairs = [(k, q) for k in degrees for q in range(-k, k + 1)]
+    y = np.empty((len(pairs), grid.weights.size), dtype=complex)
+    for row, (k, q) in zip(y, pairs):
+        row[:] = np.outer(legendre[abs(q)][k - abs(q)], phases[abs(q)]).ravel()
+        if q < 0:
+            row[:] = (-1.0) ** q * np.conj(row)
+    weighted = y * grid.weights.ravel()
+    gram = weighted @ np.conj(y, out=y).T
+    return float(np.max(np.abs(gram - np.eye(len(pairs))))), 1e-12
 
 
 def cg_orthonormality(two_s: int) -> tuple[float, float]:
@@ -64,18 +60,18 @@ def husimi_total_gap(sector, q) -> tuple[float, float]:
     return abs(q.integral() - captured), 1e-12
 
 
-def husimi_parts_gap(sector, q) -> tuple[float, float]:
+def husimi_parts_gap(q, blocks, maps) -> tuple[float, float]:
     """Largest |Q_total - sum_S P_S (2S+1)/(4 pi) Q^(S)| over the grid nodes,
-    the sector's total Q, summed from its Fourier rows, against the maps."""
-    blocks = [b for b in sector.reported() if b.spin in q.spins]
-    parts = sum((b.weight * (b.dim / FOUR_PI) * husimi_manifold(b, q.grid).values
-                 for b in blocks), np.zeros((q.grid.n_theta, q.grid.n_phi)))
+    a total Q, summed from its Fourier rows, against the maps Q^(S) of the
+    blocks it sums."""
+    parts = sum((b.weight * (b.dim / FOUR_PI) * m.values
+                 for b, m in zip(blocks, maps, strict=True)), np.zeros(q.values.shape))
     return float(np.max(np.abs(q.values - parts))), 1e-13
 
 
-def husimi_manifold_gap(block: ManifoldBlock, grid) -> tuple[float, float]:
-    """|integral of Q^(S) - 4 pi/(2S+1)| for a unit-trace block."""
-    return abs(husimi_manifold(block, grid).integral() - FOUR_PI / block.dim), 1e-12
+def husimi_manifold_gap(block: ManifoldBlock, q) -> tuple[float, float]:
+    """|integral of Q^(S) - 4 pi/(2S+1)| of the map q of a unit-trace block."""
+    return abs(q.integral() - FOUR_PI / block.dim), 1e-12
 
 
 def loss_trace_gap(state, eta: float) -> tuple[float, float]:
@@ -83,15 +79,15 @@ def loss_trace_gap(state, eta: float) -> tuple[float, float]:
     return abs(loss_channel(state, eta).trace - state.trace), 1e-12
 
 
-def stokes_route_gap(blocks, summaries) -> tuple[float, float]:
-    """Largest relative gap in gamma_min and xi^2 between `moment_stack` on
-    each block and the sweep's summary of its manifold, from the mode
-    diagonals; one `manifold_stokes_summary` of all the blocks.  Each gap is
-    relative to max(|block value|, 1 % of its shot-noise value: S/2 for
-    gamma_min, 1 for xi^2), so a roundoff 0 (pure squeezed vacuum) is safe."""
+def stokes_route_gap(block_summaries, summaries) -> tuple[float, float]:
+    """Largest relative gap in gamma_min and xi^2 between block-route summaries
+    (`manifold_stokes_summary`) and the sweep's, from the mode diagonals, of
+    the same manifolds.  Each gap is relative to max(|block value|, 1 % of its
+    shot-noise value: S/2 for gamma_min, 1 for xi^2), so a roundoff 0 (pure
+    squeezed vacuum) is safe."""
     return max((max(abs(s.gamma_min - w.gamma_min) / max(abs(w.gamma_min), 0.005 * w.spin),
                     abs(s.xi2 - w.xi2) / max(abs(w.xi2), 0.01))
-                for s, w in zip(summaries, manifold_stokes_summary(blocks), strict=True)),
+                for s, w in zip(summaries, block_summaries, strict=True)),
                default=0.0), 1e-12
 
 
@@ -107,9 +103,9 @@ def parity_gap(rho_v, blocks, summaries) -> tuple[float, float]:
     return max(float(np.max(np.abs(g), initial=0.0)) for g in gaps), 0.0
 
 
-def spin_half_xi2_gap(block: ManifoldBlock) -> tuple[float, float]:
-    """|xi^2 - 1| of an S = 1/2 block, which no state can squeeze."""
-    return abs(manifold_stokes_summary([block])[0].xi2 - 1.0), 1e-12
+def spin_half_xi2_gap(summary) -> tuple[float, float]:
+    """|xi^2 - 1| of the summary of an S = 1/2 block, which no state can squeeze."""
+    return abs(summary.xi2 - 1.0), 1e-12
 
 
 def random_block(spin: float, rng) -> ManifoldBlock:
@@ -121,54 +117,56 @@ def random_block(spin: float, rng) -> ManifoldBlock:
 
 
 def _worst(name: str, pairs) -> tuple[str, float, float]:
-    values, bounds = np.array(list(pairs), dtype=float).T
-    return name, float(np.max(values)), float(np.min(bounds))
+    """Largest value and smallest bound of the pairs; 0 and inf for none."""
+    values, bounds = np.array(list(pairs), dtype=float).reshape(-1, 2).T
+    return name, float(np.max(values, initial=0.0)), float(np.min(bounds, initial=np.inf))
 
 
-def default_suite() -> list[tuple[str, float, float]]:
-    """(name, worst value, bound) of each invariant on what
-    `run_sweep(RunConfig())` reports: every reported block on the run's grid
-    and against its manifold's Stokes summary, every Clebsch-Gordan table the
-    run uses, and the loss channel at the run's padded size and efficiency.
-    A real alpha gives real blocks, so the multipole routes also meet random
-    complex blocks with 2S <= 4."""
-    report = run_sweep(RunConfig())
-    config = report.config
+def suite(report) -> list[tuple[str, float, float]]:
+    """(name, worst value, bound) of each invariant on what a `RunReport`
+    holds, its blocks, total Qs, summaries and V mode, with one Husimi map and
+    one block-route Stokes summary of each block; a line with nothing to
+    check holds at worst 0.  A real alpha gives real blocks, so the multipole
+    routes also meet random complex blocks, 2S <= 4 as the grid resolves."""
     grid = build_quadrature_grid(report.grid_l)
-    blocks = [b for res in report.results for b in res.sector.reported()]
-    totals = [(res.sector, res.q) for res in report.results]  # the sweep's one Husimi call
-    halves = [b for b in blocks if b.spin == 0.5]  # one per sector that holds S = 1/2
+    kept = [res for res in report.results if res.sector is not None]  # all or none
+    sectors = [res.sector.reported() for res in kept]
+    maps = [[husimi_manifold(b, grid) for b in sector] for sector in sectors]
+    totals = [t for t in zip(kept, sectors, maps) if t[0].q is not None]  # (res, blocks, maps)
+    blocks = [b for sector in sectors for b in sector]
+    block_summaries = manifold_stokes_summary([b for b in blocks if b.spin])
+    halves = [s for s in block_summaries if s.spin == 0.5]  # one per sector that holds S = 1/2
     summaries = [s for res in report.results for s in res.manifold_summaries]
     sizes = sorted({b.photon_number for b in blocks})
-    top = sizes[-1]
+    top = max(sizes, default=0)
+    degrees = sorted({0, 1, max(top - 1, 0), top})
     rng = np.random.default_rng(20240817)
-    randoms = [random_block(two_s / 2.0, rng) for two_s in range(1, 5)]
-    pad = padded_cutoff(config.cutoff_h)
+    randoms = [random_block(n / 2.0, rng) for n in range(1, min(4, grid.exactness // 2) + 1)]
+    pad, eta = padded_cutoff(report.config.cutoff_h), report.config.efficiency
     on_grid = f"on grid L {report.grid_l}"
     return [
-        _worst(f"spherical-harmonic orthonormality, degrees 0, 1, {top - 1}, {top} {on_grid}",
-               [harmonic_orthonormality(grid, (0, 1, top - 1, top))]),
+        _worst(f"spherical-harmonic orthonormality, degrees {', '.join(map(str, degrees))} "
+               f"{on_grid}", [harmonic_orthonormality(grid, degrees)]),
         _worst(f"Clebsch-Gordan orthonormality, {len(sizes)} tables 2S <= {top}",
                map(cg_orthonormality, sizes)),
         _worst(f"scaled dual-route multipoles, {len(blocks)} reported blocks {on_grid}",
                (dual_route_gap(b, grid) for b in blocks)),
-        _worst(f"scaled dual-route multipoles, {len(randoms)} random complex blocks 2S <= 4",
-               (dual_route_gap(b, grid) for b in randoms)),
-        _worst(f"total Husimi integral, {len(report.results)} amplitudes {on_grid}",
-               (husimi_total_gap(sector, q) for sector, q in totals)),
-        _worst(f"total Husimi map against its manifold maps, {len(report.results)} "
-               f"amplitudes {on_grid}",
-               (husimi_parts_gap(sector, q) for sector, q in totals)),
+        _worst(f"scaled dual-route multipoles, {len(randoms)} random complex blocks "
+               f"2S <= {len(randoms)}", (dual_route_gap(b, grid) for b in randoms)),
+        _worst(f"total Husimi integral, {len(totals)} amplitudes {on_grid}",
+               (husimi_total_gap(res.sector, res.q) for res, _, _ in totals)),
+        _worst(f"total Husimi map against its manifold maps, {len(totals)} amplitudes {on_grid}",
+               (husimi_parts_gap(res.q, sector, parts) for res, sector, parts in totals)),
         _worst(f"manifold Husimi integral, {len(blocks)} reported blocks {on_grid}",
-               (husimi_manifold_gap(b, grid) for b in blocks)),
-        _worst(f"loss channel trace, thermal state on {pad + 1} levels at eta {config.efficiency}",
-               [loss_trace_gap(ModeState(pad, squeezed_thermal(0, 0.7, pad)), config.efficiency)]),
+               map(husimi_manifold_gap, blocks, [q for parts in maps for q in parts])),
+        _worst(f"loss channel trace, thermal state on {pad + 1} levels at eta {eta}",
+               [loss_trace_gap(ModeState(pad, squeezed_thermal(0, 0.7, pad)), eta)]),
         _worst(f"one-photon manifold xi2 = 1, {len(halves)} amplitudes",
                map(spin_half_xi2_gap, halves)),
-        _worst(f"Stokes moments of the mode diagonals against moment_stack, {len(summaries)} "
-               "reported blocks", [stokes_route_gap([b for b in blocks if b.spin], summaries)]),
+        _worst(f"Stokes moments of the mode diagonals against moment_stack, "
+               f"{len(block_summaries)} reported blocks",
+               [stokes_route_gap(block_summaries, summaries if kept else [])]),
         _worst(f"photon-number parity zeros, V mode, {len(blocks)} reported blocks, their "
                f"multipoles and {len(summaries)} mean Stokes vectors",
-               [parity_gap(synthesize_mode(config.noise_model, 0.0, config.cutoff_v),
-                           blocks, summaries)]),
+               [parity_gap(report.rho_v, blocks, summaries)]),
     ]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import DISPLACEMENT_LIMIT, NoiseModel, synthesize_mode
+from .fock import DISPLACEMENT_LIMIT, ModeState, NoiseModel, synthesize_mode
 from .multipole import multipole_stack, spectrum_weights
 from .polar import (
     PolarizationSector,
@@ -208,9 +208,10 @@ class AlphaResult:
 
 @dataclass(frozen=True)
 class RunReport:
-    """The sweep's results, one per amplitude."""
+    """The sweep's results, one per amplitude, and the V mode they share."""
 
     config: RunConfig
+    rho_v: ModeState
     results: tuple
 
     @property
@@ -291,7 +292,7 @@ def run_sweep(config: RunConfig) -> RunReport:
                     analytic_estimate=quadrature_estimate_xi2(abs(alpha), model.squeeze_parameter))
         for alpha, analysis, deficit in zip(alphas, analyses, deficits)
     )
-    return RunReport(config=config, results=results)
+    return RunReport(config=config, rho_v=rho_v, results=results)
 
 
 def _analyze(modes, rho_v, config: RunConfig) -> list[dict]:

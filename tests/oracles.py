@@ -2,9 +2,11 @@
 
 The package computes each spin-S quantity along block diagonals; these are the
 textbook forms it replaced: dense spin matrices and SU(2) rotations, the Racah
-closed-form Clebsch-Gordan sum, and the pure-loss channel as dense Kraus
-products.  Closed forms that only the tests evaluate live here too: the mean
-photon number of one mode and the total-state xi^2 of the pure Gaussian model.
+closed-form Clebsch-Gordan sum, the pure-loss channel as dense Kraus
+products, and the spherical harmonics at any angles.  Closed forms that only
+the tests evaluate live here too: the mean photon number of one mode, the
+total-state xi^2 of the pure Gaussian model, and each lossy mode as the
+Gaussian that loss keeps it.
 The writers the package replaced with faster ones are kept as the byte and
 pixel references: the figure tables through `csv.writer`, the sector dump
 through `json.dump`, the foliation drawn one ring at a time from the full map
@@ -31,8 +33,14 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from stokes_manifolds.fock import ModeState, loss_channel, padded_cutoff
-from stokes_manifolds.multipole import cg_table
+from stokes_manifolds.fock import (
+    ModeState,
+    displacement_matrix,
+    loss_channel,
+    padded_cutoff,
+    squeezed_thermal,
+)
+from stokes_manifolds.multipole import _legendre_rows, cg_table
 from stokes_manifolds.pipeline import RunConfig, run_sweep
 from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock, diagonal_order
 from stokes_manifolds.render import (
@@ -195,6 +203,20 @@ def dense_moments(block):
             anti = ops[k] @ ops[l] + ops[l] @ ops[k]
             second[k, l] = second[l, k] = 0.5 * np.real(np.trace(rho @ anti))
     return mean, second
+
+
+# -- spherical harmonics at any angles ------------------------------------------
+
+def spherical_harmonic(degree, order, theta, phi):
+    """Orthonormal Y_Kq with Condon-Shortley phase at any theta and phi, which
+    broadcast: the package's Legendre rows at the angles, times e^{iq phi}."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    if abs(order) > degree:
+        raise ValueError(f"|order| = {abs(order)} exceeds degree {degree}")
+    m = abs(order)
+    y = _legendre_rows(m, degree, theta)[-1] * np.exp(1j * m * np.asarray(phi, dtype=float))
+    return y if order >= 0 else (-1.0) ** m * np.conj(y)
 
 
 # -- Clebsch-Gordan coefficients by the Racah sum -----------------------------
@@ -429,6 +451,21 @@ def direct_synthesis(model, alpha, cutoff):
     rho = unitary @ thermal_state(model.thermal_occupation, pad).entries @ unitary.conj().T
     lossy = loss_channel(ModeState(pad, rho), model.efficiency)
     return lossy.entries[: cutoff + 1, : cutoff + 1]
+
+
+def lossy_gaussian_mode(sq_db, anti_db, eta, alpha, cutoff, pad=400):
+    """The model's mode on 0..cutoff from its Gaussian, with no Kraus loss.
+    Loss keeps the state Gaussian, V' = eta V + (1 - eta)/2 I, and the fit
+    (2 nbar + 1) e^{-+2r} = 10^{-+dB/10} puts V's diagonal at 10^{-+dB/10}/2,
+    so the lossy core is squeezed thermal with nbar' + 1/2 = sqrt(v1 v2) and
+    e^{4r'} = v2/v1: `squeezed_thermal`, exact on 0..pad, displaced by the
+    exact D(sqrt(eta) alpha).  It converges at any squeezing while the pad's
+    tail is negligible."""
+    v1 = 0.5 * (eta * 10.0 ** (-sq_db / 10.0) + 1.0 - eta)
+    v2 = 0.5 * (eta * 10.0 ** (anti_db / 10.0) + 1.0 - eta)
+    core = squeezed_thermal(0.25 * math.log(v2 / v1), math.sqrt(v1 * v2) - 0.5, pad)
+    disp = displacement_matrix(math.sqrt(eta) * alpha, pad, cutoff)
+    return disp @ core @ disp.T
 
 
 # -- writers the package replaced -----------------------------------------------

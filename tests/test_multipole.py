@@ -23,10 +23,9 @@ from stokes_manifolds.invariants import (
     dual_route_gap,
     harmonic_orthonormality,
     random_block,
-    spherical_harmonic,
 )
 from stokes_manifolds.polar import ManifoldBlock, PolarizationSector, diagonal_order
-from stokes_manifolds.sphere import FOUR_PI, build_quadrature_grid
+from stokes_manifolds.sphere import FOUR_PI, SphereGrid, build_quadrature_grid
 
 from oracles import (
     aggregate_weights,
@@ -35,6 +34,7 @@ from oracles import (
     multipoles_loop,
     natural_cg_table,
     rotation_matrix,
+    spherical_harmonic,
 )
 
 
@@ -318,6 +318,25 @@ class TestSphericalHarmonics:
     def test_grid_orthonormality(self):
         value, _ = harmonic_orthonormality(build_quadrature_grid(24), (0, 5, 7, 9, 12))
         assert value < 1e-12
+
+    def test_orthonormality_matches_mesh_gram(self):
+        # the harmonics from Legendre rows on the theta nodes are those of
+        # each mesh node, so the Gram and its worst entry are the same numbers
+        grid = build_quadrature_grid(24)
+        degrees = (0, 1, 11, 12)
+        th, ph = grid.mesh()
+        y = np.array([spherical_harmonic(k, q, th, ph).ravel()
+                      for k in degrees for q in range(-k, k + 1)])
+        mesh = float(np.max(np.abs((y * grid.weights.ravel()) @ y.conj().T - np.eye(len(y)))))
+        assert harmonic_orthonormality(grid, degrees) == (mesh, 1e-12)
+
+    def test_orthonormality_finds_aliased_phi(self):
+        # too few phi nodes alias e^{i(q - q')phi} to 1 for some q != q'
+        grid = build_quadrature_grid(24)
+        phi = 2.0 * math.pi * np.arange(13) / 13
+        weights = np.repeat(grid.weights.sum(axis=1)[:, None] / 13, 13, axis=1)
+        coarse = SphereGrid(grid.theta, phi, weights, grid.exactness)
+        assert harmonic_orthonormality(coarse, (0, 1, 11, 12))[0] > 0.5
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

@@ -501,10 +501,34 @@ class TestComputedOnce:
         assert len(manifest["files"]) == 4 + 7 * len(FAST["alphas"])  # 4 figure tables
 
     def test_check_takes_husimi_once(self, monkeypatch):
-        # `check` reads each amplitude's total from the sweep
+        # the suite reads each amplitude's total from the sweep
         totals = _record_calls(monkeypatch, "husimi_totals", [pipeline, sphere, invariants])
-        assert all(value <= bound for _, value, bound in invariants.default_suite())
+        report = run_sweep(RunConfig())
+        assert all(value <= bound for _, value, bound in invariants.suite(report))
         assert len(totals) == 1
+
+    def test_check_forms_each_oracle_once(self, monkeypatch, capsys):
+        # one `check` runs one sweep, synthesizes only the sweep's modes (the
+        # V mode once), forms one Husimi map per reported block and one
+        # block-route Stokes summary per reported block N > 0, and evaluates
+        # Legendre rows on the theta nodes alone, never on the 2-D mesh
+        sweeps = _record_calls(monkeypatch, "run_sweep", [cli, pipeline])
+        modes = _record_calls(monkeypatch, "synthesize_mode", [pipeline, fock])
+        maps = _record_calls(monkeypatch, "husimi_manifold", [invariants, sphere])
+        routes = _record_calls(monkeypatch, "manifold_stokes_summary", [invariants, stokes])
+        ranks = []
+
+        def legendre(m, degree, theta, _original=multipole._legendre_rows):
+            ranks.append(np.ndim(theta))
+            return _original(m, degree, theta)
+
+        monkeypatch.setattr(multipole, "_legendre_rows", legendre)
+        assert main(["check"]) == 0
+        assert "all 11 checks passed" in capsys.readouterr().out
+        assert len(sweeps) == 1 and len(modes) == 1 + len(DEFAULT_ALPHAS)
+        assert len(maps) == 100 and len({id(b) for b in maps}) == 100
+        assert len(routes) == 1 and len(routes[0]) == 96
+        assert ranks and set(ranks) == {1}
 
 
 class TestEmitScope:
@@ -641,19 +665,36 @@ class TestLiveManifolds:
 
     def test_spin_half_check_reads_by_spin(self, monkeypatch):
         # at alpha 7, P_1 is below the floor, so its sector has no S = 1/2
-        # block, and the line reads only the S = 1/2 block of the other
+        # block, and the line reads only the summary of the S = 1/2 block of
+        # the other
         read = []
 
-        def gap(block, _original=invariants.spin_half_xi2_gap):
-            read.append(block)
-            return _original(block)
+        def gap(summary, _original=invariants.spin_half_xi2_gap):
+            read.append(summary)
+            return _original(summary)
 
         monkeypatch.setattr(invariants, "spin_half_xi2_gap", gap)
-        monkeypatch.setattr(invariants, "RunConfig", lambda: RunConfig(
-            alphas=(7.0, 1.13), cutoff_h=80, cutoff_v=80, s_report_max=6.0))
-        line = next(row for row in invariants.default_suite() if row[0].startswith("one-photon"))
+        report = run_sweep(RunConfig(alphas=(7.0, 1.13), cutoff_h=80, cutoff_v=80,
+                                     s_report_max=6.0))
+        line = next(row for row in invariants.suite(report) if row[0].startswith("one-photon"))
         assert line[0] == "one-photon manifold xi2 = 1, 1 amplitudes" and line[1] <= line[2]
-        assert [(b.spin, b.weight > polar.WEIGHT_FLOOR) for b in read] == [(0.5, True)]
+        assert 0.5 not in [b.spin for b in report.results[0].sector.reported()]
+        half = next(b for b in report.results[1].sector.reported() if b.spin == 0.5)
+        assert half.weight > polar.WEIGHT_FLOOR
+        assert [s.spin for s in read] == [0.5]
+        assert read[0].xi2 == stokes.manifold_stokes_summary([half])[0].xi2
+
+    @pytest.mark.parametrize("s_max, blocks", [(20.0, 30), (0.5, 0)])
+    def test_check_lines_with_nothing_hold(self, s_max, blocks):
+        # alpha 7 alone has no S = 1/2 block, and at S_max 1/2 none at all: a
+        # line with nothing to check prints a count of 0 and holds
+        report = run_sweep(RunConfig(alphas=(7.0,), cutoff_h=80, cutoff_v=80,
+                                     s_report_max=s_max))
+        lines = invariants.suite(report)
+        assert len(lines) == 11 and all(worst <= bound for _, worst, bound in lines), lines
+        assert lines[8] == ("one-photon manifold xi2 = 1, 0 amplitudes", 0.0, math.inf)
+        assert lines[6][0] == (f"manifold Husimi integral, {blocks} reported blocks "
+                               f"on grid L {4 * s_max:g}")
 
 def _gap(got, want) -> float:
     """Largest |got - want| over the largest |want|, 0 where both vanish."""
@@ -1081,7 +1122,7 @@ def _edge_report() -> RunReport:
         ]
     )
     config = RunConfig(emit=("squeezing_csv", "photon_csv", "multipole_csv"))
-    return RunReport(config=config, results=results)
+    return RunReport(config=config, rho_v=None, results=results)
 
 
 def _grid_of(theta, phi, row_weights):
@@ -1379,6 +1420,12 @@ class TestCli:
         assert out.splitlines()[10] == (
             "[ok] photon-number parity zeros, V mode, 100 reported blocks, their multipoles "
             "and 96 mean Stokes vectors: worst 0.00e+00, bound 0")
+
+    def test_suite_holds_at_cutoff_48(self):
+        # every line holds on the sweep of `run --cutoff 48` with every emit
+        lines = invariants.suite(run_sweep(RunConfig(cutoff_h=48, cutoff_v=48)))
+        assert len(lines) == 11 and all(worst <= bound for _, worst, bound in lines), lines
+        assert lines[2][0] == "scaled dual-route multipoles, 134 reported blocks on grid L 96"
 
     def test_parity_gap_finds_one_odd_entry(self):
         config = RunConfig(**FAST)

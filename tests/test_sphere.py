@@ -131,7 +131,8 @@ class TestHusimiManifold:
     def test_unit_trace_integral(self):
         grid = build_quadrature_grid(16)
         for spin in (0.5, 1.0, 2.5, 4.0):
-            assert husimi_manifold_gap(mixed_block(spin), grid)[0] < 1e-12, spin
+            block = mixed_block(spin)
+            assert husimi_manifold_gap(block, husimi_manifold(block, grid))[0] < 1e-12, spin
 
     def test_values_in_range(self):
         rng = np.random.default_rng(7)
@@ -233,20 +234,22 @@ class TestHusimiTotal:
         assert grid.theta[eq] == 0.5 * math.pi
         for sector in default_ladder_sectors(24):
             q = husimi_total(sector, grid)
-            assert husimi_parts_gap(sector, q)[0] < 1e-14
             blocks = sector.reported()
+            maps = [husimi_manifold(b, grid) for b in blocks]
+            assert husimi_parts_gap(q, blocks, maps)[0] < 1e-14
             assert q.spins == tuple(b.spin for b in blocks)
             assert q.equator.shape == (len(blocks), grid.n_phi)
-            for row, block in zip(q.equator, blocks):
-                want = husimi_manifold(block, grid).values[eq]
-                assert np.max(np.abs(row - want)) < 1e-15, block.spin
+            for row, block, part in zip(q.equator, blocks, maps):
+                assert np.max(np.abs(row - part.values[eq])) < 1e-15, block.spin
 
     def test_complex_blocks_match_manifold_maps(self):
         rng = np.random.default_rng(23)
         blocks = [random_block(n / 2.0, rng) for n in range(9)]
         sector = PolarizationSector(tuple(ManifoldBlock(b.spin, 1.0 / 9, b.block)
                                           for b in blocks))
-        assert husimi_parts_gap(sector, husimi_total(sector, build_quadrature_grid(16)))[0] < 1e-14
+        grid = build_quadrature_grid(16)
+        maps = [husimi_manifold(b, grid) for b in sector.reported()]
+        assert husimi_parts_gap(husimi_total(sector, grid), sector.reported(), maps)[0] < 1e-14
 
     @pytest.mark.parametrize("grid_l", [48, 96])
     def test_totals_match_each_sector_alone(self, grid_l):
@@ -356,4 +359,4 @@ class TestHusimiTotal:
     def test_reported_blocks_integrate_at_run_sizes(self, cutoff):
         grid = build_quadrature_grid(96)
         for block in default_ladder_blocks(cutoff):
-            assert husimi_manifold_gap(block, grid)[0] < 1e-12, block.spin
+            assert husimi_manifold_gap(block, husimi_manifold(block, grid))[0] < 1e-12, block.spin

@@ -88,11 +88,11 @@ class TestStokesRoutes:
         results = run_sweep(config).results
         blocks = [b for res in results for b in res.sector.reported() if b.spin]
         summaries = [s for res in results for s in res.manifold_summaries]
-        gap, bound = stokes_route_gap(blocks, summaries)
+        gap, bound = stokes_route_gap(manifold_stokes_summary(blocks), summaries)
         assert gap <= bound and len(blocks) == len(summaries)
         i = len(summaries) // 2  # one xi^2 a thousand times the bound off is found
         summaries[i] = dataclasses.replace(summaries[i], xi2=summaries[i].xi2 * (1 + 1e-9))
-        assert stokes_route_gap(blocks, summaries)[0] > 1e-10
+        assert stokes_route_gap(manifold_stokes_summary(blocks), summaries)[0] > 1e-10
 
     def test_pure_squeezed_vacuum(self):
         # squeezing = antisqueezing at eta 1 gives pure states whose manifolds
@@ -111,18 +111,19 @@ class TestStokesRoutes:
         for w in manifold_stokes_summary(vacuum):
             assert abs(w.gamma_min) <= 8 * w.spin * eps * w.spin / 2
             assert abs(w.xi2) <= 8 * w.spin * eps
-        gap, bound = stokes_route_gap(blocks, summaries)
+        gap, bound = stokes_route_gap(manifold_stokes_summary(blocks), summaries)
         assert gap <= bound and bound == 1e-12
         i = [b.spin for b in blocks].index(11.0)  # a gamma_min 1e-9 of shot noise off is found
         summaries[i] = dataclasses.replace(summaries[i], gamma_min=1e-9 * 11.0 / 2)
-        assert stokes_route_gap(blocks, summaries)[0] > 1e-10
+        assert stokes_route_gap(manifold_stokes_summary(blocks), summaries)[0] > 1e-10
 
 
 class TestManifoldSummary:
     def test_spin_half_always_unity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            assert spin_half_xi2_gap(random_block(0.5, rng))[0] < 1e-10
+            summary = manifold_stokes_summary([random_block(0.5, rng)])[0]
+            assert spin_half_xi2_gap(summary)[0] < 1e-10
 
     def test_spin_coherent_state_is_shot_noise(self):
         # |S,S> at S=2: mean (0,0,2), perpendicular variances S/2 = 1
