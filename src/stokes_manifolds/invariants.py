@@ -13,28 +13,28 @@ import numpy as np
 from . import multipole
 from .fock import ModeState, loss_channel, padded_cutoff, squeezed_thermal
 from .polar import ManifoldBlock
-from .sphere import FOUR_PI, build_quadrature_grid, husimi_manifold
+from .sphere import FOUR_PI, build_quadrature_grid, husimi_fourier, husimi_map
 from .stokes import manifold_stokes_summary
 
 
-def harmonic_orthonormality(grid, degrees) -> tuple[float, float]:
-    """Largest |sum_grid Y_Kq Y*_K'q' - delta| over every order of the given
-    degrees, on the grid's (theta, phi) mesh: Y_Kq = P_Kq(theta) e^{iq phi} and
-    Y_K,-q = (-1)^q conj(Y_Kq), with the Legendre rows formed once per order
-    on the theta nodes.  The conjugate overwrites the harmonics in place, so
-    the Gram product holds two (orders x mesh) arrays, not three."""
-    top = max(degrees)
-    legendre = [multipole._legendre_rows(m, top, grid.theta) for m in range(top + 1)]
-    phases = np.exp(1j * np.outer(np.arange(top + 1), grid.phi))
-    pairs = [(k, q) for k in degrees for q in range(-k, k + 1)]
-    y = np.empty((len(pairs), grid.weights.size), dtype=complex)
-    for row, (k, q) in zip(y, pairs):
-        row[:] = np.outer(legendre[abs(q)][k - abs(q)], phases[abs(q)]).ravel()
-        if q < 0:
-            row[:] = (-1.0) ** q * np.conj(row)
-    weighted = y * grid.weights.ravel()
-    gram = weighted @ np.conj(y, out=y).T
-    return float(np.max(np.abs(gram - np.eye(len(pairs))))), 1e-12
+def harmonic_gram(grid, degrees, legendre) -> np.ndarray:
+    """Gram matrix sum_grid w Y_Kq Y*_K'q' of the orders q = -K..K of the degrees, from
+    a `multipole.legendre_table` of the theta nodes.  Y_Kq = P_Kq(theta) e^{iq phi} with
+    Y_K,-q = (-1)^q conj(Y_Kq) factors, as a tensor grid's weights w[:, 0] w[0] / w[0, 0]
+    do, so it is a theta Gram times a phi Gram, and no array has a (theta, phi) mesh axis."""
+    k, q = np.array([(k, q) for k in degrees for q in range(-k, k + 1)]).T
+    y_theta = legendre[np.abs(q), k]
+    y_phi = np.exp(1j * np.outer(np.abs(q), grid.phi))
+    y_phi[q < 0] = (-1.0) ** q[q < 0, None] * y_phi[q < 0].conj()
+    w = grid.weights
+    return ((y_theta * w[:, 0]) @ y_theta.T) * ((y_phi * (w[0] / w[0, 0])) @ y_phi.conj().T)
+
+
+def harmonic_orthonormality(grid, degrees, legendre=None) -> tuple[float, float]:
+    """Largest |Gram - 1| of `harmonic_gram`, from `legendre` or a table of its own."""
+    gram = harmonic_gram(grid, degrees, multipole.legendre_table(max(degrees), grid.theta)
+                         if legendre is None else legendre)
+    return float(np.max(np.abs(gram - np.eye(len(gram))))), 1e-12
 
 
 def cg_orthonormality(two_s: int) -> tuple[float, float]:
@@ -43,14 +43,12 @@ def cg_orthonormality(two_s: int) -> tuple[float, float]:
     return multipole.cg_table_deviation(multipole.cg_table(two_s)), multipole.CG_TABLE_TOL
 
 
-def dual_route_gap(block: ManifoldBlock, grid) -> tuple[float, float]:
-    """Largest |rho_Kq(quadrature) - rho_Kq(algebraic)| C_K over K and q >= 0,
-    which bounds the gap at -q too, since rho_{K,-q} = (-1)^q conj(rho_Kq) in
-    both routes.  The quadrature route divides by C_K = <S S; K 0|S S>, 1.3e-7
-    at S = 12, K = 24, so its rounding error grows as 1/C_K; scaled back it
-    stays near 1e-14."""
-    gap = np.abs(multipole.multipoles_integral(block, grid).rho
-                 - multipole.multipoles_algebraic(block).rho)
+def dual_route_gap(block: ManifoldBlock, integral) -> tuple[float, float]:
+    """Largest |rho_Kq(quadrature) - rho_Kq(algebraic)| C_K over K and q >= 0, from
+    the quadrature route's `integral` spectrum; it bounds the gap at -q too, as
+    rho_{K,-q} = (-1)^q conj(rho_Kq) in both routes.  The quadrature route divides by
+    C_K = <S S; K 0|S S> (1.3e-7 at S = 12, K = 24): scaled back, it is near 1e-14."""
+    gap = np.abs(integral.rho - multipole.multipoles_algebraic(block).rho)
     return float(np.max(np.max(gap, axis=1) * multipole.stretched_cg(block.photon_number))), 1e-12
 
 
@@ -123,15 +121,16 @@ def _worst(name: str, pairs) -> tuple[str, float, float]:
 
 
 def suite(report) -> list[tuple[str, float, float]]:
-    """(name, worst value, bound) of each invariant on what a `RunReport`
-    holds, its blocks, total Qs, summaries and V mode, with one Husimi map and
-    one block-route Stokes summary of each block; a line with nothing to
-    check holds at worst 0.  A real alpha gives real blocks, so the multipole
-    routes also meet random complex blocks, 2S <= 4 as the grid resolves."""
+    """(name, worst value, bound) of each invariant on what a `RunReport` holds,
+    its blocks, total Qs, summaries and V mode, with one Legendre table and, of
+    each block, one set of Husimi rows (for its map and quadrature multipoles)
+    and one block-route Stokes summary; a line with nothing to check holds at
+    worst 0.  Random complex blocks, 2S <= 4, join real alphas' real blocks."""
     grid = build_quadrature_grid(report.grid_l)
     kept = [res for res in report.results if res.sector is not None]  # all or none
     sectors = [res.sector.reported() for res in kept]
-    maps = [[husimi_manifold(b, grid) for b in sector] for sector in sectors]
+    rows = [[husimi_fourier(b, grid) for b in sector] for sector in sectors]
+    maps = [[husimi_map(f, grid) for f in sector] for sector in rows]
     totals = [t for t in zip(kept, sectors, maps) if t[0].q is not None]  # (res, blocks, maps)
     blocks = [b for sector in sectors for b in sector]
     block_summaries = manifold_stokes_summary([b for b in blocks if b.spin])
@@ -142,17 +141,20 @@ def suite(report) -> list[tuple[str, float, float]]:
     degrees = sorted({0, 1, max(top - 1, 0), top})
     rng = np.random.default_rng(20240817)
     randoms = [random_block(n / 2.0, rng) for n in range(1, min(4, grid.exactness // 2) + 1)]
+    legendre = multipole.legendre_table(max(top, len(randoms)), grid.theta)
+    spectra = [multipole.quadrature_multipoles(f, grid, legendre) for f in
+               [f for sector in rows for f in sector] + [husimi_fourier(b, grid) for b in randoms]]
     pad, eta = padded_cutoff(report.config.cutoff_h), report.config.efficiency
     on_grid = f"on grid L {report.grid_l}"
     return [
         _worst(f"spherical-harmonic orthonormality, degrees {', '.join(map(str, degrees))} "
-               f"{on_grid}", [harmonic_orthonormality(grid, degrees)]),
+               f"{on_grid}", [harmonic_orthonormality(grid, degrees, legendre)]),
         _worst(f"Clebsch-Gordan orthonormality, {len(sizes)} tables 2S <= {top}",
                map(cg_orthonormality, sizes)),
         _worst(f"scaled dual-route multipoles, {len(blocks)} reported blocks {on_grid}",
-               (dual_route_gap(b, grid) for b in blocks)),
+               map(dual_route_gap, blocks, spectra[:len(blocks)])),
         _worst(f"scaled dual-route multipoles, {len(randoms)} random complex blocks "
-               f"2S <= {len(randoms)}", (dual_route_gap(b, grid) for b in randoms)),
+               f"2S <= {len(randoms)}", map(dual_route_gap, randoms, spectra[len(blocks):])),
         _worst(f"total Husimi integral, {len(totals)} amplitudes {on_grid}",
                (husimi_total_gap(res.sector, res.q) for res, _, _ in totals)),
         _worst(f"total Husimi map against its manifold maps, {len(totals)} amplitudes {on_grid}",

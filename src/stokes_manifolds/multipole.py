@@ -20,24 +20,23 @@ from .polar import ManifoldBlock, diagonal_order, diagonal_sums
 from .sphere import FOUR_PI, SphereGrid, husimi_fourier
 
 
-def _legendre_rows(m: int, max_degree: int, theta) -> list:
-    """[P_lm(theta) for l = m..max_degree], m >= 0: the orthonormal associated
-    Legendre functions with Condon-Shortley phase, Y_lm = P_lm e^{i m phi},
-    by the standard upward recurrence in l."""
+def legendre_table(top: int, theta) -> np.ndarray:
+    """table[m, l] = P_lm(theta), 0 <= m <= l <= top (zero for l < m), the orthonormal
+    Legendre functions with Condon-Shortley phase, Y_lm = P_lm e^{i m phi}, by the upward
+    recurrence in l for every m at once; no row's bits depend on `top`."""
     theta = np.asarray(theta, dtype=float)
     x = np.cos(theta)
-    log_ratio = math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - 2 * m * math.log(2.0)
-    p = (-1.0) ** m * math.sqrt((2 * m + 1) / FOUR_PI * math.exp(log_ratio)) * np.sin(theta) ** m
-    rows = [p]
-    p_prev = 0.0
-    for l in range(m + 1, max_degree + 1):
-        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = -math.sqrt(
-            (2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m)
-        )
-        p, p_prev = a * x * p + b * p_prev, p
-        rows.append(p)
-    return rows
+    table = np.zeros((top + 1, top + 1, *theta.shape))
+    for m in range(top + 1):
+        log_ratio = math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - 2 * m * math.log(2.0)
+        norm = math.sqrt((2 * m + 1) / FOUR_PI * math.exp(log_ratio))
+        table[m, m] = (-1.0) ** m * norm * np.sin(theta) ** m
+    m2 = np.arange(top + 1).reshape(-1, *(1,) * theta.ndim) ** 2  # m^2, a row per order
+    for l in range(1, top + 1):
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m2[:l]))
+        b = -np.sqrt((2 * l + 1) / (2 * l - 3) * ((l - 1) ** 2 - m2[:l]) / (l * l - m2[:l]))
+        table[:l, l] = a * x * table[:l, l - 1] + b * (table[:l, l - 2] if l > 1 else 0.0)
+    return table
 
 
 @dataclass(frozen=True)
@@ -74,24 +73,22 @@ def stretched_cg(two_s: int) -> np.ndarray:
 
 
 def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpectrum:
-    """Multipoles by projecting the Husimi function onto Y*_Kq.
+    """`quadrature_multipoles` of the block's `husimi_fourier` rows."""
+    return quadrature_multipoles(husimi_fourier(block, grid), grid,
+                                 legendre_table(block.photon_number, grid.theta))
 
-    rho_Kq = sqrt((2S+1)/4pi) / C_K * integral Y*_Kq(n) Q^(S)(n) dn with
-    C_K = <S S; K 0 | S S> (Agarwal, PRA 24, 2889 (1981)).  Q^(S) is the
-    azimuthal series sum_q e^{iq phi} F_q(theta) of `husimi_fourier`, with
-    F_{-q} = conj(F_q), so the phi integral picks out one order and
 
-        rho_Kq = sqrt((2S+1)/4pi) / C_K * 2pi sum_theta w_theta P_Kq(theta) F_q(theta),
-
-    P_Kq(theta) = Y_Kq(theta, 0), on the Gauss nodes alone: one upward
-    Legendre sweep over K per q >= 0.
-    """
-    two_s = block.photon_number
-    f = husimi_fourier(block, grid) * grid.weights.sum(axis=1)  # 2pi w_theta F_q
+def quadrature_multipoles(f, grid: SphereGrid, legendre) -> MultipoleSpectrum:
+    """The projection of Q^(S) onto Y*_Kq, from a spin-S block's rows f = `husimi_fourier`
+    and a `legendre_table` of the theta nodes to degree >= 2S, both left as they are:
+    rho_Kq = sqrt((2S+1)/4pi) / C_K * 2pi sum_theta w_theta P_Kq(theta) F_q(theta), with
+    C_K = <S S; K 0 | S S> (Agarwal, PRA 24, 2889 (1981)), one matvec per q >= 0."""
+    two_s = len(f) - 1
+    f = f * grid.weights.sum(axis=1)  # 2pi w_theta F_q
     rho = np.zeros((two_s + 1, two_s + 1), dtype=complex)  # [K, q >= 0]
     for q in range(two_s + 1):
-        rho[q:, q] = np.array(_legendre_rows(q, two_s, grid.theta)) @ f[q]
-    rho *= (math.sqrt(block.dim / FOUR_PI) / stretched_cg(two_s))[:, None]
+        rho[q:, q] = legendre[q, q:two_s + 1] @ f[q]
+    rho *= (math.sqrt((two_s + 1) / FOUR_PI) / stretched_cg(two_s))[:, None]
     return MultipoleSpectrum(rho)
 
 

@@ -40,7 +40,7 @@ from stokes_manifolds.fock import (
     padded_cutoff,
     squeezed_thermal,
 )
-from stokes_manifolds.multipole import _legendre_rows, cg_table
+from stokes_manifolds.multipole import cg_table, legendre_table
 from stokes_manifolds.pipeline import RunConfig, run_sweep
 from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock, diagonal_order
 from stokes_manifolds.render import (
@@ -207,15 +207,21 @@ def dense_moments(block):
 
 # -- spherical harmonics at any angles ------------------------------------------
 
+def mesh(grid):
+    """The (theta, phi) mesh of a tensor grid, each (n_theta, n_phi)."""
+    return np.meshgrid(grid.theta, grid.phi, indexing="ij")
+
+
 def spherical_harmonic(degree, order, theta, phi):
     """Orthonormal Y_Kq with Condon-Shortley phase at any theta and phi, which
-    broadcast: the package's Legendre rows at the angles, times e^{iq phi}."""
+    broadcast: the package's Legendre table at the angles, row (|q|, K),
+    times e^{iq phi}."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if abs(order) > degree:
         raise ValueError(f"|order| = {abs(order)} exceeds degree {degree}")
     m = abs(order)
-    y = _legendre_rows(m, degree, theta)[-1] * np.exp(1j * m * np.asarray(phi, dtype=float))
+    y = legendre_table(degree, theta)[m, degree] * np.exp(1j * m * np.asarray(phi, dtype=float))
     return y if order >= 0 else (-1.0) ** m * np.conj(y)
 
 

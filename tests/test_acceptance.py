@@ -38,7 +38,7 @@ from stokes_manifolds.invariants import (
     loss_trace_gap,
     random_block,
 )
-from stokes_manifolds.multipole import multipoles_algebraic
+from stokes_manifolds.multipole import multipoles_algebraic, multipoles_integral
 from stokes_manifolds.pipeline import RunConfig, emit_figure_tables, run_sweep
 from stokes_manifolds.polar import ManifoldBlock, parse_manifolds, photon_weights
 from stokes_manifolds.sphere import build_quadrature_grid, husimi_manifold, husimi_total
@@ -339,7 +339,8 @@ def test_criterion_06_dual_route_multipoles():
     worst = 0.0
     for two_j in range(1, 9):
         for _ in range(100):
-            worst = np.maximum(worst, dual_route_gap(random_block(two_j / 2.0, rng), grid)[0])
+            block = random_block(two_j / 2.0, rng)
+            worst = np.maximum(worst, dual_route_gap(block, multipoles_integral(block, grid))[0])
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 10.0
     line = _verdict(6, ok, f"max |integral - algebraic| C_K = {worst:.3e}, {elapsed:.2f}s")

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import sympy.physics.quantum.cg as sympy_cg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from stokes_manifolds.multipole import (
     CG_TABLE_TOL,
     cg_table,
     cg_table_deviation,
+    legendre_table,
     multipole_stack,
     multipoles_algebraic,
     multipoles_integral,
@@ -21,6 +23,7 @@ from stokes_manifolds.multipole import (
 from stokes_manifolds.invariants import (
     cg_orthonormality,
     dual_route_gap,
+    harmonic_gram,
     harmonic_orthonormality,
     random_block,
 )
@@ -31,6 +34,7 @@ from oracles import (
     aggregate_weights,
     clebsch_gordan,
     default_ladder_blocks,
+    mesh,
     multipoles_loop,
     natural_cg_table,
     rotation_matrix,
@@ -320,15 +324,22 @@ class TestSphericalHarmonics:
         assert value < 1e-12
 
     def test_orthonormality_matches_mesh_gram(self):
-        # the harmonics from Legendre rows on the theta nodes are those of
-        # each mesh node, so the Gram and its worst entry are the same numbers
+        # the Gram factored into theta and phi sums is the Gram summed over
+        # the mesh, entry by entry, up to rounding; each mesh sum is exact
+        # (math.fsum), since a float sum of the 1225 nodes' terms is itself
+        # 1.2e-15 off
         grid = build_quadrature_grid(24)
         degrees = (0, 1, 11, 12)
-        th, ph = grid.mesh()
+        th, ph = mesh(grid)
         y = np.array([spherical_harmonic(k, q, th, ph).ravel()
                       for k in degrees for q in range(-k, k + 1)])
-        mesh = float(np.max(np.abs((y * grid.weights.ravel()) @ y.conj().T - np.eye(len(y)))))
-        assert harmonic_orthonormality(grid, degrees) == (mesh, 1e-12)
+        terms = (y * grid.weights.ravel())[:, None] * y.conj()
+        summed = np.array([[math.fsum(t.real) + 1j * math.fsum(t.imag) for t in row]
+                           for row in terms])
+        gram = harmonic_gram(grid, degrees, legendre_table(12, grid.theta))
+        assert gram.shape == summed.shape and np.max(np.abs(gram - summed)) < 1e-15
+        value, bound = harmonic_orthonormality(grid, degrees)
+        assert value == float(np.max(np.abs(gram - np.eye(len(gram))))) and bound == 1e-12
 
     def test_orthonormality_finds_aliased_phi(self):
         # too few phi nodes alias e^{i(q - q')phi} to 1 for some q != q'
@@ -337,6 +348,25 @@ class TestSphericalHarmonics:
         weights = np.repeat(grid.weights.sum(axis=1)[:, None] / 13, 13, axis=1)
         coarse = SphereGrid(grid.theta, phi, weights, grid.exactness)
         assert harmonic_orthonormality(coarse, (0, 1, 11, 12))[0] > 0.5
+
+    def test_legendre_table_rows_do_not_depend_on_top(self):
+        # a step of the recurrence never reads the top degree, so the rows of
+        # a smaller table are those of a larger one, bit for bit, and the
+        # entries below the diagonal l < m are zero
+        theta = build_quadrature_grid(48).theta
+        big = legendre_table(24, theta)
+        for top in (0, 1, 7, 24):
+            assert np.array_equal(legendre_table(top, theta), big[:top + 1, :top + 1])
+        assert not np.any(big[np.tril_indices(25, -1)])
+
+    def test_legendre_table_matches_scipy(self):
+        # every entry m <= l <= 24 against scipy's Y_lm(theta, 0), which
+        # carries the same Condon-Shortley phase: 6.0e-15 at most, of entries
+        # up to 1.39
+        theta = build_quadrature_grid(48).theta
+        m, l = np.triu_indices(25)
+        want = scipy.special.sph_harm_y(l[:, None], m[:, None], theta, 0.0).real
+        assert np.max(np.abs(legendre_table(24, theta)[m, l] - want)) < 1e-13
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -369,7 +399,8 @@ class TestMultipoles:
         rng = np.random.default_rng(4)
         grid = build_quadrature_grid(16)
         for two_j in range(1, 9):
-            assert dual_route_gap(random_block(two_j / 2.0, rng), grid)[0] < 1e-13, two_j
+            block = random_block(two_j / 2.0, rng)
+            assert dual_route_gap(block, multipoles_integral(block, grid))[0] < 1e-13, two_j
 
     def test_stretched_cg_matches_racah_oracle(self):
         for two_s in range(49):
@@ -381,28 +412,29 @@ class TestMultipoles:
         rng = np.random.default_rng(14)
         grid = build_quadrature_grid(48)
         for two_s in range(9, 25):
-            assert dual_route_gap(random_block(two_s / 2.0, rng), grid)[0] < 1e-12, two_s
+            block = random_block(two_s / 2.0, rng)
+            assert dual_route_gap(block, multipoles_integral(block, grid))[0] < 1e-12, two_s
 
     @pytest.mark.parametrize("cutoff,degree", [(24, 48), (48, 96)])
     def test_dual_route_on_default_ladder(self, cutoff, degree):
         grid = build_quadrature_grid(degree)
         for block in default_ladder_blocks(cutoff):
-            assert dual_route_gap(block, grid)[0] < 1e-12, block.spin
+            assert dual_route_gap(block, multipoles_integral(block, grid))[0] < 1e-12, block.spin
 
     def test_quadrature_route_works_on_theta_nodes(self, monkeypatch):
-        # the Legendre rows are evaluated on the n_theta Gauss nodes, never on
-        # the (n_theta, n_phi) mesh
-        shapes = []
-        rows = multipole._legendre_rows
+        # one Legendre table to degree 2S, evaluated on the n_theta Gauss
+        # nodes, never on the (n_theta, n_phi) mesh
+        calls = []
+        table = multipole.legendre_table
 
-        def recording(m, max_degree, theta):
-            shapes.append(np.shape(theta))
-            return rows(m, max_degree, theta)
+        def recording(top, theta):
+            calls.append((top, np.shape(theta)))
+            return table(top, theta)
 
-        monkeypatch.setattr(multipole, "_legendre_rows", recording)
+        monkeypatch.setattr(multipole, "legendre_table", recording)
         grid = build_quadrature_grid(12)
         multipoles_integral(random_block(3.0, np.random.default_rng(15)), grid)
-        assert set(shapes) == {(grid.n_theta,)}
+        assert calls == [(6, (grid.n_theta,))]
 
     def test_every_order_matches_dense_tensors(self):
         # rho_Kq = Tr(T_Kq^dag rho) with dense T_Kq from the Racah sum, for

@@ -59,6 +59,7 @@ from oracles import (
     default_ladder_blocks,
     dense_moments,
     full_block,
+    mesh,
     multipoles_loop,
     stokes_summary_single,
 )
@@ -509,26 +510,30 @@ class TestComputedOnce:
 
     def test_check_forms_each_oracle_once(self, monkeypatch, capsys):
         # one `check` runs one sweep, synthesizes only the sweep's modes (the
-        # V mode once), forms one Husimi map per reported block and one
-        # block-route Stokes summary per reported block N > 0, and evaluates
-        # Legendre rows on the theta nodes alone, never on the 2-D mesh
+        # V mode once), forms the Husimi Fourier rows of each of the 100
+        # reported and 4 random blocks once, for one map per reported block
+        # and the quadrature multipoles of all 104, one block-route Stokes
+        # summary per reported block N > 0, and one Legendre table of its 25
+        # orders on the theta nodes alone, never on the 2-D mesh
         sweeps = _record_calls(monkeypatch, "run_sweep", [cli, pipeline])
         modes = _record_calls(monkeypatch, "synthesize_mode", [pipeline, fock])
-        maps = _record_calls(monkeypatch, "husimi_manifold", [invariants, sphere])
+        rows = _record_calls(monkeypatch, "husimi_fourier", [invariants, sphere, multipole])
+        maps = _record_calls(monkeypatch, "husimi_map", [invariants, sphere])
         routes = _record_calls(monkeypatch, "manifold_stokes_summary", [invariants, stokes])
-        ranks = []
+        tables = []
 
-        def legendre(m, degree, theta, _original=multipole._legendre_rows):
-            ranks.append(np.ndim(theta))
-            return _original(m, degree, theta)
+        def legendre(top, theta, _original=multipole.legendre_table):
+            tables.append((top, np.ndim(theta)))
+            return _original(top, theta)
 
-        monkeypatch.setattr(multipole, "_legendre_rows", legendre)
+        monkeypatch.setattr(multipole, "legendre_table", legendre)
         assert main(["check"]) == 0
         assert "all 11 checks passed" in capsys.readouterr().out
         assert len(sweeps) == 1 and len(modes) == 1 + len(DEFAULT_ALPHAS)
-        assert len(maps) == 100 and len({id(b) for b in maps}) == 100
+        assert len(rows) == 104 and len({id(b) for b in rows}) == 104
+        assert len(maps) == 100 and len({id(f) for f in maps}) == 100
         assert len(routes) == 1 and len(routes[0]) == 96
-        assert ranks and set(ranks) == {1}
+        assert tables == [(24, 1)] and sum(top + 1 for top, _ in tables) <= 25
 
 
 class TestEmitScope:
@@ -695,6 +700,25 @@ class TestLiveManifolds:
         assert lines[8] == ("one-photon manifold xi2 = 1, 0 amplitudes", 0.0, math.inf)
         assert lines[6][0] == (f"manifold Husimi integral, {blocks} reported blocks "
                                f"on grid L {4 * s_max:g}")
+
+    def test_check_lines_at_run_size(self):
+        # `run --alpha 7 --cutoff 160` reports 2S <= 81 on grid L 320: the
+        # suite holds its memory to the rows and maps of its 71 blocks, with
+        # no (theta, phi) mesh array of harmonics, and ten lines hold; the
+        # harmonic line reads 3.16e-12, above its bound, from the Gauss weights
+        # that `numpy.polynomial.legendre.leggauss` gives at 321 nodes
+        report = run_sweep(RunConfig(alphas=(7.0,), cutoff_h=160, cutoff_v=160,
+                                     emit=("squeezing_csv", "multipole_csv", "q_csv")))
+        tracemalloc.start()
+        try:
+            lines = invariants.suite(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300e6, peak
+        assert len(lines) == 11 and all(worst <= bound for _, worst, bound in lines[1:]), lines
+        assert lines[0][0] == "spherical-harmonic orthonormality, degrees 0, 1, 80, 81 on grid L 320"
+        assert 1e-12 < lines[0][1] < 1e-11 and lines[0][2] == 1e-12
 
 def _gap(got, want) -> float:
     """Largest |got - want| over the largest |want|, 0 where both vanish."""
@@ -1029,7 +1053,7 @@ class TestEmission:
         outdir, report, _ = emitted
         grid = build_quadrature_grid(report.grid_l)
         q = husimi_total(report.results[1].sector, grid, report.config.resolved_s_report_max)
-        rows = np.stack([*grid.mesh(), grid.weights, q.values], axis=-1).reshape(-1, 4)
+        rows = np.stack([*mesh(grid), grid.weights, q.values], axis=-1).reshape(-1, 4)
         want = csv_writer_table(["theta", "phi", "weight", "value"], rows.tolist())
         assert (outdir / "q_total_alpha1.csv").read_bytes() == want
 

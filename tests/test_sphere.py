@@ -25,7 +25,7 @@ from stokes_manifolds.sphere import (
     husimi_totals,
 )
 
-from oracles import default_ladder_blocks, default_ladder_sectors, rotation_matrix
+from oracles import default_ladder_blocks, default_ladder_sectors, mesh, rotation_matrix
 
 
 def su2_overlap_amplitudes(spin, theta, phi):
@@ -52,7 +52,7 @@ def su2_overlap_amplitudes(spin, theta, phi):
 
 def husimi_oracle(block, grid):
     """Q^(S) = <S, n| rho |S, n> contracted over the full amplitude table."""
-    th, ph = grid.mesh()
+    th, ph = mesh(grid)
     amps = su2_overlap_amplitudes(block.spin, th, ph)
     return np.einsum("imn,ij,jmn->mn", amps.conj(), block.block, amps, optimize=True).real
 
@@ -76,7 +76,7 @@ class TestGrid:
 
     def test_polynomial_exactness(self):
         grid = build_quadrature_grid(6)
-        th, _ = grid.mesh()
+        th, _ = mesh(grid)
         for d in (2, 6, 12):
             got = grid.integrate(np.cos(th) ** d)
             assert abs(got - FOUR_PI / (d + 1)) < 1e-12
@@ -94,7 +94,7 @@ class TestGrid:
 class TestAmplitudes:
     def test_normalized_everywhere(self):
         grid = build_quadrature_grid(6)
-        th, ph = grid.mesh()
+        th, ph = mesh(grid)
         amps = su2_overlap_amplitudes(1.5, th, ph)
         norms = np.sum(np.abs(amps) ** 2, axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
@@ -116,7 +116,7 @@ class TestHusimiManifold:
     def test_self_overlap_at_pole(self):
         grid = build_quadrature_grid(8)
         q = husimi_manifold(highest_weight_block(2.0), grid)
-        th, _ = grid.mesh()
+        th, _ = mesh(grid)
         # largest value at the node closest to theta = 0
         top = np.unravel_index(np.argmax(q.values), q.values.shape)
         assert th[top] == np.min(grid.theta)
