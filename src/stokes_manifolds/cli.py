@@ -12,7 +12,6 @@ import argparse
 import sys
 import time
 
-from .invariants import suite
 from .pipeline import (
     CONFIG_KEYS,
     EMIT_CHOICES,
@@ -86,6 +85,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(_args) -> int:
+    from .invariants import suite  # imported here, so that `run` never loads the suite
     try:
         results = suite(run_sweep(parse_config()))
     except NumericalGuardError as exc:  # the default run's own guards

@@ -1,9 +1,9 @@
 """Numerical invariants of the analysis, each defined once.
 
 Every invariant is a function that returns `(value, bound)`; it holds when
-value <= bound, so a NaN value fails.  The tests call these functions on
-their own inputs with their own bounds, and `suite` evaluates them on what a
-sweep reports, for `stokes-manifolds check`.
+value <= bound, so a NaN value fails.  The tests call them on their own inputs,
+and `suite` on what a sweep reports, for `stokes-manifolds check`, stacking each
+2S once and forming its Husimi rows and multipoles once for every line.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import numpy as np
 
 from . import multipole
 from .fock import ModeState, loss_channel, padded_cutoff, squeezed_thermal
-from .polar import ManifoldBlock
-from .sphere import FOUR_PI, build_quadrature_grid, husimi_fourier, husimi_map
+from .polar import ManifoldBlock, diagonal_sums
+from .sphere import (FOUR_PI, QFunction, _coherent_products, _fourier_sums, _waves,
+                     build_quadrature_grid, husimi_fourier)
 from .stokes import manifold_stokes_summary
 
 
@@ -30,10 +31,9 @@ def harmonic_gram(grid, degrees, legendre) -> np.ndarray:
     return ((y_theta * w[:, 0]) @ y_theta.T) * ((y_phi * (w[0] / w[0, 0])) @ y_phi.conj().T)
 
 
-def harmonic_orthonormality(grid, degrees, legendre=None) -> tuple[float, float]:
-    """Largest |Gram - 1| of `harmonic_gram`, from `legendre` or a table of its own."""
-    gram = harmonic_gram(grid, degrees, multipole.legendre_table(max(degrees), grid.theta)
-                         if legendre is None else legendre)
+def harmonic_orthonormality(grid, degrees, legendre) -> tuple[float, float]:
+    """Largest |Gram - 1| of the `harmonic_gram` of a Legendre table to max(degrees)."""
+    gram = harmonic_gram(grid, degrees, legendre)
     return float(np.max(np.abs(gram - np.eye(len(gram))))), 1e-12
 
 
@@ -43,13 +43,13 @@ def cg_orthonormality(two_s: int) -> tuple[float, float]:
     return multipole.cg_table_deviation(multipole.cg_table(two_s)), multipole.CG_TABLE_TOL
 
 
-def dual_route_gap(block: ManifoldBlock, integral) -> tuple[float, float]:
-    """Largest |rho_Kq(quadrature) - rho_Kq(algebraic)| C_K over K and q >= 0, from
-    the quadrature route's `integral` spectrum; it bounds the gap at -q too, as
-    rho_{K,-q} = (-1)^q conj(rho_Kq) in both routes.  The quadrature route divides by
+def dual_route_gap(algebraic, integral) -> tuple[float, float]:
+    """Largest |rho_Kq(quadrature) - rho_Kq(algebraic)| C_K over K, q >= 0 and the
+    blocks of multipoles rho[..., K, q] of one size; it bounds the gap at -q too, as
+    rho_{K,-q} = (-1)^q conj(rho_Kq).  The quadrature route divides by
     C_K = <S S; K 0|S S> (1.3e-7 at S = 12, K = 24): scaled back, it is near 1e-14."""
-    gap = np.abs(integral.rho - multipole.multipoles_algebraic(block).rho)
-    return float(np.max(np.max(gap, axis=1) * multipole.stretched_cg(block.photon_number))), 1e-12
+    gap = np.abs(integral - algebraic)
+    return float(np.max(np.max(gap, axis=-1) * multipole.stretched_cg(gap.shape[-1] - 1))), 1e-12
 
 
 def husimi_total_gap(sector, q) -> tuple[float, float]:
@@ -58,12 +58,9 @@ def husimi_total_gap(sector, q) -> tuple[float, float]:
     return abs(q.integral() - captured), 1e-12
 
 
-def husimi_parts_gap(q, blocks, maps) -> tuple[float, float]:
-    """Largest |Q_total - sum_S P_S (2S+1)/(4 pi) Q^(S)| over the grid nodes,
-    a total Q, summed from its Fourier rows, against the maps Q^(S) of the
-    blocks it sums."""
-    parts = sum((b.weight * (b.dim / FOUR_PI) * m.values
-                 for b, m in zip(blocks, maps, strict=True)), np.zeros(q.values.shape))
+def husimi_parts_gap(q, parts) -> tuple[float, float]:
+    """Largest |Q_total - parts| over the grid nodes, a total Q, summed from its Fourier
+    rows, against the parts sum_S P_S (2S+1)/(4 pi) Q^(S) of its blocks' maps."""
     return float(np.max(np.abs(q.values - parts))), 1e-13
 
 
@@ -89,15 +86,12 @@ def stokes_route_gap(block_summaries, summaries) -> tuple[float, float]:
                default=0.0), 1e-12
 
 
-def parity_gap(rho_v, blocks, summaries) -> tuple[float, float]:
-    """Largest |entry| at odd i - j of the Hermitian V mode and blocks, |rho_Kq| at
-    odd q of the blocks and |<S_x>|, |<S_y>| of the summaries: every such block
-    entry has a V factor at odd offset, an exact 0.0, so the bound is exactly 0."""
-    stacks = {n: np.stack([b.block for b in blocks if b.photon_number == n])
-              for n in {b.photon_number for b in blocks}}
+def parity_gap(rho_v, stacks, multipoles, summaries) -> tuple[float, float]:
+    """Largest |entry| at odd i - j of the Hermitian V mode and the stacks of blocks of
+    one size, |rho_Kq| at odd q of their multipoles and |<S_x>|, |<S_y>| of the
+    summaries: every such block entry has a V factor at odd offset, an exact 0.0."""
     gaps = [s.mean[:2] for s in summaries] + [rho_v.entries[::2, 1::2]]
-    gaps += [stack[:, ::2, 1::2] for stack in stacks.values()]
-    gaps += [multipole.multipole_stack(n, stack)[..., 1::2] for n, stack in stacks.items()]
+    gaps += [stack[:, ::2, 1::2] for stack in stacks] + [rho[..., 1::2] for rho in multipoles]
     return max(float(np.max(np.abs(g), initial=0.0)) for g in gaps), 0.0
 
 
@@ -121,54 +115,65 @@ def _worst(name: str, pairs) -> tuple[str, float, float]:
 
 
 def suite(report) -> list[tuple[str, float, float]]:
-    """(name, worst value, bound) of each invariant on what a `RunReport` holds,
-    its blocks, total Qs, summaries and V mode, with one Legendre table and, of
-    each block, one set of Husimi rows (for its map and quadrature multipoles)
-    and one block-route Stokes summary; a line with nothing to check holds at
-    worst 0.  Random complex blocks, 2S <= 4, join real alphas' real blocks."""
+    """(name, worst value, bound) of each invariant on what a `RunReport` holds, its
+    blocks, total Qs, summaries and V mode: one Legendre and one `_waves` table, one
+    pass per reported 2S, each map summed into its amplitude's parts and dropped, and
+    random complex blocks, 2S <= 4, for the dual route, as real alphas give real
+    blocks.  A line with nothing to check holds at worst 0."""
     grid = build_quadrature_grid(report.grid_l)
     kept = [res for res in report.results if res.sector is not None]  # all or none
-    sectors = [res.sector.reported() for res in kept]
-    rows = [[husimi_fourier(b, grid) for b in sector] for sector in sectors]
-    maps = [[husimi_map(f, grid) for f in sector] for sector in rows]
-    totals = [t for t in zip(kept, sectors, maps) if t[0].q is not None]  # (res, blocks, maps)
-    blocks = [b for sector in sectors for b in sector]
-    block_summaries = manifold_stokes_summary([b for b in blocks if b.spin])
+    owned = [(a, b) for a, res in enumerate(kept) for b in res.sector.reported()]
+    block_summaries = manifold_stokes_summary([b for _, b in owned if b.spin])
     halves = [s for s in block_summaries if s.spin == 0.5]  # one per sector that holds S = 1/2
     summaries = [s for res in report.results for s in res.manifold_summaries]
-    sizes = sorted({b.photon_number for b in blocks})
+    sizes = sorted({b.photon_number for _, b in owned})
     top = max(sizes, default=0)
     degrees = sorted({0, 1, max(top - 1, 0), top})
     rng = np.random.default_rng(20240817)
     randoms = [random_block(n / 2.0, rng) for n in range(1, min(4, grid.exactness // 2) + 1)]
     legendre = multipole.legendre_table(max(top, len(randoms)), grid.theta)
-    spectra = [multipole.quadrature_multipoles(f, grid, legendre) for f in
-               [f for sector in rows for f in sector] + [husimi_fourier(b, grid) for b in randoms]]
-    pad, eta = padded_cutoff(report.config.cutoff_h), report.config.efficiency
+    waves = _waves(top + 1, grid.phi)
+    parts = {a: np.zeros(res.q.values.shape) for a, res in enumerate(kept) if res.q is not None}
+    stacks, rhos, dual, integrals = [], [], [], []
+    for n in sizes:
+        group = [(a, b) for a, b in owned if b.photon_number == n]
+        stacks.append(np.stack([b.block for _, b in group]))
+        rhos.append(multipole.multipole_stack(n, stacks[-1]))
+        rows = diagonal_sums(stacks[-1], _coherent_products(n, grid))  # [block, theta, q]
+        integral = multipole.quadrature_multipoles(rows, grid, legendre)
+        dual.append(dual_route_gap(rhos[-1], integral))
+        rows[..., 1:] *= 2.0  # the q < 0 diagonals conjugate the q > 0 ones
+        for (a, b), f in zip(group, rows):
+            q = QFunction(grid, _fourier_sums(f.T, waves))
+            integrals.append(husimi_manifold_gap(b, q))
+            if a in parts:
+                parts[a] += b.weight * (b.dim / FOUR_PI) * q.values
+    model, pad = report.config.noise_model, padded_cutoff(report.config.cutoff_h)
+    core = ModeState(pad, squeezed_thermal(model.squeeze_parameter, model.thermal_occupation, pad))
     on_grid = f"on grid L {report.grid_l}"
     return [
         _worst(f"spherical-harmonic orthonormality, degrees {', '.join(map(str, degrees))} "
                f"{on_grid}", [harmonic_orthonormality(grid, degrees, legendre)]),
         _worst(f"Clebsch-Gordan orthonormality, {len(sizes)} tables 2S <= {top}",
                map(cg_orthonormality, sizes)),
-        _worst(f"scaled dual-route multipoles, {len(blocks)} reported blocks {on_grid}",
-               map(dual_route_gap, blocks, spectra[:len(blocks)])),
+        _worst(f"scaled dual-route multipoles, {len(owned)} reported blocks {on_grid}", dual),
         _worst(f"scaled dual-route multipoles, {len(randoms)} random complex blocks "
-               f"2S <= {len(randoms)}", map(dual_route_gap, randoms, spectra[len(blocks):])),
-        _worst(f"total Husimi integral, {len(totals)} amplitudes {on_grid}",
-               (husimi_total_gap(res.sector, res.q) for res, _, _ in totals)),
-        _worst(f"total Husimi map against its manifold maps, {len(totals)} amplitudes {on_grid}",
-               (husimi_parts_gap(res.q, sector, parts) for res, sector, parts in totals)),
-        _worst(f"manifold Husimi integral, {len(blocks)} reported blocks {on_grid}",
-               map(husimi_manifold_gap, blocks, [q for parts in maps for q in parts])),
-        _worst(f"loss channel trace, thermal state on {pad + 1} levels at eta {eta}",
-               [loss_trace_gap(ModeState(pad, squeezed_thermal(0, 0.7, pad)), eta)]),
+               f"2S <= {len(randoms)}", (dual_route_gap(multipole.multipoles_algebraic(b).rho,
+               multipole.quadrature_multipoles(husimi_fourier(b, grid).T[None], grid, legendre))
+               for b in randoms)),
+        _worst(f"total Husimi integral, {len(parts)} amplitudes {on_grid}",
+               (husimi_total_gap(kept[a].sector, kept[a].q) for a in parts)),
+        _worst(f"total Husimi map against its manifold maps, {len(parts)} amplitudes {on_grid}",
+               (husimi_parts_gap(kept[a].q, p) for a, p in parts.items())),
+        _worst(f"manifold Husimi integral, {len(owned)} reported blocks {on_grid}", integrals),
+        _worst(f"loss channel trace, the run's squeezed thermal core on {pad + 1} levels at eta "
+               f"{model.efficiency:g}", [loss_trace_gap(core, model.efficiency)]),
         _worst(f"one-photon manifold xi2 = 1, {len(halves)} amplitudes",
                map(spin_half_xi2_gap, halves)),
         _worst(f"Stokes moments of the mode diagonals against moment_stack, "
                f"{len(block_summaries)} reported blocks",
                [stokes_route_gap(block_summaries, summaries if kept else [])]),
-        _worst(f"photon-number parity zeros, V mode, {len(blocks)} reported blocks, their "
+        _worst(f"photon-number parity zeros, V mode, {len(owned)} reported blocks, their "
                f"multipoles and {len(summaries)} mean Stokes vectors",
-               [parity_gap(report.rho_v, blocks, summaries)]),
+               [parity_gap(report.rho_v, stacks, rhos, summaries)]),
     ]

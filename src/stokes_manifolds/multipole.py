@@ -42,8 +42,8 @@ def legendre_table(top: int, theta) -> np.ndarray:
 @dataclass(frozen=True)
 class MultipoleSpectrum:
     """Multipoles of one manifold: rho[K, q] for K = 0..2S and the orders
-    q = 0..2S, zero where q > K; the algebraic route keeps a real block's
-    real.  A Hermitian block fixes the negative orders as
+    q = 0..2S, zero where q > K; both routes keep a real block's real.
+    A Hermitian block fixes the negative orders as
     rho_{K,-q} = (-1)^q conj(rho_Kq), so they are not stored."""
 
     rho: np.ndarray
@@ -73,23 +73,21 @@ def stretched_cg(two_s: int) -> np.ndarray:
 
 
 def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpectrum:
-    """`quadrature_multipoles` of the block's `husimi_fourier` rows."""
-    return quadrature_multipoles(husimi_fourier(block, grid), grid,
-                                 legendre_table(block.photon_number, grid.theta))
+    """`quadrature_multipoles` of the block's `husimi_fourier` rows, as a stack of one."""
+    rows = husimi_fourier(block, grid).T[None]
+    return MultipoleSpectrum(
+        quadrature_multipoles(rows, grid, legendre_table(block.photon_number, grid.theta))[0])
 
 
-def quadrature_multipoles(f, grid: SphereGrid, legendre) -> MultipoleSpectrum:
-    """The projection of Q^(S) onto Y*_Kq, from a spin-S block's rows f = `husimi_fourier`
-    and a `legendre_table` of the theta nodes to degree >= 2S, both left as they are:
-    rho_Kq = sqrt((2S+1)/4pi) / C_K * 2pi sum_theta w_theta P_Kq(theta) F_q(theta), with
-    C_K = <S S; K 0 | S S> (Agarwal, PRA 24, 2889 (1981)), one matvec per q >= 0."""
-    two_s = len(f) - 1
-    f = f * grid.weights.sum(axis=1)  # 2pi w_theta F_q
-    rho = np.zeros((two_s + 1, two_s + 1), dtype=complex)  # [K, q >= 0]
-    for q in range(two_s + 1):
-        rho[q:, q] = legendre[q, q:two_s + 1] @ f[q]
-    rho *= (math.sqrt((two_s + 1) / FOUR_PI) / stretched_cg(two_s))[:, None]
-    return MultipoleSpectrum(rho)
+def quadrature_multipoles(rows, grid: SphereGrid, legendre) -> np.ndarray:
+    """The projections rho[n, K, q >= 0] of the maps Q^(S) onto Y*_Kq, from the Husimi rows
+    [n, theta, q] of a stack of spin-S blocks and a `legendre_table` of the theta nodes to
+    degree >= 2S, both left as they are: rho_Kq = sqrt((2S+1)/4pi) / C_K * 2pi sum_theta
+    w_theta P_Kq(theta) F_q(theta), C_K = <S S; K 0 | S S> (Agarwal, PRA 24, 2889 (1981)),
+    as one product batched over q; the table's zeros at K < q give rho's."""
+    dim = rows.shape[-1]
+    rho = legendre[:dim, :dim] @ (rows * grid.weights.sum(axis=1)[:, None]).T  # [q, K, n]
+    return rho.T * (math.sqrt(dim / FOUR_PI) / stretched_cg(dim - 1))[:, None]
 
 
 # largest |Gram - 1| entry a Clebsch-Gordan table may show before it is refused

@@ -170,13 +170,10 @@ def _fourier_sums(f: np.ndarray, waves: tuple) -> np.ndarray:
 
 
 def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
-    """Q^(S)(n) = <S, n| rho |S, n> over the grid nodes: `husimi_map` of its rows."""
-    return husimi_map(husimi_fourier(block, grid), grid)
-
-
-def husimi_map(f: np.ndarray, grid: SphereGrid) -> QFunction:
-    """Q^(S) = Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta) from rows f, left as they are."""
-    f = np.concatenate((f[:1], 2.0 * f[1:]))  # the q < 0 diagonals conjugate the q > 0 ones
+    """Q^(S)(n) = <S, n| rho |S, n> = Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta) over
+    the grid nodes, from the block's `husimi_fourier` rows."""
+    f = husimi_fourier(block, grid)
+    f[1:] *= 2.0  # the q < 0 diagonals conjugate the q > 0 ones
     return QFunction(grid, _fourier_sums(f, _waves(len(f), grid.phi)))
 
 

@@ -21,7 +21,8 @@ it: the squeeze operator, exponentiated at a padded size, on a diagonal
 thermal state, displaced before the loss.  The package takes the squeezed
 thermal state from its Gaussian recurrence and displaces one shared lossy
 core by sqrt(eta) alpha, with D's entries from Laguerre's recurrence; their
-closed form, evaluated in mpmath, is the displacement's oracle.
+closed form, evaluated in mpmath, is the displacement's oracle, and the whole
+mode's is its Gaussian's Hermite recurrence in mpmath, from the dB levels.
 """
 
 import csv
@@ -119,6 +120,46 @@ def exact_displacement(alpha, m, n, dps=50):
             m, n, a = n, m, -mpmath.conj(a)
         return (mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m)) * a ** (m - n)
                 * mpmath.exp(-x / 2) * mpmath.laguerre(n, m - n, x))
+
+
+# -- each mode from its Gaussian, in mpmath -------------------------------------
+
+def exact_mode(sq, anti, eta, alpha, cutoff, dps=40):
+    """The model's mode on photon numbers 0..cutoff, float64 for a real alpha and
+    complex128 otherwise, from its Gaussian by the two-index Hermite recurrence
+    (Miatto & Quesada, Quantum 4, 366 (2020)) in mpmath at `dps` digits, built
+    from the dB levels alone.  Loss keeps the state Gaussian: V' = diag(v_x, v_p)
+    with v = (eta 10^{-+dB/10} + 1 - eta)/2, and d' = sqrt(2 eta) (Re alpha,
+    Im alpha).  With Sigma = V' + I/2 and M = [[1, 1], [i, -i]]/sqrt(2), which
+    maps z = (alpha*, beta) to (x, p), <alpha|rho|beta> e^{(|alpha|^2+|beta|^2)/2}
+    = T exp(z^T A z/2 + b^T z) with A = [[0, 1], [1, 0]] - M^T Sigma^-1 M,
+    b = M^T Sigma^-1 d' and T = e^{-d'^T Sigma^-1 d'/2}/sqrt(det Sigma), so
+    sqrt(m+1) rho_{m+1,n} = b_1 rho_mn + A_11 sqrt(m) rho_{m-1,n} + A_12 sqrt(n) rho_{m,n-1},
+    from row 0, which follows sqrt(n+1) rho_{0,n+1} = b_2 rho_0n + A_22 sqrt(n) rho_{0,n-1}."""
+    with mpmath.workdps(dps):
+        eta = mpmath.mpf(eta)
+        v = [(eta * mpmath.power(10, mpmath.mpf(db) / 10) + 1 - eta) / 2 for db in (-sq, anti)]
+        sigma = mpmath.diag([x + mpmath.mpf(1) / 2 for x in v])
+        inv = mpmath.inverse(sigma)
+        a = mpmath.mpc(alpha)
+        d = mpmath.sqrt(2 * eta) * mpmath.matrix([a.real, a.imag])
+        m = mpmath.matrix([[1, 1], [1j, -1j]]) / mpmath.sqrt(2)
+        big_a = mpmath.matrix([[0, 1], [1, 0]]) - m.T * inv * m
+        b = m.T * inv * d
+        t = mpmath.exp(-(d.T * inv * d)[0, 0] / 2) / mpmath.sqrt(mpmath.det(sigma))
+        real = a.imag == 0
+        a11, a12, a22, b1, b2 = (x.real if real else x for x in
+                                 (big_a[0, 0], big_a[0, 1], big_a[1, 1], b[0], b[1]))
+        root = [mpmath.sqrt(k) for k in range(cutoff + 1)]
+        rho = [[mpmath.mpf(0)] * (cutoff + 1) for _ in range(cutoff + 1)]
+        rho[0][0] = t  # an index -1 below always meets the factor sqrt(0)
+        for n in range(cutoff):
+            rho[0][n + 1] = (b2 * rho[0][n] + a22 * root[n] * rho[0][n - 1]) / root[n + 1]
+        for k in range(cutoff):
+            for n in range(cutoff + 1):
+                step = b1 * rho[k][n] + a11 * root[k] * rho[k - 1][n]
+                rho[k + 1][n] = (step + a12 * root[n] * rho[k][n - 1]) / root[k + 1]
+        return np.array(rho, dtype=float if real else complex)
 
 
 # -- operators exponentiated by eigendecomposition, and the thermal state -------

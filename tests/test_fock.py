@@ -27,6 +27,7 @@ from oracles import (
     dense_loss,
     direct_synthesis,
     exact_displacement,
+    exact_mode,
     lossy_gaussian_mode,
     lowering_operator,
     mean_photon_number,
@@ -299,6 +300,29 @@ class TestThermalAndLoss:
         want = np.zeros((11, 11))
         want[0, 0] = state.trace
         assert np.max(np.abs(out.entries - want)) < 1e-14
+
+
+def _relative_gap(got, want) -> float:
+    """Largest |got - want| over the largest |want|."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestExactMode:
+    """Each mode against its Gaussian's Hermite recurrence in mpmath
+    (`oracles.exact_mode`), which reads the dB levels and not `NoiseModel`."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.57, 1.13, 2.31])
+    def test_synthesize_mode_matches_exact_mode(self, alpha):
+        # at cutoff 48 the Kraus loss's truncation at the pad is below roundoff
+        got = synthesize_mode(NoiseModel(3.6, 4.4, 0.85), alpha, 48).entries
+        assert _relative_gap(got, exact_mode(3.6, 4.4, 0.85, alpha, 48)) <= 2e-15, alpha
+
+    @pytest.mark.parametrize("cutoff", [24, 48])
+    def test_squeezed_thermal_matches_exact_mode(self, cutoff):
+        # the undisplaced lossless Gaussian of 6/9 dB, from the fitted (r, nbar)
+        r, nbar = fit_noise_parameters(6.0, 9.0)
+        want = exact_mode(6.0, 9.0, 1.0, 0.0, cutoff)
+        assert _relative_gap(squeezed_thermal(r, nbar, cutoff), want) <= 1e-15
 
 
 class TestSynthesis:

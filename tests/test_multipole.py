@@ -320,7 +320,8 @@ class TestSphericalHarmonics:
             assert abs(minus - (-1.0) ** q * np.conj(plus)) < 1e-13
 
     def test_grid_orthonormality(self):
-        value, _ = harmonic_orthonormality(build_quadrature_grid(24), (0, 5, 7, 9, 12))
+        grid = build_quadrature_grid(24)
+        value, _ = harmonic_orthonormality(grid, (0, 5, 7, 9, 12), legendre_table(12, grid.theta))
         assert value < 1e-12
 
     def test_orthonormality_matches_mesh_gram(self):
@@ -338,7 +339,7 @@ class TestSphericalHarmonics:
                            for row in terms])
         gram = harmonic_gram(grid, degrees, legendre_table(12, grid.theta))
         assert gram.shape == summed.shape and np.max(np.abs(gram - summed)) < 1e-15
-        value, bound = harmonic_orthonormality(grid, degrees)
+        value, bound = harmonic_orthonormality(grid, degrees, legendre_table(12, grid.theta))
         assert value == float(np.max(np.abs(gram - np.eye(len(gram))))) and bound == 1e-12
 
     def test_orthonormality_finds_aliased_phi(self):
@@ -347,7 +348,8 @@ class TestSphericalHarmonics:
         phi = 2.0 * math.pi * np.arange(13) / 13
         weights = np.repeat(grid.weights.sum(axis=1)[:, None] / 13, 13, axis=1)
         coarse = SphereGrid(grid.theta, phi, weights, grid.exactness)
-        assert harmonic_orthonormality(coarse, (0, 1, 11, 12))[0] > 0.5
+        table = legendre_table(12, coarse.theta)
+        assert harmonic_orthonormality(coarse, (0, 1, 11, 12), table)[0] > 0.5
 
     def test_legendre_table_rows_do_not_depend_on_top(self):
         # a step of the recurrence never reads the top degree, so the rows of
@@ -371,6 +373,11 @@ class TestSphericalHarmonics:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             spherical_harmonic(2, 3, 0.0, 0.0)
+
+
+def _dual_gap(block, grid) -> float:
+    """`dual_route_gap` of a block's two multipole routes on the grid."""
+    return dual_route_gap(multipoles_algebraic(block).rho, multipoles_integral(block, grid).rho)[0]
 
 
 class TestMultipoles:
@@ -400,7 +407,7 @@ class TestMultipoles:
         grid = build_quadrature_grid(16)
         for two_j in range(1, 9):
             block = random_block(two_j / 2.0, rng)
-            assert dual_route_gap(block, multipoles_integral(block, grid))[0] < 1e-13, two_j
+            assert _dual_gap(block, grid) < 1e-13, two_j
 
     def test_stretched_cg_matches_racah_oracle(self):
         for two_s in range(49):
@@ -413,13 +420,13 @@ class TestMultipoles:
         grid = build_quadrature_grid(48)
         for two_s in range(9, 25):
             block = random_block(two_s / 2.0, rng)
-            assert dual_route_gap(block, multipoles_integral(block, grid))[0] < 1e-12, two_s
+            assert _dual_gap(block, grid) < 1e-12, two_s
 
     @pytest.mark.parametrize("cutoff,degree", [(24, 48), (48, 96)])
     def test_dual_route_on_default_ladder(self, cutoff, degree):
         grid = build_quadrature_grid(degree)
         for block in default_ladder_blocks(cutoff):
-            assert dual_route_gap(block, multipoles_integral(block, grid))[0] < 1e-12, block.spin
+            assert _dual_gap(block, grid) < 1e-12, block.spin
 
     def test_quadrature_route_works_on_theta_nodes(self, monkeypatch):
         # one Legendre table to degree 2S, evaluated on the n_theta Gauss

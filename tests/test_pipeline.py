@@ -510,15 +510,11 @@ class TestComputedOnce:
 
     def test_check_forms_each_oracle_once(self, monkeypatch, capsys):
         # one `check` runs one sweep, synthesizes only the sweep's modes (the
-        # V mode once), forms the Husimi Fourier rows of each of the 100
-        # reported and 4 random blocks once, for one map per reported block
-        # and the quadrature multipoles of all 104, one block-route Stokes
-        # summary per reported block N > 0, and one Legendre table of its 25
-        # orders on the theta nodes alone, never on the 2-D mesh
+        # V mode once), forms one block-route Stokes summary per reported
+        # block N > 0, and one Legendre table of its 25 orders on the theta
+        # nodes alone, never on the 2-D mesh
         sweeps = _record_calls(monkeypatch, "run_sweep", [cli, pipeline])
         modes = _record_calls(monkeypatch, "synthesize_mode", [pipeline, fock])
-        rows = _record_calls(monkeypatch, "husimi_fourier", [invariants, sphere, multipole])
-        maps = _record_calls(monkeypatch, "husimi_map", [invariants, sphere])
         routes = _record_calls(monkeypatch, "manifold_stokes_summary", [invariants, stokes])
         tables = []
 
@@ -530,10 +526,32 @@ class TestComputedOnce:
         assert main(["check"]) == 0
         assert "all 11 checks passed" in capsys.readouterr().out
         assert len(sweeps) == 1 and len(modes) == 1 + len(DEFAULT_ALPHAS)
-        assert len(rows) == 104 and len({id(b) for b in rows}) == 104
-        assert len(maps) == 100 and len({id(f) for f in maps}) == 100
         assert len(routes) == 1 and len(routes[0]) == 96
         assert tables == [(24, 1)] and sum(top + 1 for top, _ in tables) <= 25
+
+    def test_suite_forms_each_size_table_once(self, monkeypatch):
+        # the default report's 100 blocks hold 25 sizes 2S = 0..24: each size
+        # is stacked once, and its one stack gets one table of coherent
+        # products and one `multipole_stack`, as does each of the 4 random
+        # blocks 2S = 1..4 (29 of each); every map reads one `_waves` table
+        report = run_sweep(RunConfig())
+        built = _record_calls(monkeypatch, "_coherent_products", [invariants, sphere])
+        stacked = []
+
+        def contract(two_s, blocks, _original=multipole.multipole_stack):
+            stacked.append((two_s, blocks))
+            return _original(two_s, blocks)
+
+        monkeypatch.setattr(multipole, "multipole_stack", contract)
+        waves = _record_calls(monkeypatch, "_waves", [invariants, sphere])
+        assert all(worst <= bound for _, worst, bound in invariants.suite(report))
+        sizes = list(range(25)) + [1, 2, 3, 4]
+        assert built == sizes and [n for n, _ in stacked] == sizes
+        assert waves == [25]
+        reported = [b for res in report.results for b in res.sector.reported()]
+        for n, stack in stacked[:25]:
+            assert np.array_equal(stack, np.stack([b.block for b in reported
+                                                   if b.photon_number == n]))
 
 
 class TestEmitScope:
@@ -703,8 +721,9 @@ class TestLiveManifolds:
 
     def test_check_lines_at_run_size(self):
         # `run --alpha 7 --cutoff 160` reports 2S <= 81 on grid L 320: the
-        # suite holds its memory to the rows and maps of its 71 blocks, with
-        # no (theta, phi) mesh array of harmonics, and ten lines hold; the
+        # suite holds one size's rows and one map at a time beside the
+        # amplitude's parts (152 MB traced when it kept every block's map),
+        # with no (theta, phi) mesh array of harmonics, and ten lines hold; the
         # harmonic line reads 3.16e-12, above its bound, from the Gauss weights
         # that `numpy.polynomial.legendre.leggauss` gives at 321 nodes
         report = run_sweep(RunConfig(alphas=(7.0,), cutoff_h=160, cutoff_v=160,
@@ -715,7 +734,7 @@ class TestLiveManifolds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 300e6, peak
+        assert peak < 60e6, peak
         assert len(lines) == 11 and all(worst <= bound for _, worst, bound in lines[1:]), lines
         assert lines[0][0] == "spherical-harmonic orthonormality, degrees 0, 1, 80, 81 on grid L 320"
         assert 1e-12 < lines[0][1] < 1e-11 and lines[0][2] == 1e-12
@@ -1457,18 +1476,23 @@ class TestCli:
         rho_v = synthesize_mode(config.noise_model, 0.0, config.cutoff_v)
         blocks = [b for res in report.results for b in res.sector.reported()]
         summaries = [s for res in report.results for s in res.manifold_summaries]
-        assert invariants.parity_gap(rho_v, blocks, summaries) == (0.0, 0.0)
-        i = next(k for k, b in enumerate(blocks) if b.photon_number == 6)
-        tampered = blocks[i].block.copy()
-        tampered[2, 3] = tampered[3, 2] = 1e-300
-        blocks[i] = ManifoldBlock(blocks[i].spin, blocks[i].weight, tampered)
-        assert invariants.parity_gap(rho_v, blocks, summaries)[0] == 1e-300
+        stacks = [np.stack([b.block for b in blocks if b.photon_number == n])
+                  for n in sorted({b.photon_number for b in blocks})]
+        rhos = [multipole.multipole_stack(len(s[0]) - 1, s) for s in stacks]
+        assert invariants.parity_gap(rho_v, stacks, rhos, summaries) == (0.0, 0.0)
+        i = next(k for k, s in enumerate(stacks) if len(s[0]) == 7)
+        tampered = [s.copy() for s in stacks]
+        tampered[i][0, 2, 3] = tampered[i][0, 3, 2] = 1e-300
+        assert invariants.parity_gap(rho_v, tampered, rhos, summaries)[0] == 1e-300
+        odd = [r.copy() for r in rhos]
+        odd[i][0, 3, 1] = 1e-300
+        assert invariants.parity_gap(rho_v, stacks, odd, summaries)[0] == 1e-300
         summaries[0] = dataclasses.replace(summaries[0], mean=np.array([0.0, 1e-300, 0.5]))
-        assert invariants.parity_gap(rho_v, blocks[:i], summaries)[0] == 1e-300
+        assert invariants.parity_gap(rho_v, stacks, rhos, summaries)[0] == 1e-300
         entries = rho_v.entries.copy()
         entries[0, 1] = entries[1, 0] = -1e-300
         tilted = ModeState(rho_v.cutoff, entries)
-        assert invariants.parity_gap(tilted, blocks[:i], summaries[1:])[0] == 1e-300
+        assert invariants.parity_gap(tilted, stacks, rhos, summaries[1:])[0] == 1e-300
 
     def test_check_guard_exit(self, capsys, corrupt_cg_tables):
         assert main(["check"]) == 2
@@ -1481,9 +1505,46 @@ class TestCli:
         assert main(["check"]) == 2
         out, err = capsys.readouterr()
         assert [ln for ln in out.splitlines() if "FAIL" in ln] == [
-            f"[FAIL] loss channel trace, thermal state on 47 levels at eta 0.85: "
+            f"[FAIL] loss channel trace, the run's squeezed thermal core on 47 levels at eta 0.85: "
             f"worst {value:.2e}, bound 1e-12"]
         assert err == f"1 of {out.count(chr(10))} checks failed\n"
+
+    @pytest.mark.parametrize("apply_loss, label", [(True, "0.85"), (False, "1")])
+    def test_loss_line_checks_the_run_core(self, monkeypatch, apply_loss, label):
+        # the loss line checks the core the run builds, squeezed thermal at the
+        # model's r and nbar on the padded levels, at the eta the run applied:
+        # 1 when apply_loss is false, whatever `efficiency` says
+        checked = []
+
+        def gap(state, eta, _original=invariants.loss_trace_gap):
+            checked.append((state, eta))
+            return _original(state, eta)
+
+        monkeypatch.setattr(invariants, "loss_trace_gap", gap)
+        config = RunConfig(alphas=(0.0,), apply_loss=apply_loss, emit=("squeezing_csv",))
+        name, worst, bound = invariants.suite(run_sweep(config))[7]
+        assert name == ("loss channel trace, the run's squeezed thermal core on 47 levels "
+                        f"at eta {label}")
+        assert worst <= 1e-15 and bound == 1e-12
+        model = config.noise_model
+        [(state, eta)] = checked
+        assert eta == model.efficiency == float(label)
+        core = fock.squeezed_thermal(model.squeeze_parameter, model.thermal_occupation, 46)
+        assert np.array_equal(state.entries, ModeState(46, core).entries)
+
+    def test_run_leaves_the_suite_unloaded(self, tmp_path):
+        # only `check` imports the invariant suite, so a cold `run` never
+        # compiles or executes it
+        script = (
+            "import sys\n"
+            "from stokes_manifolds.cli import main\n"
+            "code = main(['run', '--alpha', '0', '--cutoff', '12', '--grid-l', '24',"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "print('exit', code, 'stokes_manifolds.invariants' in sys.modules)\n"
+        )
+        proc = _run_python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit 0 False", proc.stdout
 
     def test_default_run_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
         # every file keeps its bytes from one BLAS thread to two, at the

@@ -28,6 +28,11 @@ from stokes_manifolds.sphere import (
 from oracles import default_ladder_blocks, default_ladder_sectors, mesh, rotation_matrix
 
 
+def _parts(blocks, maps):
+    """sum_S P_S (2S+1)/(4 pi) Q^(S) of the blocks' maps, the sum a total Q adds up."""
+    return sum(b.weight * (b.dim / FOUR_PI) * m.values for b, m in zip(blocks, maps, strict=True))
+
+
 def su2_overlap_amplitudes(spin, theta, phi):
     """Amplitudes <S, m|S, n> for m = S, ..., -S, broadcast over theta/phi:
     sqrt(C(2S, S+m)) cos^{S+m}(theta/2) sin^{S-m}(theta/2) e^{-i m phi}."""
@@ -236,7 +241,7 @@ class TestHusimiTotal:
             q = husimi_total(sector, grid)
             blocks = sector.reported()
             maps = [husimi_manifold(b, grid) for b in blocks]
-            assert husimi_parts_gap(q, blocks, maps)[0] < 1e-14
+            assert husimi_parts_gap(q, _parts(blocks, maps))[0] < 1e-14
             assert q.spins == tuple(b.spin for b in blocks)
             assert q.equator.shape == (len(blocks), grid.n_phi)
             for row, block, part in zip(q.equator, blocks, maps):
@@ -249,7 +254,8 @@ class TestHusimiTotal:
                                           for b in blocks))
         grid = build_quadrature_grid(16)
         maps = [husimi_manifold(b, grid) for b in sector.reported()]
-        assert husimi_parts_gap(husimi_total(sector, grid), sector.reported(), maps)[0] < 1e-14
+        parts = _parts(sector.reported(), maps)
+        assert husimi_parts_gap(husimi_total(sector, grid), parts)[0] < 1e-14
 
     @pytest.mark.parametrize("grid_l", [48, 96])
     def test_totals_match_each_sector_alone(self, grid_l):
