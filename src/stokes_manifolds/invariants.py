@@ -12,9 +12,9 @@ import numpy as np
 
 from . import multipole
 from .fock import ModeState, loss_channel, padded_cutoff, squeezed_thermal
-from .polar import ManifoldBlock, diagonal_sums
-from .sphere import (FOUR_PI, QFunction, _coherent_products, _fourier_sums, _waves,
-                     build_quadrature_grid, husimi_fourier)
+from .polar import ManifoldBlock
+from .sphere import (FOUR_PI, QFunction, build_quadrature_grid, fourier_table, husimi_maps,
+                     husimi_rows)
 from .stokes import manifold_stokes_summary
 
 
@@ -38,9 +38,10 @@ def harmonic_orthonormality(grid, degrees, legendre) -> tuple[float, float]:
 
 
 def cg_orthonormality(two_s: int) -> tuple[float, float]:
-    """Largest |Gram - 1| of the cached Clebsch-Gordan table of 2S, which
-    `cg_table` refuses with ValueError above the bound."""
-    return multipole.cg_table_deviation(multipole.cg_table(two_s)), multipole.CG_TABLE_TOL
+    """Largest |Gram - 1| of the cached Clebsch-Gordan table of 2S, as `cg_table` measured
+    it when it built the table, refusing it with ValueError above the bound."""
+    multipole.cg_table(two_s)
+    return multipole.CG_DEVIATIONS[two_s], multipole.CG_TABLE_TOL
 
 
 def dual_route_gap(algebraic, integral) -> tuple[float, float]:
@@ -116,7 +117,7 @@ def _worst(name: str, pairs) -> tuple[str, float, float]:
 
 def suite(report) -> list[tuple[str, float, float]]:
     """(name, worst value, bound) of each invariant on what a `RunReport` holds, its
-    blocks, total Qs, summaries and V mode: one Legendre and one `_waves` table, one
+    blocks, total Qs, summaries and V mode: one Legendre and one `fourier_table`, one
     pass per reported 2S, each map summed into its amplitude's parts and dropped, and
     random complex blocks, 2S <= 4, for the dual route, as real alphas give real
     blocks.  A line with nothing to check holds at worst 0."""
@@ -132,22 +133,20 @@ def suite(report) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng(20240817)
     randoms = [random_block(n / 2.0, rng) for n in range(1, min(4, grid.exactness // 2) + 1)]
     legendre = multipole.legendre_table(max(top, len(randoms)), grid.theta)
-    waves = _waves(top + 1, grid.phi)
+    table = fourier_table(top + 1, grid)
     parts = {a: np.zeros(res.q.values.shape) for a, res in enumerate(kept) if res.q is not None}
     stacks, rhos, dual, integrals = [], [], [], []
     for n in sizes:
         group = [(a, b) for a, b in owned if b.photon_number == n]
         stacks.append(np.stack([b.block for _, b in group]))
         rhos.append(multipole.multipole_stack(n, stacks[-1]))
-        rows = diagonal_sums(stacks[-1], _coherent_products(n, grid))  # [block, theta, q]
+        rows = husimi_rows(stacks[-1], grid)  # [block, theta, q]
         integral = multipole.quadrature_multipoles(rows, grid, legendre)
         dual.append(dual_route_gap(rhos[-1], integral))
-        rows[..., 1:] *= 2.0  # the q < 0 diagonals conjugate the q > 0 ones
-        for (a, b), f in zip(group, rows):
-            q = QFunction(grid, _fourier_sums(f.T, waves))
-            integrals.append(husimi_manifold_gap(b, q))
+        for (a, b), values in zip(group, husimi_maps(rows, table)):
+            integrals.append(husimi_manifold_gap(b, QFunction(grid, values)))
             if a in parts:
-                parts[a] += b.weight * (b.dim / FOUR_PI) * q.values
+                parts[a] += b.weight * (b.dim / FOUR_PI) * values
     model, pad = report.config.noise_model, padded_cutoff(report.config.cutoff_h)
     core = ModeState(pad, squeezed_thermal(model.squeeze_parameter, model.thermal_occupation, pad))
     on_grid = f"on grid L {report.grid_l}"
@@ -159,7 +158,7 @@ def suite(report) -> list[tuple[str, float, float]]:
         _worst(f"scaled dual-route multipoles, {len(owned)} reported blocks {on_grid}", dual),
         _worst(f"scaled dual-route multipoles, {len(randoms)} random complex blocks "
                f"2S <= {len(randoms)}", (dual_route_gap(multipole.multipoles_algebraic(b).rho,
-               multipole.quadrature_multipoles(husimi_fourier(b, grid).T[None], grid, legendre))
+               multipole.quadrature_multipoles(husimi_rows(b.block[None], grid), grid, legendre))
                for b in randoms)),
         _worst(f"total Husimi integral, {len(parts)} amplitudes {on_grid}",
                (husimi_total_gap(kept[a].sector, kept[a].q) for a in parts)),

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polar import ManifoldBlock, diagonal_order, diagonal_sums
-from .sphere import FOUR_PI, SphereGrid, husimi_fourier
+from .sphere import FOUR_PI, SphereGrid, husimi_rows
 
 
 def legendre_table(top: int, theta) -> np.ndarray:
@@ -73,8 +73,8 @@ def stretched_cg(two_s: int) -> np.ndarray:
 
 
 def multipoles_integral(block: ManifoldBlock, grid: SphereGrid) -> MultipoleSpectrum:
-    """`quadrature_multipoles` of the block's `husimi_fourier` rows, as a stack of one."""
-    rows = husimi_fourier(block, grid).T[None]
+    """`quadrature_multipoles` of the block's `husimi_rows`, as a stack of one."""
+    rows = husimi_rows(block.block[None], grid)
     return MultipoleSpectrum(
         quadrature_multipoles(rows, grid, legendre_table(block.photon_number, grid.theta))[0])
 
@@ -92,6 +92,7 @@ def quadrature_multipoles(rows, grid: SphereGrid, legendre) -> np.ndarray:
 
 # largest |Gram - 1| entry a Clebsch-Gordan table may show before it is refused
 CG_TABLE_TOL = 1e-10
+CG_DEVIATIONS: dict[int, float] = {}  # by 2S, of each table `cg_table` has built
 
 
 def _cg_recursion(two_s: int, i_out: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -171,7 +172,7 @@ def cg_table(two_s: int) -> np.ndarray:
     order = diagonal_order(two_s + 1)
     table = _cg_recursion(two_s, order.i_out, order.i_in - order.i_out)
     table *= order.signs[order.i_in]
-    deviation = cg_table_deviation(table)
+    deviation = CG_DEVIATIONS[two_s] = cg_table_deviation(table)
     if not deviation <= CG_TABLE_TOL:
         raise ValueError(
             f"Clebsch-Gordan table of S={two_s / 2:g} is not orthonormal: "

@@ -11,14 +11,14 @@ so Q^(S) of a Hermitian block is an azimuthal Fourier series,
     Q^(S)(theta, phi) = Re sum_{q>=0} (2 - delta_q0) e^{i q phi} F_q(theta),
     F_q(theta) = sum_i rho[i, i+q] c_i(theta) c_{i+q}(theta).
 
-The rows F_q of a stack of blocks of one size are the contraction that gives
-the multipoles, `polar.diagonal_sums`, against the table c_i c_{i+q} on the
-n_theta Gauss nodes; no (2S+1) x n_theta x n_phi amplitude table is formed.
-A manifold map multiplies each theta node's row of F by the e^{i q phi} table.
-The total Q is linear in the rows, so `husimi_totals` sums the weighted rows
-of each sweep layer's live blocks first and forms one such map per amplitude;
-of the manifold maps it keeps only the equator row that the ring foliation
-draws.  The rows are real for a real block.
+`husimi_rows` gives the rows F_q of a stack of blocks of one size, the
+multipoles' contraction `polar.diagonal_sums` against the table c_i c_{i+q}
+on the n_theta Gauss nodes; no (2S+1) x n_theta x n_phi amplitude table is
+formed.  The weight 2 - delta_q0 lives in the `fourier_table`, and `husimi_maps`
+multiplies each theta node's row of F by it.  Q is linear in the rows, so
+`husimi_totals` sums the scaled rows of each sweep layer's live blocks first,
+maps them once per amplitude and keeps, of the manifold maps, the equator
+rows the ring foliation draws.  The rows are real for a real block.
 """
 
 from __future__ import annotations
@@ -141,66 +141,62 @@ def _coherent_products(two_j: int, grid: SphereGrid) -> np.ndarray:
     return table
 
 
-def husimi_fourier(block: ManifoldBlock, grid: SphereGrid) -> np.ndarray:
-    """Rows F_q(theta) = sum_i rho[i, i+q] c_i(theta) c_{i+q}(theta) for
-    q = 0..2S on the grid's theta nodes, shape (2S+1, n_theta): the
-    `polar.diagonal_sums` of a stack of one against the coherent products."""
-    return diagonal_sums(block.block[None], _coherent_products(block.photon_number, grid))[0].T
+def husimi_rows(blocks: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """Rows F_q(theta) = sum_i rho[i, i+q] c_i(theta) c_{i+q}(theta), q = 0..2S, of a
+    stack (n, 2S+1, 2S+1) of spin-S blocks on the grid's theta nodes, as [n, theta, q]:
+    one `polar.diagonal_sums` of the stack against one table of coherent products."""
+    return diagonal_sums(blocks, _coherent_products(blocks.shape[-1] - 1, grid))
 
 
-def _waves(count: int, phi: np.ndarray) -> tuple:
-    """The tables cos(q phi) and sin(q phi) at the phi nodes, a row per
-    order q < count."""
-    angles = np.outer(np.arange(count), phi)
-    return np.cos(angles), np.sin(angles)
+def fourier_table(count: int, grid: SphereGrid) -> tuple:
+    """The tables (2 - delta_q0) cos(q phi) and (2 - delta_q0) sin(q phi) at the grid's
+    phi nodes, a row per order q < count.  The weight 2 adds the q < 0 terms, which
+    conjugate the q > 0 ones, and being a power of 2 it changes no product's bits."""
+    angles = np.outer(np.arange(count), grid.phi)
+    weight = np.where(np.arange(count) > 0, 2.0, 1.0)[:, None]
+    return weight * np.cos(angles), weight * np.sin(angles)
 
 
-def _fourier_sums(f: np.ndarray, waves: tuple) -> np.ndarray:
-    """Re sum_q e^{iq phi} f[q] for each column of f, one row of values at the
-    phi nodes per column, from the rows q < len(f) of the `_waves` tables.
-    Each column is its own vector-matrix product with the cosines, and for a
-    complex f one more with the sines, so a row's bits depend only on its
-    column: a manifold's equator row in a total is, bit for bit, that row of
-    its map."""
-    cos, sin = (table[:len(f)] for table in waves)
-    values = (np.ascontiguousarray(f.real.T)[:, None] @ cos)[:, 0]
-    if np.iscomplexobj(f):
-        values -= (np.ascontiguousarray(f.imag.T)[:, None] @ sin)[:, 0]
+def husimi_maps(rows: np.ndarray, table: tuple) -> np.ndarray:
+    """Re sum_q (2 - delta_q0) e^{iq phi} rows[..., q] at the phi nodes, from the orders
+    q < rows.shape[-1] of a `fourier_table`: each row is its own vector-matrix product with
+    the cosines, and with the sines if complex, so its bits depend only on it, and a
+    manifold's equator row in a total is, bit for bit, that row of its map."""
+    cos, sin = (t[:rows.shape[-1]] for t in table)
+    values = (np.ascontiguousarray(rows.real)[..., None, :] @ cos)[..., 0, :]
+    if np.iscomplexobj(rows):
+        values -= (np.ascontiguousarray(rows.imag)[..., None, :] @ sin)[..., 0, :]
     return values
 
 
 def husimi_manifold(block: ManifoldBlock, grid: SphereGrid) -> QFunction:
-    """Q^(S)(n) = <S, n| rho |S, n> = Re sum_q (2 - delta_q0) e^{iq phi} F_q(theta) over
-    the grid nodes, from the block's `husimi_fourier` rows."""
-    f = husimi_fourier(block, grid)
-    f[1:] *= 2.0  # the q < 0 diagonals conjugate the q > 0 ones
-    return QFunction(grid, _fourier_sums(f, _waves(len(f), grid.phi)))
+    """Q^(S)(n) = <S, n| rho |S, n> over the grid nodes: the `husimi_maps` of the
+    block's `husimi_rows`, as a stack of one."""
+    rows = husimi_rows(block.block[None], grid)[0]
+    return QFunction(grid, husimi_maps(rows, fourier_table(block.dim, grid)))
 
 
 def husimi_totals(layers, count: int, grid: SphereGrid) -> list[QFunction]:
-    """The total Q of each of `count` amplitudes from a sweep's `ManifoldLayer`s
-    in increasing N.  The rows G_q(theta) = sum_S P_S (2S+1)/(4 pi)
-    (2 - delta_q0) F_q^S(theta) are summed first, a layer at a time: one table
-    of coherent products and one `diagonal_sums` of the layer's live blocks as
-    stored, whose equator rows are summed as their maps would be.  Each map is
-    the `_fourier_sums` of G.  The rows, and so the totals, are real if every
-    layer is."""
+    """The total Q of each of `count` amplitudes from a sweep's `ManifoldLayer`s in
+    increasing N.  The rows G_q(theta) = sum_S P_S (2S+1)/(4 pi) F_q^S(theta) are summed
+    first, from one `husimi_rows` of each layer's live blocks as stored, whose equator
+    rows are mapped as their maps would be; each total is the `husimi_maps` of G, all
+    with one `fourier_table`.  The rows, and so the totals, are real if every layer is."""
     live = np.array([layer.live for layer in layers], dtype=bool).reshape(len(layers), count)
     photons = np.array([layer.photons for layer in layers], dtype=int)
     dims = np.where(live, photons[:, None] + 1, 1).max(axis=0, initial=1)  # rows of each total
     dtype = np.result_type(float, *{layer.blocks.dtype for layer in layers})
-    totals = np.zeros((count, dims.max(), grid.n_theta), dtype=dtype)
+    totals = np.zeros((count, grid.n_theta, dims.max()), dtype=dtype)
     equators = np.zeros((count, len(layers), grid.n_phi))
-    waves = _waves(dims.max(), grid.phi)
+    table = fourier_table(dims.max(), grid)
     eq = equator_node(grid)
     for j, (layer, mask) in enumerate(zip(layers, live)):
         dim = layer.photons + 1
-        rows = diagonal_sums(layer.blocks, _coherent_products(layer.photons, grid))
-        rows[:, :, 1:] *= 2.0  # [n, theta, q]; the q < 0 diagonals conjugate the q > 0 ones
-        equators[mask, j] = _fourier_sums(rows[:, eq].T, waves)
+        rows = husimi_rows(layer.blocks, grid)  # [n, theta, q]
+        equators[mask, j] = husimi_maps(rows[:, eq], table)
         rows *= (layer.weights * (dim / FOUR_PI))[:, None, None]
-        totals[mask, :dim] += rows.transpose(0, 2, 1)
-    return [QFunction(grid, _fourier_sums(g[:dim], waves),
+        totals[mask, :, :dim] += rows
+    return [QFunction(grid, husimi_maps(g[:, :dim], table),
                       spins=tuple((photons[mask] / 2.0).tolist()), equator=e[mask])
             for g, e, dim, mask in zip(totals, equators, dims, live.T)]
 

@@ -14,7 +14,9 @@ of each manifold, and the heatmaps sampled pixel by pixel.  So are the
 per-block forms of what a sweep computes for every amplitude at once: the
 multipoles as one Clebsch-Gordan diagonal matvec per order q, the aggregated
 W_K summed one block at a time, and the Stokes variance minimised one block
-at a time with the scalar eigenvector tie rule.  The total Stokes summary
+at a time with the scalar eigenvector tie rule.  The Husimi maps are kept as
+the rows F_q, q > 0, doubled before the Fourier products, where the package
+keeps the weight in its Fourier table.  The total Stokes summary
 the package takes from the two modes is kept as the sum over every manifold
 block, each gathered in full.  Each mode is synthesised as the model states
 it: the squeeze operator, exponentiated at a padded size, on a diagonal
@@ -51,7 +53,7 @@ from stokes_manifolds.render import (
     _pixel_plane,
     apply_colormap,
 )
-from stokes_manifolds.sphere import husimi_manifold, nearest_theta_node
+from stokes_manifolds.sphere import FOUR_PI, husimi_manifold, husimi_rows, nearest_theta_node
 from stokes_manifolds.stokes import (
     DIRECTION_EPS,
     MODE_FULL,
@@ -251,6 +253,41 @@ def dense_moments(block):
 def mesh(grid):
     """The (theta, phi) mesh of a tensor grid, each (n_theta, n_phi)."""
     return np.meshgrid(grid.theta, grid.phi, indexing="ij")
+
+
+# -- Husimi maps with the weight 2 - delta_q0 applied to the rows ---------------
+
+def weighted_rows_map(f, phi):
+    """Re sum_q e^{iq phi} f[q] of rows f[q, theta] that already carry the weight
+    2 - delta_q0: one vector-matrix product of each theta column with the
+    cos(q phi) table, and one with the sin(q phi) table for complex rows."""
+    angles = np.outer(np.arange(len(f)), phi)
+    values = (np.ascontiguousarray(f.real.T)[:, None] @ np.cos(angles))[:, 0]
+    if np.iscomplexobj(f):
+        values -= (np.ascontiguousarray(f.imag.T)[:, None] @ np.sin(angles))[:, 0]
+    return values
+
+
+def _doubled_rows(block, grid):
+    """The block's rows F_q[q, theta], those of q > 0 doubled in place."""
+    f = husimi_rows(block.block[None], grid)[0].T.copy()
+    f[1:] *= 2.0  # the q < 0 diagonals conjugate the q > 0 ones
+    return f
+
+
+def doubled_husimi_map(block, grid):
+    """Q^(S) of one block, its q > 0 rows doubled before the Fourier products."""
+    return weighted_rows_map(_doubled_rows(block, grid), grid.phi)
+
+
+def doubled_husimi_total(blocks, grid):
+    """sum_S P_S (2S+1)/(4 pi) Q^(S) of blocks in spin order: each block's doubled
+    rows times P_S (2S+1)/(4 pi) added up, then mapped once."""
+    dtype = np.result_type(float, *(b.block.dtype for b in blocks))
+    g = np.zeros((max(b.dim for b in blocks), len(grid.theta)), dtype=dtype)
+    for b in blocks:
+        g[:b.dim] += _doubled_rows(b, grid) * (b.weight * (b.dim / FOUR_PI))
+    return weighted_rows_map(g, grid.phi)
 
 
 def spherical_harmonic(degree, order, theta, phi):

@@ -439,17 +439,27 @@ class TestComputedOnce:
         # multipoles and Husimi rows share one diagonal contraction
         assert _src_attribute_uses("reduceat") == ["polar.diagonal_sums"]
 
+    def test_no_private_names_of_sphere_or_multipole_imported(self):
+        # the Husimi and multipole kernels are reached by their public names
+        private = []
+        for path in sorted(Path(stokes_manifolds.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").rsplit(".", 1)[-1] in ("sphere", "multipole")):
+                    private += [f"{path.stem}:{alias.name}" for alias in node.names
+                                if alias.name.startswith("_")]
+        assert private == []
+
     def test_emission_makes_no_manifold_map(self, monkeypatch, tmp_path):
         # the totals sum Fourier rows and keep the equator rows the foliation
         # draws, so no per-manifold map is built; no block is contracted on
         # its own: each reported size is one stack of every amplitude's
         # reported blocks of that size, in spin order
         maps = _record_calls(monkeypatch, "husimi_manifold", [sphere, render, pipeline])
-        rows = _record_calls(monkeypatch, "husimi_fourier", [sphere])
-        stacks = _record_calls(monkeypatch, "diagonal_sums", [sphere])
+        stacks = _record_calls(monkeypatch, "husimi_rows", [sphere])
         report = run_sweep(RunConfig(emit=("q_csv", "heatmaps"), **FAST))
         emit_figure_tables(report, tmp_path)
-        assert maps == [] and rows == []
+        assert maps == []
         reported = [b for res in report.results for b in res.sector.reported()]
         sizes = sorted({b.dim for b in reported})
         assert [stack.shape[-1] for stack in stacks] == sizes
@@ -460,19 +470,19 @@ class TestComputedOnce:
     @pytest.mark.parametrize("alphas", [LADDER[2:3], DEFAULT_ALPHAS], ids=len)
     def test_husimi_products_once_per_size(self, monkeypatch, tmp_path, alphas):
         # the sweep's one Husimi call takes the layers it has just gathered,
-        # builds each layer's coherent products once and contracts its live
-        # blocks as stored, however many amplitudes share it
+        # forms each layer's rows once, one table of coherent products, from
+        # its live blocks as stored, however many amplitudes share it, and
+        # builds one Fourier table for every map
         layers = _gathered_layers(monkeypatch)
         totals = _record_calls(monkeypatch, "husimi_totals", [pipeline])
-        built = _record_calls(monkeypatch, "_coherent_products", [sphere])
-        stacks = _record_calls(monkeypatch, "diagonal_sums", [sphere])
+        stacks = _record_calls(monkeypatch, "husimi_rows", [sphere])
+        waves = _record_calls(monkeypatch, "fourier_table", [sphere])
         report = run_sweep(RunConfig(alphas=alphas, emit=("q_csv", "heatmaps")))
         emit_figure_tables(report, tmp_path)
         assert len(totals) == 1 and all(a is b for a, b in zip(totals[0], layers, strict=True))
-        assert all(layer.live.any() for layer in layers)
-        assert built == [layer.photons for layer in layers] and len(layers) == 25
-        assert len(stacks) == len(layers)
-        assert all(stack is layer.blocks for stack, layer in zip(stacks, layers))
+        assert all(layer.live.any() for layer in layers) and len(layers) == 25
+        assert all(stack is layer.blocks for stack, layer in zip(stacks, layers, strict=True))
+        assert waves == [25]
         grid = build_quadrature_grid(report.grid_l)
         assert all(res.q.grid is grid for res in report.results)
 
@@ -492,8 +502,8 @@ class TestComputedOnce:
         # block and builds no coherent products
         report = run_sweep(RunConfig(emit=EMIT_CHOICES, **FAST))
         for module, name in [(pipeline, "husimi_totals"), (sphere, "husimi_totals"),
-                             (sphere, "_coherent_products"), (sphere, "diagonal_sums"),
-                             (polar, "diagonal_sums")]:
+                             (sphere, "husimi_rows"), (sphere, "fourier_table"),
+                             (sphere, "husimi_maps"), (polar, "diagonal_sums")]:
             def refuse(*args, _name=name, **kwargs):
                 raise AssertionError(f"{_name} called by emission")
 
@@ -531,11 +541,13 @@ class TestComputedOnce:
 
     def test_suite_forms_each_size_table_once(self, monkeypatch):
         # the default report's 100 blocks hold 25 sizes 2S = 0..24: each size
-        # is stacked once, and its one stack gets one table of coherent
-        # products and one `multipole_stack`, as does each of the 4 random
-        # blocks 2S = 1..4 (29 of each); every map reads one `_waves` table
+        # is stacked once, and its one stack gets one `husimi_rows` (one table
+        # of coherent products) and one `multipole_stack`, as does each of the
+        # 4 random blocks 2S = 1..4 (29 of each); each size's maps are one
+        # `husimi_maps` call, and every map reads one `fourier_table`
         report = run_sweep(RunConfig())
-        built = _record_calls(monkeypatch, "_coherent_products", [invariants, sphere])
+        rows = _record_calls(monkeypatch, "husimi_rows", [invariants, sphere])
+        mapped = _record_calls(monkeypatch, "husimi_maps", [invariants, sphere])
         stacked = []
 
         def contract(two_s, blocks, _original=multipole.multipole_stack):
@@ -543,15 +555,28 @@ class TestComputedOnce:
             return _original(two_s, blocks)
 
         monkeypatch.setattr(multipole, "multipole_stack", contract)
-        waves = _record_calls(monkeypatch, "_waves", [invariants, sphere])
+        waves = _record_calls(monkeypatch, "fourier_table", [invariants, sphere])
         assert all(worst <= bound for _, worst, bound in invariants.suite(report))
         sizes = list(range(25)) + [1, 2, 3, 4]
-        assert built == sizes and [n for n, _ in stacked] == sizes
+        assert [stack.shape[-1] - 1 for stack in rows] == sizes
+        assert [n for n, _ in stacked] == sizes
         assert waves == [25]
         reported = [b for res in report.results for b in res.sector.reported()]
-        for n, stack in stacked[:25]:
+        assert [len(f) for f in mapped] == [len(stack) for stack in rows[:25]]
+        assert sum(map(len, mapped)) == len(reported)
+        for (n, stack), formed in zip(stacked[:25], rows):
+            assert formed is stack
             assert np.array_equal(stack, np.stack([b.block for b in reported
                                                    if b.photon_number == n]))
+
+    def test_check_measures_each_cg_table_once(self, monkeypatch, capsys):
+        # the Clebsch-Gordan line reads the deviation each cached table was
+        # checked with when it was built: 25 Gram measures for 25 tables
+        multipole.cg_table.cache_clear()
+        measured = _record_calls(monkeypatch, "cg_table_deviation", [multipole])
+        assert main(["check"]) == 0
+        assert "all 11 checks passed" in capsys.readouterr().out
+        assert len(measured) == multipole.cg_table.cache_info().currsize == 25
 
 
 class TestEmitScope:
@@ -885,7 +910,7 @@ class TestRealStates:
             assert all(b.block.dtype == np.float64 for b in res.sector.blocks)
         grid = build_quadrature_grid(report.grid_l)
         block = next(b for b in report.results[-1].sector.blocks if b.photon_number == 12)
-        assert sphere.husimi_fourier(block, grid).dtype == np.float64
+        assert sphere.husimi_rows(block.block[None], grid).dtype == np.float64
         for res in report.results:
             assert res.q.values.dtype == res.q.equator.dtype == np.float64
 

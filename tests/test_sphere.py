@@ -19,13 +19,20 @@ from stokes_manifolds.sphere import (
     _coherent_products,
     build_quadrature_grid,
     equator_node,
-    husimi_fourier,
     husimi_manifold,
+    husimi_rows,
     husimi_total,
     husimi_totals,
 )
 
-from oracles import default_ladder_blocks, default_ladder_sectors, mesh, rotation_matrix
+from oracles import (
+    default_ladder_blocks,
+    default_ladder_sectors,
+    doubled_husimi_map,
+    doubled_husimi_total,
+    mesh,
+    rotation_matrix,
+)
 
 
 def _parts(blocks, maps):
@@ -331,6 +338,24 @@ class TestHusimiTotal:
         monkeypatch.setattr(sphere, "CONTRACTION_BYTES", 8 * grid.n_theta * 7)
         assert np.array_equal(_coherent_products(48, grid), whole)
 
+    def test_rows_take_one_table_per_stack(self, monkeypatch):
+        # a stack of one size is one contraction against one table of
+        # coherent products, and each block's rows are those it has alone
+        grid = build_quadrature_grid(24)
+        rng = np.random.default_rng(17)
+        blocks = np.stack([random_block(6.0, rng).block for _ in range(5)])
+        alone = [husimi_rows(block[None], grid)[0] for block in blocks]
+        built = []
+
+        def products(two_j, grid, _original=_coherent_products):
+            built.append(two_j)
+            return _original(two_j, grid)
+
+        monkeypatch.setattr(sphere, "_coherent_products", products)
+        rows = husimi_rows(blocks, grid)
+        assert built == [12] and rows.shape == (5, grid.n_theta, 13)
+        assert all(np.array_equal(row, want) for row, want in zip(rows, alone))
+
     def test_rows_peak_memory(self):
         # the rows of one block at 2S = 96 on L 192 peaked at 22.5 MB when the
         # block's whole complex (entries x n_theta) product was formed; now
@@ -339,10 +364,10 @@ class TestHusimiTotal:
         # each take about CONTRACTION_BYTES more
         grid = build_quadrature_grid(192)
         block = random_block(48.0, np.random.default_rng(13))
-        husimi_fourier(block, grid)  # the per-size arrays, cached
+        husimi_rows(block.block[None], grid)  # the per-size arrays, cached
         tracemalloc.start()
         try:
-            husimi_fourier(block, grid)
+            husimi_rows(block.block[None], grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -366,3 +391,35 @@ class TestHusimiTotal:
         grid = build_quadrature_grid(96)
         for block in default_ladder_blocks(cutoff):
             assert husimi_manifold_gap(block, husimi_manifold(block, grid))[0] < 1e-12, block.spin
+
+
+class TestWeightFold:
+    """The weight 2 - delta_q0 lives in the q > 0 rows of the Fourier table; the
+    maps are, bit for bit, those of rows doubled before the Fourier products."""
+
+    @staticmethod
+    def _assert_doubled(sector, grid):
+        blocks = sector.reported()
+        q = husimi_total(sector, grid)
+        assert np.array_equal(q.values, doubled_husimi_total(blocks, grid))
+        for block, row in zip(blocks, q.equator, strict=True):
+            want = doubled_husimi_map(block, grid)
+            assert np.array_equal(husimi_manifold(block, grid).values, want), block.spin
+            assert np.array_equal(row, want[equator_node(grid)]), block.spin
+
+    @pytest.mark.parametrize("grid_l", [48, 96])
+    def test_default_ladder(self, grid_l):
+        for sector in default_ladder_sectors(24):
+            self._assert_doubled(sector, build_quadrature_grid(grid_l))
+
+    @pytest.mark.parametrize("grid_l", [16, 48])
+    def test_complex_blocks(self, grid_l):
+        rng = np.random.default_rng(29)
+        blocks = [random_block(n / 2.0, rng) for n in range(9)]
+        sector = PolarizationSector(tuple(ManifoldBlock(b.spin, 1.0 / 9, b.block)
+                                          for b in blocks))
+        self._assert_doubled(sector, build_quadrature_grid(grid_l))
+
+    def test_large_block(self):
+        block = random_block(80.0, np.random.default_rng(31))
+        self._assert_doubled(PolarizationSector((block,)), build_quadrature_grid(320))
