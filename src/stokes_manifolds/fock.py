@@ -25,7 +25,7 @@ def padded_cutoff(cutoff: int) -> int:
     return math.ceil(1.5 * cutoff) + 10
 
 
-def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
+def require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
     """The Hermitian part 0.5 (M + M^dag) of a matrix, or of each matrix of a
     stack (..., d, d).  A ValueError names the largest |M - M^dag| of the
     first matrix whose deviation is not below HERMITICITY_TOL, so a NaN fails."""
@@ -37,7 +37,7 @@ def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (mat + adjoint)
 
 
-def _float_or_complex(values) -> np.ndarray:
+def float_or_complex(values) -> np.ndarray:
     """The values as a float64 array if they are real, complex128 if not."""
     values = np.asarray(values)
     return values.astype(np.result_type(values.dtype, float), copy=False)
@@ -54,11 +54,11 @@ class ModeState:
     def __post_init__(self):
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
-        entries = _float_or_complex(self.entries)
+        entries = float_or_complex(self.entries)
         dim = self.cutoff + 1
         if entries.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {entries.shape}")
-        entries = _require_hermitian(entries, "ModeState")
+        entries = require_hermitian(entries, "ModeState")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 

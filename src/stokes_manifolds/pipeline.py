@@ -5,14 +5,17 @@ the H mode is displaced), takes each product state's weights P_N and Stokes
 moments from the mode diagonals, and, only for an emit that reads them, parses
 it into polarization-manifold blocks and forms their multipoles and total
 Husimi Q.  Emission only renders and writes figure-data tables, sector dumps,
-Q-function grids and heatmap rasters.  Floats print with 12 significant digits
-and every run is deterministic, so identical configs give byte-identical files,
-at one BLAS thread and at two alike for the default config, cutoff 48 and alpha
-7 at cutoff 160 (other configs are tested at a fixed thread count).
+Q-function grids and heatmap rasters; each file's format is here, and
+`write_bytes`, the one writer, hashes the bytes as it writes them.  Floats
+print with 12 significant digits and every run is deterministic, so identical
+configs give byte-identical files, at one BLAS thread and at two alike for the
+default config, cutoff 48 and alpha 7 at cutoff 160 (other configs are tested
+at a fixed thread count).
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -26,15 +29,8 @@ import numpy as np
 
 from .fock import DISPLACEMENT_LIMIT, ModeState, NoiseModel, synthesize_mode
 from .multipole import multipole_stack, spectrum_weights
-from .polar import (
-    PolarizationSector,
-    dump_sector,
-    gather_manifolds,
-    report_photons,
-    sectors,
-    write_text,
-)
-from .render import render_foliation, render_heatmap, write_ppm
+from .polar import ManifoldBlock, PolarizationSector, gather_manifolds, report_photons, sectors
+from .render import render_foliation, render_heatmap
 from .sphere import QFunction, build_quadrature_grid, husimi_totals
 from .stokes import StokesSummary, diagonal_moments, quadrature_estimate_xi2, stokes_summaries
 
@@ -404,14 +400,87 @@ def _q_csv_rows(degree: int) -> tuple[str, ...]:
     )
 
 
+def write_bytes(pieces, path) -> str:
+    """Write the byte pieces to `path`, in order; returns the SHA-256 of the
+    bytes written, so no output file is read back to hash it.  Every output
+    file is written here; text goes in as `map(str.encode, pieces)`, its
+    UTF-8 bytes."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for piece in pieces:
+            digest.update(piece)
+            fh.write(piece)
+    return digest.hexdigest()
+
+
 def _write_q_csv(rows: tuple[str, ...], values: np.ndarray, path: Path) -> str:
     """A Q table: the grid lines of `_q_csv_rows` filled in with the values,
     one theta row at a time; returns the SHA-256 of the bytes written."""
-    return write_text(
-        itertools.chain(["theta,phi,weight,value\r\n"],
-                        (row % tuple(v.tolist()) for row, v in zip(rows, values))),
-        path,
+    return write_bytes(map(str.encode, itertools.chain(
+        ["theta,phi,weight,value\r\n"],
+        (row % tuple(v.tolist()) for row, v in zip(rows, values)),
+    )), path)
+
+
+def write_ppm(image: np.ndarray, path) -> str:
+    """Binary P6 pixmap, row-major, top row first; returns the SHA-256 of the
+    bytes written."""
+    image = np.asarray(image)
+    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
+        raise ValueError("image must be an (H, W, 3) uint8 array")
+    header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
+    return write_bytes([header, image.tobytes()], path)
+
+
+def _block_template(dim: int) -> str:
+    """The text json.dump(indent=1) prints for a dim x dim block of [re, im]
+    pairs at the depth of a manifold's "block" value, with a %s per number."""
+    pair = "[\n      %s,\n      %s\n     ]"
+    row = "[\n     " + ",\n     ".join([pair] * dim) + "\n    ]"
+    return "[\n    " + ",\n    ".join([row] * dim) + "\n   ]"
+
+
+def _finite_texts(values: np.ndarray) -> list:
+    """The float repr of each finite value, computed once per distinct
+    magnitude (a Hermitian block holds each |x| twice); the sign is put back
+    from np.signbit."""
+    magnitudes, inverse = np.unique(np.abs(values).view(np.int64), return_inverse=True)
+    texts = list(map(repr, magnitudes.view(float).tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return table[inverse + len(texts) * np.signbit(values)].tolist()
+
+
+def _manifold_text(i: int, b: ManifoldBlock) -> str:
+    """The text of manifold number i in the dump, with its leading separator;
+    + 0.0 folds -0.0, so every zero, and each imaginary part of a real block, is 0.0."""
+    values = np.ascontiguousarray(b.block, dtype=complex).view(float).ravel() + 0.0
+    fields = tuple(_finite_texts(values))
+    return (
+        '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'
+        '   "negligible": false,\n   "truncated": false\n  }'
+        % (",\n  " if i else "[\n  ", b.photon_number, json.dumps(b.weight),
+           json.dumps(b.spin), _block_template(b.dim) % fields)
     )
+
+
+def dump_sector(sector: PolarizationSector, path) -> str:
+    """JSON dump: the summed weight of the listed manifolds, then per manifold
+    S the weight and the block as nested [re, im] pairs in m-descending order.
+    A parsed sector holds only complete blocks above the weight floor, so
+    "negligible" and "truncated", kept for readers of earlier dumps, are
+    false.  Returns the SHA-256 of the bytes written.
+
+    The text is what json.dump(..., indent=1, sort_keys=True) prints, built from
+    a template per block size: a block's numbers, finite since `check_blocks`
+    passed them, print as float repr, which is what json prints, and
+    json.dumps spells the scalar fields.  It is written one manifold at a time.
+    """
+    captured = float(sum(b.weight for b in sector.blocks))
+    return write_bytes(map(str.encode, itertools.chain(
+        ['{\n "captured": %s,\n "manifolds": ' % json.dumps(captured)],
+        itertools.starmap(_manifold_text, enumerate(sector.blocks)),
+        ["\n ]\n}\n" if sector.blocks else "[]\n}\n"],
+    )), path)
 
 
 def emit_figure_tables(report: RunReport, outdir) -> dict:
@@ -428,19 +497,21 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
         files[name] = write(*args, outdir / name)
 
     if "squeezing_csv" in emit:
-        put("fig3a.csv", write_text, [FIG3A_HEADER, *map(_fig3a_text, report.results)])
-        put("fig3c.csv", write_text, [FIG3C_HEADER, *(
+        put("fig3a.csv", write_bytes,
+            map(str.encode, [FIG3A_HEADER, *map(_fig3a_text, report.results)]))
+        put("fig3c.csv", write_bytes, map(str.encode, [FIG3C_HEADER, *(
             _fmt(res.alpha) + "," + FIG3C_ROW % (res.total.xi2, res.total.xi2_db,
                                                  res.analytic_estimate, res.total.mode)
-            for res in report.results)])
+            for res in report.results)]))
 
     if "photon_csv" in emit:
-        put("fig3b.csv", write_text, [FIG3B_HEADER, *(
+        put("fig3b.csv", write_bytes, map(str.encode, [FIG3B_HEADER, *(
             _numbered_text([(_fmt(res.alpha) + ",", res.manifold_weights.tolist())])
-            for res in report.results)])
+            for res in report.results)]))
 
     if "multipole_csv" in emit:
-        put("fig3d.csv", write_text, [FIG3D_HEADER, *map(_fig3d_text, report.results)])
+        put("fig3d.csv", write_bytes,
+            map(str.encode, [FIG3D_HEADER, *map(_fig3d_text, report.results)]))
 
     for i, res in enumerate(report.results):
         if "q_csv" in emit:
@@ -467,7 +538,6 @@ def emit_figure_tables(report: RunReport, outdir) -> dict:
             _fmt(res.alpha): res.trace_deficit for res in report.results
         },
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_bytes([json.dumps(manifest, indent=1, sort_keys=True).encode(), b"\n"],
+                outdir / "manifest.json")
     return manifest

@@ -3,14 +3,12 @@
 A manifold with N = 2S photons carries a spin-S representation on the basis
 |S, m> = |n_H = S + m, n_V = S - m>, ordered m = S, S-1, ..., -S.  Coherences
 between different N are invisible to polarization measurements and are
-discarded by construction.
+discarded by construction.  Nothing here formats or writes a file: the
+sector dump is `pipeline.dump_sector`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import ModeState, _float_or_complex, _require_hermitian
+from .fock import ModeState, float_or_complex, require_hermitian
 
 WEIGHT_FLOOR = 1e-12
 
@@ -36,7 +34,7 @@ def check_blocks(spin: float, blocks: np.ndarray) -> np.ndarray:
     dim = two_s + 1
     if blocks.shape[1:] != (dim, dim):
         raise ValueError(f"block must be {dim}x{dim}, got {blocks.shape[1:]}")
-    blocks = _require_hermitian(blocks, "ManifoldBlock")
+    blocks = require_hermitian(blocks, "ManifoldBlock")
     trace = np.trace(blocks, axis1=1, axis2=2).real
     bad = ~(np.abs(trace - 1.0) <= 1e-10)  # a NaN trace fails too
     if bad.any():
@@ -57,7 +55,7 @@ class ManifoldBlock:
     block: np.ndarray
 
     def __post_init__(self):
-        block = check_blocks(self.spin, _float_or_complex(self.block)[None])[0]
+        block = check_blocks(self.spin, float_or_complex(self.block)[None])[0]
         block.setflags(write=False)
         object.__setattr__(self, "block", block)
 
@@ -270,69 +268,3 @@ def parse_manifolds(rho_h: ModeState, rho_v: ModeState, max_spin: float) -> Pola
     weights, live = photon_weights(h, rho_v.entries)
     return sectors([gather_manifolds(h, rho_v.entries, n, weights[:, n], live[:, n])
                     for n in np.flatnonzero(live[0, :top + 1]).tolist()], 1)[0]
-
-
-def write_text(pieces, path) -> str:
-    """Write the text pieces to `path` as UTF-8, in order; returns the SHA-256
-    of the bytes written, so no output file is read back to hash it."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for piece in pieces:
-            data = piece.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-    return digest.hexdigest()
-
-
-def _block_template(dim: int) -> str:
-    """The text json.dump(indent=1) prints for a dim x dim block of [re, im]
-    pairs at the depth of a manifold's "block" value, with a %s per number."""
-    pair = "[\n      %s,\n      %s\n     ]"
-    row = "[\n     " + ",\n     ".join([pair] * dim) + "\n    ]"
-    return "[\n    " + ",\n    ".join([row] * dim) + "\n   ]"
-
-
-def _finite_texts(values: np.ndarray) -> list:
-    """The float repr of each finite value, computed once per distinct
-    magnitude (a Hermitian block holds each |x| twice); the sign is put back
-    from np.signbit."""
-    magnitudes, inverse = np.unique(np.abs(values).view(np.int64), return_inverse=True)
-    texts = list(map(repr, magnitudes.view(float).tolist()))
-    table = np.array(texts + ["-" + t for t in texts], dtype=object)
-    return table[inverse + len(texts) * np.signbit(values)].tolist()
-
-
-def _manifold_text(i: int, b: ManifoldBlock) -> str:
-    """The text of manifold number i in the dump, with its leading separator;
-    + 0.0 folds -0.0, so every zero, and each imaginary part of a real block, is 0.0."""
-    values = np.ascontiguousarray(b.block, dtype=complex).view(float).ravel() + 0.0
-    fields = tuple(_finite_texts(values))
-    return (
-        '%s{\n   "N": %d,\n   "P": %s,\n   "S": %s,\n   "block": %s,\n'
-        '   "negligible": false,\n   "truncated": false\n  }'
-        % (",\n  " if i else "[\n  ", b.photon_number, json.dumps(b.weight),
-           json.dumps(b.spin), _block_template(b.dim) % fields)
-    )
-
-
-def dump_sector(sector: PolarizationSector, path) -> str:
-    """JSON dump: the summed weight of the listed manifolds, then per manifold
-    S the weight and the block as nested [re, im] pairs in m-descending order.
-    A parsed sector holds only complete blocks above the weight floor, so
-    "negligible" and "truncated", kept for readers of earlier dumps, are
-    false.  Returns the SHA-256 of the bytes written.
-
-    The text is what json.dump(..., indent=1, sort_keys=True) prints, built from
-    a template per block size: a block's numbers, finite since `check_blocks`
-    passed them, print as float repr, which is what json prints, and
-    json.dumps spells the scalar fields.  It is written one manifold at a time.
-    """
-    captured = float(sum(b.weight for b in sector.blocks))
-    return write_text(
-        itertools.chain(
-            ['{\n "captured": %s,\n "manifolds": ' % json.dumps(captured)],
-            itertools.starmap(_manifold_text, enumerate(sector.blocks)),
-            ["\n ]\n}\n" if sector.blocks else "[]\n}\n"],
-        ),
-        path,
-    )

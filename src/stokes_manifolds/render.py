@@ -1,13 +1,13 @@
 """Raster rendering of Q functions: equirectangular maps, axis views, ring foliations.
 
-All images are 8-bit RGB arrays written as binary portable pixmaps (P6).  The
-colormap is a fixed 256-entry table interpolated from five anchor colors, so
-identical inputs produce byte-identical rasters on every platform.
+Every image is an 8-bit RGB array, painted from one palette by `_paint`; the
+rasters are written, as binary portable pixmaps (P6), by `pipeline.write_ppm`.
+The colormap is a fixed 256-entry table interpolated from five anchor colors,
+so identical inputs produce byte-identical rasters on every platform.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from functools import lru_cache
 
@@ -41,29 +41,19 @@ def _build_colormap() -> np.ndarray:
 COLORMAP = _build_colormap()
 COLORMAP.setflags(write=False)
 
-BACKGROUND = np.array([0, 0, 0], dtype=np.uint8)
-# the colormap with the background as entry 256, for images drawn as indices
-_PALETTE = np.vstack([COLORMAP, BACKGROUND])
-_PALETTE.setflags(write=False)
+# the colormap with the black background as entry 256
+PALETTE = np.vstack([COLORMAP, np.zeros((1, 3), dtype=np.uint8)])
+PALETTE.setflags(write=False)
 
 
-def _color_index(values: np.ndarray, span) -> np.ndarray:
-    """The colormap entry of each value, 255 values/span clipped to [0, 255] and
-    truncated: a value that ties the span exactly may land on 254 or 255."""
-    return np.clip(values / span * 255.0, 0.0, 255.0).astype(np.intp)
-
-
-def apply_colormap(values: np.ndarray, vmax: float | None = None) -> np.ndarray:
-    """Map an array of floats to RGB through the fixed table, over [0, vmax].
-
-    Default normalization is per-image: vmax the array maximum, which is the
-    only scale recoverable for density plots normalized per figure.
-    """
-    values = np.asarray(values, dtype=float)
-    if vmax is None:
-        vmax = float(values.max()) if values.size else 1.0
-    idx = _color_index(values, vmax) if vmax > 0.0 else np.zeros(values.shape, np.intp)
-    return np.take(COLORMAP, idx, axis=0)
+def _paint(shape: tuple, pixels: np.ndarray, values: np.ndarray, span) -> np.ndarray:
+    """The RGB image of `shape` whose flat `pixels` show `values` and whose
+    other pixels are background: a value's colormap entry is 255 value/span
+    clipped to [0, 255] and truncated, so a value that ties the span may land
+    on 254 or 255.  `span`, positive, is one number or one per pixel."""
+    index = np.full(math.prod(shape), len(COLORMAP), dtype=np.intp)
+    index[pixels] = np.clip(values / span * 255.0, 0.0, 255.0).astype(np.intp)
+    return np.take(PALETTE, index, axis=0).reshape(*shape, 3)
 
 
 def _phi_index(n_phi: int, phi) -> np.ndarray:
@@ -79,28 +69,25 @@ _PLAN_CACHE_SIZE = 8
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _heatmap_plan(projection: str, rows: int, cols: int, theta_nodes: bytes, n_phi: int):
-    """The flat index of the grid node nearest to each pixel's direction, and
-    the mask of pixels outside the axis-view disk (None for equirectangular).
-    Those hidden pixels point one past the last node, where `render_heatmap`
-    puts a zero, so the image's normalization still counts them as zeros."""
+    """The image shape of a view, the flat pixels that show the sphere (all
+    of an equirectangular map, the disk of an axis view), and the flat index
+    of the grid node nearest to each of those pixels' directions."""
     theta_nodes = np.frombuffer(theta_nodes)
     if projection == "equirectangular":
+        shape = (rows, cols)
         theta = (np.arange(rows) + 0.5) * math.pi / rows
         phi = (np.arange(cols) + 0.5) * 2.0 * math.pi / cols
-        th, ph = np.meshgrid(theta, phi, indexing="ij")
-        nodes = nearest_theta_node(theta_nodes, th) * n_phi + _phi_index(n_phi, ph)
-        hidden = None
+        theta, phi = np.meshgrid(theta, phi, indexing="ij")
+        visible = np.ones(shape, dtype=bool)
     else:
-        side = min(rows, cols)
-        u, v = _pixel_plane(side)
-        theta, phi, visible = _axis_view_angles(projection, u, v)
-        nodes = np.full((side, side), len(theta_nodes) * n_phi, dtype=np.intp)
-        nodes[visible] = (nearest_theta_node(theta_nodes, theta[visible]) * n_phi
-                          + _phi_index(n_phi, phi[visible]))
-        hidden = ~visible
-        hidden.setflags(write=False)
+        shape = (min(rows, cols),) * 2
+        theta, phi, visible = _axis_view_angles(projection, *_pixel_plane(shape[0]))
+    pixels = np.flatnonzero(visible)
+    nodes = (nearest_theta_node(theta_nodes, theta.ravel()[pixels]) * n_phi
+             + _phi_index(n_phi, phi.ravel()[pixels]))
+    pixels.setflags(write=False)
     nodes.setflags(write=False)
-    return nodes, hidden
+    return shape, pixels, nodes
 
 
 def render_heatmap(q: QFunction, projection: str = "equirectangular",
@@ -110,20 +97,19 @@ def render_heatmap(q: QFunction, projection: str = "equirectangular",
     projection 'equirectangular': rows are theta in (0, pi) top to bottom,
     columns phi in [0, 2 pi).  projection 'x'/'y'/'z': orthographic view of the
     sphere along that axis, visible hemisphere only, black outside the disk.
-    Values are sampled at the nearest grid node and normalized per image.
+    Values are sampled at the nearest grid node and normalized per image: the
+    span is the largest sample if it is positive, else 1, so an image with no
+    positive sample is painted in the colormap's entry 0.
     The pixel-to-node map is built once per view, raster size and grid.
     """
     if projection not in ("equirectangular", "x", "y", "z"):
         raise ValueError(f"unknown projection {projection!r}")
     rows, cols = resolution
     grid = q.grid
-    nodes, hidden = _heatmap_plan(projection, rows, cols, grid.theta.tobytes(), grid.n_phi)
-    if hidden is None:
-        return apply_colormap(q.values.ravel()[nodes])
-    vals = np.append(q.values, 0.0)[nodes]
-    image = apply_colormap(vals, vmax=float(vals.max()) or 1.0)
-    image[hidden] = BACKGROUND
-    return image
+    shape, pixels, nodes = _heatmap_plan(projection, rows, cols, grid.theta.tobytes(), grid.n_phi)
+    values = q.values.ravel()[nodes]
+    vmax = float(values.max())
+    return _paint(shape, pixels, values, vmax if vmax > 0.0 else 1.0)
 
 
 def _pixel_coords(side: int) -> np.ndarray:
@@ -203,32 +189,14 @@ def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
     each image is then one gather, and the ring maxima are taken over the
     equator nodes each ring hits.
     """
-    index = np.full(side * side, len(COLORMAP), dtype=np.intp)  # the background
+    pixels, values, span = np.zeros(0, dtype=np.intp), np.zeros(0), 1.0
     rings = np.array(q.spins) > 0
     if rings.any():
         spins = tuple(s for s in q.spins if s > 0)
         pixels, ring, samples, seen = _foliation_plan(side, q.grid.n_phi, spins)
         equator = q.equator[rings]
-        vals = equator.ravel()[samples]
+        values = equator.ravel()[samples]
         vmax = np.where(seen, equator, -np.inf).max(axis=1)
-        # apply_colormap(vals, vmax=max or 1.0) per ring; a ring whose maximum is
-        # not positive has no positive sample, so a span of 1 maps it to index 0
-        span = np.where(vmax > 0.0, vmax, 1.0)
-        index[pixels] = _color_index(vals, span[ring])
-    return np.take(_PALETTE, index, axis=0).reshape(side, side, 3)
-
-
-def write_ppm(image: np.ndarray, path) -> str:
-    """Binary P6 pixmap, row-major, top row first; returns the SHA-256 of the
-    bytes written."""
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
-        raise ValueError("image must be an (H, W, 3) uint8 array")
-    header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    payload = image.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    digest = hashlib.sha256(header)
-    digest.update(payload)
-    return digest.hexdigest()
+        # each ring's span follows render_heatmap's rule, at its own maximum
+        span = np.where(vmax > 0.0, vmax, 1.0)[ring]
+    return _paint((side, side), pixels, values, span)

@@ -10,7 +10,9 @@ Gaussian that loss keeps it.
 The writers the package replaced with faster ones are kept as the byte and
 pixel references: the figure tables through `csv.writer`, the sector dump
 through `json.dump`, the foliation drawn one ring at a time from the full map
-of each manifold, and the heatmaps sampled pixel by pixel.  So are the
+of each manifold, and the heatmaps sampled pixel by pixel; both are colored
+by `apply_colormap`, with the background painted over the pixels that show
+no sphere, where the package paints every raster from one palette.  So are the
 per-block forms of what a sweep computes for every amplitude at once: the
 multipoles as one Clebsch-Gordan diagonal matvec per order q, the aggregated
 W_K summed one block at a time, and the Stokes variance minimised one block
@@ -46,13 +48,7 @@ from stokes_manifolds.fock import (
 from stokes_manifolds.multipole import cg_table, legendre_table
 from stokes_manifolds.pipeline import RunConfig, run_sweep
 from stokes_manifolds.polar import WEIGHT_FLOOR, ManifoldBlock, diagonal_order
-from stokes_manifolds.render import (
-    BACKGROUND,
-    _axis_view_angles,
-    _phi_index,
-    _pixel_plane,
-    apply_colormap,
-)
+from stokes_manifolds.render import COLORMAP, _axis_view_angles, _phi_index, _pixel_plane
 from stokes_manifolds.sphere import FOUR_PI, husimi_manifold, husimi_rows, nearest_theta_node
 from stokes_manifolds.stokes import (
     DIRECTION_EPS,
@@ -614,6 +610,24 @@ def json_dump_sector(sector, path):
         json.dump({"captured": captured, "manifolds": manifolds}, fh,
                   indent=1, sort_keys=True)
         fh.write("\n")
+
+
+BACKGROUND = np.array([0, 0, 0], dtype=np.uint8)
+
+
+def apply_colormap(values, vmax=None):
+    """Map an array of floats to RGB through the fixed table, over [0, vmax]:
+    vmax the array maximum by default, and every value to entry 0 if vmax is
+    not positive.  The heatmaps were colored so, then the pixels outside an
+    axis view's disk repainted with BACKGROUND."""
+    values = np.asarray(values, dtype=float)
+    if vmax is None:
+        vmax = float(values.max()) if values.size else 1.0
+    if vmax > 0.0:
+        idx = np.clip(values / vmax * 255.0, 0.0, 255.0).astype(np.intp)
+    else:
+        idx = np.zeros(values.shape, np.intp)
+    return np.take(COLORMAP, idx, axis=0)
 
 
 def nearest_node_sampler(q):

@@ -439,13 +439,24 @@ class TestComputedOnce:
         # multipoles and Husimi rows share one diagonal contraction
         assert _src_attribute_uses("reduceat") == ["polar.diagonal_sums"]
 
-    def test_no_private_names_of_sphere_or_multipole_imported(self):
-        # the Husimi and multipole kernels are reached by their public names
+    def test_one_writer_hashes_every_file(self):
+        # every output file is written and hashed by one function, and no
+        # other module imports hashlib
+        assert _src_attribute_uses("sha256") == ["pipeline.write_bytes"]
+        importers = []
+        for path in sorted(Path(stokes_manifolds.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                importers += [path.stem for name in names if name == "hashlib"]
+        assert importers == ["pipeline"]
+
+    def test_no_private_names_imported_between_modules(self):
+        # each module reaches another's functions by their public names
         private = []
         for path in sorted(Path(stokes_manifolds.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if (isinstance(node, ast.ImportFrom)
-                        and (node.module or "").rsplit(".", 1)[-1] in ("sphere", "multipole")):
+                if isinstance(node, ast.ImportFrom) and node.level:
                     private += [f"{path.stem}:{alias.name}" for alias in node.names
                                 if alias.name.startswith("_")]
         assert private == []

@@ -7,7 +7,7 @@ import pytest
 from oracles import dense_moments, full_block, json_dump_sector, spin_matrices
 from stokes_manifolds import polar
 from stokes_manifolds.fock import ModeState, NoiseModel, synthesize_mode
-from stokes_manifolds.pipeline import DEFAULT_ALPHAS
+from stokes_manifolds.pipeline import DEFAULT_ALPHAS, dump_sector
 from stokes_manifolds.invariants import random_block
 from stokes_manifolds.polar import (
     WEIGHT_FLOOR,
@@ -15,7 +15,6 @@ from stokes_manifolds.polar import (
     PolarizationSector,
     check_blocks,
     diagonal_order,
-    dump_sector,
     parse_manifolds,
 )
 from stokes_manifolds.stokes import _moments
@@ -205,7 +204,7 @@ class TestBlockValidation:
     def test_rejects_nan_trace(self, monkeypatch):
         # the trace check fails a NaN on its own, past a Hermiticity check
         # that lets the block through
-        monkeypatch.setattr(polar, "_require_hermitian", lambda mat, what: mat)
+        monkeypatch.setattr(polar, "require_hermitian", lambda mat, what: mat)
         block = np.diag([1.0, math.nan]).astype(complex)
         with pytest.raises(ValueError, match="trace nan is not 1"):
             ManifoldBlock(0.5, 1.0, block)

@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import default_ladder_sectors, foliation_loop, heatmap_loop, manifold_parts
-from stokes_manifolds.polar import ManifoldBlock, PolarizationSector
-from stokes_manifolds.render import (
-    COLORMAP,
+from oracles import (
     apply_colormap,
-    render_foliation,
-    render_heatmap,
-    write_ppm,
+    default_ladder_sectors,
+    foliation_loop,
+    heatmap_loop,
+    manifold_parts,
 )
+from stokes_manifolds.pipeline import write_ppm
+from stokes_manifolds.polar import ManifoldBlock, PolarizationSector
+from stokes_manifolds.render import COLORMAP, render_foliation, render_heatmap
 from stokes_manifolds.sphere import (
     QFunction,
     SphereGrid,
@@ -86,6 +87,29 @@ class TestHeatmaps:
             for resolution in ((64, 128), (33, 20)):
                 want = heatmap_loop(q, view, resolution)
                 assert np.array_equal(render_heatmap(q, view, resolution), want)
+
+    @pytest.mark.parametrize("view", ["equirectangular", "x", "y", "z"])
+    @pytest.mark.parametrize("fill", ["zero", "negative", "zero_max_with_negatives"])
+    def test_no_positive_sample_paints_entry_zero(self, view, fill):
+        # the span is 1 when no sample is positive: every sphere pixel is
+        # COLORMAP[0], and the pixels outside an axis view's disk, its corners
+        # among them, stay background
+        grid = build_quadrature_grid(12)
+        row = {"zero": 0.0, "negative": -1e-17,
+               "zero_max_with_negatives": np.minimum(np.cos(grid.phi), 0.0)}[fill]
+        q = QFunction(grid, np.broadcast_to(row, (grid.n_theta, grid.n_phi)))
+        for resolution in ((64, 128), (33, 20)):
+            img = render_heatmap(q, view, resolution)
+            assert np.array_equal(img, heatmap_loop(q, view, resolution))
+            if view == "equirectangular":
+                sphere = np.ones(img.shape[:2], dtype=bool)
+            else:
+                side = min(resolution)
+                coords = (np.arange(side) + 0.5) / side * 2.0 - 1.0
+                sphere = np.add.outer(coords**2, coords**2) <= 1.0
+                assert not sphere[0, 0]
+            assert np.all(img[sphere] == COLORMAP[0])
+            assert not np.any(img[~sphere])
 
     @pytest.mark.parametrize("view", ["equirectangular", "z"])
     def test_grid_with_other_theta_nodes_gets_its_own_pixel_map(self, view):
