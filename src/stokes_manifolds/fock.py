@@ -71,7 +71,8 @@ def fit_noise_parameters(squeezing_db: float, antisqueezing_db: float) -> tuple[
     """Invert measured squeezing/anti-squeezing levels into (r, nbar).
 
     Solves (2 nbar + 1) e^{-2r} = 10^{-squeezing_db/10} and
-    (2 nbar + 1) e^{+2r} = 10^{+antisqueezing_db/10} for a squeezed thermal state.
+    (2 nbar + 1) e^{+2r} = 10^{+antisqueezing_db/10} for a squeezed thermal state;
+    nbar is inf where 10^{(antisqueezing_db - squeezing_db)/20} overflows.
     """
     if squeezing_db < 0 or antisqueezing_db < 0:
         raise ValueError("dB levels must be non-negative")
@@ -80,7 +81,10 @@ def fit_noise_parameters(squeezing_db: float, antisqueezing_db: float) -> tuple[
             "antisqueezing_db < squeezing_db would require negative thermal occupation"
         )
     r = (squeezing_db + antisqueezing_db) * math.log(10.0) / 40.0
-    nbar = 0.5 * (10.0 ** ((antisqueezing_db - squeezing_db) / 20.0) - 1.0)
+    try:
+        nbar = 0.5 * (10.0 ** ((antisqueezing_db - squeezing_db) / 20.0) - 1.0)
+    except OverflowError:
+        nbar = math.inf
     return r, nbar
 
 
@@ -107,8 +111,15 @@ class NoiseModel:
 
     def mean_photons(self, alpha: complex) -> float:
         """Closed-form <n> = eta (|alpha|^2 + (nbar + 1/2) cosh 2r - 1/2) of the
-        mode displaced by alpha; inf, not OverflowError, if |alpha|^2 overflows."""
-        spread = (self.thermal_occupation + 0.5) * math.cosh(2.0 * self.squeeze_parameter)
+        mode displaced by alpha; inf, not OverflowError, if |alpha|^2 overflows,
+        and inf at any eta if (nbar + 1/2) cosh 2r does, as no cutoff holds the
+        core before loss."""
+        try:
+            spread = (self.thermal_occupation + 0.5) * math.cosh(2.0 * self.squeeze_parameter)
+        except OverflowError:
+            spread = math.inf
+        if spread == math.inf:
+            return math.inf
         return self.efficiency * (abs(alpha) * abs(alpha) + spread - 0.5)
 
 

@@ -21,14 +21,13 @@ from .stokes import manifold_stokes_summary
 def harmonic_gram(grid, degrees, legendre) -> np.ndarray:
     """Gram matrix sum_grid w Y_Kq Y*_K'q' of the orders q = -K..K of the degrees, from
     a `multipole.legendre_table` of the theta nodes.  Y_Kq = P_Kq(theta) e^{iq phi} with
-    Y_K,-q = (-1)^q conj(Y_Kq) factors, as a tensor grid's weights w[:, 0] w[0] / w[0, 0]
-    do, so it is a theta Gram times a phi Gram, and no array has a (theta, phi) mesh axis."""
+    Y_K,-q = (-1)^q conj(Y_Kq) factors, as a grid's weights w[:, 0] at every phi node do,
+    so it is a theta Gram times a phi Gram, and no array has a (theta, phi) mesh axis."""
     k, q = np.array([(k, q) for k in degrees for q in range(-k, k + 1)]).T
     y_theta = legendre[np.abs(q), k]
     y_phi = np.exp(1j * np.outer(np.abs(q), grid.phi))
     y_phi[q < 0] = (-1.0) ** q[q < 0, None] * y_phi[q < 0].conj()
-    w = grid.weights
-    return ((y_theta * w[:, 0]) @ y_theta.T) * ((y_phi * (w[0] / w[0, 0])) @ y_phi.conj().T)
+    return ((y_theta * grid.weights[:, 0]) @ y_theta.T) * (y_phi @ y_phi.conj().T)
 
 
 def harmonic_orthonormality(grid, degrees, legendre) -> tuple[float, float]:

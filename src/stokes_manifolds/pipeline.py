@@ -125,6 +125,8 @@ class RunConfig:
         if not (isinstance(shape, (tuple, list)) and len(shape) == 2
                 and all(type(n) is int and n > 0 for n in shape)):
             raise ConfigError(f"raster_shape must be two positive integers, got {shape!r}")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
 
     @property
     def resolved_s_report_max(self) -> float:

@@ -1,6 +1,7 @@
 """Raster rendering of Q functions: equirectangular maps, axis views, ring foliations.
 
-Every image is an 8-bit RGB array, painted from one palette by `_paint`; the
+Every image is an 8-bit RGB array: a cached plan maps its pixels to the nodes
+of a table of Q values, and `_draw` paints the samples from one palette.  The
 rasters are written, as binary portable pixmaps (P6), by `pipeline.write_ppm`.
 The colormap is a fixed 256-entry table interpolated from five anchor colors,
 so identical inputs produce byte-identical rasters on every platform.
@@ -46,14 +47,30 @@ PALETTE = np.vstack([COLORMAP, np.zeros((1, 3), dtype=np.uint8)])
 PALETTE.setflags(write=False)
 
 
-def _paint(shape: tuple, pixels: np.ndarray, values: np.ndarray, span) -> np.ndarray:
-    """The RGB image of `shape` whose flat `pixels` show `values` and whose
-    other pixels are background: a value's colormap entry is 255 value/span
-    clipped to [0, 255] and truncated, so a value that ties the span may land
-    on 254 or 255.  `span`, positive, is one number or one per pixel."""
+def _draw(plan, table: np.ndarray) -> np.ndarray:
+    """The RGB image a `plan` (shape, pixels, nodes, seen) draws from a table
+    whose rows are span groups: its flat `pixels` show the table's flat
+    `nodes`, the others are background.  A row's span is its largest `seen`
+    value if positive, else 1; a value's colormap entry is 255 value/span
+    clipped to [0, 255] and truncated, so one that ties the span lands on 254
+    or 255.  Each row is scaled before the gather, so a pixel's group is its
+    node's row and no span is gathered per pixel."""
+    shape, pixels, nodes, seen = plan
+    vmax = np.where(seen, table, -np.inf).max(axis=1, keepdims=True)
+    scaled = (table / np.where(vmax > 0.0, vmax, 1.0)).ravel()[nodes]
     index = np.full(math.prod(shape), len(COLORMAP), dtype=np.intp)
-    index[pixels] = np.clip(values / span * 255.0, 0.0, 255.0).astype(np.intp)
+    index[pixels] = np.clip(scaled * 255.0, 0.0, 255.0).astype(np.intp)
     return np.take(PALETTE, index, axis=0).reshape(*shape, 3)
+
+
+def _plan(shape: tuple, pixels, nodes, table_shape: tuple):
+    """The read-only plan of `_draw`, with `seen` the mask of the nodes of a
+    `table_shape` table that `nodes` sample."""
+    seen = np.zeros(table_shape, dtype=bool)
+    seen.ravel()[nodes] = True
+    for array in (pixels, nodes, seen):
+        array.setflags(write=False)
+    return shape, pixels, nodes, seen
 
 
 def _phi_index(n_phi: int, phi) -> np.ndarray:
@@ -62,16 +79,16 @@ def _phi_index(n_phi: int, phi) -> np.ndarray:
     return np.floor(np.mod(phi, 2.0 * math.pi) / dphi + 0.5).astype(np.intp) % n_phi
 
 
-# pixel maps kept per (raster size, grid) or (raster size, rings); a run
-# draws at one raster size on one grid, so a few entries cover it
+# plans kept per (view, raster size, grid) or (raster size, phi grid, rings);
+# a run draws at one raster size on one grid, so a few entries cover it
 _PLAN_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _heatmap_plan(projection: str, rows: int, cols: int, theta_nodes: bytes, n_phi: int):
-    """The image shape of a view, the flat pixels that show the sphere (all
-    of an equirectangular map, the disk of an axis view), and the flat index
-    of the grid node nearest to each of those pixels' directions."""
+    """The plan of a view: the pixels that show the sphere (all of an
+    equirectangular map, the disk of an axis view) sample the grid node
+    nearest to their directions, in one group over the whole grid."""
     theta_nodes = np.frombuffer(theta_nodes)
     if projection == "equirectangular":
         shape = (rows, cols)
@@ -85,9 +102,7 @@ def _heatmap_plan(projection: str, rows: int, cols: int, theta_nodes: bytes, n_p
     pixels = np.flatnonzero(visible)
     nodes = (nearest_theta_node(theta_nodes, theta.ravel()[pixels]) * n_phi
              + _phi_index(n_phi, phi.ravel()[pixels]))
-    pixels.setflags(write=False)
-    nodes.setflags(write=False)
-    return shape, pixels, nodes
+    return _plan(shape, pixels, nodes, (1, len(theta_nodes) * n_phi))
 
 
 def render_heatmap(q: QFunction, projection: str = "equirectangular",
@@ -100,27 +115,19 @@ def render_heatmap(q: QFunction, projection: str = "equirectangular",
     Values are sampled at the nearest grid node and normalized per image: the
     span is the largest sample if it is positive, else 1, so an image with no
     positive sample is painted in the colormap's entry 0.
-    The pixel-to-node map is built once per view, raster size and grid.
+    The pixel-to-node plan is built once per view, raster size and grid.
     """
     if projection not in ("equirectangular", "x", "y", "z"):
         raise ValueError(f"unknown projection {projection!r}")
-    rows, cols = resolution
-    grid = q.grid
-    shape, pixels, nodes = _heatmap_plan(projection, rows, cols, grid.theta.tobytes(), grid.n_phi)
-    values = q.values.ravel()[nodes]
-    vmax = float(values.max())
-    return _paint(shape, pixels, values, vmax if vmax > 0.0 else 1.0)
-
-
-def _pixel_coords(side: int) -> np.ndarray:
-    """Pixel centres along one image axis, in (-1, 1)."""
-    return (np.arange(side) + 0.5) / side * 2.0 - 1.0
+    plan = _heatmap_plan(projection, *resolution, q.grid.theta.tobytes(), q.grid.n_phi)
+    return _draw(plan, q.values.reshape(1, -1))
 
 
 def _pixel_plane(side: int):
-    # image coordinates: row 0 at the top; u to the right, v upward
-    coords = _pixel_coords(side)
-    v, u = np.meshgrid(-coords, coords, indexing="ij")
+    # image coordinates: row 0 at the top; u to the right, v upward; the
+    # planes are broadcast views of one row and one column, not copies
+    coords = (np.arange(side) + 0.5) / side * 2.0 - 1.0
+    v, u = np.meshgrid(-coords, coords, indexing="ij", copy=False)
     return u, v
 
 
@@ -139,39 +146,23 @@ def _axis_view_angles(axis: str, u, v):
     return theta, phi, visible
 
 
-def _ring_pixels(radii: np.ndarray, half_width: float, side: int):
-    """Flat indices of the pixels within half_width of a ring radius, and the
-    ring of each.  The rings are disjoint, so only the nearest ring is tested;
-    rho is _pixel_plane's sqrt(u*u + v*v), kept on a band around the rings
-    wide enough to hold every pixel the test accepts."""
-    coords = _pixel_coords(side)
-    square = coords * coords
-    rho = np.sqrt(np.add.outer(square, square)).ravel()
-    band = np.flatnonzero(
-        (rho >= radii[0] - 2.0 * half_width) & (rho <= radii[-1] + 2.0 * half_width)
-    )
-    rho = rho[band]
-    ring = np.searchsorted(0.5 * (radii[1:] + radii[:-1]), rho)
-    hit = np.flatnonzero(np.abs(rho - radii[ring]) <= half_width)
-    return band[hit], ring[hit]
-
-
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _foliation_plan(side: int, n_phi: int, spins: tuple):
-    """The pixels the rings of `spins` cover, the ring of each, the flat
-    (ring, phi node) each samples, and the (ring, phi node) pairs hit."""
-    radii = np.array([math.sqrt(s * (s + 1.0)) for s in spins])
-    radii = radii / radii.max()
-    half_width = 0.45 * np.min(np.diff(radii, prepend=0.0))
-    pixels, ring = _ring_pixels(radii, half_width, side)
-    coords = _pixel_coords(side)
-    psi = np.mod(np.arctan2(-coords[pixels // side], coords[pixels % side]), 2.0 * math.pi)
-    samples = ring * n_phi + _phi_index(n_phi, psi)
-    seen = np.zeros((len(spins), n_phi), dtype=bool)
-    seen.ravel()[samples] = True
-    for array in (pixels, ring, samples, seen):
-        array.setflags(write=False)
-    return pixels, ring, samples, seen
+    """The plan of the rings of `spins`, a group each: a pixel near its nearest
+    ring samples that ring's equator row at the phi node nearest its angle."""
+    u, v = _pixel_plane(side)
+    rho = np.sqrt(u * u + v * v).ravel()
+    pixels = ring = np.zeros(0, dtype=np.intp)
+    if spins:
+        radii = np.array([math.sqrt(s * (s + 1.0)) for s in spins])
+        radii = radii / radii.max()
+        half_width = 0.45 * np.min(np.diff(radii, prepend=0.0))
+        # the rings are disjoint, so each pixel is tested against its nearest
+        ring = np.searchsorted(0.5 * (radii[1:] + radii[:-1]), rho)
+        pixels = np.flatnonzero(np.abs(rho - radii[ring]) <= half_width)
+        ring = ring[pixels]
+    nodes = ring * n_phi + _phi_index(n_phi, np.arctan2(v, u).ravel()[pixels])
+    return _plan((side, side), pixels, nodes, (len(spins), n_phi))
 
 
 def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
@@ -181,22 +172,13 @@ def render_foliation(q: QFunction, side: int = 256) -> np.ndarray:
     annulus at radius proportional to sqrt(S(S+1)); a pixel at planar angle
     psi samples the manifold Q at azimuth psi on the equator, the silhouette
     great circle of the z view, from the total's `equator` rows.  Each ring
-    is normalized to its own maximum, so faint manifolds remain visible.
+    is its own span group, normalized to the largest equator value its
+    pixels sample, so faint manifolds remain visible.
 
     The manifolds come in increasing spin order, so the rings are disjoint
-    (half width 0.45 of the smallest radius gap): each pixel is tested against
-    its nearest ring only, once per raster size, phi grid and set of spins;
-    each image is then one gather, and the ring maxima are taken over the
-    equator nodes each ring hits.
+    (half width 0.45 of the smallest radius gap).  The plan is built once
+    per raster size, phi grid and set of spins.
     """
-    pixels, values, span = np.zeros(0, dtype=np.intp), np.zeros(0), 1.0
     rings = np.array(q.spins) > 0
-    if rings.any():
-        spins = tuple(s for s in q.spins if s > 0)
-        pixels, ring, samples, seen = _foliation_plan(side, q.grid.n_phi, spins)
-        equator = q.equator[rings]
-        values = equator.ravel()[samples]
-        vmax = np.where(seen, equator, -np.inf).max(axis=1)
-        # each ring's span follows render_heatmap's rule, at its own maximum
-        span = np.where(vmax > 0.0, vmax, 1.0)[ring]
-    return _paint((side, side), pixels, values, span)
+    plan = _foliation_plan(side, q.grid.n_phi, tuple(s for s in q.spins if s > 0))
+    return _draw(plan, q.equator[rings])

@@ -116,6 +116,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(None, {"antisqueezing_db": 1.0})  # below squeezing_db
 
+    @pytest.mark.parametrize("out_dir", [5, None, ["a"], ""])
+    def test_out_dir_must_be_a_path(self, tmp_path, out_dir):
+        with pytest.raises(ConfigError, match="out_dir"):
+            parse_config(_write(tmp_path, {"out_dir": out_dir}))
+
     def test_unknown_emit_flag(self):
         with pytest.raises(ConfigError, match="emit"):
             RunConfig(emit=("squeezing_csv", "plots"))
@@ -431,6 +436,8 @@ class TestComputedOnce:
         "_write_csv", "csv",
         # heatmaps and rings are scaled from 0
         "vmin",
+        # one plan and one sampler draw every raster
+        "_paint", "_ring_pixels", "_pixel_coords",
     ])
     def test_removed_names_stay_unbound(self, name):
         assert _src_bindings(name) == []
@@ -1301,6 +1308,18 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_dir", [5, None, ["a"], ""])
+    def test_bad_out_dir_exit(self, tmp_path, capsys, monkeypatch, out_dir):
+        # refused before the sweep, so no mode is synthesized and no file written
+        calls = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
+        config = _write(tmp_path, {"out_dir": out_dir})
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1 and calls == []
+        assert err.startswith("config error: out_dir") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_fractional_report_range_runs(self, tmp_path):
         # S_max = 5.3 reports N <= 10, which cutoff 10 holds and grid_l 20 resolves
         doc = {"cutoff_h": 10, "cutoff_v": 10, "s_report_max": 5.3, "grid_l": 20}
@@ -1332,12 +1351,19 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["--alpha", "20"], ["--alpha", "1e300"], ["--cutoff", "4"]],
-                             ids=["20", "1e300", "cutoff4"])
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "20"], ["--alpha", "1e300"], ["--cutoff", "4"],
+        ["--sq-db", "1e5", "--anti-db", "1e5"], ["--sq-db", "0", "--anti-db", "7000"],
+        ["--sq-db", "1e5", "--anti-db", "1e5", "--eta", "0"],
+        ["--sq-db", "0", "--anti-db", "7000", "--eta", "0"],
+        ["--sq-db", "0", "--anti-db", "6168", "--eta", "0"],  # nbar overflows, cosh 2r does not
+    ], ids=["20", "1e300", "cutoff4", "cosh-overflow", "nbar-overflow", "cosh-overflow-eta0",
+            "nbar-overflow-eta0", "nbar-only-overflow-eta0"])
     def test_mean_photon_guard_exit(self, tmp_path, capsys, monkeypatch, argv):
         # the closed form refuses wrong numbers (a trace deficit of 8.5e-8 at
         # alpha 20; alpha 2.31 at cutoff 4) or an overflow before any mode is
-        # synthesized, so no truncation warning comes first
+        # synthesized, so no truncation warning comes first; an overflowing
+        # cosh 2r or nbar reads as an infinite mean photon number at any eta
         calls = _record_calls(monkeypatch, "synthesize_mode", [pipeline])
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -1349,6 +1375,8 @@ class TestCli:
         cutoff = argv[1] if argv[0] == "--cutoff" else "24"
         assert f"cutoff {cutoff};" in err and "Traceback" not in err
         assert caught == [] and calls == []
+        if "--sq-db" in argv:
+            assert "mean photon number inf exceeds" in err, err
 
     def test_displacement_underflow_guard_exit(self, tmp_path, capsys, monkeypatch):
         # at eta 0.85, alpha 42 displaces by |beta|^2 = 1499.4, where the seeds
